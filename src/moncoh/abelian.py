@@ -3,8 +3,8 @@
 Everything downstream (cochain groups, differentials, cohomology) reduces
 to the operations in this module, so they are exact by construction:
 unbounded integers, Smith normal form with tracked unimodular transforms,
-and subquotients that keep the relations of the middle group inside the
-image lattice.  Floating point never appears.
+and sparse elimination that computes invariant factors only.  Floating
+point never appears.
 
 Conventions
 -----------
@@ -15,15 +15,18 @@ Conventions
   ``orders`` lists one value per generator, ``0`` meaning infinite order.
 * A homomorphism matrix has one column per domain generator and one row
   per codomain generator; column ``i`` is the image of generator ``i``.
-* Cohomology is computed as ``ker(d_out) / im(d_in)`` where both lattices
-  live in the generator space of the middle group and always contain its
-  relation lattice.
+* Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
+  matrices, the cone of the diagonal relations (see ``cohomology_at``):
+  the rank of one and the invariant factors of the other.  Both come from
+  a sparse elimination with unit and divisor pivots that never builds a
+  transform; only a residual it cannot pivot goes to dense Smith form.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -433,22 +436,6 @@ def _relation_matrix(group: FgAbGroup) -> IntMatrix:
     return rel
 
 
-def _kernel_membership_columns(matrix: Sequence[Sequence[int]],
-                               dom_ngens: int,
-                               codomain: FgAbGroup) -> IntMatrix:
-    """Columns spanning {x : matrix @ x lies in the codomain relation lattice}.
-
-    Computed as the projection of the kernel of the matrix augmented with
-    the relation columns.
-    """
-    rel = _relation_matrix(codomain)
-    aug = im.hstack(matrix, rel)
-    total_cols = dom_ngens + len(codomain.torsion)
-    dec = smith_normal_form(aug, shape=(codomain.ngens, total_cols))
-    keep = range(dec.rank, total_cols)
-    return [[dec.v[i][j] for j in keep] for i in range(dom_ngens)]
-
-
 def _column_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
     """Basis of the lattice spanned by the given columns.
 
@@ -498,9 +485,7 @@ def _subquotient(basis: Sequence[Sequence[int]], nrows: int,
 
 def kernel(h: AbHom) -> FgAbGroup:
     """Kernel of h as an abstract group."""
-    span = _kernel_membership_columns(h.matrix, h.domain.ngens, h.codomain)
-    basis = _column_basis(span, h.domain.ngens)
-    return _subquotient(basis, h.domain.ngens, _relation_matrix(h.domain))
+    return cohomology_at(AbHom.zero(TRIVIAL_GROUP, h.domain), h)
 
 
 def image(h: AbHom) -> FgAbGroup:
@@ -510,22 +495,180 @@ def image(h: AbHom) -> FgAbGroup:
     return _subquotient(basis, h.codomain.ngens, _relation_matrix(h.codomain))
 
 
+SparseColumn = dict[int, int]
+
+
+def _sparse_columns(matrix: FrozenMatrix, ncols: int) -> list[SparseColumn]:
+    """The columns of a dense matrix as {row: nonzero entry} dicts."""
+    cols: list[SparseColumn] = [{} for _ in range(ncols)]
+    for i, row in enumerate(matrix):
+        for j in compress(range(ncols), row):
+            cols[j][i] = row[j]
+    return cols
+
+
+def _apply_sparse(cols: Sequence[SparseColumn], vector: SparseColumn) -> SparseColumn:
+    """The matrix with the given columns times a sparse vector."""
+    out: SparseColumn = {}
+    for k, a in vector.items():
+        for i, x in cols[k].items():
+            out[i] = out.get(i, 0) + a * x
+    return out
+
+
+def _negated_relation_quotient(column: SparseColumn, group: FgAbGroup,
+                               offset: int) -> SparseColumn | None:
+    """-q with column == R q for the relation columns R of the group, the
+    entry for torsion generator k placed at row offset + k; None when the
+    column is not in the relation lattice."""
+    out: SparseColumn = {}
+    for i, x in column.items():
+        if not x:
+            continue
+        if i < group.free_rank:
+            return None
+        q, rem = divmod(x, group.torsion[i - group.free_rank])
+        if rem:
+            return None
+        out[offset + i - group.free_rank] = -q
+    return out
+
+
+def _sparse_diagonal(columns: Iterable[SparseColumn]) -> list[int]:
+    """Nonzero diagonal of a diagonal matrix equivalent to the given one.
+
+    The columns are consumed.  A pivot p is taken only when it divides
+    every entry of its row and its column; its row and column are then
+    deleted through the Schur update a_ij -= a_ic * a_rj / p, which is an
+    equivalence, and |p| is recorded.  Unit pivots come first, in sweeps
+    over the columns shortest first, each column pivoting on the unit
+    whose row is shortest, which keeps the Markowitz cost
+    (|column| - 1)(|row| - 1) and with it the fill-in low.  When a sweep
+    finds no unit, one looks for divisor pivots instead.  What is left
+    goes to ``smith_normal_form``.  The multiset is a diagonal, not
+    necessarily a divisibility chain; ``FgAbGroup.from_invariants``
+    canonicalizes it.
+    """
+    cols = {j: c for j, c in enumerate(columns) if c}
+    rows: dict[int, set[int]] = {}
+    for j, c in cols.items():
+        for i in c:
+            rows.setdefault(i, set()).add(j)
+    diag: list[int] = []
+
+    def eliminate(r: int, c: int) -> None:
+        col_c = cols.pop(c)
+        p = col_c.pop(r)
+        for i in col_c:
+            rows[i].discard(c)
+        row_r = rows.pop(r)
+        row_r.discard(c)
+        for j in row_r:
+            col_j = cols[j]
+            f = col_j.pop(r) // p
+            for i, v in col_c.items():
+                x = col_j.get(i)
+                if x is None:
+                    col_j[i] = -f * v
+                    rows[i].add(j)
+                elif x == f * v:
+                    del col_j[i]
+                    rows[i].discard(j)
+                else:
+                    col_j[i] = x - f * v
+            if not col_j:
+                del cols[j]
+        diag.append(abs(p))
+
+    def unit_sweep() -> bool:
+        found = False
+        for c in sorted(cols, key=lambda j: len(cols[j])):
+            best = None
+            for r, v in cols.get(c, {}).items():
+                if (v == 1 or v == -1) and (best is None or len(rows[r]) < shortest):
+                    best, shortest = r, len(rows[r])
+                    if shortest == 1:
+                        break
+            if best is not None:
+                eliminate(best, c)
+                found = True
+        return found
+
+    def divisor_sweep() -> bool:
+        found = False
+        for c in sorted(cols, key=lambda j: len(cols[j])):
+            for r, p in sorted(cols.get(c, {}).items(), key=lambda e: abs(e[1])):
+                if (all(v % p == 0 for v in cols[c].values())
+                        and all(cols[j][r] % p == 0 for j in rows[r])):
+                    eliminate(r, c)
+                    found = True
+                    break
+        return found
+
+    while cols and (unit_sweep() or divisor_sweep()):
+        pass
+
+    if cols:
+        keep = sorted({i for c in cols.values() for i in c})
+        pos = {i: k for k, i in enumerate(keep)}
+        residual = im.zeros(len(keep), len(cols))
+        for k, c in enumerate(cols.values()):
+            for i, v in c.items():
+                residual[pos[i]][k] = v
+        dec = smith_normal_form(residual, shape=(len(keep), len(cols)))
+        diag.extend(x for x in dec.diagonal if x)
+    return diag
+
+
 def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     """ker(d_out) / im(d_in) at the shared middle group.
 
-    The middle group's relation lattice is folded into the image lattice,
-    which is what makes the subquotient torsion-correct.
+    Write L -> M -> N for the three groups, l, m, n for their numbers of
+    generators, t_M, t_N for the torsion generators of M and N, R_M, R_N
+    for their diagonal relation columns and D_in, D_out for the matrices.
+    Then D_out R_M = R_N X and D_out D_in = R_N Y for integer X and Y, and
+
+        Z^(l + t_M) --B--> Z^(m + t_N) --A--> Z^n,
+        A = [D_out | R_N],   B = [[D_in, R_M], [-Y, -X]]
+
+    is a complex of free groups, the cone of the relations, with the same
+    middle cohomology: ker A projects isomorphically onto the lifts of
+    ker(d_out), and im B onto im(D_in) + im(R_M).  Since ker A is a direct
+    summand of rank m + t_N - rank A that contains im B,
+
+        H = Z^(m + t_N - rank A - rank B) x (Z/e over the invariant
+            factors e of B),
+
+    so only the rank of A and the invariant factors of B are needed, and
+    ``_sparse_diagonal`` computes nothing else.  Over Q the columns of R_N span the torsion
+    rows, so rank A = t_N + rank F for the free rows F of D_out, and only
+    F is eliminated.  Building Y is the composition check: it exists
+    exactly when d_out after d_in is the zero homomorphism.
     """
     if d_in.codomain != d_out.domain:
         raise ShapeMismatch(
             f"middle groups differ: {d_in.codomain} vs {d_out.domain}")
-    if not d_out.compose(d_in).is_zero():
-        raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
-    mid = d_in.codomain
-    span = _kernel_membership_columns(d_out.matrix, mid.ngens, d_out.codomain)
-    basis = _column_basis(span, mid.ngens)
-    inner = im.hstack(d_in.matrix, _relation_matrix(mid))
-    return _subquotient(basis, mid.ngens, inner)
+    mid, cod = d_out.domain, d_out.codomain
+    m = mid.ngens
+    out_cols = _sparse_columns(d_out.matrix, m)
+    b_cols = []
+    for col in _sparse_columns(d_in.matrix, d_in.domain.ngens):
+        y = _negated_relation_quotient(_apply_sparse(out_cols, col), cod, m)
+        if y is None:
+            raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
+        b_cols.append({**col, **y})
+    for k, order in enumerate(mid.torsion):
+        g = mid.free_rank + k
+        # exact because d_out is well defined on the generator of order `order`
+        x = _negated_relation_quotient(
+            {i: order * v for i, v in out_cols[g].items()}, cod, m)
+        b_cols.append({g: order, **x})
+    if cod.torsion:
+        out_cols = [{i: v for i, v in col.items() if i < cod.free_rank}
+                    for col in out_cols]
+    diag_b = _sparse_diagonal(b_cols)
+    free = m - len(_sparse_diagonal(out_cols)) - len(diag_b)
+    return FgAbGroup.from_invariants([0] * free + diag_b)
 
 
 def presentation_to_canonical(orders: Sequence[int]) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:

@@ -81,11 +81,6 @@ def mscale(s: int, a: Sequence[Sequence[int]]) -> IntMatrix:
     return [[s * x for x in row] for row in a]
 
 
-def transpose(m: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-    c = num_cols(m, cols)
-    return [[m[i][j] for i in range(len(m))] for j in range(c)]
-
-
 def hstack(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     return [list(ra) + list(rb) for ra, rb in zip(a, b)]
 

@@ -1,9 +1,10 @@
 """Independent brute-force references the test suite checks against.
 
 Everything here is deliberately naive: element enumeration for finite
-abelian groups and an unnormalized bar-style cochain complex for group
-cohomology.  None of it shares code with the package's cochain
-construction, so agreement is meaningful.
+abelian groups, an unnormalized bar-style cochain complex for group
+cohomology, and the lattice route to ``ker / im`` that tracks full Smith
+transforms.  None of it shares code with the package's cochain
+construction or its sparse elimination, so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from moncoh.abelian import AbHom, FgAbGroup
+from moncoh import intmat as im
+from moncoh.abelian import (
+    AbHom,
+    CompositionNonzero,
+    FgAbGroup,
+    ShapeMismatch,
+    smith_normal_form,
+)
 
 
 def elements(orders: Sequence[int]) -> list[tuple[int, ...]]:
@@ -166,3 +174,73 @@ def bar_cohomology_dims_mod_p(table: Sequence[Sequence[int]],
         prev = ranks[n - 1] if n > 0 else 0
         dims.append(dim_cn - ranks[n] - prev)
     return dims
+
+
+def relation_matrix(group: FgAbGroup) -> list[list[int]]:
+    """Diagonal relation lattice generators, one column per torsion generator."""
+    rel = im.zeros(group.ngens, len(group.torsion))
+    for k, dord in enumerate(group.torsion):
+        rel[group.free_rank + k][k] = dord
+    return rel
+
+
+def kernel_membership_columns(matrix, dom_ngens: int,
+                              codomain: FgAbGroup) -> list[list[int]]:
+    """Columns spanning {x : matrix @ x lies in the codomain relation lattice},
+    the projection of the kernel of the matrix augmented with the relations."""
+    aug = im.hstack(matrix, relation_matrix(codomain))
+    total_cols = dom_ngens + len(codomain.torsion)
+    dec = smith_normal_form(aug, shape=(codomain.ngens, total_cols))
+    keep = range(dec.rank, total_cols)
+    return [[dec.v[i][j] for j in keep] for i in range(dom_ngens)]
+
+
+def column_basis(columns, nrows: int) -> list[list[int]]:
+    """Basis of the lattice spanned by the columns: with u @ m @ v = d it is
+    d_j * u_inv[:, j] over the nonzero diagonal entries."""
+    dec = smith_normal_form(columns, shape=(nrows, im.num_cols(columns)))
+    diag = dec.diagonal
+    return [[diag[j] * dec.u_inv[i][j] for j in range(dec.rank)]
+            for i in range(nrows)]
+
+
+def solve_in_basis(basis, nrows: int, targets) -> list[list[int]]:
+    """Solve basis @ y = target for each target column in the span."""
+    rank = im.num_cols(basis)
+    dec = smith_normal_form(basis, shape=(nrows, rank))
+    assert dec.rank == rank, "basis columns are not independent"
+    ntargets = im.num_cols(targets)
+    w = im.matmul(dec.u, targets, cols_b=ntargets)
+    diag = dec.diagonal
+    assert all(x % diag[j] == 0 for j in range(rank) for x in w[j])
+    assert not any(any(w[j]) for j in range(rank, nrows))
+    reduced = [[w[j][c] // diag[j] for c in range(ntargets)] for j in range(rank)]
+    return im.matmul(dec.v, reduced, cols_b=ntargets)
+
+
+def subquotient(basis, nrows: int, inner_columns) -> FgAbGroup:
+    """(span of basis) / (span of inner columns), the inner span inside."""
+    rank = im.num_cols(basis)
+    y = solve_in_basis(basis, nrows, inner_columns)
+    dec = smith_normal_form(y, shape=(rank, im.num_cols(inner_columns)))
+    invariants = list(dec.diagonal) + [0] * (rank - len(dec.diagonal))
+    return FgAbGroup.from_invariants(invariants)
+
+
+def lattice_cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
+    """ker(d_out) / im(d_in) by lattices in the middle generator space.
+
+    The kernel lattice contains the middle relations, and they are folded
+    into the image lattice, which makes the subquotient torsion-correct.
+    Four dense Smith forms with transforms per call: the reference, not a
+    fast path.
+    """
+    if d_in.codomain != d_out.domain:
+        raise ShapeMismatch("middle groups differ")
+    if not d_out.compose(d_in).is_zero():
+        raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
+    mid = d_in.codomain
+    span = kernel_membership_columns(d_out.matrix, mid.ngens, d_out.codomain)
+    basis = column_basis(span, mid.ngens)
+    inner = im.hstack(d_in.matrix, relation_matrix(mid))
+    return subquotient(basis, mid.ngens, inner)

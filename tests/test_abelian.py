@@ -23,6 +23,7 @@ from moncoh.abelian import (
     TRIVIAL_GROUP,
     Z,
     Zmod,
+    _sparse_diagonal,
     cohomology_at,
     direct_sum,
     image,
@@ -290,6 +291,114 @@ class TestCohomologyAt:
             assert oracles.group_exponent(h) == exponent
             checked += 1
         assert checked == 60
+
+
+    def test_composite_nonzero_only_modulo_a_torsion_row(self):
+        # d_out o d_in = (0, 2) in Z x Z/4: zero on the free row, but 2 is
+        # not a multiple of 4 on the torsion row
+        d_in = AbHom(Z, Z, ((1,),))
+        d_out = AbHom(Z, FgAbGroup(1, (4,)), ((0,), (2,)))
+        with pytest.raises(CompositionNonzero):
+            cohomology_at(d_in, d_out)
+        with pytest.raises(CompositionNonzero):
+            oracles.lattice_cohomology_at(d_in, d_out)
+        # doubling d_in makes the composite (0, 4), zero modulo the order;
+        # ker(d_out) = 2Z = im(d_in2)
+        d_in2 = AbHom(Z, Z, ((2,),))
+        assert cohomology_at(d_in2, d_out) == TRIVIAL_GROUP
+        assert oracles.lattice_cohomology_at(d_in2, d_out) == TRIVIAL_GROUP
+
+    def test_lattice_oracle_agreement_randomized(self):
+        # M = A + B through DirectSum (which merges Z/2 + Z/3 and the like),
+        # d_in = emb_A o phi and d_out = psi o proj_B, then both conjugated
+        # by random elementary automorphisms of M so the coordinates mix
+        rng = random.Random(20261018)
+        pool = [TRIVIAL_GROUP, Z, FgAbGroup(2), Zmod(2), Zmod(3), Zmod(4),
+                FgAbGroup(1, (2,)), FgAbGroup(0, (2, 2)), Zmod(6),
+                FgAbGroup(1, (3,)), FgAbGroup(0, (2, 4))]
+        seen_free_mid = seen_torsion_mid = seen_torsion_dom = 0
+        for _ in range(150):
+            a, b, dom, cod = (rng.choice(pool) for _ in range(4))
+            ds = DirectSum.of([a, b])
+            d_in = ds.embedding(0).compose(oracles.random_hom(rng, dom, a))
+            d_out = oracles.random_hom(rng, b, cod).compose(ds.projection(1))
+            mid = ds.total
+            for _ in range(4 if mid.ngens > 1 else 0):
+                i, j = rng.sample(range(mid.ngens), 2)
+                c = rng.choice([-2, -1, 1, 2, 3])
+                fwd, back = im.identity(mid.ngens), im.identity(mid.ngens)
+                fwd[i][j], back[i][j] = c, -c
+                try:
+                    t = AbHom(mid, mid, im.freeze(fwd))
+                    t_inv = AbHom(mid, mid, im.freeze(back))
+                except ValueError:
+                    continue
+                d_in, d_out = t.compose(d_in), d_out.compose(t_inv)
+            assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
+            assert kernel(d_out) == oracles.lattice_cohomology_at(
+                AbHom.zero(TRIVIAL_GROUP, mid), d_out)
+            seen_free_mid += mid.free_rank > 0
+            seen_torsion_mid += bool(mid.torsion)
+            seen_torsion_dom += bool(dom.torsion) and not d_in.is_zero()
+        assert min(seen_free_mid, seen_torsion_mid, seen_torsion_dom) >= 20
+
+    def test_lattice_oracle_agreement_on_kernel_lattices(self):
+        # d_in's columns are random multiples of combinations of the lifted
+        # kernel of a random d_out, so H has torsion from non-unit entries
+        rng = random.Random(7)
+        pool = [Z, FgAbGroup(2), FgAbGroup(3), FgAbGroup(1, (2,)),
+                FgAbGroup(2, (4,)), FgAbGroup(1, (2, 6)), Zmod(4), Zmod(12)]
+        for _ in range(80):
+            mid, cod = rng.choice(pool), rng.choice(pool)
+            d_out = oracles.random_hom(rng, mid, cod)
+            span = oracles.kernel_membership_columns(
+                d_out.matrix, mid.ngens, cod)
+            n_cols = rng.randint(0, 4)
+            cols = []
+            for _ in range(n_cols):
+                col = [0] * mid.ngens
+                for k in range(im.num_cols(span)):
+                    coef = rng.choice([0, 0, 1, -1, 2, 3, 6])
+                    for r in range(mid.ngens):
+                        col[r] += coef * span[r][k]
+                cols.append(col)
+            d_in = AbHom(FgAbGroup(n_cols), mid, im.freeze(
+                [[cols[c][r] for c in range(n_cols)] for r in range(mid.ngens)]))
+            assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
+
+
+class TestSparseDiagonal:
+    @staticmethod
+    def canonical(diag):
+        nonzero = [x for x in diag if x]
+        return len(nonzero), FgAbGroup.from_invariants(nonzero)
+
+    def sparse_columns(self, a, cols):
+        return [{i: row[j] for i, row in enumerate(a) if row[j]}
+                for j in range(cols)]
+
+    def test_empty_and_zero_shapes(self):
+        assert _sparse_diagonal([]) == []  # n x 0
+        assert _sparse_diagonal([{}, {}, {}]) == []  # 0 x n and all-zero
+
+    def test_divisor_pivots_and_residual(self):
+        # [[2, 4], [6, 8]]: 2 divides its row and column, the Schur
+        # complement is 8 - 6 * 4 / 2 = -4
+        assert self.canonical(_sparse_diagonal([{0: 2, 1: 6}, {0: 4, 1: 8}])) == (
+            2, FgAbGroup(0, (2, 4)))
+        # 2 at row 0 is a divisor pivot; no entry of [[2, 3], [3, 2]]
+        # divides its row, so that block goes to smith_normal_form: (1, 5)
+        cols = [{0: 2}, {1: 2, 2: 3}, {1: 3, 2: 2}]
+        assert self.canonical(_sparse_diagonal(cols)) == (3, Zmod(10))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 7), st.data())
+    def test_matches_smith_normal_form(self, rows, cols, data):
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -9])
+        a = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+        want = smith_normal_form(a, shape=(rows, cols)).diagonal
+        got = _sparse_diagonal(self.sparse_columns(a, cols))
+        assert self.canonical(got) == self.canonical(want)
 
 
 class TestPresentationAndDirectSum:

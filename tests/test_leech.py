@@ -27,7 +27,7 @@ from catalog import (
     swap_action_system,
     systems_for,
 )
-from oracles import bar_cohomology_dims_mod_p
+from oracles import bar_cohomology_dims_mod_p, lattice_cohomology_at
 
 
 def table_renders(groups):
@@ -177,6 +177,19 @@ class TestBarComplexOracle:
         ident = [[1, 0], [0, 1]]
         swap = [[0, 1], [1, 0]]
         self.check(m, swap_action_system(), 2, 2, 4, [ident, swap])
+
+
+class TestLatticeOracle:
+    def test_tables_agree_with_lattice_route_across_catalog(self):
+        # every degree of every catalog complex, including torsion and
+        # merging coefficient groups, against the dense lattice reference
+        for m in small_monoids():
+            for c in systems_for(m, [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))]):
+                cx = LeechComplex(m, c, 3)
+                for n in range(3):
+                    want = lattice_cohomology_at(cx.differential(n - 1),
+                                                 cx.differential(n))
+                    assert cx.cohomology(n) == want, (m.name, c.groups, n)
 
 
 class TestComplexApi:
