@@ -15,6 +15,13 @@ Conventions
   ``orders`` lists one value per generator, ``0`` meaning infinite order.
 * A homomorphism matrix has one column per domain generator and one row
   per codomain generator; column ``i`` is the image of generator ``i``.
+* A direct sum of groups is presented by the concatenation of their
+  generators.  Its change of basis to the canonical form is stored
+  sparsely, one map per presentation generator: a single entry when the
+  orders already form a chain, Smith-form rows only when they merge.
+  Homomorphisms between direct sums are assembled from sparse columns
+  straight into canonical coordinates; ``AbHom`` keeps the dense matrix
+  and a cached sparse view of its columns.
 * Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
   matrices, the cone of the diagonal relations (see ``cohomology_at``):
   the rank of one and the invariant factors of the other.  Both come from
@@ -24,6 +31,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from itertools import compress
@@ -32,6 +40,10 @@ from typing import Iterable, Sequence
 
 from . import intmat as im
 from .intmat import FrozenMatrix, IntMatrix
+
+SparseColumn = dict[int, int]
+# one {canonical index: coefficient} map per presentation generator
+SparseBasisChange = tuple[SparseColumn, ...]
 
 
 class ShapeMismatch(ValueError):
@@ -357,17 +369,18 @@ class AbHom:
                 raise ShapeMismatch(
                     f"matrix row has {len(row)} entries, domain has "
                     f"{self.domain.ngens} generators")
+        if not self.domain.torsion:
+            return
+        # only nonzero entries can break it; report the first generator
         dom_orders = self.domain.orders
-        cod_orders = self.codomain.orders
-        for i, dord in enumerate(dom_orders):
-            if dord == 0:
-                continue
-            for j, cord in enumerate(cod_orders):
-                val = dord * mat[j][i]
-                if (val != 0) if cord == 0 else (val % cord != 0):
-                    raise ValueError(
-                        f"matrix does not define a homomorphism: generator {i} "
-                        f"has order {dord} but column {i} is not annihilated")
+        bad = [i for cord, row in zip(self.codomain.orders, mat)
+               for i in compress(range(len(row)), row)
+               if dom_orders[i] and (cord == 0 or dom_orders[i] * row[i] % cord)]
+        if bad:
+            i = min(bad)
+            raise ValueError(
+                f"matrix does not define a homomorphism: generator {i} "
+                f"has order {dom_orders[i]} but column {i} is not annihilated")
 
     @classmethod
     def from_rows(cls, domain: FgAbGroup, codomain: FgAbGroup,
@@ -398,6 +411,17 @@ class AbHom:
 
     def negate(self) -> "AbHom":
         return AbHom(self.domain, self.codomain, im.freeze(im.mneg(self.matrix)))
+
+    @functools.cached_property
+    def columns(self) -> tuple[SparseColumn, ...]:
+        """The matrix's columns as {row: nonzero entry} maps, computed once
+        and shared: callers must not modify them."""
+        ncols = self.domain.ngens
+        cols: list[SparseColumn] = [{} for _ in range(ncols)]
+        for i, row in enumerate(self.matrix):
+            for j in compress(range(ncols), row):
+                cols[j][i] = row[j]
+        return tuple(cols)
 
     def is_zero(self) -> bool:
         """Zero as a homomorphism, i.e. every column in the relation lattice."""
@@ -493,18 +517,6 @@ def image(h: AbHom) -> FgAbGroup:
     cols = im.hstack(h.matrix, _relation_matrix(h.codomain))
     basis = _column_basis(cols, h.codomain.ngens)
     return _subquotient(basis, h.codomain.ngens, _relation_matrix(h.codomain))
-
-
-SparseColumn = dict[int, int]
-
-
-def _sparse_columns(matrix: FrozenMatrix, ncols: int) -> list[SparseColumn]:
-    """The columns of a dense matrix as {row: nonzero entry} dicts."""
-    cols: list[SparseColumn] = [{} for _ in range(ncols)]
-    for i, row in enumerate(matrix):
-        for j in compress(range(ncols), row):
-            cols[j][i] = row[j]
-    return cols
 
 
 def _apply_sparse(cols: Sequence[SparseColumn], vector: SparseColumn) -> SparseColumn:
@@ -650,9 +662,9 @@ def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
             f"middle groups differ: {d_in.codomain} vs {d_out.domain}")
     mid, cod = d_out.domain, d_out.codomain
     m = mid.ngens
-    out_cols = _sparse_columns(d_out.matrix, m)
+    out_cols = d_out.columns
     b_cols = []
-    for col in _sparse_columns(d_in.matrix, d_in.domain.ngens):
+    for col in d_in.columns:
         y = _negated_relation_quotient(_apply_sparse(out_cols, col), cod, m)
         if y is None:
             raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
@@ -663,24 +675,30 @@ def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
         x = _negated_relation_quotient(
             {i: order * v for i, v in out_cols[g].items()}, cod, m)
         b_cols.append({g: order, **x})
-    if cod.torsion:
-        out_cols = [{i: v for i, v in col.items() if i < cod.free_rank}
-                    for col in out_cols]
+    # fresh dicts, as _sparse_diagonal consumes its columns
+    free_rows = [{i: v for i, v in col.items() if i < cod.free_rank}
+                 for col in out_cols]
     diag_b = _sparse_diagonal(b_cols)
-    free = m - len(_sparse_diagonal(out_cols)) - len(diag_b)
+    free = m - len(_sparse_diagonal(free_rows)) - len(diag_b)
     return FgAbGroup.from_invariants([0] * free + diag_b)
 
 
-def presentation_to_canonical(orders: Sequence[int]) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:
+def presentation_to_canonical(
+        orders: Sequence[int]) -> tuple[FgAbGroup, SparseBasisChange, SparseBasisChange]:
     """Canonical form of a direct sum of cyclic groups given by orders.
 
-    Returns (group, to_canonical, from_canonical) where the matrices
-    translate coordinates between the presentation generators and the
-    canonical generators, inverse to each other modulo relations.
+    Returns (group, to_canonical, from_canonical), each holding one
+    {canonical index: coefficient} map per presentation generator p:
+    ``to_canonical[p]`` is the image of generator p in canonical
+    coordinates (column p of the change of basis), and
+    ``from_canonical[p]`` is row p of its inverse, the coefficients with
+    which the canonical generators' coordinates contribute to coordinate
+    p.  The two are inverse to each other modulo relations.
 
     When the multiset of orders already forms an invariant chain the
-    change of basis is a plain permutation; otherwise the Smith form of
-    the diagonal relation matrix supplies it.
+    change of basis is a plain permutation, one entry per generator and
+    the same maps in both directions; otherwise the Smith form of the
+    diagonal relation matrix supplies it.
     """
     n = len(orders)
     free_pos = [i for i, o in enumerate(orders) if o == 0]
@@ -689,14 +707,12 @@ def presentation_to_canonical(orders: Sequence[int]) -> tuple[FgAbGroup, IntMatr
     chain_ok = all(orders[i] >= 2 for i in tors_pos) and all(
         orders[b] % orders[a] == 0 for a, b in zip(tors_pos, tors_pos[1:]))
     if chain_ok:
-        perm = free_pos + tors_pos
-        to_can = im.zeros(n, n)
-        from_can = im.zeros(n, n)
-        for k, p in enumerate(perm):
-            to_can[k][p] = 1
-            from_can[p][k] = 1
+        index = [0] * n
+        for k, p in enumerate(free_pos + tors_pos):
+            index[p] = k
+        perm = tuple({k: 1} for k in index)
         group = FgAbGroup(len(free_pos), tuple(orders[i] for i in tors_pos))
-        return group, to_can, from_can
+        return group, perm, perm
 
     rel = im.zeros(n, len(tors_pos))
     for k, p in enumerate(sorted(tors_pos)):
@@ -708,8 +724,11 @@ def presentation_to_canonical(orders: Sequence[int]) -> tuple[FgAbGroup, IntMatr
     tors_sel = [j for j in range(rank) if diag[j] >= 2]
     selected = free_sel + tors_sel
     group = FgAbGroup(n - rank, tuple(diag[j] for j in tors_sel))
-    to_can = [list(dec.u[j]) for j in selected]
-    from_can = [[dec.u_inv[i][j] for j in selected] for i in range(n)]
+    to_can = tuple({k: dec.u[j][p] for k, j in enumerate(selected) if dec.u[j][p]}
+                   for p in range(n))
+    from_can = tuple({k: dec.u_inv[p][j] for k, j in enumerate(selected)
+                      if dec.u_inv[p][j]}
+                     for p in range(n))
     return group, to_can, from_can
 
 
@@ -718,15 +737,17 @@ class DirectSum:
     """Direct sum of groups with the canonicalizing change of basis.
 
     ``offsets`` gives each component's generator range inside the
-    concatenated presentation; ``to_total`` and ``from_total`` translate
-    between that presentation and the canonical generators of ``total``.
+    concatenated presentation; ``to_total`` and ``from_total`` hold the
+    change of basis between that presentation and the canonical
+    generators of ``total`` as one sparse map per presentation generator,
+    in the layout of ``presentation_to_canonical``.
     """
 
     components: tuple[FgAbGroup, ...]
     total: FgAbGroup
     offsets: tuple[int, ...]
-    to_total: FrozenMatrix
-    from_total: FrozenMatrix
+    to_total: SparseBasisChange
+    from_total: SparseBasisChange
 
     @classmethod
     def of(cls, components: Sequence[FgAbGroup]) -> "DirectSum":
@@ -737,8 +758,7 @@ class DirectSum:
             orders.extend(g.orders)
             offsets.append(offsets[-1] + g.ngens)
         total, to_can, from_can = presentation_to_canonical(orders)
-        return cls(comps, total, tuple(offsets),
-                   im.freeze(to_can), im.freeze(from_can))
+        return cls(comps, total, tuple(offsets), to_can, from_can)
 
     @property
     def presentation_size(self) -> int:
@@ -746,12 +766,18 @@ class DirectSum:
 
     def embedding(self, i: int) -> AbHom:
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        mat = [[row[k] for k in range(lo, hi)] for row in self.to_total]
+        mat = im.zeros(self.total.ngens, hi - lo)
+        for c in range(lo, hi):
+            for k, v in self.to_total[c].items():
+                mat[k][c - lo] = v
         return AbHom(self.components[i], self.total, im.freeze(mat))
 
     def projection(self, i: int) -> AbHom:
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        mat = [list(self.from_total[k]) for k in range(lo, hi)]
+        mat = im.zeros(hi - lo, self.total.ngens)
+        for r in range(lo, hi):
+            for k, v in self.from_total[r].items():
+                mat[r - lo][k] = v
         return AbHom(self.total, self.components[i], im.freeze(mat))
 
 
@@ -764,20 +790,64 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
     return FgAbGroup.from_invariants(invariants)
 
 
+def add_block(columns: Sequence[SparseColumn], row0: int, col0: int,
+              block: Sequence[Sequence[int]], sign: int = 1) -> None:
+    """Add sign * block into sparse columns, its top left entry at
+    (row0, col0)."""
+    for r, row in enumerate(block):
+        for c in compress(range(len(row)), row):
+            col = columns[col0 + c]
+            col[row0 + r] = col.get(row0 + r, 0) + sign * row[c]
+
+
 def assemble_hom(domain: DirectSum, codomain: DirectSum,
-                 blocks: dict[tuple[int, int], IntMatrix]) -> AbHom:
-    """Build a hom between direct sums from (codomain index, domain index)
-    blocks, written on the presentation generators and converted to the
-    canonical bases in one multiplication per side."""
-    big = im.zeros(codomain.presentation_size, domain.presentation_size)
-    for (ci, di), block in blocks.items():
-        r0 = codomain.offsets[ci]
-        c0 = domain.offsets[di]
-        for r, row in enumerate(block):
-            target = big[r0 + r]
-            for c, val in enumerate(row):
-                if val:
-                    target[c0 + c] += val
-    lifted = im.matmul(codomain.to_total, big, cols_b=domain.presentation_size)
-    mat = im.matmul(lifted, domain.from_total, cols_b=domain.total.ngens)
-    return AbHom(domain.total, codomain.total, im.freeze(mat))
+                 columns: Sequence[SparseColumn]) -> AbHom:
+    """Build a hom between direct sums from its presentation columns.
+
+    ``columns[c]`` is the image of domain presentation generator c as a
+    {codomain presentation generator: entry} map (see ``add_block``).
+    Each column goes through the codomain's sparse change of basis and is
+    then placed by the domain's, so the dense matrix is written once, in
+    canonical coordinates.
+    """
+    if len(columns) != domain.presentation_size:
+        raise ShapeMismatch(
+            f"{len(columns)} columns for {domain.presentation_size} "
+            f"presentation generators")
+    to_cod = codomain.to_total
+    can_cols: list[SparseColumn] = [{} for _ in range(domain.total.ngens)]
+    for col, placement in zip(columns, domain.from_total):
+        image_col: SparseColumn = {}
+        for r, v in col.items():
+            if v:
+                for i, a in to_cod[r].items():
+                    image_col[i] = image_col.get(i, 0) + a * v
+        for j, b in placement.items():
+            target = can_cols[j]
+            for i, x in image_col.items():
+                target[i] = target.get(i, 0) + b * x
+    mat = im.zeros(codomain.total.ngens, domain.total.ngens)
+    for j, col in enumerate(can_cols):
+        for i, x in col.items():
+            mat[i][j] = x
+    hom = AbHom(domain.total, codomain.total, im.freeze(mat))
+    # seed the cached sparse view with the columns just computed
+    vars(hom)["columns"] = tuple({i: x for i, x in col.items() if x}
+                                 for col in can_cols)
+    return hom
+
+
+def composes_to_zero(outer: AbHom, inner: AbHom) -> bool:
+    """Whether outer after inner is the zero homomorphism.
+
+    Every column of the product is formed sparsely and tested for
+    membership in the codomain relation lattice; no dense product is
+    built.
+    """
+    if inner.codomain != outer.domain:
+        raise ShapeMismatch(
+            f"cannot compose: inner codomain {inner.codomain} != domain {outer.domain}")
+    return all(
+        _negated_relation_quotient(_apply_sparse(outer.columns, col),
+                                   outer.codomain, 0) is not None
+        for col in inner.columns)

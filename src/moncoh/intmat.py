@@ -22,12 +22,8 @@ def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def clone(m: Sequence[Sequence[int]]) -> IntMatrix:
-    return [list(row) for row in m]
-
-
 def freeze(m: Sequence[Sequence[int]]) -> FrozenMatrix:
-    return tuple(tuple(row) for row in m)
+    return tuple(map(tuple, m))
 
 
 def num_cols(m: Sequence[Sequence[int]], fallback: int | None = None) -> int:
@@ -77,38 +73,6 @@ def mneg(a: Sequence[Sequence[int]]) -> IntMatrix:
     return [[-x for x in row] for row in a]
 
 
-def mscale(s: int, a: Sequence[Sequence[int]]) -> IntMatrix:
-    return [[s * x for x in row] for row in a]
-
-
 def hstack(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     return [list(ra) + list(rb) for ra, rb in zip(a, b)]
 
-
-def is_zero_matrix(m: Sequence[Sequence[int]]) -> bool:
-    return all(not x for row in m for x in row)
-
-
-def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    a = clone(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -30,14 +30,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import intmat as im
 from .abelian import (
     AbHom,
     DirectSum,
     FgAbGroup,
+    SparseColumn,
     TRIVIAL_GROUP,
+    add_block,
     assemble_hom,
     cohomology_at,
+    composes_to_zero,
 )
 from .coeff import CoeffSystem
 from .monoid import FinMonoid
@@ -89,47 +91,49 @@ def cochain_group(m: FinMonoid, c: CoeffSystem, n: int) -> CochainGroup:
 def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
                source: CochainGroup | None = None,
                target: CochainGroup | None = None) -> AbHom:
-    """The degree n coboundary d^n : C^n -> C^(n+1)."""
+    """The degree n coboundary d^n : C^n -> C^(n+1).
+
+    Every term is written straight into sparse presentation columns, one
+    per generator of the summands of C^n; ``assemble_hom`` converts them
+    to the canonical bases.
+    """
     src = source if source is not None else cochain_group(m, c, n)
     tgt = target if target is not None else cochain_group(m, c, n + 1)
     e = m.identity_index
     index_of = src.tuple_index()
-    blocks: dict[tuple[int, int], im.IntMatrix] = {}
+    src_off, tgt_off = src.generator_offsets, tgt.generator_offsets
+    columns: list[SparseColumn] = [{} for _ in range(src_off[-1])]
 
-    def add_block(out_idx: int, in_idx: int, mat, sign: int) -> None:
-        key = (out_idx, in_idx)
-        cur = blocks.get(key)
-        if cur is None:
-            blocks[key] = im.mscale(sign, mat) if sign != 1 else im.clone(mat)
-        else:
-            blocks[key] = im.madd(cur, im.mscale(sign, mat))
+    def add_identity(row0: int, in_idx: int, sign: int) -> None:
+        for k in range(src_off[in_idx], src_off[in_idx + 1]):
+            col = columns[k]
+            col[row0] = col.get(row0, 0) + sign
+            row0 += 1
 
     if n == 0:
         for out_idx, t in enumerate(tgt.tuples):
             a = t[0]
-            left = c.lstar[(a, e)]
-            right = c.rstar[(a, e)]
-            add_block(out_idx, 0, left.matrix, 1)
-            add_block(out_idx, 0, right.matrix, -1)
+            row0 = tgt_off[out_idx]
+            add_block(columns, row0, 0, c.lstar[(a, e)].matrix)
+            add_block(columns, row0, 0, c.rstar[(a, e)].matrix, -1)
     else:
+        right_sign = -1 if (n + 1) % 2 else 1
         for out_idx, t in enumerate(tgt.tuples):
-            tail = t[1:]
-            head = t[:-1]
-            left = c.lstar[(t[0], m.product(tail))]
-            add_block(out_idx, index_of[tail], left.matrix, 1)
+            row0 = tgt_off[out_idx]
+            tail = index_of[t[1:]]
+            head = index_of[t[:-1]]
+            add_block(columns, row0, src_off[tail],
+                      c.lstar[(t[0], m.product(t[1:]))].matrix)
             for j in range(1, n + 1):
                 merged = m.mul(t[j - 1], t[j])
                 if merged == e:
                     continue
                 inner = t[:j - 1] + (merged,) + t[j + 1:]
-                size = src.components[index_of[inner]].ngens
-                add_block(out_idx, index_of[inner], im.identity(size),
-                          -1 if j % 2 else 1)
-            right = c.rstar[(t[n], m.product(head))]
-            add_block(out_idx, index_of[head], right.matrix,
-                      -1 if (n + 1) % 2 else 1)
+                add_identity(row0, index_of[inner], -1 if j % 2 else 1)
+            add_block(columns, row0, src_off[head],
+                      c.rstar[(t[n], m.product(t[:-1]))].matrix, right_sign)
 
-    return assemble_hom(src.dsum, tgt.dsum, blocks)
+    return assemble_hom(src.dsum, tgt.dsum, columns)
 
 
 class LeechComplex:
@@ -150,8 +154,7 @@ class LeechComplex:
             coboundary(monoid, coeffs, k, self.groups[k], self.groups[k + 1])
             for k in range(max_degree)]
         for k in range(max_degree - 1):
-            comp = self.differentials[k + 1].compose(self.differentials[k])
-            if not comp.is_zero():
+            if not composes_to_zero(self.differentials[k + 1], self.differentials[k]):
                 raise AssertionError(
                     f"coboundary squared is nonzero between degrees {k} and {k + 2}; "
                     f"the coefficient system does not satisfy the translation relations")

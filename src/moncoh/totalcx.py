@@ -16,17 +16,20 @@ commuting square cancel; D o D = 0 is re-verified on every construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .abelian import (
     AbHom,
     DirectSum,
     FgAbGroup,
+    SparseColumn,
     TRIVIAL_GROUP,
+    add_block,
     assemble_hom,
     cohomology_at,
+    composes_to_zero,
 )
 from .grid import GridSpec, VerticalFamily
-from .intmat import mscale
 from .leech import LeechComplex
 
 SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
@@ -64,7 +67,13 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
                       p_max: int) -> DoubleComplexView:
     """Exact commutation test for every square up to the degree bound;
     single-floor grids pass vacuously."""
-    complexes = grid.complexes(p_max + 1)
+    return _double_complex_view(grid, family, grid.complexes(p_max + 1), p_max)
+
+
+def _double_complex_view(grid: GridSpec, family: VerticalFamily,
+                         complexes: Sequence[LeechComplex],
+                         p_max: int) -> DoubleComplexView:
+    """``is_double_complex`` on floor complexes built to degree p_max + 1."""
     rows = []
     for f in range(grid.floor_count - 1):
         row = []
@@ -100,7 +109,8 @@ class TotalComplex:
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
-        view = is_double_complex(grid, family, n_max)
+        self.complexes = grid.complexes(n_max + 1)
+        view = _double_complex_view(grid, family, self.complexes, n_max)
         if not view.column_ok:
             raise NotADoubleComplex(
                 "vertical maps do not square to zero down the columns")
@@ -111,7 +121,6 @@ class TotalComplex:
         self.grid = grid
         self.family = family
         self.n_max = n_max
-        self.complexes = grid.complexes(n_max + 1)
         self.levels: list[TotalGroup] = []
         index_of: list[dict[tuple[int, int], int]] = []
         for n in range(n_max + 2):
@@ -124,20 +133,21 @@ class TotalComplex:
             index_of.append({pq: i for i, pq in enumerate(summands)})
         self.differentials: list[AbHom] = []
         for n in range(n_max + 1):
-            blocks = {}
+            src, tgt = self.levels[n].dsum, self.levels[n + 1].dsum
+            columns: list[SparseColumn] = [
+                {} for _ in range(src.presentation_size)]
             for i, (p, q) in enumerate(self.levels[n].summands):
                 horiz = self.complexes[p].differential(q)
-                blocks[(index_of[n + 1][(p, q + 1)], i)] = horiz.matrix
+                add_block(columns, tgt.offsets[index_of[n + 1][(p, q + 1)]],
+                          src.offsets[i], horiz.matrix)
                 if p + 1 < grid.floor_count:
                     vert = family.hom(self.complexes, p, q)
                     if not vert.is_zero():
-                        signed = mscale(-1 if q % 2 else 1, vert.matrix)
-                        blocks[(index_of[n + 1][(p + 1, q)], i)] = signed
-            self.differentials.append(assemble_hom(
-                self.levels[n].dsum, self.levels[n + 1].dsum, blocks))
+                        add_block(columns, tgt.offsets[index_of[n + 1][(p + 1, q)]],
+                                  src.offsets[i], vert.matrix, -1 if q % 2 else 1)
+            self.differentials.append(assemble_hom(src, tgt, columns))
         for n in range(n_max):
-            product = self.differentials[n + 1].compose(self.differentials[n])
-            if not product.is_zero():
+            if not composes_to_zero(self.differentials[n + 1], self.differentials[n]):
                 raise AssertionError(
                     f"total differential fails to square to zero between "
                     f"degrees {n} and {n + 2}")

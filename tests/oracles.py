@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: element enumeration for finite
 abelian groups, an unnormalized bar-style cochain complex for group
-cohomology, and the lattice route to ``ker / im`` that tracks full Smith
-transforms.  None of it shares code with the package's cochain
-construction or its sparse elimination, so agreement is meaningful.
+cohomology, the lattice route to ``ker / im`` that tracks full Smith
+transforms, dense coboundaries assembled through dense change-of-basis
+matrices, and a Bareiss determinant.  None of it shares code with the
+package's cochain construction or its sparse elimination, so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -244,3 +246,125 @@ def lattice_cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     basis = column_basis(span, mid.ngens)
     inner = im.hstack(d_in.matrix, relation_matrix(mid))
     return subquotient(basis, mid.ngens, inner)
+
+
+def dense_presentation_to_canonical(orders: Sequence[int]):
+    """(group, to_canonical, from_canonical) with dense change-of-basis
+    matrices: to_canonical is canonical x presentation, from_canonical
+    presentation x canonical, inverse to each other modulo relations.  A
+    permutation when the orders form an invariant chain, otherwise read off
+    the Smith form of the diagonal relation matrix."""
+    n = len(orders)
+    free_pos = [i for i, o in enumerate(orders) if o == 0]
+    tors_pos = sorted((i for i, o in enumerate(orders) if o != 0),
+                      key=lambda i: (orders[i], i))
+    chain_ok = all(orders[i] >= 2 for i in tors_pos) and all(
+        orders[b] % orders[a] == 0 for a, b in zip(tors_pos, tors_pos[1:]))
+    if chain_ok:
+        perm = free_pos + tors_pos
+        to_can = im.zeros(n, n)
+        from_can = im.zeros(n, n)
+        for k, p in enumerate(perm):
+            to_can[k][p] = 1
+            from_can[p][k] = 1
+        group = FgAbGroup(len(free_pos), tuple(orders[i] for i in tors_pos))
+        return group, to_can, from_can
+    rel = im.zeros(n, len(tors_pos))
+    for k, p in enumerate(sorted(tors_pos)):
+        rel[p][k] = orders[p]
+    dec = smith_normal_form(rel, shape=(n, len(tors_pos)))
+    diag = dec.diagonal
+    rank = dec.rank
+    tors_sel = [j for j in range(rank) if diag[j] >= 2]
+    selected = list(range(rank, n)) + tors_sel
+    group = FgAbGroup(n - rank, tuple(diag[j] for j in tors_sel))
+    to_can = [list(dec.u[j]) for j in selected]
+    from_can = [[dec.u_inv[i][j] for j in selected] for i in range(n)]
+    return group, to_can, from_can
+
+
+def dense_assemble_hom(dom_components, cod_components, blocks) -> AbHom:
+    """The hom between direct sums given by dense (codomain index, domain
+    index) blocks on the presentation generators, converted to canonical
+    bases by one dense multiplication per side."""
+    def presentation(components):
+        orders, offsets = [], [0]
+        for g in components:
+            orders.extend(g.orders)
+            offsets.append(offsets[-1] + g.ngens)
+        return orders, offsets
+
+    dom_orders, dom_off = presentation(dom_components)
+    cod_orders, cod_off = presentation(cod_components)
+    dom_total, _, from_dom = dense_presentation_to_canonical(dom_orders)
+    cod_total, to_cod, _ = dense_presentation_to_canonical(cod_orders)
+    big = im.zeros(len(cod_orders), len(dom_orders))
+    for (ci, di), block in blocks.items():
+        for r, row in enumerate(block):
+            for c, val in enumerate(row):
+                big[cod_off[ci] + r][dom_off[di] + c] += val
+    lifted = im.matmul(to_cod, big, cols_b=len(dom_orders))
+    mat = im.matmul(lifted, from_dom, cols_b=dom_total.ngens)
+    return AbHom(dom_total, cod_total, im.freeze(mat))
+
+
+def dense_coboundary(m, c, n: int) -> AbHom:
+    """The normalized degree n coboundary of a monoid with coefficients,
+    one dense block per term, assembled by ``dense_assemble_hom``."""
+    e = m.identity_index
+    non_id = [a for a in range(m.size) if a != e]
+
+    def product(t):
+        x = e
+        for a in t:
+            x = m.mul(x, a)
+        return x
+
+    src = list(itertools.product(non_id, repeat=n))
+    tgt = list(itertools.product(non_id, repeat=n + 1))
+    index_of = {t: i for i, t in enumerate(src)}
+    blocks = {}
+
+    def add(out_i, in_i, block, sign):
+        scaled = [[sign * x for x in row] for row in block]
+        cur = blocks.get((out_i, in_i))
+        blocks[(out_i, in_i)] = scaled if cur is None else im.madd(cur, scaled)
+
+    for out_i, t in enumerate(tgt):
+        add(out_i, index_of[t[1:]], c.lstar[(t[0], product(t[1:]))].matrix, 1)
+        for j in range(1, n + 1):
+            merged = m.mul(t[j - 1], t[j])
+            if merged == e:
+                continue
+            inner = t[:j - 1] + (merged,) + t[j + 1:]
+            add(out_i, index_of[inner],
+                im.identity(c.groups[product(inner)].ngens), -1 if j % 2 else 1)
+        add(out_i, index_of[t[:-1]], c.rstar[(t[n], product(t[:-1]))].matrix,
+            -1 if (n + 1) % 2 else 1)
+    return dense_assemble_hom([c.groups[product(t)] for t in src],
+                              [c.groups[product(t)] for t in tgt], blocks)
+
+
+def determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -24,7 +24,10 @@ from moncoh.abelian import (
     Z,
     Zmod,
     _sparse_diagonal,
+    add_block,
+    assemble_hom,
     cohomology_at,
+    composes_to_zero,
     direct_sum,
     image,
     kernel,
@@ -45,8 +48,8 @@ def check_snf_contract(a, dec):
     left = im.matmul(unfreeze(dec.u), [list(r) for r in a], cols_b=cols)
     prod = im.matmul(left, unfreeze(dec.v), cols_b=cols)
     assert prod == unfreeze(dec.d)
-    assert abs(im.determinant(unfreeze(dec.u))) == 1
-    assert abs(im.determinant(unfreeze(dec.v))) == 1
+    assert abs(oracles.determinant(unfreeze(dec.u))) == 1
+    assert abs(oracles.determinant(unfreeze(dec.v))) == 1
     assert im.matmul(unfreeze(dec.u), unfreeze(dec.u_inv), cols_b=rows) == im.identity(rows)
     assert im.matmul(unfreeze(dec.v), unfreeze(dec.v_inv), cols_b=cols) == im.identity(cols)
     diag = dec.diagonal
@@ -169,6 +172,10 @@ class TestAbHom:
             AbHom(Zmod(2), Zmod(4), ((1,),))
         AbHom(Zmod(2), Zmod(4), ((2,),))
         AbHom(Zmod(4), Zmod(2), ((1,),))
+        # the first offending generator is named, whichever row shows it
+        with pytest.raises(ValueError, match="generator 1 has order 2"):
+            AbHom(FgAbGroup(1, (2, 2)), FgAbGroup(1, (4,)),
+                  ((5, 0, 1), (0, 1, 2)))
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatch):
@@ -193,6 +200,73 @@ class TestAbHom:
     def test_apply(self):
         h = AbHom(FgAbGroup(2), Z, ((1, 1),))
         assert h.apply([3, 4]) == [7]
+
+    def test_sparse_columns(self):
+        h = AbHom(FgAbGroup(3), FgAbGroup(2), ((0, 2, 0), (0, -1, 0)))
+        assert h.columns == ({}, {0: 2, 1: -1}, {})
+        assert h.columns is h.columns  # computed once
+        assert AbHom.zero(TRIVIAL_GROUP, Z).columns == ()
+        # shared with cohomology_at, which must not consume them
+        cohomology_at(AbHom.zero(TRIVIAL_GROUP, h.domain), h)
+        cohomology_at(h, AbHom.zero(h.codomain, TRIVIAL_GROUP))
+        assert h.columns == ({}, {0: 2, 1: -1}, {})
+
+
+class TestComposesToZero:
+    def test_zero_only_modulo_relations(self):
+        # 6 into Z/6 is zero as a homomorphism, 3 is not
+        assert composes_to_zero(AbHom(Z, Zmod(6), ((6,),)), AbHom.identity(Z))
+        assert not composes_to_zero(AbHom(Z, Zmod(6), ((3,),)), AbHom.identity(Z))
+        with pytest.raises(ShapeMismatch):
+            composes_to_zero(AbHom.identity(Z), AbHom.identity(Zmod(2)))
+
+    def test_agrees_with_dense_product_randomized(self):
+        rng = random.Random(11)
+        pool = [TRIVIAL_GROUP, Z, FgAbGroup(2), Zmod(2), Zmod(4), Zmod(6),
+                FgAbGroup(1, (2,)), FgAbGroup(0, (2, 4)), FgAbGroup(1, (3, 6))]
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            inner = oracles.random_hom(rng, a, b, span=2)
+            outer = oracles.random_hom(rng, b, c, span=2)
+            if rng.random() < 0.3:
+                inner = AbHom.zero(a, b)
+            want = outer.compose(inner).is_zero()
+            assert composes_to_zero(outer, inner) is want
+            seen[want] += 1
+        assert min(seen.values()) >= 30
+
+
+class TestAssembleHom:
+    def test_matches_dense_reference_on_merging_sums(self):
+        # random blocks between direct sums whose orders merge (Z/2 + Z/3)
+        # or already chain, against the dense change of basis
+        rng = random.Random(5)
+        pool = [Z, Zmod(2), Zmod(3), Zmod(4), Zmod(6), FgAbGroup(1, (2,)),
+                FgAbGroup(0, (2, 2))]
+        for _ in range(60):
+            dom = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            cod = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            src, tgt = DirectSum.of(dom), DirectSum.of(cod)
+            columns = [{} for _ in range(src.presentation_size)]
+            blocks = {}
+            for ci, cg in enumerate(cod):
+                for di, dg in enumerate(dom):
+                    if rng.random() < 0.6:
+                        block = oracles.random_hom(rng, dg, cg).matrix
+                        blocks[(ci, di)] = block
+                        add_block(columns, tgt.offsets[ci], src.offsets[di], block)
+            got = assemble_hom(src, tgt, columns)
+            want = oracles.dense_assemble_hom(dom, cod, blocks)
+            assert (got.domain, got.codomain, got.matrix) == (
+                want.domain, want.codomain, want.matrix)
+            # the seeded sparse view is the one the matrix gives
+            assert got.columns == AbHom(got.domain, got.codomain, got.matrix).columns
+
+    def test_column_count_checked(self):
+        ds = DirectSum.of([Z, Zmod(2)])
+        with pytest.raises(ShapeMismatch):
+            assemble_hom(ds, ds, [{}])
 
 
 class TestKernelImage:
@@ -402,15 +476,34 @@ class TestSparseDiagonal:
 
 
 class TestPresentationAndDirectSum:
+    @staticmethod
+    def dense(group, to_can, from_can):
+        """The sparse change of basis as dense matrices: to_canonical is
+        canonical x presentation, from_canonical presentation x canonical."""
+        n = len(to_can)
+        to_mat = im.zeros(group.ngens, n)
+        from_mat = im.zeros(n, group.ngens)
+        for p in range(n):
+            for k, v in to_can[p].items():
+                to_mat[k][p] = v
+            for k, v in from_can[p].items():
+                from_mat[p][k] = v
+        return to_mat, from_mat
+
     def test_permutation_fast_path(self):
         group, to_can, from_can = presentation_to_canonical([0, 2, 0, 2])
         assert group == FgAbGroup(2, (2, 2))
-        assert im.matmul(to_can, from_can) == im.identity(4)
+        to_mat, from_mat = self.dense(group, to_can, from_can)
+        assert im.matmul(to_mat, from_mat) == im.identity(4)
+        # one entry per generator, the same maps in both directions
+        assert to_can is from_can
+        assert to_can == ({0: 1}, {2: 1}, {1: 1}, {3: 1})
 
     def test_merge_path(self):
         group, to_can, from_can = presentation_to_canonical([2, 3])
         assert group == Zmod(6)
-        prod = im.matmul(to_can, from_can)
+        to_mat, from_mat = self.dense(group, to_can, from_can)
+        prod = im.matmul(to_mat, from_mat)
         assert prod == [[1]] or (prod[0][0] - 1) % 6 == 0
 
     @settings(max_examples=80, deadline=None)
@@ -418,20 +511,26 @@ class TestPresentationAndDirectSum:
     def test_round_trip_identities(self, orders):
         group, to_can, from_can = presentation_to_canonical(orders)
         n = len(orders)
+        assert len(to_can) == len(from_can) == n
+        to_mat, from_mat = self.dense(group, to_can, from_can)
+        # the same change of basis as the dense reference
+        assert (group, to_mat, from_mat) == oracles.dense_presentation_to_canonical(orders)
         # to o from == identity modulo the canonical relations
-        tf = im.matmul(to_can, from_can, cols_b=group.ngens)
+        tf = im.matmul(to_mat, from_mat, cols_b=group.ngens)
         for j, o in enumerate(group.orders):
             for i in range(group.ngens):
                 want = 1 if i == j else 0
                 got = tf[i][j]
                 assert got == want if o == 0 else (got - want) % o == 0
         # from o to == identity modulo the presentation relations
-        ft = im.matmul(from_can, to_can, cols_b=n)
+        ft = im.matmul(from_mat, to_mat, cols_b=n)
         for j, o in enumerate(orders):
             for i in range(n):
                 want = 1 if i == j else 0
                 got = ft[i][j]
                 assert got == want if orders[i] == 0 else (got - want) % orders[i] == 0
+        # no stored zeros
+        assert all(all(m.values()) for m in to_can + from_can)
 
     def test_direct_sum_embeddings(self):
         ds = DirectSum.of([Z, Zmod(2), Zmod(6)])

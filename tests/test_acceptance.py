@@ -23,7 +23,7 @@ from moncoh.abelian import (
 )
 from moncoh.coeff import CoeffSystem, constant_system, group_action_system
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
-from moncoh.intmat import determinant, matmul
+from moncoh.intmat import matmul
 from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
 from moncoh.monoid import FinMonoid, cyclic_group, power_set_monoid
 from moncoh.structured import (
@@ -39,7 +39,7 @@ from moncoh.structured import (
 from moncoh.totalcx import TotalComplex, total_cohomology
 
 from catalog import disjoint_pair_system, seven_point_system, small_monoids
-from oracles import bar_differential
+from oracles import bar_differential, determinant
 
 COEFF_GROUPS = [Z, Zmod(2), Zmod(4), FgAbGroup(1, (2,))]
 

@@ -10,7 +10,12 @@ from __future__ import annotations
 import pytest
 
 from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod
-from moncoh.coeff import constant_system, explicit_system, group_action_system
+from moncoh.coeff import (
+    constant_system,
+    explicit_system,
+    group_action_system,
+    validate_relations,
+)
 from moncoh.leech import (
     LeechComplex,
     cochain_group,
@@ -21,13 +26,14 @@ from moncoh.leech import (
 from moncoh.monoid import cyclic_group, power_set_monoid, trivial_monoid, union_monoid
 
 from catalog import (
+    left_zero_adjoined,
     monogenic_three,
     negation_on_integers,
     small_monoids,
     swap_action_system,
     systems_for,
 )
-from oracles import bar_cohomology_dims_mod_p, lattice_cohomology_at
+from oracles import bar_cohomology_dims_mod_p, dense_coboundary, lattice_cohomology_at
 
 
 def table_renders(groups):
@@ -190,6 +196,63 @@ class TestLatticeOracle:
                     want = lattice_cohomology_at(cx.differential(n - 1),
                                                  cx.differential(n))
                     assert cx.cohomology(n) == want, (m.name, c.groups, n)
+
+
+def mixed_two_three_system():
+    """Left zeros x, y with an identity adjoined, A(e) = Z, A(x) = Z/2 and
+    A(y) = Z/3: left translations by x, y are zero, right translations
+    reduce Z modulo 2 or 3 and fix Z/2 and Z/3.  A tuple's group is that of
+    its first entry, so every cochain group of degree >= 1 mixes Z/2 and Z/3
+    and its change of basis comes from the Smith form."""
+    m = left_zero_adjoined()
+    groups = [Z, Zmod(2), Zmod(3)]
+    lstar, rstar = {}, {}
+    for a in range(3):
+        for x in range(3):
+            src, dst = groups[x], groups[m.mul(a, x)]
+            lstar[(a, x)] = (AbHom.identity(src) if a == 0
+                             else AbHom.zero(src, dst))
+            rstar[(a, x)] = (AbHom.identity(src) if x != 0 or a == 0
+                             else AbHom(Z, dst, ((1,),)))
+    return explicit_system(m, groups, lstar, rstar)
+
+
+class TestSparseConstruction:
+    @staticmethod
+    def assert_matches_reference(m, c, n):
+        got = coboundary(m, c, n)
+        want = dense_coboundary(m, c, n)
+        assert (got.domain, got.codomain, got.matrix) == (
+            want.domain, want.codomain, want.matrix), (m.name, c.groups, n)
+        assert got.columns == AbHom(got.domain, got.codomain, got.matrix).columns
+
+    def test_coboundaries_match_dense_reference_across_catalog(self):
+        for m in small_monoids():
+            for c in systems_for(m, [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))]):
+                for n in range(4):
+                    self.assert_matches_reference(m, c, n)
+
+    def test_merging_coefficient_groups(self):
+        m = left_zero_adjoined()
+        c = mixed_two_three_system()
+        assert validate_relations(c) == []
+        assert cochain_group(m, c, 1).total == Zmod(6)
+        assert cochain_group(m, c, 2).total == FgAbGroup(0, (6, 6))
+        assert any(len(image) > 1 for image in cochain_group(m, c, 2).dsum.to_total)
+        for n in range(4):
+            self.assert_matches_reference(m, c, n)
+        cx = LeechComplex(m, c, 4)
+        for n in range(4):
+            want = lattice_cohomology_at(cx.differential(n - 1), cx.differential(n))
+            assert cx.cohomology(n) == want
+
+    def test_chain_orders_keep_one_entry_per_generator(self):
+        m = power_set_monoid(2)
+        for g in (Z, Zmod(6), FgAbGroup(1, (2,))):
+            dsum = cochain_group(m, constant_system(m, g), 3).dsum
+            assert dsum.to_total is dsum.from_total
+            assert all(len(image) == 1 and 1 in image.values()
+                       for image in dsum.to_total)
 
 
 class TestComplexApi:
