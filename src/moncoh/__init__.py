@@ -77,28 +77,23 @@ from .totalcx import (  # noqa: F401
     TotalComplex,
     is_double_complex,
     total_cohomology,
-    total_complex,
 )
 from .structured import (  # noqa: F401
     ChainPlan,
-    HMap,
     NoNewClass,
     NotSurjective,
     PipelineReport,
     SetSystem,
-    StructureClassSet,
     StructureDescriptor,
     SurjectivityReport,
     build_Kn,
     build_gr,
     check_h_surjective,
-    descriptor_equiv,
     distinct_classes,
     fs_pipeline,
     h_map,
     h_pipeline,
     reorder_chain,
-    structure_product,
 )
 from .document import (  # noqa: F401
     Defaults,

@@ -99,10 +99,6 @@ class FgAbGroup:
     def orders(self) -> tuple[int, ...]:
         return (0,) * self.free_rank + self.torsion
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""
         if self.free_rank:

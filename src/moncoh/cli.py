@@ -29,15 +29,13 @@ from .leech import (
 )
 from .monoid import FinMonoid, validate as validate_monoid
 from .structured import (
-    NoNewClass,
     NotSurjective,
     check_h_surjective,
-    descriptor_equiv,
     distinct_classes,
     fs_pipeline,
     h_pipeline,
 )
-from .totalcx import SIGN_CONVENTION, is_double_complex, total_cohomology
+from .totalcx import SIGN_CONVENTION, NotADoubleComplex, TotalComplex
 
 COMMANDS = ("validate", "leech", "square", "total", "fs", "h")
 
@@ -173,7 +171,7 @@ def _cmd_validate(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]
         notes = [f"{len(classes)} distinct classes from {len(ds)} descriptors"]
         seen: list = []
         for i, d in enumerate(ds):
-            if any(descriptor_equiv(d, s) for s in seen):
+            if d in seen:
                 notes.append(f"descriptor {i} repeats an earlier class; "
                              f"the fs command rejects this list")
             else:
@@ -302,21 +300,16 @@ def _cmd_total(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     for name, bundle in grids:
         p_max = _effective_pmax(flags, doc, bundle)
         try:
-            view = is_double_complex(bundle.grid, bundle.family, p_max)
-            if not view.ok:
-                if not view.column_ok:
-                    reason = "vertical maps do not square to zero"
-                else:
-                    floor, degree = view.first_failure
-                    reason = (f"square at (floor {floor}, degree {degree}) "
-                              f"does not commute")
-                code = max(code, 1)
-                results.append({"grid": name, "pmax": p_max,
-                                "commutes": False, "error": reason})
-                lines.append(f"grid {name}: FAIL {reason}")
-                continue
-            groups = [g.render() for g in
-                      total_cohomology(bundle.grid, bundle.family, p_max)]
+            cx = TotalComplex(bundle.grid, bundle.family, p_max)
+            groups = [cx.cohomology(n).render() for n in range(p_max + 1)]
+        except NotADoubleComplex as exc:
+            reason = ("vertical maps do not square to zero"
+                      if not exc.view.column_ok else str(exc))
+            code = max(code, 1)
+            results.append({"grid": name, "pmax": p_max,
+                            "commutes": False, "error": reason})
+            lines.append(f"grid {name}: FAIL {reason}")
+            continue
         except (ValueError, AssertionError) as exc:
             code = max(code, 1)
             results.append({"grid": name, "pmax": p_max, "error": str(exc)})
@@ -329,82 +322,66 @@ def _cmd_total(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     return code, {"results": results}, lines
 
 
-def _cmd_fs(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
-    if not doc.descriptor_lists:
-        msg = "document defines no descriptor lists"
+def _run_pipelines(doc: Document, flags: RunFlags, items, key: str,
+                   section: str, pipeline, describe
+                   ) -> tuple[int, dict, list[str]]:
+    """Shared body of fs and h: run the pipeline on each named item and
+    report its square.  describe(report, sizes) gives the item's own JSON
+    fields and header lines, the first one following "{section} {name}: "."""
+    if not items:
+        msg = f"document defines no {section}s"
         return 2, {"error": msg}, [msg]
     p_max = _effective_pmax(flags, doc)
     group = doc.defaults.coeff_group
     code = 0
     results = []
     lines = [f"convention: {INDEXING_CONVENTION}"]
-    for name, descriptors in doc.descriptor_lists:
+    for name, item in items:
         try:
-            report = fs_pipeline(descriptors, coeff_group=group, p_max=p_max)
-        except (NoNewClass, ValueError, AssertionError) as exc:
-            code = max(code, 1)
-            results.append({"list": name, "error": str(exc)})
-            lines.append(f"descriptor list {name}: FAIL {exc}")
+            report = pipeline(item, coeff_group=group, p_max=p_max)
+        except (ValueError, AssertionError) as exc:
+            code = 1
+            failure = {key: name, "error": str(exc)}
+            if isinstance(exc, NotSurjective):
+                failure["missing"] = list(exc.missing)
+            results.append(failure)
+            lines.append(f"{section} {name}: FAIL {exc}")
             continue
         payload = _square_payload(report.square, report.exactness)
+        sizes = ", ".join(str(m.size) for m in report.floors)
+        fields, header = describe(report, sizes)
         results.append({
-            "list": name,
-            "classes": len(report.floors),
+            key: name,
+            **fields,
             "floor_sizes": [m.size for m in report.floors],
             "pmax": p_max,
             "notes": list(report.notes),
             **payload,
         })
-        sizes = ", ".join(str(m.size) for m in report.floors)
-        lines.append(f"descriptor list {name}: {len(report.floors)} classes, "
-                     f"floors of sizes {sizes}")
+        lines.append(f"{section} {name}: {header[0]}")
+        lines.extend(header[1:])
         lines.append(f"  moves {payload['moves']!r}, p_max {p_max}")
         lines.extend(_square_lines(payload))
         lines.extend(f"  note: {n}" for n in report.notes)
     return code, {"results": results}, lines
+
+
+def _cmd_fs(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
+    return _run_pipelines(
+        doc, flags, doc.descriptor_lists, "list", "descriptor list",
+        fs_pipeline, lambda report, sizes: (
+            {"classes": len(report.floors)},
+            [f"{len(report.floors)} classes, floors of sizes {sizes}"]))
 
 
 def _cmd_h(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
-    if not doc.set_systems:
-        msg = "document defines no set systems"
-        return 2, {"error": msg}, [msg]
-    p_max = _effective_pmax(flags, doc)
-    group = doc.defaults.coeff_group
-    code = 0
-    results = []
-    lines = [f"convention: {INDEXING_CONVENTION}"]
-    for name, system in doc.set_systems:
-        try:
-            report = h_pipeline(system, coeff_group=group, p_max=p_max)
-        except NotSurjective as exc:
-            code = max(code, 1)
-            results.append({"system": name, "error": str(exc),
-                            "missing": list(exc.missing)})
-            lines.append(f"set system {name}: FAIL {exc}")
-            continue
-        except (ValueError, AssertionError) as exc:
-            code = max(code, 1)
-            results.append({"system": name, "error": str(exc)})
-            lines.append(f"set system {name}: FAIL {exc}")
-            continue
-        payload = _square_payload(report.square, report.exactness)
-        results.append({
-            "system": name,
-            "chain": {"permutation": list(report.chain.permutation),
-                      "representatives": list(report.chain.representatives)},
-            "floor_sizes": [m.size for m in report.floors],
-            "pmax": p_max,
-            "notes": list(report.notes),
-            **payload,
-        })
-        sizes = ", ".join(str(m.size) for m in report.floors)
-        reps = ", ".join(report.chain.representatives)
-        lines.append(f"set system {name}: floors of sizes {sizes}")
-        lines.append(f"  chain representatives: {reps}")
-        lines.append(f"  moves {payload['moves']!r}, p_max {p_max}")
-        lines.extend(_square_lines(payload))
-        lines.extend(f"  note: {n}" for n in report.notes)
-    return code, {"results": results}, lines
+    return _run_pipelines(
+        doc, flags, doc.set_systems, "system", "set system",
+        h_pipeline, lambda report, sizes: (
+            {"chain": {"permutation": list(report.chain.permutation),
+                       "representatives": list(report.chain.representatives)}},
+            [f"floors of sizes {sizes}", "  chain representatives: "
+             + ", ".join(report.chain.representatives)]))
 
 
 _HANDLERS = {
@@ -469,7 +446,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     try:

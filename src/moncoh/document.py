@@ -615,6 +615,10 @@ def parse_document(text: str) -> Document:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([Diagnostic("$", f"invalid JSON: {exc}")])
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an integer literal past the
+        # interpreter's digit limit
+        raise DocumentError([Diagnostic("$", f"unusable JSON: {exc}")])
     p = _Parser()
     if p.obj(root, "$", set(), _ROOT_KEYS) is None:
         raise DocumentError(p.diags)

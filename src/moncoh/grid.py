@@ -136,9 +136,6 @@ class PathSpec:
                 return out
         raise AssertionError("unreachable: the rightward tail is infinite")
 
-    def descent_count(self) -> int:
-        return self.prefix_moves.count("D")
-
 
 def validate_path(path: PathSpec, grid: GridSpec, p_max: int) -> None:
     """Check the whole declared prefix against the floor stack.
@@ -296,8 +293,6 @@ class SquareEntry:
     degree: int
     move_in: str  # "start", "R" or "D"
     move_out: str  # "R" or "D"
-    in_is_zero: bool
-    out_is_zero: bool
     group: FgAbGroup
     tag: str
 
@@ -367,7 +362,6 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
     entries = []
     for k, (floor, degree) in enumerate(pc.positions):
         into = start if k == 0 else pc.maps[k - 1]
-        out = pc.maps[k]
         entries.append(SquareEntry(
             index=k,
             floor=floor,
@@ -375,9 +369,7 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
             move_in="start" if k == 0 else
                     ("R" if pc.move_tags[k - 1] == "horizontal" else "D"),
             move_out="R" if pc.move_tags[k] == "horizontal" else "D",
-            in_is_zero=into.is_zero(),
-            out_is_zero=out.is_zero(),
-            group=cohomology_at(into, out),
+            group=cohomology_at(into, pc.maps[k]),
             tag=tags[k],
         ))
     return SquareReport(grid.finite, p_max, path.prefix_moves,

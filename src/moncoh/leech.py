@@ -63,10 +63,6 @@ class CochainGroup:
         return self.dsum.total
 
     @property
-    def components(self) -> tuple[FgAbGroup, ...]:
-        return self.dsum.components
-
-    @property
     def generator_offsets(self) -> tuple[int, ...]:
         return self.dsum.offsets
 

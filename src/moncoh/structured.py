@@ -94,58 +94,12 @@ class StructureDescriptor:
         return cls((), (), True)
 
 
-def descriptor_equiv(a: StructureDescriptor, b: StructureDescriptor) -> bool:
-    """Equality of canonical forms."""
-    return a == b
-
-
-@dataclass(frozen=True)
-class StructureClassSet:
-    """Subset of the distinct descriptor classes, as a bitmask; the empty
-    mask is the identity class set."""
-
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise ValueError("class masks are nonnegative")
-
-    @classmethod
-    def of(cls, indices) -> "StructureClassSet":
-        mask = 0
-        for i in indices:
-            if i < 0:
-                raise ValueError("class indices are nonnegative")
-            mask |= 1 << i
-        return cls(mask)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        out = []
-        mask, i = self.mask, 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return tuple(out)
-
-
-def structure_product(factors: Sequence[StructureClassSet]) -> StructureClassSet:
-    """Product of class sets: equivalent factors collapse, the empty set
-    is the identity, so only the union of the index sets survives."""
-    mask = 0
-    for f in factors:
-        mask |= f.mask
-    return StructureClassSet(mask)
-
-
 def distinct_classes(
         descriptors: Sequence[StructureDescriptor]) -> list[StructureDescriptor]:
     """First-occurrence representatives of the equivalence classes."""
     out: list[StructureDescriptor] = []
     for d in descriptors:
-        if not any(descriptor_equiv(d, seen) for seen in out):
+        if d not in out:
             out.append(d)
     return out
 
@@ -213,26 +167,12 @@ class SetSystem:
         return self.sets[i][1]
 
 
-@dataclass(frozen=True)
-class HMap:
-    """Per point, the index subcollection of sets containing it."""
-
-    entries: tuple[tuple[str, frozenset[int]], ...]
-
-    def of(self, point: str) -> frozenset[int]:
-        for name, sub in self.entries:
-            if name == point:
-                return sub
-        raise KeyError(point)
-
-
-def h_map(system: SetSystem) -> HMap:
-    entries = []
-    for i, p in enumerate(system.points):
-        sub = frozenset(k for k in range(system.set_count)
-                        if i in system.members_of(k))
-        entries.append((p, sub))
-    return HMap(tuple(entries))
+def h_map(system: SetSystem) -> dict[str, frozenset[int]]:
+    """Per point, in point order, the index subcollection of sets
+    containing it."""
+    return {p: frozenset(k for k in range(system.set_count)
+                         if i in system.members_of(k))
+            for i, p in enumerate(system.points)}
 
 
 @dataclass(frozen=True)
@@ -240,7 +180,7 @@ class SurjectivityReport:
     ok: bool
     missing: tuple[tuple[int, ...], ...]
     missing_names: tuple[str, ...]
-    hmap: HMap
+    hmap: dict[str, frozenset[int]]
 
 
 def check_h_surjective(system: SetSystem) -> SurjectivityReport:
@@ -250,7 +190,7 @@ def check_h_surjective(system: SetSystem) -> SurjectivityReport:
     set names.
     """
     hm = h_map(system)
-    realized = {sub for _, sub in hm.entries}
+    realized = set(hm.values())
     missing = []
     k = system.set_count
     for size in range(1, k + 1):
@@ -282,7 +222,7 @@ def reorder_chain(system: SetSystem) -> ChainPlan:
     reps = []
     for r in range(system.set_count):
         wanted = frozenset(range(r + 1))
-        for point, sub in report.hmap.entries:
+        for point, sub in report.hmap.items():
             if sub == wanted:
                 reps.append(point)
                 break
@@ -354,7 +294,7 @@ def fs_pipeline(descriptors: Sequence[StructureDescriptor],
     floors = []
     classes: list[StructureDescriptor] = []
     for i, d in enumerate(descriptors):
-        if any(descriptor_equiv(d, seen) for seen in classes):
+        if d in classes:
             raise NoNewClass(
                 f"descriptor {i} is equivalent to an earlier one, so its "
                 f"floor would repeat the previous floor")

@@ -37,7 +37,12 @@ SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
 
 
 class NotADoubleComplex(ValueError):
-    pass
+    """The stack fails the column condition or a square does not
+    commute; view is the full commutation record."""
+
+    def __init__(self, message: str, view: DoubleComplexView):
+        self.view = view
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,12 @@ class TotalComplex:
         view = _double_complex_view(grid, family, self.complexes, n_max)
         if not view.column_ok:
             raise NotADoubleComplex(
-                "vertical maps do not square to zero down the columns")
+                "vertical maps do not square to zero down the columns", view)
         bad = view.first_failure
         if bad is not None:
             raise NotADoubleComplex(
-                f"square at (floor {bad[0]}, degree {bad[1]}) does not commute")
+                f"square at (floor {bad[0]}, degree {bad[1]}) does not commute",
+                view)
         self.grid = grid
         self.family = family
         self.n_max = n_max
@@ -164,11 +170,6 @@ class TotalComplex:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"H^{n} is outside the built range 0..{self.n_max}")
         return cohomology_at(self.differential(n - 1), self.differential(n))
-
-
-def total_complex(grid: GridSpec, family: VerticalFamily,
-                  n_max: int) -> TotalComplex:
-    return TotalComplex(grid, family, n_max)
 
 
 def total_cohomology(grid: GridSpec, family: VerticalFamily,

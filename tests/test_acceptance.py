@@ -28,13 +28,11 @@ from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
 from moncoh.monoid import FinMonoid, cyclic_group, power_set_monoid
 from moncoh.structured import (
     NotSurjective,
-    StructureClassSet,
     StructureDescriptor,
     build_Kn,
     build_gr,
     check_h_surjective,
     h_pipeline,
-    structure_product,
 )
 from moncoh.totalcx import TotalComplex, total_cohomology
 
@@ -406,20 +404,21 @@ def test_criterion_10_structure_class_pipeline():
         if not m.same_table(ps) or m.element_names != ps.element_names:
             failures.append(f"K on {n} classes differs from the power set "
                             f"monoid")
-    sets = [StructureClassSet(mask) for mask in range(16)]
-    e = StructureClassSet()
-    for a, b in itertools.product(sets, repeat=2):
-        if structure_product([a, b]) != structure_product([b, a]):
-            failures.append(f"product not commutative at {a}, {b}")
-        if structure_product([a, a]) != a:
-            failures.append(f"product not idempotent at {a}")
-        if structure_product([a, e]) != a:
-            failures.append(f"empty class set not neutral at {a}")
-    for a, b, c in itertools.product(sets, repeat=3):
-        left = structure_product([structure_product([a, b]), c])
-        right = structure_product([a, structure_product([b, c])])
-        if left != right:
-            failures.append(f"product not associative at {a}, {b}, {c}")
+    m = build_Kn(descriptors)
+    name, e = m.element_names, m.identity_index
+    if name[e] != "{}":
+        failures.append(f"identity of K4 is {name[e]}, not the empty class set")
+    for a, b in itertools.product(range(m.size), repeat=2):
+        if m.mul(a, b) != m.mul(b, a):
+            failures.append(f"product not commutative at {name[a]}, {name[b]}")
+        if m.mul(a, a) != a:
+            failures.append(f"product not idempotent at {name[a]}")
+        if m.mul(a, e) != a:
+            failures.append(f"empty class set not neutral at {name[a]}")
+    for a, b, c in itertools.product(range(m.size), repeat=3):
+        if m.mul(m.mul(a, b), c) != m.mul(a, m.mul(b, c)):
+            failures.append(f"product not associative at {name[a]}, "
+                            f"{name[b]}, {name[c]}")
             break
     report(10, "class-subset monoids match power sets for n <= 4 and the "
                "structure product laws hold exhaustively", failures)

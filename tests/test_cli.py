@@ -5,7 +5,7 @@ import pytest
 from moncoh.cli import RunFlags, main, run_command
 from moncoh.document import parse_document
 
-from test_document import sample_root, sample_text
+from test_document import DIGIT_LIMIT, sample_root, sample_text
 
 
 def run(command: str, root: dict, **kwargs) -> tuple[int, str]:
@@ -186,6 +186,27 @@ class TestTotal:
         assert code == 1
         assert "square at (floor 0, degree 1) does not commute" in text
 
+    def test_column_condition_fails(self):
+        root = sample_root()
+        root["coefficients"].append(
+            {"name": "sZ", "monoid": "S", "kind": "constant", "group": "Z"})
+        root["grids"].append({
+            "name": "column",
+            "floors": [{"monoid": "C2", "coeff": "c2Z"},
+                       {"monoid": "S", "coeff": "sZ"},
+                       {"monoid": "C3", "coeff": "c3Z"}],
+            "vertical": {"maps": {"[0,0]": [[1]], "[1,0]": [[1]]}},
+            "pmax": 1,
+        })
+        code, text = run("total", root, grid="column")
+        assert code == 1
+        assert text.endswith(
+            "grid column: FAIL vertical maps do not square to zero")
+        code, body = run_json("total", root, grid="column")
+        assert body["results"] == [{
+            "grid": "column", "pmax": 1, "commutes": False,
+            "error": "vertical maps do not square to zero"}]
+
     def test_sign_named_in_report(self):
         _, text = run("total", sample_root(), grid="pair")
         assert "sign: total differential" in text
@@ -272,6 +293,30 @@ class TestMain:
         code = main(["validate", "--input", str(tmp_path / "none.json")])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = main(["validate", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {path}: ")
+        assert "codec can't decode" in captured.err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        pytest.param('{"defaults": {"p_max": 1' + "0" * DIGIT_LIMIT + "}}",
+                     marks=pytest.mark.skipif(
+                         not DIGIT_LIMIT, reason="no integer digit limit")),
+    ], ids=["deep_nesting", "long_integer"])
+    def test_unusable_json(self, tmp_path, capsys, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["validate", "--input", str(path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("document rejected:\n  $: unusable JSON")
 
     def test_rejected_document(self, tmp_path, capsys):
         path = tmp_path / "doc.json"

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -14,6 +15,10 @@ from moncoh.document import (
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily
 from moncoh.monoid import cyclic_group
 from moncoh.coeff import constant_system
+
+
+# 0 where the interpreter converts integer strings of any length
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def sample_root() -> dict:
@@ -96,6 +101,17 @@ class TestParse:
 
     def test_invalid_json(self):
         assert any("invalid JSON" in d for d in diags_of("{not json"))
+
+    def test_nesting_past_the_recursion_limit(self):
+        diags = diags_of("[" * 100000 + "]" * 100000)
+        assert len(diags) == 1 and diags[0].startswith("$: unusable JSON")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT,
+                        reason="no integer digit limit in this interpreter")
+    def test_integer_past_the_digit_limit(self):
+        digits = "9" * (DIGIT_LIMIT + 1)
+        diags = diags_of('{"defaults": {"p_max": ' + digits + '}}')
+        assert len(diags) == 1 and diags[0].startswith("$: unusable JSON")
 
     def test_root_must_be_object(self):
         assert any(d.startswith("$:") for d in diags_of("[1, 2]"))
