@@ -20,8 +20,11 @@ Conventions
   sparsely, one map per presentation generator: a single entry when the
   orders already form a chain, Smith-form rows only when they merge.
   Homomorphisms between direct sums are assembled from sparse columns
-  straight into canonical coordinates; ``AbHom`` keeps the dense matrix
-  and a cached sparse view of its columns.
+  straight into canonical coordinates.
+* An ``AbHom`` is stored as sparse columns only, one {row: nonzero
+  entry} map per domain generator, and composes, adds and compares in
+  that form.  Its dense ``matrix`` is a view built on demand, for
+  serialisation and the few dense routines (``image``).
 * Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
   matrices, the cone of the diagonal relations (see ``cohomology_at``):
   the rank of one and the invariant factors of the other.  Both come from
@@ -341,108 +344,151 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
                               im.freeze(uinv), im.freeze(vinv))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AbHom:
     """Homomorphism of finitely generated abelian groups.
 
-    The matrix is checked for well-definedness at construction: for a
-    domain generator of order d, d times its image column must fall in
-    the codomain relation lattice.
+    Stored as sparse columns, one per domain generator: ``columns[j]`` is
+    the image of generator j as a {codomain generator: nonzero entry} map
+    with no stored zeros.  ``AbHom(domain, codomain, matrix)`` converts a
+    dense matrix once; ``from_columns`` takes the columns directly and
+    never builds one.  ``matrix`` is a dense view built on first read.
+
+    Well-definedness is checked at construction: for a domain generator
+    of order d, d times its image column must fall in the codomain
+    relation lattice.  Two homs are equal, and hash equally, when their
+    domains, codomains and entries agree.
     """
 
     domain: FgAbGroup
     codomain: FgAbGroup
-    matrix: FrozenMatrix
+    columns: tuple[SparseColumn, ...]
 
-    def __post_init__(self) -> None:
-        mat = im.freeze(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        if len(mat) != self.codomain.ngens:
+    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup,
+                 matrix: Sequence[Sequence[int]]) -> None:
+        if len(matrix) != codomain.ngens:
             raise ShapeMismatch(
-                f"matrix has {len(mat)} rows, codomain has {self.codomain.ngens} generators")
-        for row in mat:
-            if len(row) != self.domain.ngens:
+                f"matrix has {len(matrix)} rows, codomain has {codomain.ngens} generators")
+        ncols = domain.ngens
+        cols: list[SparseColumn] = [{} for _ in range(ncols)]
+        for i, row in enumerate(matrix):
+            if len(row) != ncols:
                 raise ShapeMismatch(
                     f"matrix row has {len(row)} entries, domain has "
-                    f"{self.domain.ngens} generators")
-        if not self.domain.torsion:
-            return
-        # only nonzero entries can break it; report the first generator
-        dom_orders = self.domain.orders
-        bad = [i for cord, row in zip(self.codomain.orders, mat)
-               for i in compress(range(len(row)), row)
-               if dom_orders[i] and (cord == 0 or dom_orders[i] * row[i] % cord)]
-        if bad:
-            i = min(bad)
-            raise ValueError(
-                f"matrix does not define a homomorphism: generator {i} "
-                f"has order {dom_orders[i]} but column {i} is not annihilated")
+                    f"{ncols} generators")
+            for j in compress(range(ncols), row):
+                cols[j][i] = row[j]
+        self._init_columns(domain, codomain, tuple(cols))
+
+    @classmethod
+    def from_columns(cls, domain: FgAbGroup, codomain: FgAbGroup,
+                     columns: Sequence[SparseColumn]) -> "AbHom":
+        """The hom whose column j is the {row: entry} map ``columns[j]``;
+        zero entries are dropped and the maps are copied, not kept."""
+        if len(columns) != domain.ngens:
+            raise ShapeMismatch(
+                f"{len(columns)} columns, domain has {domain.ngens} generators")
+        nrows = codomain.ngens
+        cols = tuple({i: x for i, x in col.items() if x} for col in columns)
+        for col in cols:
+            if col and not (0 <= min(col) and max(col) < nrows):
+                raise ShapeMismatch(
+                    f"column entry outside the {nrows} codomain generators")
+        hom = cls.__new__(cls)
+        hom._init_columns(domain, codomain, cols)
+        return hom
+
+    def _init_columns(self, domain: FgAbGroup, codomain: FgAbGroup,
+             cols: tuple[SparseColumn, ...]) -> None:
+        cod_orders = codomain.orders
+        for i, d in enumerate(domain.torsion, domain.free_rank):
+            if any(cod_orders[r] == 0 or d * x % cod_orders[r]
+                   for r, x in cols[i].items()):
+                raise ValueError(
+                    f"matrix does not define a homomorphism: generator {i} "
+                    f"has order {d} but column {i} is not annihilated")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "columns", cols)
 
     @classmethod
     def from_rows(cls, domain: FgAbGroup, codomain: FgAbGroup,
                   rows: Sequence[Sequence[int]]) -> "AbHom":
-        return cls(domain, codomain, im.freeze(rows))
+        return cls(domain, codomain, rows)
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
-        return cls(group, group, im.freeze(im.identity(group.ngens)))
+        return cls.from_columns(group, group, [{j: 1} for j in range(group.ngens)])
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "AbHom":
-        return cls(domain, codomain, im.freeze(im.zeros(codomain.ngens, domain.ngens)))
+        return cls.from_columns(domain, codomain, [{}] * domain.ngens)
+
+    @functools.cached_property
+    def matrix(self) -> FrozenMatrix:
+        """Dense view, one row per codomain generator; built on first read."""
+        rows = im.zeros(self.codomain.ngens, self.domain.ngens)
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return im.freeze(rows)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain,
+                     tuple(frozenset(col.items()) for col in self.columns)))
 
     def compose(self, inner: "AbHom") -> "AbHom":
         """self after inner; defined only when descriptors agree exactly."""
         if inner.codomain != self.domain:
             raise ShapeMismatch(
                 f"cannot compose: inner codomain {inner.codomain} != domain {self.domain}")
-        prod = im.matmul(self.matrix, inner.matrix, cols_b=inner.domain.ngens)
-        return AbHom(inner.domain, self.codomain, im.freeze(prod))
+        return AbHom.from_columns(inner.domain, self.codomain,
+                                  [_apply_sparse(self.columns, col)
+                                   for col in inner.columns])
 
     def add(self, other: "AbHom") -> "AbHom":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise ShapeMismatch("cannot add homs with different descriptors")
-        return AbHom(self.domain, self.codomain,
-                     im.freeze(im.madd(self.matrix, other.matrix)))
+        cols = []
+        for a, b in zip(self.columns, other.columns):
+            total = dict(a)
+            for i, x in b.items():
+                total[i] = total.get(i, 0) + x
+            cols.append(total)
+        return AbHom.from_columns(self.domain, self.codomain, cols)
 
     def negate(self) -> "AbHom":
-        return AbHom(self.domain, self.codomain, im.freeze(im.mneg(self.matrix)))
-
-    @functools.cached_property
-    def columns(self) -> tuple[SparseColumn, ...]:
-        """The matrix's columns as {row: nonzero entry} maps, computed once
-        and shared: callers must not modify them."""
-        ncols = self.domain.ngens
-        cols: list[SparseColumn] = [{} for _ in range(ncols)]
-        for i, row in enumerate(self.matrix):
-            for j in compress(range(ncols), row):
-                cols[j][i] = row[j]
-        return tuple(cols)
+        return AbHom.from_columns(self.domain, self.codomain,
+                                  [{i: -x for i, x in col.items()}
+                                   for col in self.columns])
 
     def is_zero(self) -> bool:
         """Zero as a homomorphism, i.e. every column in the relation lattice."""
-        for order, row in zip(self.codomain.orders, self.matrix):
-            if order == 0:
-                if any(row):
-                    return False
-            else:
-                if any(x % order for x in row):
-                    return False
-        return True
+        orders = self.codomain.orders
+        return all(orders[i] and x % orders[i] == 0
+                   for col in self.columns for i, x in col.items())
 
     def equals(self, other: "AbHom") -> bool:
         """Equality as homomorphisms, i.e. matrices agree modulo relations."""
         if other.domain != self.domain or other.codomain != self.codomain:
             return False
-        return self.add(other.negate()).is_zero()
+        orders = self.codomain.orders
+        for a, b in zip(self.columns, other.columns):
+            if a != b:
+                for i in a.keys() | b.keys():
+                    x = a.get(i, 0) - b.get(i, 0)
+                    if x and (not orders[i] or x % orders[i]):
+                        return False
+        return True
 
     def apply(self, vector: Sequence[int]) -> list[int]:
         """Image of an element given in domain generator coordinates."""
         if len(vector) != self.domain.ngens:
             raise ShapeMismatch("vector length does not match domain generators")
         out = [0] * self.codomain.ngens
-        for j, row in enumerate(self.matrix):
-            out[j] = sum(r * x for r, x in zip(row, vector))
+        for x, col in zip(vector, self.columns):
+            for i, a in col.items():
+                out[i] += a * x
         return out
 
 
@@ -762,19 +808,16 @@ class DirectSum:
 
     def embedding(self, i: int) -> AbHom:
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        mat = im.zeros(self.total.ngens, hi - lo)
-        for c in range(lo, hi):
-            for k, v in self.to_total[c].items():
-                mat[k][c - lo] = v
-        return AbHom(self.components[i], self.total, im.freeze(mat))
+        return AbHom.from_columns(self.components[i], self.total,
+                                  self.to_total[lo:hi])
 
     def projection(self, i: int) -> AbHom:
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        mat = im.zeros(hi - lo, self.total.ngens)
+        cols: list[SparseColumn] = [{} for _ in range(self.total.ngens)]
         for r in range(lo, hi):
             for k, v in self.from_total[r].items():
-                mat[r - lo][k] = v
-        return AbHom(self.total, self.components[i], im.freeze(mat))
+                cols[k][r - lo] = v
+        return AbHom.from_columns(self.total, self.components[i], cols)
 
 
 def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
@@ -787,13 +830,13 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
 
 
 def add_block(columns: Sequence[SparseColumn], row0: int, col0: int,
-              block: Sequence[Sequence[int]], sign: int = 1) -> None:
-    """Add sign * block into sparse columns, its top left entry at
-    (row0, col0)."""
-    for r, row in enumerate(block):
-        for c in compress(range(len(row)), row):
-            col = columns[col0 + c]
-            col[row0 + r] = col.get(row0 + r, 0) + sign * row[c]
+              block: Sequence[SparseColumn], sign: int = 1) -> None:
+    """Add sign * block, given by its sparse columns, into sparse columns,
+    its top left entry at (row0, col0)."""
+    for c, bcol in enumerate(block):
+        col = columns[col0 + c]
+        for r, x in bcol.items():
+            col[row0 + r] = col.get(row0 + r, 0) + sign * x
 
 
 def assemble_hom(domain: DirectSum, codomain: DirectSum,
@@ -803,8 +846,8 @@ def assemble_hom(domain: DirectSum, codomain: DirectSum,
     ``columns[c]`` is the image of domain presentation generator c as a
     {codomain presentation generator: entry} map (see ``add_block``).
     Each column goes through the codomain's sparse change of basis and is
-    then placed by the domain's, so the dense matrix is written once, in
-    canonical coordinates.
+    then placed by the domain's, straight into the canonical sparse
+    columns of the result; no dense matrix is built.
     """
     if len(columns) != domain.presentation_size:
         raise ShapeMismatch(
@@ -822,15 +865,7 @@ def assemble_hom(domain: DirectSum, codomain: DirectSum,
             target = can_cols[j]
             for i, x in image_col.items():
                 target[i] = target.get(i, 0) + b * x
-    mat = im.zeros(codomain.total.ngens, domain.total.ngens)
-    for j, col in enumerate(can_cols):
-        for i, x in col.items():
-            mat[i][j] = x
-    hom = AbHom(domain.total, codomain.total, im.freeze(mat))
-    # seed the cached sparse view with the columns just computed
-    vars(hom)["columns"] = tuple({i: x for i, x in col.items() if x}
-                                 for col in can_cols)
-    return hom
+    return AbHom.from_columns(domain.total, codomain.total, can_cols)
 
 
 def composes_to_zero(outer: AbHom, inner: AbHom) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -453,7 +454,7 @@ def main(argv=None) -> int:
         doc = parse_document(text)
     except DocumentError as exc:
         if args.fmt == "json":
-            print(json.dumps({
+            _emit(json.dumps({
                 "command": args.command,
                 "exit_code": 2,
                 "error": "document rejected",
@@ -461,14 +462,31 @@ def main(argv=None) -> int:
                                 for d in exc.diagnostics],
             }, indent=2, sort_keys=True))
         else:
-            print("document rejected:")
-            for d in exc.diagnostics:
-                print(f"  {d}")
+            _emit("\n".join(["document rejected:"]
+                            + [f"  {d}" for d in exc.diagnostics]))
         return 2
     flags = RunFlags(args.pmax, args.fmt, args.grid, args.monoid)
     code, report = run_command(args.command, doc, flags)
-    print(report)
+    _emit(report)
     return code
+
+
+def _emit(report: str) -> None:
+    """Print the report; a reader that closed stdout early is not an error.
+
+    The interpreter flushes stdout once more at exit, so after a broken
+    pipe the stdout descriptor is pointed at the null device, where that
+    flush succeeds.
+    """
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -608,6 +608,39 @@ def _parse_defaults(p: _Parser, raw: Any, path: str) -> Defaults:
     return Defaults(p_max, group)
 
 
+def _lone_surrogates(root: Any) -> list[Diagnostic]:
+    """A diagnostic for every string, key or value, holding a lone UTF-16
+    surrogate such as the escape "\\ud800": such a string has no UTF-8
+    encoding, so no report could print it.  A key is reported at its
+    object's path, as the key itself cannot be printed."""
+    out = []
+    stack = [("$", root)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            items = []
+            for key, item in value.items():
+                if _unencodable(key):
+                    out.append(Diagnostic(path, f"key {key!r} holds a lone surrogate"))
+                else:
+                    items.append((f"{path}.{key}", item))
+            stack.extend(reversed(items))
+        elif isinstance(value, list):
+            stack.extend(reversed([(f"{path}[{i}]", item)
+                                   for i, item in enumerate(value)]))
+        elif isinstance(value, str) and _unencodable(value):
+            out.append(Diagnostic(path, f"string {value!r} holds a lone surrogate"))
+    return out
+
+
+def _unencodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def parse_document(text: str) -> Document:
     """Parse and cross-link a UTF-8 JSON document; DocumentError carries
     path-addressed diagnostics for every problem found."""
@@ -619,6 +652,14 @@ def parse_document(text: str) -> Document:
         # nesting past the recursion limit, or an integer literal past the
         # interpreter's digit limit
         raise DocumentError([Diagnostic("$", f"unusable JSON: {exc}")])
+    try:
+        json.dumps(root, ensure_ascii=False).encode("utf-8")
+    except (UnicodeEncodeError, RecursionError):
+        # some string has no UTF-8 form, or the check nested too deep;
+        # the walk finds which strings, if any, without recursing
+        unencodable = _lone_surrogates(root)
+        if unencodable:
+            raise DocumentError(unencodable)
     p = _Parser()
     if p.obj(root, "$", set(), _ROOT_KEYS) is None:
         raise DocumentError(p.diags)

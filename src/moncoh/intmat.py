@@ -38,8 +38,8 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
            cols_b: int | None = None) -> IntMatrix:
     """Product a @ b, skipping zero entries of ``a``.
 
-    The skip makes products with the block-sparse differentials cheap
-    while staying exact for dense inputs.  ``cols_b`` is only needed when
+    The skip makes products with sparse inputs cheap while staying exact
+    for dense ones.  ``cols_b`` is only needed when
     ``b`` has zero rows.
     """
     cb = num_cols(b, cols_b)
@@ -63,14 +63,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
                     if bv:
                         orow[j] += av * bv
     return out
-
-
-def madd(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mneg(a: Sequence[Sequence[int]]) -> IntMatrix:
-    return [[-x for x in row] for row in a]
 
 
 def hstack(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:

@@ -110,8 +110,8 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
         for out_idx, t in enumerate(tgt.tuples):
             a = t[0]
             row0 = tgt_off[out_idx]
-            add_block(columns, row0, 0, c.lstar[(a, e)].matrix)
-            add_block(columns, row0, 0, c.rstar[(a, e)].matrix, -1)
+            add_block(columns, row0, 0, c.lstar[(a, e)].columns)
+            add_block(columns, row0, 0, c.rstar[(a, e)].columns, -1)
     else:
         right_sign = -1 if (n + 1) % 2 else 1
         for out_idx, t in enumerate(tgt.tuples):
@@ -119,7 +119,7 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
             tail = index_of[t[1:]]
             head = index_of[t[:-1]]
             add_block(columns, row0, src_off[tail],
-                      c.lstar[(t[0], m.product(t[1:]))].matrix)
+                      c.lstar[(t[0], m.product(t[1:]))].columns)
             for j in range(1, n + 1):
                 merged = m.mul(t[j - 1], t[j])
                 if merged == e:
@@ -127,7 +127,7 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
                 inner = t[:j - 1] + (merged,) + t[j + 1:]
                 add_identity(row0, index_of[inner], -1 if j % 2 else 1)
             add_block(columns, row0, src_off[head],
-                      c.rstar[(t[n], m.product(t[:-1]))].matrix, right_sign)
+                      c.rstar[(t[n], m.product(t[:-1]))].columns, right_sign)
 
     return assemble_hom(src.dsum, tgt.dsum, columns)
 

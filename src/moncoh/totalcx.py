@@ -145,12 +145,12 @@ class TotalComplex:
             for i, (p, q) in enumerate(self.levels[n].summands):
                 horiz = self.complexes[p].differential(q)
                 add_block(columns, tgt.offsets[index_of[n + 1][(p, q + 1)]],
-                          src.offsets[i], horiz.matrix)
+                          src.offsets[i], horiz.columns)
                 if p + 1 < grid.floor_count:
                     vert = family.hom(self.complexes, p, q)
                     if not vert.is_zero():
                         add_block(columns, tgt.offsets[index_of[n + 1][(p + 1, q)]],
-                                  src.offsets[i], vert.matrix, -1 if q % 2 else 1)
+                                  src.offsets[i], vert.columns, -1 if q % 2 else 1)
             self.differentials.append(assemble_hom(src, tgt, columns))
         for n in range(n_max):
             if not composes_to_zero(self.differentials[n + 1], self.differentials[n]):

@@ -4,7 +4,8 @@ Everything here is deliberately naive: element enumeration for finite
 abelian groups, an unnormalized bar-style cochain complex for group
 cohomology, the lattice route to ``ker / im`` that tracks full Smith
 transforms, dense coboundaries assembled through dense change-of-basis
-matrices, and a Bareiss determinant.  None of it shares code with the
+matrices, dense composition and zero tests of homomorphisms, and a
+Bareiss determinant.  None of it shares code with the
 package's cochain construction or its sparse elimination, so agreement is
 meaningful.
 """
@@ -88,6 +89,37 @@ def group_order(g: FgAbGroup) -> int:
 def group_exponent(g: FgAbGroup) -> int:
     assert g.free_rank == 0
     return g.torsion[-1] if g.torsion else 1
+
+
+def madd(a, b) -> list[list[int]]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_compose(outer: AbHom, inner: AbHom) -> AbHom:
+    """outer after inner by a dense matrix product."""
+    if inner.codomain != outer.domain:
+        raise ShapeMismatch("cannot compose: descriptors differ")
+    prod = im.matmul(outer.matrix, inner.matrix, cols_b=inner.domain.ngens)
+    return AbHom(inner.domain, outer.codomain, im.freeze(prod))
+
+
+def dense_is_zero(h: AbHom) -> bool:
+    """Every row of the dense matrix in the codomain relation lattice."""
+    for order, row in zip(h.codomain.orders, h.matrix):
+        if order == 0:
+            if any(row):
+                return False
+        elif any(x % order for x in row):
+            return False
+    return True
+
+
+def dense_equals(a: AbHom, b: AbHom) -> bool:
+    """Equality as homomorphisms from the dense matrices."""
+    if (a.domain, a.codomain) != (b.domain, b.codomain):
+        return False
+    diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.matrix, b.matrix)]
+    return dense_is_zero(AbHom(a.domain, a.codomain, diff))
 
 
 def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup, span: int = 3) -> AbHom:
@@ -239,7 +271,7 @@ def lattice_cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     """
     if d_in.codomain != d_out.domain:
         raise ShapeMismatch("middle groups differ")
-    if not d_out.compose(d_in).is_zero():
+    if not dense_is_zero(dense_compose(d_out, d_in)):
         raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
     mid = d_in.codomain
     span = kernel_membership_columns(d_out.matrix, mid.ngens, d_out.codomain)
@@ -328,7 +360,7 @@ def dense_coboundary(m, c, n: int) -> AbHom:
     def add(out_i, in_i, block, sign):
         scaled = [[sign * x for x in row] for row in block]
         cur = blocks.get((out_i, in_i))
-        blocks[(out_i, in_i)] = scaled if cur is None else im.madd(cur, scaled)
+        blocks[(out_i, in_i)] = scaled if cur is None else madd(cur, scaled)
 
     for out_i, t in enumerate(tgt):
         add(out_i, index_of[t[1:]], c.lstar[(t[0], product(t[1:]))].matrix, 1)

@@ -7,6 +7,7 @@ line; each case says which.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -212,6 +213,96 @@ class TestAbHom:
         assert h.columns == ({}, {0: 2, 1: -1}, {})
 
 
+small_groups = st.lists(st.sampled_from([0, 2, 3, 4, 6]), max_size=3).map(
+    FgAbGroup.from_invariants)
+
+
+@st.composite
+def homs(draw, dom, cod):
+    """Well-defined dense rows dom -> cod, about half the entries zero."""
+    rows = []
+    for cord in cod.orders:
+        row = []
+        for dord in dom.orders:
+            k = draw(st.sampled_from([0, 0, 1, -1, 2, -3]))
+            if dord == 0:
+                row.append(k)
+            elif cord == 0:
+                row.append(0)
+            else:
+                row.append(k * cord // math.gcd(dord, cord))
+        rows.append(row)
+    return rows
+
+
+def error_of(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSparseRepresentation:
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups, small_groups, st.data())
+    def test_constructors_agree(self, dom, cod, data):
+        rows = data.draw(homs(dom, cod))
+        dense = AbHom(dom, cod, rows)
+        # zeros included on purpose: from_columns must drop them
+        sparse = AbHom.from_columns(
+            dom, cod, [{i: rows[i][j] for i in range(cod.ngens)}
+                       for j in range(dom.ngens)])
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert dense.columns == sparse.columns
+        assert dense.matrix == sparse.matrix == im.freeze(rows)
+        for h in (dense, sparse):
+            assert all(x for col in h.columns for x in col.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups, small_groups, small_groups, st.data())
+    def test_operations_match_dense_references(self, a, b, c, data):
+        inner = AbHom(a, b, data.draw(homs(a, b)))
+        outer = AbHom(b, c, data.draw(homs(b, c)))
+        other = AbHom(a, c, data.draw(homs(a, c)))
+        prod = outer.compose(inner)
+        assert prod.matrix == oracles.dense_compose(outer, inner).matrix
+        # the product shifted by relations is equal to it as a hom
+        shifted = AbHom(a, c, [
+            [x + order * data.draw(st.integers(-2, 2)) for x in row]
+            for order, row in zip(c.orders, prod.matrix)])
+        for h in (inner, outer, other, prod, shifted):
+            assert h.is_zero() is oracles.dense_is_zero(h)
+        for x, y in ((prod, other), (prod, shifted), (other, prod)):
+            assert x.equals(y) is oracles.dense_equals(x, y)
+        assert prod.equals(shifted)
+        assert prod.add(other).matrix == im.freeze(
+            oracles.madd(prod.matrix, other.matrix))
+        assert prod.negate().add(prod).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups, small_groups, st.data())
+    def test_not_a_homomorphism_named_alike(self, dom, cod, data):
+        entry = st.sampled_from([0, 0, 1, -1, 2, 3])
+        rows = [[data.draw(entry) for _ in range(dom.ngens)]
+                for _ in range(cod.ngens)]
+        from_rows = error_of(lambda: AbHom(dom, cod, rows))
+        from_cols = error_of(lambda: AbHom.from_columns(
+            dom, cod, [{i: rows[i][j] for i in range(cod.ngens)}
+                       for j in range(dom.ngens)]))
+        assert from_rows == from_cols
+        if from_rows is not None:
+            assert from_rows.startswith("matrix does not define a homomorphism")
+
+    def test_from_columns_shape_checks(self):
+        with pytest.raises(ShapeMismatch):
+            AbHom.from_columns(FgAbGroup(2), Z, [{0: 1}])
+        with pytest.raises(ShapeMismatch):
+            AbHom.from_columns(Z, Z, [{1: 1}])
+        with pytest.raises(ShapeMismatch):
+            AbHom.from_columns(Z, Z, [{-1: 1}])
+
+
 class TestComposesToZero:
     def test_zero_only_modulo_relations(self):
         # 6 into Z/6 is zero as a homomorphism, 3 is not
@@ -231,7 +322,7 @@ class TestComposesToZero:
             outer = oracles.random_hom(rng, b, c, span=2)
             if rng.random() < 0.3:
                 inner = AbHom.zero(a, b)
-            want = outer.compose(inner).is_zero()
+            want = oracles.dense_is_zero(oracles.dense_compose(outer, inner))
             assert composes_to_zero(outer, inner) is want
             seen[want] += 1
         assert min(seen.values()) >= 30
@@ -253,14 +344,15 @@ class TestAssembleHom:
             for ci, cg in enumerate(cod):
                 for di, dg in enumerate(dom):
                     if rng.random() < 0.6:
-                        block = oracles.random_hom(rng, dg, cg).matrix
-                        blocks[(ci, di)] = block
-                        add_block(columns, tgt.offsets[ci], src.offsets[di], block)
+                        block = oracles.random_hom(rng, dg, cg)
+                        blocks[(ci, di)] = block.matrix
+                        add_block(columns, tgt.offsets[ci], src.offsets[di],
+                                  block.columns)
             got = assemble_hom(src, tgt, columns)
             want = oracles.dense_assemble_hom(dom, cod, blocks)
             assert (got.domain, got.codomain, got.matrix) == (
                 want.domain, want.codomain, want.matrix)
-            # the seeded sparse view is the one the matrix gives
+            # the stored columns are the ones the dense view gives
             assert got.columns == AbHom(got.domain, got.codomain, got.matrix).columns
 
     def test_column_count_checked(self):

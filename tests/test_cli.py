@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -331,3 +334,50 @@ class TestMain:
         code = main(["leech", "--input", str(path), "--pmax", "-1"])
         assert code == 2
         assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lone_surrogate_rejected(self, tmp_path, capsys, fmt):
+        root = {"monoids": [{"name": "\ud800", "elements": ["e"],
+                             "identity": "e", "table": [["e"]]}]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(root), encoding="utf-8")
+        code = main(["validate", "--input", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "$.monoids[0].name" in captured.out
+        assert "lone surrogate" in captured.out
+        assert "Traceback" not in captured.err
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away: every write fails."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("text, want", [
+        (sample_text(), 0),
+        ('{"bogus": 1}', 2),
+        (json.dumps({"monoids": [{
+            "name": "M", "elements": ["e", "a", "b"], "identity": "e",
+            "table": [["e", "a", "b"], ["a", "a", "e"], ["b", "b", "b"]]}]}), 1),
+    ], ids=["passes", "rejected", "fails"])
+    def test_returns_the_command_code(self, tmp_path, monkeypatch, capsys,
+                                      text, want):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+            code = main(["validate", "--input", str(path), "--format", "json"])
+            # the exit-time flush of stdout now goes to the null device
+            assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+        assert code == want
+        assert capsys.readouterr().err == ""

@@ -113,6 +113,19 @@ class TestParse:
         diags = diags_of('{"defaults": {"p_max": ' + digits + '}}')
         assert len(diags) == 1 and diags[0].startswith("$: unusable JSON")
 
+    def test_lone_surrogates_located(self):
+        root = sample_root()
+        root["monoids"][0]["elements"][1] = "\udc00"
+        root["defaults"] = {"\ud800": 1}
+        assert diags_of(json.dumps(root)) == [
+            "$.monoids[0].elements[1]: string '\\udc00' holds a lone surrogate",
+            "$.defaults: key '\\ud800' holds a lone surrogate",
+        ]
+        # a surrogate pair is one character and parses
+        root = sample_root()
+        root["set_systems"][0]["name"] = "\ud83d\ude00"
+        assert parse_document(json.dumps(root)).set_systems[0][0] == "\U0001f600"
+
     def test_root_must_be_object(self):
         assert any(d.startswith("$:") for d in diags_of("[1, 2]"))
 

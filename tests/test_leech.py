@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from moncoh import leech
 from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod
 from moncoh.coeff import (
     constant_system,
@@ -253,6 +254,25 @@ class TestSparseConstruction:
             assert dsum.to_total is dsum.from_total
             assert all(len(image) == 1 and 1 in image.values()
                        for image in dsum.to_total)
+
+    def test_table_builds_no_dense_matrix(self, monkeypatch):
+        # the differentials stay sparse columns; a dense view is built only
+        # when something reads .matrix, and nothing on this path does
+        built = []
+        assemble = leech.assemble_hom
+
+        def recording(*args):
+            built.append(assemble(*args))
+            return built[-1]
+
+        monkeypatch.setattr(leech, "assemble_hom", recording)
+        m = power_set_monoid(3)
+        table = leech_cohomology_table(m, constant_system(m, Z), 3)
+        assert table_renders(table) == ["Z", "0", "0", "0"]
+        assert len(built) == 4
+        assert not any("matrix" in vars(d) for d in built)
+        assert len(built[-1].matrix) == 2401
+        assert "matrix" in vars(built[-1])
 
 
 class TestComplexApi:
