@@ -39,7 +39,7 @@ import math
 import re
 from itertools import compress
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import intmat as im
 from .intmat import FrozenMatrix, IntMatrix
@@ -344,6 +344,19 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
                               im.freeze(uinv), im.freeze(vinv))
 
 
+def check_shape(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> None:
+    """Raise ``ShapeMismatch`` unless the dense matrix is nrows x ncols,
+    i.e. fits a hom from a group with ncols generators to one with nrows."""
+    if len(matrix) != nrows:
+        raise ShapeMismatch(
+            f"matrix has {len(matrix)} rows, codomain has {nrows} generators")
+    for row in matrix:
+        if len(row) != ncols:
+            raise ShapeMismatch(
+                f"matrix row has {len(row)} entries, domain has "
+                f"{ncols} generators")
+
+
 @dataclass(frozen=True, init=False)
 class AbHom:
     """Homomorphism of finitely generated abelian groups.
@@ -366,16 +379,10 @@ class AbHom:
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup,
                  matrix: Sequence[Sequence[int]]) -> None:
-        if len(matrix) != codomain.ngens:
-            raise ShapeMismatch(
-                f"matrix has {len(matrix)} rows, codomain has {codomain.ngens} generators")
         ncols = domain.ngens
+        check_shape(matrix, codomain.ngens, ncols)
         cols: list[SparseColumn] = [{} for _ in range(ncols)]
         for i, row in enumerate(matrix):
-            if len(row) != ncols:
-                raise ShapeMismatch(
-                    f"matrix row has {len(row)} entries, domain has "
-                    f"{ncols} generators")
             for j in compress(range(ncols), row):
                 cols[j][i] = row[j]
         self._init_columns(domain, codomain, tuple(cols))
@@ -738,8 +745,9 @@ def presentation_to_canonical(
     p.  The two are inverse to each other modulo relations.
 
     When the multiset of orders already forms an invariant chain the
-    change of basis is a plain permutation, one entry per generator and
-    the same maps in both directions; otherwise the Smith form of the
+    change of basis is a plain permutation, one entry per generator, and
+    one tuple of maps is returned for both directions (``DirectSum``
+    recognizes a permutation by that); otherwise the Smith form of the
     diagonal relation matrix supplies it.
     """
     n = len(orders)
@@ -782,7 +790,9 @@ class DirectSum:
     concatenated presentation; ``to_total`` and ``from_total`` hold the
     change of basis between that presentation and the canonical
     generators of ``total`` as one sparse map per presentation generator,
-    in the layout of ``presentation_to_canonical``.
+    in the layout of ``presentation_to_canonical``.  ``is_canonical`` says
+    that change is the identity, i.e. the presentation orders already are
+    the canonical ones, as for every sum of copies of one cyclic group.
     """
 
     components: tuple[FgAbGroup, ...]
@@ -790,6 +800,7 @@ class DirectSum:
     offsets: tuple[int, ...]
     to_total: SparseBasisChange
     from_total: SparseBasisChange
+    is_canonical: bool
 
     @classmethod
     def of(cls, components: Sequence[FgAbGroup]) -> "DirectSum":
@@ -800,11 +811,22 @@ class DirectSum:
             orders.extend(g.orders)
             offsets.append(offsets[-1] + g.ngens)
         total, to_can, from_can = presentation_to_canonical(orders)
-        return cls(comps, total, tuple(offsets), to_can, from_can)
+        return cls(comps, total, tuple(offsets), to_can, from_can,
+                   tuple(orders) == total.orders)
 
     @property
     def presentation_size(self) -> int:
         return self.offsets[-1]
+
+    @functools.cached_property
+    def permutation(self) -> tuple[int, ...] | None:
+        """The canonical index of each presentation generator when the
+        change of basis is a permutation, i.e. when the orders chain and
+        ``presentation_to_canonical`` gave one tuple of single-entry maps
+        for both directions; None when orders merge."""
+        if self.to_total is not self.from_total:
+            return None
+        return tuple(k for image in self.to_total for k in image)
 
     def embedding(self, i: int) -> AbHom:
         lo, hi = self.offsets[i], self.offsets[i + 1]
@@ -829,6 +851,45 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
     return FgAbGroup.from_invariants(invariants)
 
 
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 such that every given number > 1 is a
+    product of powers of them; found by gcd splitting, never factoring."""
+    base: list[int] = []
+    todo = [x for x in numbers if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                # x * b shrinks to x * b / g, so the splitting terminates
+                del base[i]
+                todo.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def direct_sum_ngens(multiplicity: Mapping[FgAbGroup, int]) -> int:
+    """Number of canonical generators of the direct sum holding each group
+    ``multiplicity[group]`` times, computed without building it.
+
+    It is the free rank plus the largest p-rank, the number of torsion
+    orders a prime p divides, maximized over p.  The primes are grouped by
+    a coprime base of the orders: for a base element b, every prime of b
+    divides exactly the orders d with gcd(d, b) > 1.
+    """
+    free = 0
+    torsion: dict[int, int] = {}
+    for g, k in multiplicity.items():
+        free += k * g.free_rank
+        for d in g.torsion:
+            torsion[d] = torsion.get(d, 0) + k
+    return free + max(
+        (sum(k for d, k in torsion.items() if math.gcd(d, b) > 1)
+         for b in _coprime_base(torsion)), default=0)
+
+
 def add_block(columns: Sequence[SparseColumn], row0: int, col0: int,
               block: Sequence[SparseColumn], sign: int = 1) -> None:
     """Add sign * block, given by its sparse columns, into sparse columns,
@@ -847,12 +908,22 @@ def assemble_hom(domain: DirectSum, codomain: DirectSum,
     {codomain presentation generator: entry} map (see ``add_block``).
     Each column goes through the codomain's sparse change of basis and is
     then placed by the domain's, straight into the canonical sparse
-    columns of the result; no dense matrix is built.
+    columns of the result; no dense matrix is built.  When both changes of
+    basis are permutations the columns are only renumbered, and when both
+    are the identity they are taken as they are.
     """
     if len(columns) != domain.presentation_size:
         raise ShapeMismatch(
             f"{len(columns)} columns for {domain.presentation_size} "
             f"presentation generators")
+    if domain.is_canonical and codomain.is_canonical:
+        return AbHom.from_columns(domain.total, codomain.total, columns)
+    dom_perm, cod_perm = domain.permutation, codomain.permutation
+    if dom_perm is not None and cod_perm is not None:
+        perm_cols: list[SparseColumn] = [{}] * len(columns)
+        for col, j in zip(columns, dom_perm):
+            perm_cols[j] = {cod_perm[r]: v for r, v in col.items()}
+        return AbHom.from_columns(domain.total, codomain.total, perm_cols)
     to_cod = codomain.to_total
     can_cols: list[SparseColumn] = [{} for _ in range(domain.total.ngens)]
     for col, placement in zip(columns, domain.from_total):

@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .abelian import AbHom, FgAbGroup, Z, parse_group
+from .abelian import AbHom, FgAbGroup, Z, check_shape, parse_group
 from .coeff import CoeffSystem, constant_system, explicit_system, group_action_system
 from .grid import GridSpec, PathSpec, VerticalFamily, path_from_rule
-from .leech import cochain_group
+from .leech import cochain_group, cochain_ngens
 from .monoid import FinMonoid
 from .structured import SetSystem, StructureDescriptor
 
@@ -498,9 +498,15 @@ def _parse_grid(p: _Parser, obj: dict, path: str,
                 rows = p.matrix(raw["maps"][key], key_path)
                 if rows is None:
                     return None
-                dom = cochain_group(*grid.floors[floor], degree).total
-                cod = cochain_group(*grid.floors[floor + 1], degree).total
+                source, target = grid.floors[floor], grid.floors[floor + 1]
                 try:
+                    # the groups have (|M| - 1)^degree summands, so the
+                    # rows are checked against their counted generators
+                    # before either is built
+                    check_shape(rows, cochain_ngens(*target, degree),
+                                cochain_ngens(*source, degree))
+                    dom = cochain_group(*source, degree).total
+                    cod = cochain_group(*target, degree).total
                     maps[(floor, degree)] = AbHom.from_rows(dom, cod, rows)
                 except ValueError as exc:
                     p.err(key_path, str(exc))

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
 from .abelian import (
     AbHom,
@@ -36,10 +38,10 @@ from .abelian import (
     FgAbGroup,
     SparseColumn,
     TRIVIAL_GROUP,
-    add_block,
     assemble_hom,
     cohomology_at,
     composes_to_zero,
+    direct_sum_ngens,
 )
 from .coeff import CoeffSystem
 from .monoid import FinMonoid
@@ -52,10 +54,16 @@ ALTERNATE_INDEXING_NOTE = (
 
 @dataclass(frozen=True)
 class CochainGroup:
-    """Degree n cochain group of a monoid with a coefficient system."""
+    """Degree n cochain group of a monoid with a coefficient system.
+
+    ``tuples`` lists the (m.size - 1)^n tuples in lexicographic order; it
+    fixes the coordinates of the group, including those of vertical maps
+    given in documents.  ``products[i]`` is the product of ``tuples[i]``.
+    """
 
     degree: int
     tuples: tuple[tuple[int, ...], ...]
+    products: tuple[int, ...]
     dsum: DirectSum
 
     @property
@@ -66,22 +74,45 @@ class CochainGroup:
     def generator_offsets(self) -> tuple[int, ...]:
         return self.dsum.offsets
 
-    def tuple_index(self) -> dict[tuple[int, ...], int]:
-        return {t: i for i, t in enumerate(self.tuples)}
-
 
 def cochain_group(m: FinMonoid, c: CoeffSystem, n: int) -> CochainGroup:
     """Build the degree n cochain group; (m.size - 1)^n components."""
     if n < 0:
         raise ValueError("cochain degree must be nonnegative")
-    if n == 0:
-        tuples: tuple[tuple[int, ...], ...] = ((),)
-        comps = [c.groups[m.identity_index]]
-    else:
-        non_id = m.non_identity()
-        tuples = tuple(itertools.product(non_id, repeat=n))
-        comps = [c.groups[m.product(t)] for t in tuples]
-    return CochainGroup(n, tuples, DirectSum.of(comps))
+    non_id = m.non_identity()
+    # tuple t + (a,) follows t + (b,) for b < a, so each degree's products
+    # extend the previous degree's in order
+    products = [m.identity_index]
+    for _ in range(n):
+        products = [m.table[p][a] for p in products for a in non_id]
+    return CochainGroup(n, tuple(itertools.product(non_id, repeat=n)),
+                        tuple(products),
+                        DirectSum.of([c.groups[p] for p in products]))
+
+
+def cochain_ngens(m: FinMonoid, c: CoeffSystem, n: int) -> int:
+    """Canonical generators of the degree n cochain group, counted without
+    building it: how many tuples have each product, then
+    ``direct_sum_ngens``."""
+    if n < 0:
+        raise ValueError("cochain degree must be nonnegative")
+    non_id = m.non_identity()
+    counts = [0] * m.size
+    counts[m.identity_index] = 1
+    for _ in range(n):
+        step = [0] * m.size
+        for p, k in enumerate(counts):
+            if k:
+                row = m.table[p]
+                for a in non_id:
+                    step[row[a]] += k
+        counts = step
+    multiplicity: dict[FgAbGroup, int] = {}
+    for p, k in enumerate(counts):
+        if k:
+            g = c.groups[p]
+            multiplicity[g] = multiplicity.get(g, 0) + k
+    return direct_sum_ngens(multiplicity)
 
 
 def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
@@ -89,46 +120,62 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
                target: CochainGroup | None = None) -> AbHom:
     """The degree n coboundary d^n : C^n -> C^(n+1).
 
-    Every term is written straight into sparse presentation columns, one
-    per generator of the summands of C^n; ``assemble_hom`` converts them
-    to the canonical bases.
+    The sparse presentation columns are filled one source tuple s at a
+    time, each with every term that reads f(s).  With k = m.size - 1 and
+    tuples numbered lexicographically, the targets are found by index
+    arithmetic: (a, s) is row block pos(a) * k^n + idx(s) (lstar), (s, a)
+    is idx(s) * k + pos(a) (rstar), and splitting the entry s_j into each
+    pair x * y = s_j gives the middle terms.  ``assemble_hom`` converts
+    the columns to the canonical bases.
     """
     src = source if source is not None else cochain_group(m, c, n)
     tgt = target if target is not None else cochain_group(m, c, n + 1)
-    e = m.identity_index
-    index_of = src.tuple_index()
+    non_id = m.non_identity()
+    k = len(non_id)
+    width = k ** n
+    splits = m.factor_pairs
+    # the translation blocks by the product they act on, in pos(a) order
+    present = set(src.products)
+    left = {p: [c.lstar[(a, p)].columns for a in non_id] for p in present}
+    right = {p: [c.rstar[(a, p)].columns for a in non_id] for p in present}
+    right_sign = -1 if (n + 1) % 2 else 1
     src_off, tgt_off = src.generator_offsets, tgt.generator_offsets
-    columns: list[SparseColumn] = [{} for _ in range(src_off[-1])]
-
-    def add_identity(row0: int, in_idx: int, sign: int) -> None:
-        for k in range(src_off[in_idx], src_off[in_idx + 1]):
-            col = columns[k]
-            col[row0] = col.get(row0, 0) + sign
-            row0 += 1
-
-    if n == 0:
-        for out_idx, t in enumerate(tgt.tuples):
-            a = t[0]
-            row0 = tgt_off[out_idx]
-            add_block(columns, row0, 0, c.lstar[(a, e)].columns)
-            add_block(columns, row0, 0, c.rstar[(a, e)].columns, -1)
-    else:
-        right_sign = -1 if (n + 1) % 2 else 1
-        for out_idx, t in enumerate(tgt.tuples):
-            row0 = tgt_off[out_idx]
-            tail = index_of[t[1:]]
-            head = index_of[t[:-1]]
-            add_block(columns, row0, src_off[tail],
-                      c.lstar[(t[0], m.product(t[1:]))].columns)
-            for j in range(1, n + 1):
-                merged = m.mul(t[j - 1], t[j])
-                if merged == e:
-                    continue
-                inner = t[:j - 1] + (merged,) + t[j + 1:]
-                add_identity(row0, index_of[inner], -1 if j % 2 else 1)
-            add_block(columns, row0, src_off[head],
-                      c.rstar[(t[n], m.product(t[:-1]))].columns, right_sign)
-
+    # one int per target row, shared as a key by every column that has the
+    # row; a fresh sum row0 + r per entry would cost 32 bytes per nonzero
+    rows = tuple(range(tgt_off[-1]))
+    columns: list[SparseColumn] = [{}] * src_off[-1]
+    for i, (s, p) in enumerate(zip(src.tuples, src.products)):
+        lo, hi = src_off[i], src_off[i + 1]
+        if lo == hi:
+            continue
+        # (target tuple index, block or None for the identity, sign)
+        terms: list[tuple[int, Sequence[SparseColumn] | None, int]] = [
+            (pa * width + i, block, 1) for pa, block in enumerate(left[p])]
+        w = width
+        for q in range(n):
+            # s[q] is the digit of weight w = k^(n-1-q) in idx(s)
+            w //= k
+            base = i // (w * k) * (w * k * k) + i % w
+            sign = -1 if q % 2 == 0 else 1
+            terms += [(base + xy * w, None, sign) for xy in splits[s[q]]]
+        terms += [(i * k + pa, block, right_sign)
+                  for pa, block in enumerate(right[p])]
+        # rows in ascending target order, the order a row-by-row build
+        # inserts them: elimination breaks ties between pivots by the order
+        # of a column's entries, so this keeps its pivots and fill-in
+        terms.sort(key=itemgetter(0))
+        for g in range(hi - lo):
+            col: SparseColumn = {}
+            for t, block, sign in terms:
+                row0 = tgt_off[t]
+                if block is None:
+                    row = rows[row0 + g]
+                    col[row] = col.get(row, 0) + sign
+                else:
+                    for r, x in block[g].items():
+                        row = rows[row0 + r]
+                        col[row] = col.get(row, 0) + sign * x
+            columns[lo + g] = col
     return assemble_hom(src.dsum, tgt.dsum, columns)
 
 

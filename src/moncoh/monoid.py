@@ -7,6 +7,7 @@ law-breaking tables can be built and then diagnosed with validate().
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,6 +51,18 @@ class FinMonoid:
 
     def non_identity(self) -> list[int]:
         return [i for i in range(self.size) if i != self.identity_index]
+
+    @functools.cached_property
+    def factor_pairs(self) -> tuple[tuple[int, ...], ...]:
+        """For each element z, its factorizations z = x * y into two
+        non-identity elements, each as pos(x) * k + pos(y), where pos is
+        the position in ``non_identity()`` and k = size - 1."""
+        non_id = self.non_identity()
+        pairs: list[list[int]] = [[] for _ in range(self.size)]
+        for px, x in enumerate(non_id):
+            for py, y in enumerate(non_id):
+                pairs[self.table[x][y]].append(px * len(non_id) + py)
+        return tuple(map(tuple, pairs))
 
     def idempotents(self) -> list[int]:
         return [i for i in range(self.size) if self.table[i][i] == i]

@@ -30,6 +30,7 @@ from moncoh.abelian import (
     cohomology_at,
     composes_to_zero,
     direct_sum,
+    direct_sum_ngens,
     image,
     kernel,
     parse_group,
@@ -329,6 +330,25 @@ class TestComposesToZero:
 
 
 class TestAssembleHom:
+    @staticmethod
+    def assert_matches_reference(rng, dom, cod):
+        src, tgt = DirectSum.of(dom), DirectSum.of(cod)
+        columns = [{} for _ in range(src.presentation_size)]
+        blocks = {}
+        for ci, cg in enumerate(cod):
+            for di, dg in enumerate(dom):
+                if rng.random() < 0.6:
+                    block = oracles.random_hom(rng, dg, cg)
+                    blocks[(ci, di)] = block.matrix
+                    add_block(columns, tgt.offsets[ci], src.offsets[di],
+                              block.columns)
+        got = assemble_hom(src, tgt, columns)
+        want = oracles.dense_assemble_hom(dom, cod, blocks)
+        assert (got.domain, got.codomain, got.matrix) == (
+            want.domain, want.codomain, want.matrix)
+        # the stored columns are the ones the dense view gives
+        assert got.columns == AbHom(got.domain, got.codomain, got.matrix).columns
+
     def test_matches_dense_reference_on_merging_sums(self):
         # random blocks between direct sums whose orders merge (Z/2 + Z/3)
         # or already chain, against the dense change of basis
@@ -338,22 +358,27 @@ class TestAssembleHom:
         for _ in range(60):
             dom = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
             cod = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
-            src, tgt = DirectSum.of(dom), DirectSum.of(cod)
-            columns = [{} for _ in range(src.presentation_size)]
-            blocks = {}
-            for ci, cg in enumerate(cod):
-                for di, dg in enumerate(dom):
-                    if rng.random() < 0.6:
-                        block = oracles.random_hom(rng, dg, cg)
-                        blocks[(ci, di)] = block.matrix
-                        add_block(columns, tgt.offsets[ci], src.offsets[di],
-                                  block.columns)
-            got = assemble_hom(src, tgt, columns)
-            want = oracles.dense_assemble_hom(dom, cod, blocks)
-            assert (got.domain, got.codomain, got.matrix) == (
-                want.domain, want.codomain, want.matrix)
-            # the stored columns are the ones the dense view gives
-            assert got.columns == AbHom(got.domain, got.codomain, got.matrix).columns
+            self.assert_matches_reference(rng, dom, cod)
+
+    SUMS = [
+        # the presentation generators already are the canonical ones
+        [Z] * 3, [Zmod(6)] * 4, [FgAbGroup(2)], [Z, Zmod(2), Zmod(4)], [],
+        # orders that chain out of order: a permutation
+        [FgAbGroup(1, (2,))] * 3, [Zmod(2), Z], [Zmod(4), Zmod(2)],
+        # orders that merge
+        [Zmod(2), Zmod(3)], [FgAbGroup(1, (2,)), Zmod(3)], [Zmod(4), Zmod(6)],
+    ]
+
+    def test_identity_permuted_and_merging_sums_match_dense_reference(self):
+        kinds = ["identity" if ds.is_canonical
+                 else "merge" if ds.permutation is None else "permutation"
+                 for ds in map(DirectSum.of, self.SUMS)]
+        assert kinds == ["identity"] * 5 + ["permutation"] * 3 + ["merge"] * 3
+        rng = random.Random(7)
+        for dom in self.SUMS:
+            for cod in self.SUMS:
+                for _ in range(3):
+                    self.assert_matches_reference(rng, dom, cod)
 
     def test_column_count_checked(self):
         ds = DirectSum.of([Z, Zmod(2)])
@@ -623,6 +648,27 @@ class TestPresentationAndDirectSum:
                 assert got == want if orders[i] == 0 else (got - want) % orders[i] == 0
         # no stored zeros
         assert all(all(m.values()) for m in to_can + from_can)
+
+    NGENS_POOL = [Z, Zmod(2), Zmod(5), Zmod(12), Zmod(18), FgAbGroup(1, (2, 6)),
+                  FgAbGroup(0, (3, 9)), Zmod(2 ** 61 - 1),
+                  Zmod((2 ** 61 - 1) * (2 ** 31 - 1) * 6)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(NGENS_POOL), st.integers(1, 3)),
+                    max_size=4))
+    def test_generator_count_matches_direct_sum(self, pairs):
+        multiplicity = {}
+        for g, k in pairs:
+            multiplicity[g] = multiplicity.get(g, 0) + k
+        groups = [g for g, k in multiplicity.items() for _ in range(k)]
+        assert direct_sum_ngens(multiplicity) == direct_sum(groups).ngens
+
+    def test_generator_count_of_huge_sums(self):
+        # counted, never built, and no order is factored
+        big = 2 ** 127 - 1
+        assert direct_sum_ngens({Zmod(6): 10 ** 12, Zmod(big): 3, Z: 5}) == 5 + 10 ** 12
+        assert direct_sum_ngens({Zmod(big * 3): 2, Zmod(big ** 2): 4}) == 6
+        assert direct_sum_ngens({}) == 0
 
     def test_direct_sum_embeddings(self):
         ds = DirectSum.of([Z, Zmod(2), Zmod(6)])

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from moncoh.abelian import Z, Zmod
+import moncoh.document
+from moncoh.abelian import AbHom, Z, Zmod
 from moncoh.document import (
     Defaults,
     Document,
@@ -13,6 +14,7 @@ from moncoh.document import (
     serialize_document,
 )
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily
+from moncoh.leech import cochain_group
 from moncoh.monoid import cyclic_group
 from moncoh.coeff import constant_system
 
@@ -250,6 +252,45 @@ class TestParse:
         root["grids"][0]["vertical"] = {"maps": {"[0,0]": [[1], [2]]}}
         assert any("$.grids[0].vertical.maps.[0,0]" in d
                    for d in diags_of(json.dumps(root)))
+
+    def test_vertical_map_shape_checked_before_groups_are_built(self, monkeypatch):
+        # C3 has 2^40 tuples in degree 40; a wrong shape must be reported
+        # from counted generators, without building a cochain group
+        def refuse(*args):
+            pytest.fail(f"cochain_group{args[2:]} built during the parse")
+
+        monkeypatch.setattr(moncoh.document, "cochain_group", refuse)
+        root = sample_root()
+        root["grids"][0]["pmax"] = 40
+        root["grids"][0]["vertical"] = {"maps": {"[0,40]": [[1]]}}
+        assert diags_of(json.dumps(root)) == [
+            "$.grids[0].vertical.maps.[0,40]: matrix has 1 rows, codomain "
+            f"has {2 ** 40} generators"]
+        root["grids"][0]["pmax"] = 3
+        root["grids"][0]["vertical"] = {"maps": {"[0,2]": [[1, 2]] * 4}}
+        assert diags_of(json.dumps(root)) == [
+            "$.grids[0].vertical.maps.[0,2]: matrix row has 2 entries, domain "
+            "has 1 generators"]
+
+    @pytest.mark.parametrize("floors, key, rows", [
+        ([("C2", "c2Z"), ("C3", "c3Z")], "[0,2]", [[1], [2], [0], [-3]]),
+        ([("C3", "c3Z"), ("C2", "c2Z")], "[0,2]", [[1, 0, 2, 5]]),
+        ([("C2", "c2M"), ("C3", "c3M")], "[0,2]", [[3], [0], [9], [-3]]),
+        ([("C3", "c3M"), ("C2", "c2M")], "[0,1]", [[3, 1]]),
+    ])
+    def test_vertical_map_parses_to_hom_on_cochain_groups(self, floors, key, rows):
+        root = sample_root()
+        root["coefficients"] += [
+            {"name": "c2M", "monoid": "C2", "kind": "constant", "group": "Z/2"},
+            {"name": "c3M", "monoid": "C3", "kind": "constant", "group": "Z/6"}]
+        root["grids"][0]["floors"] = [{"monoid": m, "coeff": c} for m, c in floors]
+        root["grids"][0]["vertical"] = {"maps": {key: rows}}
+        doc = parse_document(json.dumps(root))
+        (source, target) = doc.grid("pair").grid.floors
+        degree = int(key[3:-1])
+        want = AbHom.from_rows(cochain_group(*source, degree).total,
+                               cochain_group(*target, degree).total, rows)
+        assert doc.grid("pair").family.maps == {(0, degree): want}
 
     def test_vertical_map_floor_bounds(self):
         root = sample_root()
