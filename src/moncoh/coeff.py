@@ -78,18 +78,43 @@ class CoeffSystem:
 
 
 def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
-    """Check all four translation-relation families over every element triple."""
+    """Check all four translation-relation families over every element triple.
+
+    A system stores the same map object under many pairs (the constant
+    system one identity for all of them), so each distinct (outer, inner)
+    pair of objects is composed once and each distinct pair of compared
+    objects is compared once.  Both memos are keyed by object identity,
+    which is stable because ``c`` and the memos hold every map for the
+    whole call.
+    """
     m = c.monoid
     names = m.element_names
     e = m.identity_index
     out: list[RelationViolation] = []
+    composites: dict[tuple[int, int], AbHom] = {}
+    verdicts: dict[tuple[int, int], bool] = {}
+
+    def compose(outer: AbHom, inner: AbHom) -> AbHom:
+        key = (id(outer), id(inner))
+        h = composites.get(key)
+        if h is None:
+            h = composites[key] = outer.compose(inner)
+        return h
+
+    def equal(lhs: AbHom, rhs: AbHom) -> bool:
+        key = (id(lhs), id(rhs))
+        v = verdicts.get(key)
+        if v is None:
+            v = verdicts[key] = lhs.equals(rhs)
+        return v
 
     for x in range(m.size):
-        if not c.lstar[(e, x)].equals(AbHom.identity(c.groups[x])):
+        ident = AbHom.identity(c.groups[x])
+        if not c.lstar[(e, x)].equals(ident):
             out.append(RelationViolation(
                 "identity translation", (names[x],),
                 "left translation by the identity is not the identity map"))
-        if not c.rstar[(e, x)].equals(AbHom.identity(c.groups[x])):
+        if not c.rstar[(e, x)].equals(ident):
             out.append(RelationViolation(
                 "identity translation", (names[x],),
                 "right translation by the identity is not the identity map"))
@@ -98,22 +123,22 @@ def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
         for b in range(m.size):
             for x in range(m.size):
                 lhs = c.lstar[(m.mul(a, b), x)]
-                rhs = c.lstar[(a, m.mul(b, x))].compose(c.lstar[(b, x)])
-                if not lhs.equals(rhs):
+                rhs = compose(c.lstar[(a, m.mul(b, x))], c.lstar[(b, x)])
+                if not equal(lhs, rhs):
                     out.append(RelationViolation(
                         "left translation composition", (names[a], names[b], names[x]),
                         "translation by a*b differs from translating by b then a"))
 
                 lhs = c.rstar[(m.mul(a, b), x)]
-                rhs = c.rstar[(b, m.mul(x, a))].compose(c.rstar[(a, x)])
-                if not lhs.equals(rhs):
+                rhs = compose(c.rstar[(b, m.mul(x, a))], c.rstar[(a, x)])
+                if not equal(lhs, rhs):
                     out.append(RelationViolation(
                         "right translation composition", (names[a], names[b], names[x]),
                         "translation by a*b differs from translating by a then b"))
 
-                lhs = c.rstar[(b, m.mul(a, x))].compose(c.lstar[(a, x)])
-                rhs = c.lstar[(a, m.mul(x, b))].compose(c.rstar[(b, x)])
-                if not lhs.equals(rhs):
+                lhs = compose(c.rstar[(b, m.mul(a, x))], c.lstar[(a, x)])
+                rhs = compose(c.lstar[(a, m.mul(x, b))], c.rstar[(b, x)])
+                if not equal(lhs, rhs):
                     out.append(RelationViolation(
                         "mixed translation commutation", (names[a], names[b], names[x]),
                         "left translation by a and right translation by b do not commute"))

@@ -10,9 +10,9 @@ path continues rightward forever; walks are truncated by a degree bound.
 The groups along a path form a cochain sequence.  It is a complex exactly
 when consecutive maps compose to zero: right-right pairs always do, down
 pairs need the family's column condition, and mixed pairs are probed by
-validate_mixed_compositions.  square_cohomology then takes cohomology at
-every visited position and classifies each value by the shape of its
-flanking maps:
+validate_mixed_compositions.  square_cohomology takes cohomology at every
+visited position, which proves each consecutive pair once on the way,
+and classifies each value by the shape of its flanking maps:
 
     in horizontal or start, out horizontal -> floor_leech: the value is
         the floor's own cohomology at that degree;
@@ -22,6 +22,10 @@ flanking maps:
     anything flanked by a nonzero vertical, or horizontal-in with
         vertical-out -> extremal: a truncation artifact of the path, not
         one of the named forms.
+
+Each floor complex is built only as deep as the walk reaches on that
+floor, so differentials no path position reads are neither built nor
+proven.
 """
 
 from __future__ import annotations
@@ -30,7 +34,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, cohomology_at
+from .abelian import (
+    AbHom,
+    CompositionNonzero,
+    FgAbGroup,
+    TRIVIAL_GROUP,
+    cohomology_at,
+)
 from .coeff import CoeffSystem
 from .leech import CochainGroup, LeechComplex
 from .monoid import FinMonoid
@@ -235,6 +245,9 @@ class PathCochain:
     positions lists the couples with degree <= p_max; maps[k] leaves
     positions[k], the last one landing on tail_position at degree
     p_max + 1.  move_tags mirrors maps with horizontal/vertical labels.
+    complexes[f] is floor f's complex built to the highest degree the walk
+    reaches on f, tail included, and to degree 0 on a floor it never
+    visits; its d o d proofs cover exactly the differentials built.
     """
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, path: PathSpec,
@@ -247,7 +260,11 @@ class PathCochain:
         walked = path.walk(p_max)
         self.positions: tuple[Position, ...] = tuple(walked[:-1])
         self.tail_position: Position = walked[-1]
-        self.complexes = grid.complexes(p_max + 1)
+        top = [0] * grid.floor_count
+        for f, d in walked:
+            top[f] = max(top[f], d)
+        self.complexes: tuple[LeechComplex, ...] = tuple(
+            LeechComplex(m, c, top[f]) for f, (m, c) in enumerate(grid.floors))
         maps: list[AbHom] = []
         tags: list[str] = []
         for (f0, d0), (f1, _) in zip(walked, walked[1:]):
@@ -262,14 +279,12 @@ class PathCochain:
         self.groups: tuple[CochainGroup, ...] = tuple(
             self.complexes[f].group(d) for f, d in self.positions)
 
-    def first_composition_violation(self) -> CompositionViolation | None:
-        for k in range(len(self.maps) - 1):
-            product = self.maps[k + 1].compose(self.maps[k])
-            if not product.is_zero():
-                return CompositionViolation(
-                    k + 1, self.positions[k + 1],
-                    (self.move_tags[k], self.move_tags[k + 1]), product)
-        return None
+    def violation_at(self, k: int) -> CompositionViolation:
+        """The pair of maps around positions[k] with its product as the
+        witness; for k >= 1."""
+        return CompositionViolation(
+            k, self.positions[k], (self.move_tags[k - 1], self.move_tags[k]),
+            self.maps[k].compose(self.maps[k - 1]))
 
 
 def validate_mixed_compositions(grid: GridSpec, family: VerticalFamily,
@@ -283,7 +298,12 @@ def validate_mixed_compositions(grid: GridSpec, family: VerticalFamily,
     Returns the first violation instead of raising so callers can report
     the witness.
     """
-    return PathCochain(grid, family, path, p_max).first_composition_violation()
+    pc = PathCochain(grid, family, path, p_max)
+    for k in range(1, len(pc.maps)):
+        violation = pc.violation_at(k)
+        if not violation.product.is_zero():
+            return violation
+    return None
 
 
 @dataclass(frozen=True)
@@ -346,22 +366,32 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
     """Cohomology at every path position with degree <= p_max.
 
     H at position k is ker(map out of k) / im(map into k), the incoming
-    map at the start being zero.  All composition conditions are verified
-    first; a finite grid makes this the bounded-stack variant, otherwise
-    it is a truncation of the unbounded one.
+    map at the start being zero.  The column condition is checked first.
+    Each consecutive pair of maps is proven to compose to zero once, by
+    the cohomology computation at the position between them; the first
+    pair that fails raises MixedCompositionError with the same witness
+    validate_mixed_compositions reports.  At a floor_leech position both
+    flanks are the floor's own d^(n-1) and d^n, so the value is the
+    floor complex's stored H^n.  A finite grid makes this the
+    bounded-stack variant, otherwise it is a truncation of the unbounded
+    one.
     """
     column = family.column_violations()
     if column:
         raise ColumnConditionError(column)
     pc = PathCochain(grid, family, path, p_max)
-    violation = pc.first_composition_violation()
-    if violation is not None:
-        raise MixedCompositionError(violation)
     tags = classify_trivial(pc)
     start = AbHom.zero(TRIVIAL_GROUP, pc.groups[0].total)
     entries = []
     for k, (floor, degree) in enumerate(pc.positions):
-        into = start if k == 0 else pc.maps[k - 1]
+        if tags[k] == "floor_leech":
+            group = pc.complexes[floor].cohomology(degree)
+        else:
+            try:
+                group = cohomology_at(start if k == 0 else pc.maps[k - 1],
+                                      pc.maps[k])
+            except CompositionNonzero:
+                raise MixedCompositionError(pc.violation_at(k)) from None
         entries.append(SquareEntry(
             index=k,
             floor=floor,
@@ -369,7 +399,7 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
             move_in="start" if k == 0 else
                     ("R" if pc.move_tags[k - 1] == "horizontal" else "D"),
             move_out="R" if pc.move_tags[k] == "horizontal" else "D",
-            group=cohomology_at(into, pc.maps[k]),
+            group=group,
             tag=tags[k],
         ))
     return SquareReport(grid.finite, p_max, path.prefix_moves,
@@ -416,13 +446,30 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
     """Maximal horizontal runs plus the floor-identification check.
 
     Every position flanked by horizontal maps must carry the floor's own
-    cohomology; the report recomputes the floor value and records the
-    comparison.  Runs shorter than five moves are flagged, since short
-    runs are the ones whose boundary effects dominate; the final run is
-    the truncated all-right tail and is never flagged short.
+    cohomology; the report reads the floor value from the floor complex,
+    which stores each H^n once, and records the comparison.  The path
+    value at such a position is that same stored group, so the comparison
+    restates the classification; an independent check builds the floor
+    table separately.  Runs shorter than five moves are flagged, since
+    short runs are the ones whose boundary effects dominate; the final
+    run is the truncated all-right tail and is never flagged short.
+
+    A square_report passed in must have been computed for the same grid,
+    family, path and p_max; otherwise ValueError is raised.
     """
-    report = square_report if square_report is not None else \
-        square_cohomology(grid, family, path, p_max)
+    if square_report is None:
+        report = square_cohomology(grid, family, path, p_max)
+    else:
+        report = square_report
+        given = report.cochain
+        differing = [name for name, ours, theirs in (
+            ("grid", grid, given.grid), ("family", family, given.family),
+            ("path", path, given.path), ("p_max", p_max, given.p_max))
+            if ours != theirs]
+        if differing:
+            raise ValueError(
+                "square_report was computed for a different "
+                + ", ".join(differing))
     pc = report.cochain
     runs: list[HorizontalRun] = []
     n_moves = len(pc.maps)

@@ -181,7 +181,8 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
 
 class LeechComplex:
     """Cochain groups C^0..C^P and coboundaries d^0..d^(P-1), with
-    d o d = 0 verified at construction."""
+    d o d = 0 verified at construction; each H^n is computed on first
+    request and kept."""
 
     def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int):
         if coeffs.monoid != monoid:
@@ -201,6 +202,7 @@ class LeechComplex:
                 raise AssertionError(
                     f"coboundary squared is nonzero between degrees {k} and {k + 2}; "
                     f"the coefficient system does not satisfy the translation relations")
+        self._cohomology: dict[int, FgAbGroup] = {}
 
     def group(self, n: int) -> CochainGroup:
         return self.groups[n]
@@ -212,10 +214,19 @@ class LeechComplex:
         return self.differentials[n]
 
     def cohomology(self, n: int) -> FgAbGroup:
-        """H^n = ker(d^n) / im(d^(n-1)); needs n < max_degree."""
+        """H^n = ker(d^n) / im(d^(n-1)); needs n < max_degree.
+
+        Computed once per complex: later calls return the stored group, so
+        callers that hold the complex (a path's floor_leech positions and
+        its floor identifications) share one elimination per degree.
+        """
         if not 0 <= n < self.max_degree:
             raise ValueError(f"H^{n} needs the complex built to degree {n + 1}")
-        return cohomology_at(self.differential(n - 1), self.differential(n))
+        group = self._cohomology.get(n)
+        if group is None:
+            group = self._cohomology[n] = cohomology_at(
+                self.differential(n - 1), self.differential(n))
+        return group
 
 
 def leech_cohomology(m: FinMonoid, c: CoeffSystem, n: int) -> FgAbGroup:

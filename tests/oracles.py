@@ -4,8 +4,9 @@ Everything here is deliberately naive: element enumeration for finite
 abelian groups, an unnormalized bar-style cochain complex for group
 cohomology, the lattice route to ``ker / im`` that tracks full Smith
 transforms, dense coboundaries assembled through dense change-of-basis
-matrices, dense composition and zero tests of homomorphisms, and a
-Bareiss determinant.  None of it shares code with the
+matrices, dense composition and zero tests of homomorphisms, the
+translation-relation check with one composition per relation instance,
+and a Bareiss determinant.  None of it shares code with the
 package's cochain construction or its sparse elimination, so agreement is
 meaningful.
 """
@@ -24,6 +25,7 @@ from moncoh.abelian import (
     ShapeMismatch,
     smith_normal_form,
 )
+from moncoh.coeff import CoeffSystem, RelationViolation
 
 
 def elements(orders: Sequence[int]) -> list[tuple[int, ...]]:
@@ -400,3 +402,48 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def reference_validate_relations(c: CoeffSystem) -> list[RelationViolation]:
+    """The four translation-relation families, composing and comparing the
+    maps afresh for every element triple, with nothing shared between
+    triples."""
+    m = c.monoid
+    names = m.element_names
+    e = m.identity_index
+    out: list[RelationViolation] = []
+
+    for x in range(m.size):
+        if not c.lstar[(e, x)].equals(AbHom.identity(c.groups[x])):
+            out.append(RelationViolation(
+                "identity translation", (names[x],),
+                "left translation by the identity is not the identity map"))
+        if not c.rstar[(e, x)].equals(AbHom.identity(c.groups[x])):
+            out.append(RelationViolation(
+                "identity translation", (names[x],),
+                "right translation by the identity is not the identity map"))
+
+    for a in range(m.size):
+        for b in range(m.size):
+            for x in range(m.size):
+                lhs = c.lstar[(m.mul(a, b), x)]
+                rhs = c.lstar[(a, m.mul(b, x))].compose(c.lstar[(b, x)])
+                if not lhs.equals(rhs):
+                    out.append(RelationViolation(
+                        "left translation composition", (names[a], names[b], names[x]),
+                        "translation by a*b differs from translating by b then a"))
+
+                lhs = c.rstar[(m.mul(a, b), x)]
+                rhs = c.rstar[(b, m.mul(x, a))].compose(c.rstar[(a, x)])
+                if not lhs.equals(rhs):
+                    out.append(RelationViolation(
+                        "right translation composition", (names[a], names[b], names[x]),
+                        "translation by a*b differs from translating by a then b"))
+
+                lhs = c.rstar[(b, m.mul(a, x))].compose(c.lstar[(a, x)])
+                rhs = c.lstar[(a, m.mul(x, b))].compose(c.rstar[(b, x)])
+                if not lhs.equals(rhs):
+                    out.append(RelationViolation(
+                        "mixed translation commutation", (names[a], names[b], names[x]),
+                        "left translation by a and right translation by b do not commute"))
+    return out

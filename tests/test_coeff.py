@@ -17,6 +17,9 @@ from moncoh.coeff import (
 )
 from moncoh.monoid import FinMonoid, cyclic_group, power_set_monoid, union_monoid
 
+from catalog import small_groups, small_monoids, swap_action_system, systems_for
+from oracles import reference_validate_relations
+
 
 def semilattice2() -> FinMonoid:
     # {e, a} with a*a = a
@@ -123,3 +126,73 @@ class TestExplicitSystem:
         bad = {(0, 0): ident_e, (0, 1): ident_e, (1, 0): ident_e, (1, 1): ident_e}
         with pytest.raises(ValueError, match="domain or codomain"):
             CoeffSystem(m, (Z, Zmod(2)), bad, dict(bad))
+
+
+def z4_automorphism_system() -> CoeffSystem:
+    m = cyclic_group(4)
+    minus = AbHom(Zmod(4), Zmod(4), ((3,),))
+    ident = AbHom.identity(Zmod(4))
+    return group_action_system(m, Zmod(4), {0: ident, 1: minus, 2: ident,
+                                            3: minus})
+
+
+def perturbed(c: CoeffSystem, family: str, pair: tuple[int, int],
+              replace) -> CoeffSystem:
+    """c with the ``family`` map at ``pair`` replaced by ``replace`` of it;
+    every other map is a fresh copy, so no two pairs share an object."""
+    fresh = {name: {k: AbHom.from_columns(h.domain, h.codomain, h.columns)
+                    for k, h in getattr(c, name).items()}
+             for name in ("lstar", "rstar")}
+    fresh[family][pair] = replace(fresh[family][pair])
+    return explicit_system(c.monoid, c.groups, fresh["lstar"], fresh["rstar"])
+
+
+class TestRelationsAgainstReference:
+    """validate_relations shares compositions between element triples;
+    the reference composes afresh for each, so the violation lists must
+    be equal, entry for entry and in the same order."""
+
+    @pytest.mark.parametrize("m", small_monoids(), ids=lambda m: m.name)
+    def test_catalog_constant_and_sign_systems(self, m):
+        for c in systems_for(m):
+            assert validate_relations(c) == reference_validate_relations(c)
+
+    @pytest.mark.parametrize("c", [swap_action_system(), z4_automorphism_system()],
+                             ids=["swap", "z4-minus"])
+    def test_group_actions(self, c):
+        assert validate_relations(c) == reference_validate_relations(c) == []
+
+    @pytest.mark.parametrize("m", [m for m in small_monoids() if m.size > 1],
+                             ids=lambda m: m.name)
+    def test_one_perturbed_translation(self, m):
+        bases = [constant_system(m, g)
+                 for g in ((Z, Zmod(2)) if m.size <= 3 else (Z,))]
+        if m.is_group() and m.size == 2:
+            bases.append(swap_action_system())
+        replacements = (
+            lambda h: AbHom.zero(h.domain, h.codomain),
+            lambda h: AbHom.from_columns(h.domain, h.codomain, [
+                {i: -x for i, x in col.items()} for col in h.columns]))
+        broken = 0
+        for c in bases:
+            for family in ("lstar", "rstar"):
+                for pair, h in sorted(getattr(c, family).items()):
+                    for replace in replacements:
+                        if replace(h).equals(h):
+                            continue
+                        p = perturbed(c, family, pair, replace)
+                        got = validate_relations(p)
+                        assert got == reference_validate_relations(p), (
+                            family, pair)
+                        broken += bool(got)
+        assert broken
+
+    def test_unshared_copies_match_shared(self):
+        m = power_set_monoid(2)
+        for g in small_groups():
+            c = constant_system(m, g)
+            copy = explicit_system(
+                m, c.groups,
+                {k: AbHom.identity(g) for k in c.lstar},
+                {k: AbHom.identity(g) for k in c.rstar})
+            assert validate_relations(copy) == validate_relations(c) == []

@@ -12,13 +12,17 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from moncoh.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_document.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "make_demo_document.py"
 
 GOLDEN = {
     ("validate", "text"): (0, "64027a378cb0fbec707b4dfefe58f720e64bbeb4928a3a7d8dd301b67534cf18"),
@@ -64,3 +68,16 @@ def run_cli(capsys, demo_path: Path, command: str, fmt: str) -> tuple[int, str]:
 @pytest.mark.parametrize("command, fmt", sorted(GOLDEN))
 def test_output_bytes(capsys, demo_path, command, fmt):
     assert run_cli(capsys, demo_path, command, fmt) == GOLDEN[command, fmt]
+
+
+def test_module_entry_point_matches_main(capsys, demo_path):
+    argv = ["validate", "--input", str(demo_path)]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "moncoh", *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (code, expected.encode("utf-8"), b"")

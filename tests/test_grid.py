@@ -6,10 +6,15 @@ exercised randomly in the acceptance suite.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
-from moncoh.abelian import AbHom, FgAbGroup, Z, Zmod
-from moncoh.coeff import constant_system
+from moncoh import grid as grid_module
+from moncoh import leech as leech_module
+from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod, cohomology_at
+from moncoh.coeff import constant_system, explicit_system
 from moncoh.grid import (
     ColumnConditionError,
     DescentBelowBottomFloor,
@@ -30,6 +35,7 @@ from moncoh.leech import leech_cohomology_table
 from moncoh.monoid import cyclic_group, trivial_monoid, union_monoid
 
 from catalog import monogenic_three
+from oracles import random_hom
 
 
 def const_floor(m, group):
@@ -294,3 +300,138 @@ class TestLocalExactness:
         assert renders([i.floor_group for i in report.identifications]) == \
             ["Z", "0", "Z/4", "0", "Z/4"]
         assert all(i.matches for i in report.identifications)
+
+    def test_report_for_other_arguments_refused(self):
+        grid = grid_of(const_floor(cyclic_group(2), Z),
+                       const_floor(cyclic_group(3), Z))
+        zero = VerticalFamily.zero()
+        square = square_cohomology(grid, zero, PathSpec("D"), 3)
+        with pytest.raises(ValueError, match="different path, p_max"):
+            local_exactness_report(grid, zero, PathSpec(""), 1,
+                                   square_report=square)
+        other_grid = grid_of(const_floor(cyclic_group(2), Z),
+                             const_floor(cyclic_group(4), Z))
+        with pytest.raises(ValueError, match="different grid$"):
+            local_exactness_report(other_grid, zero, PathSpec("D"), 3,
+                                   square_report=square)
+        explicit = VerticalFamily.explicit({(0, 0): AbHom.zero(Z, Z)})
+        with pytest.raises(ValueError, match="different family$"):
+            local_exactness_report(grid, explicit, PathSpec("D"), 3,
+                                   square_report=square)
+        # equal arguments in fresh objects are the same request
+        same = local_exactness_report(grid, VerticalFamily.zero(),
+                                      PathSpec("D"), 3, square_report=square)
+        assert same.runs == local_exactness_report(
+            grid, zero, PathSpec("D"), 3).runs
+
+
+class TestFailureWitness:
+    def test_square_cohomology_raises_the_validate_witness(self):
+        # one random vertical map per family, at the degree where the path
+        # descends; the first failing pair may be horizontal-then-vertical
+        # or vertical-then-horizontal, and is never the first pair
+        rng = random.Random(8080)
+        grid = grid_of(const_floor(cyclic_group(3), Zmod(2)),
+                       const_floor(union_monoid([{"x"}]), Zmod(2)))
+        full = grid.complexes(4)
+        seen = set()
+        for _ in range(30):
+            moves = rng.choice(["RD", "RRD", "RRRD"])
+            degree = moves.count("R")
+            vert = random_hom(rng, full[0].group(degree).total,
+                              full[1].group(degree).total)
+            family = VerticalFamily.explicit({(0, degree): vert})
+            path = PathSpec(moves)
+            expected = validate_mixed_compositions(grid, family, path, 3)
+            if expected is None:
+                square_cohomology(grid, family, path, 3)
+                continue
+            with pytest.raises(MixedCompositionError) as info:
+                square_cohomology(grid, family, path, 3)
+            got = info.value.violation
+            assert (got.index, got.position, got.moves) == \
+                (expected.index, expected.position, expected.moves)
+            assert (got.product.domain, got.product.codomain,
+                    got.product.columns) == \
+                (expected.product.domain, expected.product.codomain,
+                 expected.product.columns)
+            seen.add((got.index, got.moves))
+        assert min(index for index, _ in seen) > 1
+        assert {moves for _, moves in seen} == {
+            ("horizontal", "vertical"), ("vertical", "horizontal")}
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("case", ["explicit D", "zero RDR"])
+    def test_one_cohomology_per_position_and_no_compose(self, monkeypatch,
+                                                        case):
+        if case == "explicit D":
+            grid = grid_of(const_floor(trivial_monoid(), Z),
+                           const_floor(cyclic_group(2), Z))
+            family = VerticalFamily.explicit({(0, 0): AbHom(Z, Z, ((1,),))})
+            path = PathSpec("D")
+        else:
+            grid = grid_of(const_floor(cyclic_group(2), Zmod(2)),
+                           const_floor(cyclic_group(3), Zmod(2)))
+            family = VerticalFamily.zero()
+            path = PathSpec("RDR")
+        calls: Counter[str] = Counter()
+        real_cohomology_at = cohomology_at
+        real_compose = AbHom.compose
+
+        def counted_cohomology_at(d_in, d_out):
+            calls["cohomology_at"] += 1
+            return real_cohomology_at(d_in, d_out)
+
+        def counted_compose(outer, inner):
+            calls["compose"] += 1
+            return real_compose(outer, inner)
+
+        monkeypatch.setattr(grid_module, "cohomology_at", counted_cohomology_at)
+        monkeypatch.setattr(leech_module, "cohomology_at", counted_cohomology_at)
+        monkeypatch.setattr(AbHom, "compose", counted_compose)
+        square = square_cohomology(grid, family, path, 3)
+        exact = local_exactness_report(grid, family, path, 3,
+                                       square_report=square)
+        assert exact.identifications and exact.all_identified
+        assert calls == Counter({"cohomology_at": len(square.entries)})
+
+
+class TestFloorDepth:
+    def grid_and_family(self):
+        grid = grid_of(const_floor(trivial_monoid(), Z),
+                       const_floor(cyclic_group(2), Z),
+                       const_floor(cyclic_group(3), Z))
+        return grid, VerticalFamily.explicit({(0, 0): AbHom(Z, Z, ((1,),))})
+
+    @pytest.mark.parametrize("moves", ["", "D", "DR", "RD", "DRDR"])
+    def test_floors_built_to_the_walk(self, moves):
+        grid, family = self.grid_and_family()
+        p_max = 3
+        walked = PathSpec(moves).walk(p_max)
+        top = [max((d for f, d in walked if f == floor), default=0)
+               for floor in range(grid.floor_count)]
+        pc = PathCochain(grid, family, PathSpec(moves), p_max)
+        assert [cx.max_degree for cx in pc.complexes] == top
+        full = grid.complexes(p_max + 1)
+        maps = [full[f0].differential(d0) if f1 == f0
+                else family.hom(full, f0, d0)
+                for (f0, d0), (f1, _) in zip(walked, walked[1:])]
+        start = AbHom.zero(TRIVIAL_GROUP, maps[0].domain)
+        expected = [cohomology_at(maps[k - 1] if k else start, maps[k])
+                    for k in range(len(maps))]
+        report = square_cohomology(grid, family, PathSpec(moves), p_max)
+        assert report.groups() == expected
+
+    @pytest.mark.parametrize("moves", ["D", "RD"])
+    def test_broken_system_on_a_read_floor_still_raises(self, moves):
+        m = cyclic_group(2)
+        lstar = {(0, 0): AbHom.identity(Z), (0, 1): AbHom.identity(Z),
+                 (1, 0): AbHom(Z, Z, ((-1,),)), (1, 1): AbHom.identity(Z)}
+        rstar = {k: AbHom.identity(Z) for k in lstar}
+        broken = (m, explicit_system(m, [Z, Z], lstar, rstar))
+        grid = grid_of(const_floor(cyclic_group(3), Z), broken)
+        with pytest.raises(AssertionError, match="translation relations"):
+            PathCochain(grid, VerticalFamily.zero(), PathSpec(moves), 2)
+        with pytest.raises(AssertionError, match="translation relations"):
+            square_cohomology(grid, VerticalFamily.zero(), PathSpec(moves), 2)
