@@ -15,8 +15,6 @@ from .abelian import (  # noqa: F401
     Zmod,
     cohomology_at,
     direct_sum,
-    image,
-    kernel,
     parse_group,
     smith_normal_form,
 )

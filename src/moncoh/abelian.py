@@ -22,9 +22,9 @@ Conventions
   Homomorphisms between direct sums are assembled from sparse columns
   straight into canonical coordinates.
 * An ``AbHom`` is stored as sparse columns only, one {row: nonzero
-  entry} map per domain generator, and composes, adds and compares in
-  that form.  Its dense ``matrix`` is a view built on demand, for
-  serialisation and the few dense routines (``image``).
+  entry} map per domain generator, and composes and compares in that
+  form.  Its dense ``matrix`` is a view built on demand, for
+  serialisation.
 * Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
   matrices, the cone of the diagonal relations (see ``cohomology_at``):
   the rank of one and the invariant factors of the other.  Both come from
@@ -38,11 +38,11 @@ import functools
 import math
 import re
 from itertools import compress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import intmat as im
-from .intmat import FrozenMatrix, IntMatrix
+from .intmat import FrozenMatrix
 
 SparseColumn = dict[int, int]
 # one {canonical index: coefficient} map per presentation generator
@@ -54,7 +54,7 @@ class ShapeMismatch(ValueError):
 
 
 class CompositionNonzero(ValueError):
-    """The two maps handed to a subquotient do not compose to zero."""
+    """The two maps handed to ``cohomology_at`` do not compose to zero."""
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,6 @@ class FgAbGroup:
     def orders(self) -> tuple[int, ...]:
         return (0,) * self.free_rank + self.torsion
 
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.torsion) if self.torsion else 1
-
-    def exponent(self) -> int | None:
-        """Smallest n with n*x = 0 for all x, or None when infinite."""
-        if self.free_rank:
-            return None
-        return self.torsion[-1] if self.torsion else 1
-
     def render(self) -> str:
         parts: list[str] = []
         if self.free_rank == 1:
@@ -142,24 +130,26 @@ def parse_group(text: str) -> FgAbGroup:
     """Parse the rendering grammar: "0", "Z", "Z^r", "Z/d" joined by " x ".
 
     Only the canonical spelling is accepted (free part first, torsion in
-    divisibility order), so parse and render are mutually inverse.
+    divisibility order, no leading zeros, ``Z`` for ``Z^1``, single
+    spaces), so parse and render are mutually inverse.
     """
     s = text.strip()
     if s == "0":
         return TRIVIAL_GROUP
     free = 0
     torsion: list[int] = []
-    for pos, term in enumerate(s.split(" x ")):
+    for term in s.split(" x "):
         m = _GROUP_TERM.match(term.strip())
         if not m:
             raise ValueError(f"unrecognized group term {term!r} in {text!r}")
         if m.group(4) is not None:
             torsion.append(int(m.group(4)))
         else:
-            if pos != 0:
-                raise ValueError(f"free part must come first in {text!r}")
             free = int(m.group(3)) if m.group(3) else 1
     result = FgAbGroup(free, tuple(torsion))
+    if result.render() != s:
+        raise ValueError(f"{text!r} is not the canonical spelling "
+                         f"{result.render()!r}")
     return result
 
 
@@ -167,16 +157,15 @@ def parse_group(text: str) -> FgAbGroup:
 class SmithDecomposition:
     """u @ a @ v == d with u, v unimodular and d in Smith normal form.
 
-    ``u_inv`` and ``v_inv`` are tracked during elimination; exact solving
-    and lattice-basis extraction need them and inverting afterwards would
-    only repeat the work.
+    ``u_inv`` is tracked during elimination: ``presentation_to_canonical``
+    reads a change of basis from ``u`` and its inverse from ``u_inv``, and
+    inverting afterwards would only repeat the work.
     """
 
     u: FrozenMatrix
     d: FrozenMatrix
     v: FrozenMatrix
     u_inv: FrozenMatrix
-    v_inv: FrozenMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -205,7 +194,7 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 def smith_normal_form(matrix: Sequence[Sequence[int]],
                       shape: tuple[int, int] | None = None) -> SmithDecomposition:
-    """Smith normal form with both transforms and their inverses.
+    """Smith normal form with both transforms and the row transform's inverse.
 
     Pivoting is deterministic: smallest absolute nonzero entry, ties
     broken row-major.  The diagonal comes out nonnegative and satisfies
@@ -225,7 +214,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     u = im.identity(rows)
     uinv = im.identity(rows)
     v = im.identity(cols)
-    vinv = im.identity(cols)
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -238,7 +226,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i: int, j: int, q: int) -> None:
         # row i += q * row j
@@ -257,9 +244,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
             r[i] += q * r[j]
         for r in v:
             r[i] += q * r[j]
-        vi, vj = vinv[i], vinv[j]
-        for k in range(cols):
-            vj[k] -= q * vi[k]
 
     def negate_row(i: int) -> None:
         d[i] = [-x for x in d[i]]
@@ -341,7 +325,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
                 add_col(k + 1, k, -(y * (b // g)))
 
     return SmithDecomposition(im.freeze(u), im.freeze(d), im.freeze(v),
-                              im.freeze(uinv), im.freeze(vinv))
+                              im.freeze(uinv))
 
 
 def check_shape(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> None:
@@ -453,22 +437,6 @@ class AbHom:
                                   [_apply_sparse(self.columns, col)
                                    for col in inner.columns])
 
-    def add(self, other: "AbHom") -> "AbHom":
-        if other.domain != self.domain or other.codomain != self.codomain:
-            raise ShapeMismatch("cannot add homs with different descriptors")
-        cols = []
-        for a, b in zip(self.columns, other.columns):
-            total = dict(a)
-            for i, x in b.items():
-                total[i] = total.get(i, 0) + x
-            cols.append(total)
-        return AbHom.from_columns(self.domain, self.codomain, cols)
-
-    def negate(self) -> "AbHom":
-        return AbHom.from_columns(self.domain, self.codomain,
-                                  [{i: -x for i, x in col.items()}
-                                   for col in self.columns])
-
     def is_zero(self) -> bool:
         """Zero as a homomorphism, i.e. every column in the relation lattice."""
         orders = self.codomain.orders
@@ -487,85 +455,6 @@ class AbHom:
                     if x and (not orders[i] or x % orders[i]):
                         return False
         return True
-
-    def apply(self, vector: Sequence[int]) -> list[int]:
-        """Image of an element given in domain generator coordinates."""
-        if len(vector) != self.domain.ngens:
-            raise ShapeMismatch("vector length does not match domain generators")
-        out = [0] * self.codomain.ngens
-        for x, col in zip(vector, self.columns):
-            for i, a in col.items():
-                out[i] += a * x
-        return out
-
-
-def _relation_matrix(group: FgAbGroup) -> IntMatrix:
-    """Diagonal relation lattice generators, one column per torsion generator."""
-    n = group.ngens
-    t = len(group.torsion)
-    rel = im.zeros(n, t)
-    for k, dord in enumerate(group.torsion):
-        rel[group.free_rank + k][k] = dord
-    return rel
-
-
-def _column_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
-    """Basis of the lattice spanned by the given columns.
-
-    With u @ m @ v = d the column span equals the span of d_j * u_inv[:, j]
-    over the nonzero diagonal entries, and those vectors are independent.
-    """
-    ncols = im.num_cols(columns)
-    dec = smith_normal_form(columns, shape=(nrows, ncols))
-    diag = dec.diagonal
-    return [[diag[j] * dec.u_inv[i][j] for j in range(dec.rank)]
-            for i in range(nrows)]
-
-
-def _solve_in_basis(basis: Sequence[Sequence[int]], nrows: int,
-                    targets: Sequence[Sequence[int]]) -> IntMatrix:
-    """Solve basis @ y = target for each target column.
-
-    Requires the basis to have full column rank and every target to lie in
-    its span; both hold by construction everywhere this is used.
-    """
-    rank = im.num_cols(basis)
-    dec = smith_normal_form(basis, shape=(nrows, rank))
-    if dec.rank != rank:
-        raise ValueError("basis columns are not independent")
-    ntargets = im.num_cols(targets)
-    w = im.matmul(dec.u, targets, cols_b=ntargets)
-    diag = dec.diagonal
-    for j in range(rank):
-        if any(x % diag[j] for x in w[j]):
-            raise ValueError("target outside the lattice spanned by the basis")
-    for j in range(rank, nrows):
-        if any(w[j]):
-            raise ValueError("target outside the lattice spanned by the basis")
-    reduced = [[w[j][c] // diag[j] for c in range(ntargets)] for j in range(rank)]
-    return im.matmul(dec.v, reduced, cols_b=ntargets)
-
-
-def _subquotient(basis: Sequence[Sequence[int]], nrows: int,
-                 inner_columns: Sequence[Sequence[int]]) -> FgAbGroup:
-    """The group (span of basis) / (span of inner columns), inner inside span."""
-    rank = im.num_cols(basis)
-    y = _solve_in_basis(basis, nrows, inner_columns)
-    dec = smith_normal_form(y, shape=(rank, im.num_cols(inner_columns)))
-    invariants = list(dec.diagonal) + [0] * (rank - len(dec.diagonal))
-    return FgAbGroup.from_invariants(invariants)
-
-
-def kernel(h: AbHom) -> FgAbGroup:
-    """Kernel of h as an abstract group."""
-    return cohomology_at(AbHom.zero(TRIVIAL_GROUP, h.domain), h)
-
-
-def image(h: AbHom) -> FgAbGroup:
-    """Image of h as a subgroup of the codomain, up to isomorphism."""
-    cols = im.hstack(h.matrix, _relation_matrix(h.codomain))
-    basis = _column_basis(cols, h.codomain.ngens)
-    return _subquotient(basis, h.codomain.ngens, _relation_matrix(h.codomain))
 
 
 def _apply_sparse(cols: Sequence[SparseColumn], vector: SparseColumn) -> SparseColumn:

@@ -73,9 +73,6 @@ class CoeffSystem:
                 and dict(self.lstar) == dict(other.lstar)
                 and dict(self.rstar) == dict(other.rstar))
 
-    def group(self, element: int) -> FgAbGroup:
-        return self.groups[element]
-
 
 def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
     """Check all four translation-relation families over every element triple.
@@ -143,14 +140,6 @@ def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
                         "mixed translation commutation", (names[a], names[b], names[x]),
                         "left translation by a and right translation by b do not commute"))
     return out
-
-
-def require_valid_system(c: CoeffSystem) -> CoeffSystem:
-    problems = validate_relations(c)
-    if problems:
-        raise ValueError("invalid coefficient system: "
-                         + "; ".join(str(p) for p in problems[:3]))
-    return c
 
 
 def constant_system(m: FinMonoid, group: FgAbGroup) -> CoeffSystem:

@@ -486,6 +486,10 @@ def _parse_grid(p: _Parser, obj: dict, path: str,
                 except ValueError:
                     p.err(key_path, f"expected integer floor and degree in {key!r}")
                     return None
+                if key != f"[{floor},{degree}]":
+                    # keys such as "[0,00]" or "[0, +0]" would alias "[0,0]"
+                    p.err(key_path, f"expected a \"[floor,degree]\" key, got {key!r}")
+                    return None
                 if not 0 <= floor < grid.floor_count - 1:
                     p.err(key_path,
                           f"floor {floor} has no floor below it in this grid")
@@ -758,7 +762,7 @@ def _ser_grid(name: str, bundle: GridBundle, doc: Document) -> dict:
     out: dict = {"name": name, "floors": floors}
     if not bundle.grid.finite:
         out["finite"] = False
-    if bundle.family.kind == "zero":
+    if not bundle.family.maps:
         out["vertical"] = "zero"
     else:
         out["vertical"] = {"maps": {

@@ -147,12 +147,12 @@ class PathSpec:
         raise AssertionError("unreachable: the rightward tail is infinite")
 
 
-def validate_path(path: PathSpec, grid: GridSpec, p_max: int) -> None:
+def validate_path(path: PathSpec, grid: GridSpec) -> None:
     """Check the whole declared prefix against the floor stack.
 
-    The degree bound is part of the call signature for report context but
-    descents are validated on the full prefix: a declared move below the
-    bottom floor is an error even when truncation would hide it.
+    Descents are validated on the full prefix, whatever the degree bound:
+    a declared move below the bottom floor is an error even when
+    truncation would hide it.
     """
     floor = 0
     bottom = grid.floor_count - 1
@@ -190,24 +190,18 @@ def path_from_rule(rule: Callable[[int], bool], grid: GridSpec,
 @dataclass(frozen=True)
 class VerticalFamily:
     """Degree-preserving maps between consecutive floors, keyed by
-    (floor, degree); missing keys mean the zero map."""
+    (floor, degree); missing keys mean the zero map, so the zero family is
+    the one with no maps."""
 
-    kind: str
     maps: Mapping[tuple[int, int], AbHom] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("zero", "explicit"):
-            raise ValueError("vertical family kind must be zero or explicit")
-        if self.kind == "zero" and self.maps:
-            raise ValueError("the zero family carries no explicit maps")
 
     @classmethod
     def zero(cls) -> "VerticalFamily":
-        return cls("zero", {})
+        return cls({})
 
     @classmethod
     def explicit(cls, maps: Mapping[tuple[int, int], AbHom]) -> "VerticalFamily":
-        return cls("explicit", dict(maps))
+        return cls(dict(maps))
 
     def column_violations(self) -> list[tuple[int, int, AbHom]]:
         """Stored stacked pairs whose composition is nonzero; the witness
@@ -226,8 +220,6 @@ class VerticalFamily:
             degree: int) -> AbHom:
         dom = complexes[floor].group(degree).total
         cod = complexes[floor + 1].group(degree).total
-        if self.kind == "zero":
-            return AbHom.zero(dom, cod)
         stored = self.maps.get((floor, degree))
         if stored is None:
             return AbHom.zero(dom, cod)
@@ -252,7 +244,7 @@ class PathCochain:
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, path: PathSpec,
                  p_max: int):
-        validate_path(path, grid, p_max)
+        validate_path(path, grid)
         self.grid = grid
         self.family = family
         self.path = path

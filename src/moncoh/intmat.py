@@ -63,8 +63,3 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
                     if bv:
                         orow[j] += av * bv
     return out
-
-
-def hstack(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    return [list(ra) + list(rb) for ra, rb in zip(a, b)]
-

@@ -27,7 +27,6 @@ shifts down by one degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
@@ -56,13 +55,16 @@ ALTERNATE_INDEXING_NOTE = (
 class CochainGroup:
     """Degree n cochain group of a monoid with a coefficient system.
 
-    ``tuples`` lists the (m.size - 1)^n tuples in lexicographic order; it
-    fixes the coordinates of the group, including those of vertical maps
-    given in documents.  ``products[i]`` is the product of ``tuples[i]``.
+    Its components are the (m.size - 1)^n tuples of non-identity elements
+    in lexicographic order, the order of
+    ``itertools.product(m.non_identity(), repeat=n)``; that order fixes
+    the coordinates of the group, including those of vertical maps given
+    in documents.  The tuples are not stored: with k = m.size - 1, entry q
+    of tuple i is ``non_identity()[i // k^(n-1-q) % k]``.
+    ``products[i]`` is the product of tuple i.
     """
 
     degree: int
-    tuples: tuple[tuple[int, ...], ...]
     products: tuple[int, ...]
     dsum: DirectSum
 
@@ -85,8 +87,7 @@ def cochain_group(m: FinMonoid, c: CoeffSystem, n: int) -> CochainGroup:
     products = [m.identity_index]
     for _ in range(n):
         products = [m.table[p][a] for p in products for a in non_id]
-    return CochainGroup(n, tuple(itertools.product(non_id, repeat=n)),
-                        tuple(products),
+    return CochainGroup(n, tuple(products),
                         DirectSum.of([c.groups[p] for p in products]))
 
 
@@ -144,7 +145,7 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
     # row; a fresh sum row0 + r per entry would cost 32 bytes per nonzero
     rows = tuple(range(tgt_off[-1]))
     columns: list[SparseColumn] = [{}] * src_off[-1]
-    for i, (s, p) in enumerate(zip(src.tuples, src.products)):
+    for i, p in enumerate(src.products):
         lo, hi = src_off[i], src_off[i + 1]
         if lo == hi:
             continue
@@ -153,11 +154,12 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
             (pa * width + i, block, 1) for pa, block in enumerate(left[p])]
         w = width
         for q in range(n):
-            # s[q] is the digit of weight w = k^(n-1-q) in idx(s)
+            # entry q of s is the digit of weight w = k^(n-1-q) in idx(s)
             w //= k
             base = i // (w * k) * (w * k * k) + i % w
             sign = -1 if q % 2 == 0 else 1
-            terms += [(base + xy * w, None, sign) for xy in splits[s[q]]]
+            terms += [(base + xy * w, None, sign)
+                      for xy in splits[non_id[i // w % k]]]
         terms += [(i * k + pa, block, right_sign)
                   for pa, block in enumerate(right[p])]
         # rows in ascending target order, the order a row-by-row build

@@ -64,9 +64,6 @@ class FinMonoid:
                 pairs[self.table[x][y]].append(px * len(non_id) + py)
         return tuple(map(tuple, pairs))
 
-    def idempotents(self) -> list[int]:
-        return [i for i in range(self.size) if self.table[i][i] == i]
-
     def is_group(self) -> bool:
         e = self.identity_index
         for a in range(self.size):
@@ -106,13 +103,6 @@ def validate(m: FinMonoid) -> list[str]:
                         f"({names[a]}*{names[b]})*{names[c]} = {names[left]} but "
                         f"{names[a]}*({names[b]}*{names[c]}) = {names[right]}")
     return problems
-
-
-def require_valid(m: FinMonoid) -> FinMonoid:
-    problems = validate(m)
-    if problems:
-        raise ValueError(f"invalid monoid {m.name!r}: " + "; ".join(problems[:3]))
-    return m
 
 
 def cyclic_group(n: int) -> FinMonoid:

@@ -212,6 +212,10 @@ def bar_cohomology_dims_mod_p(table: Sequence[Sequence[int]],
     return dims
 
 
+def hstack(a, b) -> list[list[int]]:
+    return [list(ra) + list(rb) for ra, rb in zip(a, b)]
+
+
 def relation_matrix(group: FgAbGroup) -> list[list[int]]:
     """Diagonal relation lattice generators, one column per torsion generator."""
     rel = im.zeros(group.ngens, len(group.torsion))
@@ -224,7 +228,7 @@ def kernel_membership_columns(matrix, dom_ngens: int,
                               codomain: FgAbGroup) -> list[list[int]]:
     """Columns spanning {x : matrix @ x lies in the codomain relation lattice},
     the projection of the kernel of the matrix augmented with the relations."""
-    aug = im.hstack(matrix, relation_matrix(codomain))
+    aug = hstack(matrix, relation_matrix(codomain))
     total_cols = dom_ngens + len(codomain.torsion)
     dec = smith_normal_form(aug, shape=(codomain.ngens, total_cols))
     keep = range(dec.rank, total_cols)
@@ -278,7 +282,7 @@ def lattice_cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     mid = d_in.codomain
     span = kernel_membership_columns(d_out.matrix, mid.ngens, d_out.codomain)
     basis = column_basis(span, mid.ngens)
-    inner = im.hstack(d_in.matrix, relation_matrix(mid))
+    inner = hstack(d_in.matrix, relation_matrix(mid))
     return subquotient(basis, mid.ngens, inner)
 
 

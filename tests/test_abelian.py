@@ -31,8 +31,6 @@ from moncoh.abelian import (
     composes_to_zero,
     direct_sum,
     direct_sum_ngens,
-    image,
-    kernel,
     parse_group,
     presentation_to_canonical,
     smith_normal_form,
@@ -53,7 +51,6 @@ def check_snf_contract(a, dec):
     assert abs(oracles.determinant(unfreeze(dec.u))) == 1
     assert abs(oracles.determinant(unfreeze(dec.v))) == 1
     assert im.matmul(unfreeze(dec.u), unfreeze(dec.u_inv), cols_b=rows) == im.identity(rows)
-    assert im.matmul(unfreeze(dec.v), unfreeze(dec.v_inv), cols_b=cols) == im.identity(cols)
     diag = dec.diagonal
     for i, row in enumerate(dec.d):
         for j, x in enumerate(row):
@@ -140,6 +137,15 @@ class TestFgAbGroup:
         with pytest.raises(ValueError):
             parse_group("Q")
 
+    @pytest.mark.parametrize("text", [
+        "Z^1", "Z^0", "Z^02", "Z/04", "Z/2 x  Z/4", "Z x Z", "Z x Z^2"],
+        ids=["rank_one", "rank_zero", "rank_leading_zero",
+             "order_leading_zero", "double_space", "free_twice",
+             "free_twice_ranked"])
+    def test_parse_rejects_non_canonical_spellings(self, text):
+        with pytest.raises(ValueError, match="canonical"):
+            parse_group(text)
+
     def test_canonical_validation(self):
         with pytest.raises(ValueError):
             FgAbGroup(0, (1,))
@@ -198,10 +204,6 @@ class TestAbHom:
         assert h.is_zero()
         assert h.equals(AbHom.zero(Z, Zmod(2)))
         assert not AbHom(Z, Zmod(2), ((1,),)).is_zero()
-
-    def test_apply(self):
-        h = AbHom(FgAbGroup(2), Z, ((1, 1),))
-        assert h.apply([3, 4]) == [7]
 
     def test_sparse_columns(self):
         h = AbHom(FgAbGroup(3), FgAbGroup(2), ((0, 2, 0), (0, -1, 0)))
@@ -277,9 +279,6 @@ class TestSparseRepresentation:
         for x, y in ((prod, other), (prod, shifted), (other, prod)):
             assert x.equals(y) is oracles.dense_equals(x, y)
         assert prod.equals(shifted)
-        assert prod.add(other).matrix == im.freeze(
-            oracles.madd(prod.matrix, other.matrix))
-        assert prod.negate().add(prod).is_zero()
 
     @settings(max_examples=150, deadline=None)
     @given(small_groups, small_groups, st.data())
@@ -386,32 +385,6 @@ class TestAssembleHom:
             assemble_hom(ds, ds, [{}])
 
 
-class TestKernelImage:
-    def test_mult_two_on_z4(self):
-        # oracle: {x in Z/4 : 2x = 0} = {0, 2}; image {0, 2}
-        h = AbHom(Zmod(4), Zmod(4), ((2,),))
-        assert kernel(h) == Zmod(2)
-        assert image(h) == Zmod(2)
-
-    def test_free_cases(self):
-        assert kernel(AbHom(Z, Z, ((3,),))) == TRIVIAL_GROUP
-        assert image(AbHom(Z, Z, ((3,),))) == Z
-        h = AbHom(FgAbGroup(2), Z, ((1, 1),))
-        assert kernel(h) == Z
-        assert image(h) == Z
-
-    def test_into_torsion(self):
-        assert image(AbHom(Z, Zmod(6), ((2,),))) == Zmod(3)
-        assert image(AbHom(Z, Zmod(6), ((1,),))) == Zmod(6)
-        assert kernel(AbHom.zero(Zmod(4), Z)) == Zmod(4)
-
-    def test_projection_kernel(self):
-        # Z -> Z/4 by 1 has kernel 4Z = Z
-        h = AbHom(Z, Zmod(4), ((1,),))
-        assert kernel(h) == Z
-        assert image(h) == Zmod(4)
-
-
 class TestCohomologyAt:
     def test_free_complex(self):
         d_in = AbHom.zero(TRIVIAL_GROUP, Z)
@@ -429,6 +402,19 @@ class TestCohomologyAt:
         # oracle: {0,2}/{0,2} = 0, the middle relations must be in the image lattice
         d_in2 = AbHom(Z, Zmod(4), ((2,),))
         assert cohomology_at(d_in2, d_out) == TRIVIAL_GROUP
+
+    @pytest.mark.parametrize("h, want", [
+        # by hand: {x in Z/4 : 2x = 0} = {0, 2}
+        (AbHom(Zmod(4), Zmod(4), ((2,),)), Zmod(2)),
+        (AbHom(Z, Z, ((3,),)), TRIVIAL_GROUP),
+        (AbHom(FgAbGroup(2), Z, ((1, 1),)), Z),
+        (AbHom.zero(Zmod(4), Z), Zmod(4)),
+        # Z -> Z/4 by 1 has kernel 4Z = Z
+        (AbHom(Z, Zmod(4), ((1,),)), Z),
+    ], ids=["mult_two_on_z4", "mult_three_on_z", "sum_z2_to_z",
+            "zero_z4_to_z", "projection_z_to_z4"])
+    def test_kernel_with_nothing_coming_in(self, h, want):
+        assert cohomology_at(AbHom.zero(TRIVIAL_GROUP, h.domain), h) == want
 
     def test_errors(self):
         with pytest.raises(ShapeMismatch):
@@ -456,7 +442,7 @@ class TestCohomologyAt:
         for _ in range(60):
             mid = rng.choice(pool)
             cod = rng.choice(pool)
-            assert (mid.order() or 0) <= 200
+            assert oracles.group_order(mid) <= 200
             d_out = oracles.random_hom(rng, mid, cod)
             ker_elems, _ = oracles.brute_kernel_and_image(
                 d_out.matrix, mid.orders, cod.orders)
@@ -468,7 +454,7 @@ class TestCohomologyAt:
             d_in = AbHom(dom, mid, tuple(map(tuple, mat)))
 
             h = cohomology_at(d_in, d_out)
-            exp = mid.exponent() or 1
+            exp = oracles.group_exponent(mid)
             if n_cols:
                 # the subgroup generated by the columns: coefficients mod
                 # the exponent of the ambient group are enough
@@ -526,8 +512,9 @@ class TestCohomologyAt:
                     continue
                 d_in, d_out = t.compose(d_in), d_out.compose(t_inv)
             assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
-            assert kernel(d_out) == oracles.lattice_cohomology_at(
-                AbHom.zero(TRIVIAL_GROUP, mid), d_out)
+            nothing_in = AbHom.zero(TRIVIAL_GROUP, mid)
+            assert cohomology_at(nothing_in, d_out) == oracles.lattice_cohomology_at(
+                nothing_in, d_out)
             seen_free_mid += mid.free_rank > 0
             seen_torsion_mid += bool(mid.torsion)
             seen_torsion_dom += bool(dom.torsion) and not d_in.is_zero()
@@ -681,11 +668,11 @@ class TestPresentationAndDirectSum:
                     assert comp.equals(AbHom.identity(ds.components[i]))
                 else:
                     assert comp.is_zero()
-        total_id = None
+        total = im.zeros(ds.total.ngens, ds.total.ngens)
         for i in range(n):
-            term = ds.embedding(i).compose(ds.projection(i))
-            total_id = term if total_id is None else total_id.add(term)
-        assert total_id.equals(AbHom.identity(ds.total))
+            total = oracles.madd(
+                total, ds.embedding(i).compose(ds.projection(i)).matrix)
+        assert AbHom(ds.total, ds.total, total).equals(AbHom.identity(ds.total))
 
     def test_direct_sum_merging_components(self):
         ds = DirectSum.of([Zmod(2), Zmod(3)])

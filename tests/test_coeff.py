@@ -12,7 +12,6 @@ from moncoh.coeff import (
     constant_system,
     explicit_system,
     group_action_system,
-    require_valid_system,
     validate_relations,
 )
 from moncoh.monoid import FinMonoid, cyclic_group, power_set_monoid, union_monoid
@@ -93,7 +92,6 @@ class TestExplicitSystem:
         stars = {(0, 0): ident_e, (0, 1): ident_a, (1, 0): proj, (1, 1): ident_a}
         c = explicit_system(m, groups, stars, dict(stars))
         assert validate_relations(c) == []
-        require_valid_system(c)
 
     def test_broken_relations_reported_with_names(self):
         # left translation by g is -1 at the identity but +1 at g, which
@@ -109,8 +107,6 @@ class TestExplicitSystem:
         kinds = {p.relation for p in problems}
         assert "left translation composition" in kinds
         assert "mixed translation commutation" in kinds
-        with pytest.raises(ValueError):
-            require_valid_system(c)
 
     def test_missing_pair_rejected(self):
         m = cyclic_group(2)

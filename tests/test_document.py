@@ -95,7 +95,7 @@ class TestParse:
         bundle = doc.grid("pair")
         assert bundle.path == PathSpec("D")
         assert bundle.p_max == 3
-        assert bundle.family.kind == "zero"
+        assert bundle.family == VerticalFamily.zero()
         assert doc.set_systems[0][1].set_count == 3
         assert len(doc.descriptor_lists[0][1]) == 2
         assert doc.monoid_name(doc.monoid("C3")) == "C3"
@@ -180,6 +180,13 @@ class TestParse:
         assert any("unrecognized group term" in d
                    for d in diags_of(json.dumps(root)))
 
+    def test_non_canonical_group_string_located(self):
+        root = sample_root()
+        root["coefficients"][1]["group"] = "Z^1"
+        assert any(d.startswith("$.coefficients[1].group: ")
+                   and "not the canonical spelling 'Z'" in d
+                   for d in diags_of(json.dumps(root)))
+
     def test_explicit_system_with_comma_in_names(self):
         root = {
             "monoids": [{"name": "M", "elements": ["e", "a,b"],
@@ -244,7 +251,7 @@ class TestParse:
         root["grids"][0]["vertical"] = {"maps": {"[0,0]": [[1]]}}
         doc = parse_document(json.dumps(root))
         family = doc.grid("pair").family
-        assert family.kind == "explicit"
+        assert set(family.maps) == {(0, 0)}
         assert family.maps[(0, 0)].matrix == ((1,),)
 
     def test_vertical_map_shape_checked(self):
@@ -291,6 +298,27 @@ class TestParse:
         want = AbHom.from_rows(cochain_group(*source, degree).total,
                                cochain_group(*target, degree).total, rows)
         assert doc.grid("pair").family.maps == {(0, degree): want}
+
+    def test_aliased_vertical_map_keys_rejected(self):
+        # all three would parse to (0, 0), and only one map would survive
+        root = sample_root()
+        root["grids"][0]["vertical"] = {"maps": {
+            "[0,0]": [[1]], "[0,00]": [[2]], "[0, +0]": [[3]]}}
+        assert any(d.startswith("$.grids[0].vertical.maps.[0, +0]: ")
+                   and "expected a \"[floor,degree]\" key" in d
+                   for d in diags_of(json.dumps(root)))
+
+    @pytest.mark.parametrize("key", [
+        "[0,00]", "[00,0]", "[0, +0]", "[0,0 ]", "[+0,0]", "[1_0,0]", "[0,1_0]"],
+        ids=["degree_leading_zero", "floor_leading_zero", "space_and_sign",
+             "trailing_space", "floor_sign", "floor_underscore",
+             "degree_underscore"])
+    def test_vertical_map_key_must_be_canonical(self, key):
+        root = sample_root()
+        root["grids"][0]["vertical"] = {"maps": {key: [[1]]}}
+        assert diags_of(json.dumps(root)) == [
+            f"$.grids[0].vertical.maps.{key}: expected a \"[floor,degree]\" "
+            f"key, got {key!r}"]
 
     def test_vertical_map_floor_bounds(self):
         root = sample_root()

@@ -81,20 +81,24 @@ class TestValidatePath:
     def test_ok_paths(self):
         grid = self.two_floor()
         for moves in ("", "D", "RD", "RRRD", "DRRRR"):
-            validate_path(PathSpec(moves), grid, 4)
+            validate_path(PathSpec(moves), grid)
 
     def test_descent_below_bottom_finite(self):
         with pytest.raises(DescentBelowBottomFloor):
-            validate_path(PathSpec("DD"), self.two_floor(), 4)
+            validate_path(PathSpec("DD"), self.two_floor())
 
     def test_descent_past_truncated_stack(self):
         with pytest.raises(TooManyDescents):
-            validate_path(PathSpec("DD"), self.two_floor(finite=False), 4)
+            validate_path(PathSpec("DD"), self.two_floor(finite=False))
 
     def test_whole_prefix_checked_despite_bound(self):
-        # the bad descent sits past the degree bound but is still declared
+        # the bad descent sits past degree 2 but is still declared, and
+        # PathCochain refuses it at that bound
         with pytest.raises(DescentBelowBottomFloor):
-            validate_path(PathSpec("RRRRRRDD"), self.two_floor(), 2)
+            validate_path(PathSpec("RRRRRRDD"), self.two_floor())
+        with pytest.raises(DescentBelowBottomFloor):
+            PathCochain(self.two_floor(), VerticalFamily.zero(),
+                        PathSpec("RRRRRRDD"), 2)
 
 
 class TestPathFromRule:
@@ -128,7 +132,7 @@ class TestPathFromRule:
                        const_floor(cyclic_group(3), Z))
         path = path_from_rule(lambda j: True, grid, 3)
         assert path.prefix_moves == "D"
-        validate_path(path, grid, 3)
+        validate_path(path, grid)
 
 
 class TestGridSpec:

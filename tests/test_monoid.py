@@ -12,7 +12,6 @@ from moncoh.monoid import (
     FinMonoid,
     cyclic_group,
     power_set_monoid,
-    require_valid,
     trivial_monoid,
     union_monoid,
     validate,
@@ -27,6 +26,10 @@ def brute_validate(m: FinMonoid) -> bool:
         if m.table[m.table[a][b]][c] != m.table[a][m.table[b][c]]:
             ok = False
     return ok
+
+
+def idempotents(m: FinMonoid) -> list[int]:
+    return [i for i in range(m.size) if m.mul(i, i) == i]
 
 
 class TestValidate:
@@ -44,8 +47,6 @@ class TestValidate:
         m = FinMonoid("bad", ("e", "a"), 0, ((0, 0), (1, 0)))
         problems = validate(m)
         assert any("identity law" in p for p in problems)
-        with pytest.raises(ValueError):
-            require_valid(m)
 
     def test_broken_associativity_reported(self):
         # e is a genuine identity but (a,a,a) breaks associativity
@@ -69,7 +70,7 @@ class TestBuilders:
         m = cyclic_group(5)
         assert m.size == 5
         assert m.is_group()
-        assert m.idempotents() == [0]
+        assert idempotents(m) == [0]
         assert validate(m) == []
 
     def test_trivial(self):
@@ -126,7 +127,7 @@ class TestBuilders:
 
     def test_groups_have_single_idempotent(self):
         for n in (1, 2, 3, 4, 6):
-            assert cyclic_group(n).idempotents() == [0]
+            assert idempotents(cyclic_group(n)) == [0]
 
 
 class TestHelpers:
