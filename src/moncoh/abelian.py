@@ -376,11 +376,20 @@ class AbHom:
                      columns: Sequence[SparseColumn]) -> "AbHom":
         """The hom whose column j is the {row: entry} map ``columns[j]``;
         zero entries are dropped and the maps are copied, not kept."""
+        return cls._adopt(domain, codomain,
+                          [{i: x for i, x in col.items() if x} for col in columns])
+
+    @classmethod
+    def _adopt(cls, domain: FgAbGroup, codomain: FgAbGroup,
+               columns: Sequence[SparseColumn]) -> "AbHom":
+        """``from_columns`` for fresh maps that nothing else holds: each map
+        becomes a column as it is, copied only to drop zero entries."""
         if len(columns) != domain.ngens:
             raise ShapeMismatch(
                 f"{len(columns)} columns, domain has {domain.ngens} generators")
         nrows = codomain.ngens
-        cols = tuple({i: x for i, x in col.items() if x} for col in columns)
+        cols = tuple({i: x for i, x in col.items() if x} if 0 in col.values()
+                     else col for col in columns)
         for col in cols:
             if col and not (0 <= min(col) and max(col) < nrows):
                 raise ShapeMismatch(
@@ -433,9 +442,9 @@ class AbHom:
         if inner.codomain != self.domain:
             raise ShapeMismatch(
                 f"cannot compose: inner codomain {inner.codomain} != domain {self.domain}")
-        return AbHom.from_columns(inner.domain, self.codomain,
-                                  [_apply_sparse(self.columns, col)
-                                   for col in inner.columns])
+        return AbHom._adopt(inner.domain, self.codomain,
+                            [_apply_sparse(self.columns, col)
+                             for col in inner.columns])
 
     def is_zero(self) -> bool:
         """Zero as a homomorphism, i.e. every column in the relation lattice."""
@@ -484,7 +493,8 @@ def _negated_relation_quotient(column: SparseColumn, group: FgAbGroup,
     return out
 
 
-def _sparse_diagonal(columns: Iterable[SparseColumn]) -> list[int]:
+def _sparse_diagonal(columns: Iterable[SparseColumn],
+                     pivot_rows: list[int] | None = None) -> list[int]:
     """Nonzero diagonal of a diagonal matrix equivalent to the given one.
 
     The columns are consumed.  A pivot p is taken only when it divides
@@ -498,6 +508,11 @@ def _sparse_diagonal(columns: Iterable[SparseColumn]) -> list[int]:
     goes to ``smith_normal_form``.  The multiset is a diagonal, not
     necessarily a divisibility chain; ``FgAbGroup.from_invariants``
     canonicalizes it.
+
+    When ``pivot_rows`` is given, the row of every unit and divisor pivot
+    is appended to it.  Those rows, with the pivot columns, index a
+    nonsingular minor of the given matrix, the product of the pivots up to
+    sign; the residual's pivots are not recorded.
     """
     cols = {j: c for j, c in enumerate(columns) if c}
     rows: dict[int, set[int]] = {}
@@ -529,6 +544,8 @@ def _sparse_diagonal(columns: Iterable[SparseColumn]) -> list[int]:
             if not col_j:
                 del cols[j]
         diag.append(abs(p))
+        if pivot_rows is not None:
+            pivot_rows.append(r)
 
     def unit_sweep() -> bool:
         found = False
@@ -570,6 +587,68 @@ def _sparse_diagonal(columns: Iterable[SparseColumn]) -> list[int]:
     return diag
 
 
+def _composite_quotient(outer: AbHom, inner: AbHom) -> list[SparseColumn] | None:
+    """The proof that outer after inner is the zero homomorphism.
+
+    With R_N the diagonal relation columns of the codomain N, the product
+    D_out D_in is zero as a homomorphism exactly when D_out D_in = R_N Y
+    for an integer Y.  Each column of the product is formed sparsely and
+    divided by R_N.  Returns the columns of -Y, the entry for torsion
+    generator k of N at row m + k, m the generators of the middle group,
+    which is where the cone of ``cohomology_at`` puts it; None when some
+    column is not in the relation lattice.
+    """
+    if inner.codomain != outer.domain:
+        raise ShapeMismatch(
+            f"cannot compose: inner codomain {inner.codomain} != domain {outer.domain}")
+    cod, m, out_cols = outer.codomain, outer.domain.ngens, outer.columns
+    quotients = []
+    for col in inner.columns:
+        y = _negated_relation_quotient(_apply_sparse(out_cols, col), cod, m)
+        if y is None:
+            return None
+        quotients.append(y)
+    return quotients
+
+
+def _cone_columns(in_columns: Sequence[SparseColumn], d_out: AbHom,
+                  quotients: Sequence[SparseColumn]) -> list[SparseColumn]:
+    """Fresh columns of the cone B = [[D_in, R_M], [-Y, -X]] (see
+    ``cohomology_at``) from the columns of D_in and the columns of -Y that
+    ``_composite_quotient`` returned for d_out after d_in."""
+    mid, cod = d_out.domain, d_out.codomain
+    b_cols = [{**col, **y} for col, y in zip(in_columns, quotients)]
+    for k, order in enumerate(mid.torsion):
+        g = mid.free_rank + k
+        # exact because d_out is well defined on the generator of order `order`
+        x = _negated_relation_quotient(
+            {i: order * v for i, v in d_out.columns[g].items()}, cod, mid.ngens)
+        b_cols.append({g: order, **x})
+    return b_cols
+
+
+def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
+    """Rank of the free rows F of D_out, the columns in ``skip`` left out.
+
+    Leaving out the rows of the cone B's unit and divisor pivots that
+    index the middle group keeps the rank over Q: those rows index a
+    nonsingular minor of im D_in + im R_M, on which F D_out vanishes
+    because D_out D_in = R_N Y and D_out R_M = R_N X while F R_N = 0, so
+    each skipped column of F D_out is a combination of the others.
+    """
+    free = d_out.codomain.free_rank
+    skipped = set(skip)
+    return len(_sparse_diagonal(
+        [{i: v for i, v in col.items() if i < free}
+         for j, col in enumerate(d_out.columns) if j not in skipped]))
+
+
+def _middle_group(d_out: AbHom, rank_f: int, diag_b: list[int]) -> FgAbGroup:
+    """Z^(m - rank F - rank B) plus Z/e for the invariant factors e of B."""
+    free = d_out.domain.ngens - rank_f - len(diag_b)
+    return FgAbGroup.from_invariants([0] * free + diag_b)
+
+
 def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     """ker(d_out) / im(d_in) at the shared middle group.
 
@@ -590,35 +669,96 @@ def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
             factors e of B),
 
     so only the rank of A and the invariant factors of B are needed, and
-    ``_sparse_diagonal`` computes nothing else.  Over Q the columns of R_N span the torsion
-    rows, so rank A = t_N + rank F for the free rows F of D_out, and only
-    F is eliminated.  Building Y is the composition check: it exists
-    exactly when d_out after d_in is the zero homomorphism.
+    ``_sparse_diagonal`` computes nothing else.  Over Q the columns of R_N
+    span the torsion rows, so rank A = t_N + rank F for the free rows F of
+    D_out, and only F is eliminated, without the columns that were pivot
+    rows of B (see ``_free_row_rank``).  Building Y is the composition
+    check: it exists exactly when d_out after d_in is the zero
+    homomorphism.
     """
     if d_in.codomain != d_out.domain:
         raise ShapeMismatch(
             f"middle groups differ: {d_in.codomain} vs {d_out.domain}")
-    mid, cod = d_out.domain, d_out.codomain
-    m = mid.ngens
-    out_cols = d_out.columns
-    b_cols = []
-    for col in d_in.columns:
-        y = _negated_relation_quotient(_apply_sparse(out_cols, col), cod, m)
-        if y is None:
-            raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
-        b_cols.append({**col, **y})
-    for k, order in enumerate(mid.torsion):
-        g = mid.free_rank + k
-        # exact because d_out is well defined on the generator of order `order`
-        x = _negated_relation_quotient(
-            {i: order * v for i, v in out_cols[g].items()}, cod, m)
-        b_cols.append({g: order, **x})
-    # fresh dicts, as _sparse_diagonal consumes its columns
-    free_rows = [{i: v for i, v in col.items() if i < cod.free_rank}
-                 for col in out_cols]
-    diag_b = _sparse_diagonal(b_cols)
-    free = m - len(_sparse_diagonal(free_rows)) - len(diag_b)
-    return FgAbGroup.from_invariants([0] * free + diag_b)
+    quotients = _composite_quotient(d_out, d_in)
+    if quotients is None:
+        raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
+    pivots: list[int] = []
+    diag_b = _sparse_diagonal(_cone_columns(d_in.columns, d_out, quotients),
+                              pivots)
+    m = d_out.domain.ngens
+    rank_f = _free_row_rank(d_out, (r for r in pivots if r < m))
+    return _middle_group(d_out, rank_f, diag_b)
+
+
+class _ComplexCohomology:
+    """H^n = ker(d^n) / im(d^(n-1)) of a complex d^0, ..., d^(P-1), with
+    d^(-1) = 0, for 0 <= n < P; the engine of ``LeechComplex`` and
+    ``TotalComplex``.
+
+    Every consecutive pair is proven to compose to zero once, at
+    construction, whether or not any H^n is asked for; the quotient
+    columns -Y of that proof are kept until the cone B_n of the pair
+    (d^(n-1), d^n) is built, so no product is formed again.  Each B_n is
+    eliminated at most once and its diagonal kept.  H^n needs B_n and the
+    rank of the free rows F of d^n; below the top that rank is read off
+    the next cone, as over Q
+
+        rank B_(n+1) = t(C^(n+1)) + rank F(d^n),
+
+    since the t(C^(n+1)) relation columns [R_M; -X] of B_(n+1) are
+    independent, and clearing the torsion rows of a column of [D_in; -Y]
+    with them leaves its free rows, a column of F(d^n), over rows that are
+    a linear function of them: R_N, of full column rank, times their
+    negative is D_out of the cleared column.  Only the top d^(P-1) is
+    eliminated as free rows, without the columns that were pivot rows of
+    B_(P-1) (see ``_free_row_rank``).  Which cones and ranks H^n uses does
+    not depend on the order in which degrees are asked for.
+    """
+
+    def __init__(self, differentials: Sequence[AbHom], failure: str) -> None:
+        """``failure`` is the text of the AssertionError raised for the
+        first pair (d^k, d^(k+1)) that does not compose to zero, formatted
+        with ``lo=k`` and ``hi=k + 2``."""
+        self.differentials = tuple(differentials)
+        # quotients[n] holds -Y of (d^(n-1), d^n) until B_n is built
+        self._quotients: list[list[SparseColumn] | None] = [[]]
+        for k in range(len(self.differentials) - 1):
+            quotients = _composite_quotient(self.differentials[k + 1],
+                                            self.differentials[k])
+            if quotients is None:
+                raise AssertionError(failure.format(lo=k, hi=k + 2))
+            self._quotients.append(quotients)
+        self._diagonals: dict[int, list[int]] = {}
+        self._top_skip: set[int] = set()
+        self._groups: dict[int, FgAbGroup] = {}
+
+    def _cone_diagonal(self, n: int) -> list[int]:
+        diag = self._diagonals.get(n)
+        if diag is None:
+            d_out = self.differentials[n]
+            in_columns = self.differentials[n - 1].columns if n else ()
+            pivots: list[int] = []
+            diag = self._diagonals[n] = _sparse_diagonal(
+                _cone_columns(in_columns, d_out, self._quotients[n]), pivots)
+            self._quotients[n] = None
+            if n == len(self.differentials) - 1:
+                m = d_out.domain.ngens
+                self._top_skip = {r for r in pivots if r < m}
+        return diag
+
+    def cohomology(self, n: int) -> FgAbGroup:
+        """H^n for 0 <= n < P, computed on first request and kept."""
+        group = self._groups.get(n)
+        if group is None:
+            d_out = self.differentials[n]
+            diag_b = self._cone_diagonal(n)
+            if n + 1 < len(self.differentials):
+                rank_f = (len(self._cone_diagonal(n + 1))
+                          - len(d_out.codomain.torsion))
+            else:
+                rank_f = _free_row_rank(d_out, self._top_skip)
+            group = self._groups[n] = _middle_group(d_out, rank_f, diag_b)
+        return group
 
 
 def presentation_to_canonical(
@@ -799,20 +939,21 @@ def assemble_hom(domain: DirectSum, codomain: DirectSum,
     then placed by the domain's, straight into the canonical sparse
     columns of the result; no dense matrix is built.  When both changes of
     basis are permutations the columns are only renumbered, and when both
-    are the identity they are taken as they are.
+    are the identity they are taken as they are.  The maps in ``columns``
+    are consumed: the result may keep them as its own columns.
     """
     if len(columns) != domain.presentation_size:
         raise ShapeMismatch(
             f"{len(columns)} columns for {domain.presentation_size} "
             f"presentation generators")
     if domain.is_canonical and codomain.is_canonical:
-        return AbHom.from_columns(domain.total, codomain.total, columns)
+        return AbHom._adopt(domain.total, codomain.total, columns)
     dom_perm, cod_perm = domain.permutation, codomain.permutation
     if dom_perm is not None and cod_perm is not None:
         perm_cols: list[SparseColumn] = [{}] * len(columns)
         for col, j in zip(columns, dom_perm):
             perm_cols[j] = {cod_perm[r]: v for r, v in col.items()}
-        return AbHom.from_columns(domain.total, codomain.total, perm_cols)
+        return AbHom._adopt(domain.total, codomain.total, perm_cols)
     to_cod = codomain.to_total
     can_cols: list[SparseColumn] = [{} for _ in range(domain.total.ngens)]
     for col, placement in zip(columns, domain.from_total):
@@ -825,20 +966,5 @@ def assemble_hom(domain: DirectSum, codomain: DirectSum,
             target = can_cols[j]
             for i, x in image_col.items():
                 target[i] = target.get(i, 0) + b * x
-    return AbHom.from_columns(domain.total, codomain.total, can_cols)
+    return AbHom._adopt(domain.total, codomain.total, can_cols)
 
-
-def composes_to_zero(outer: AbHom, inner: AbHom) -> bool:
-    """Whether outer after inner is the zero homomorphism.
-
-    Every column of the product is formed sparsely and tested for
-    membership in the codomain relation lattice; no dense product is
-    built.
-    """
-    if inner.codomain != outer.domain:
-        raise ShapeMismatch(
-            f"cannot compose: inner codomain {inner.codomain} != domain {outer.domain}")
-    return all(
-        _negated_relation_quotient(_apply_sparse(outer.columns, col),
-                                   outer.codomain, 0) is not None
-        for col in inner.columns)

@@ -651,11 +651,45 @@ def _unencodable(text: str) -> bool:
     return False
 
 
+def _repeated_keys(root: Any,
+                   repeated: Mapping[int, tuple[dict, list[str]]]) -> list[Diagnostic]:
+    """A diagnostic at the path of every key given more than once in one
+    object; ``repeated`` maps the id of such an object to the object and
+    those keys."""
+    out = []
+    stack = [("$", root)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            _, keys = repeated.get(id(value), (value, ()))
+            out.extend(Diagnostic(f"{path}.{key}", f"repeated key {key!r}")
+                       for key in keys)
+            stack.extend(reversed([(f"{path}.{key}", item)
+                                   for key, item in value.items()]))
+        elif isinstance(value, list):
+            stack.extend(reversed([(f"{path}[{i}]", item)
+                                   for i, item in enumerate(value)]))
+    return out
+
+
 def parse_document(text: str) -> Document:
     """Parse and cross-link a UTF-8 JSON document; DocumentError carries
     path-addressed diagnostics for every problem found."""
+    # JSON keeps the last value of a key given twice in one object; record
+    # such keys, as a document that gives two values means neither.  The
+    # object is kept with them, so that its id is not reused.
+    repeated: dict[int, tuple[dict, list[str]]] = {}
+
+    def build_object(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            repeated[id(obj)] = (obj, list(dict.fromkeys(
+                key for key, _ in pairs if key in seen or seen.add(key))))
+        return obj
+
     try:
-        root = json.loads(text)
+        root = json.loads(text, object_pairs_hook=build_object)
     except json.JSONDecodeError as exc:
         raise DocumentError([Diagnostic("$", f"invalid JSON: {exc}")])
     except (RecursionError, ValueError) as exc:
@@ -670,6 +704,8 @@ def parse_document(text: str) -> Document:
         unencodable = _lone_surrogates(root)
         if unencodable:
             raise DocumentError(unencodable)
+    if repeated:
+        raise DocumentError(_repeated_keys(root, repeated))
     p = _Parser()
     if p.obj(root, "$", set(), _ROOT_KEYS) is None:
         raise DocumentError(p.diags)

@@ -37,9 +37,8 @@ from .abelian import (
     FgAbGroup,
     SparseColumn,
     TRIVIAL_GROUP,
+    _ComplexCohomology,
     assemble_hom,
-    cohomology_at,
-    composes_to_zero,
     direct_sum_ngens,
 )
 from .coeff import CoeffSystem
@@ -183,8 +182,8 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
 
 class LeechComplex:
     """Cochain groups C^0..C^P and coboundaries d^0..d^(P-1), with
-    d o d = 0 verified at construction; each H^n is computed on first
-    request and kept."""
+    d o d = 0 verified once per pair at construction; each H^n is computed
+    on first request and kept."""
 
     def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int):
         if coeffs.monoid != monoid:
@@ -199,12 +198,10 @@ class LeechComplex:
         self.differentials: list[AbHom] = [
             coboundary(monoid, coeffs, k, self.groups[k], self.groups[k + 1])
             for k in range(max_degree)]
-        for k in range(max_degree - 1):
-            if not composes_to_zero(self.differentials[k + 1], self.differentials[k]):
-                raise AssertionError(
-                    f"coboundary squared is nonzero between degrees {k} and {k + 2}; "
-                    f"the coefficient system does not satisfy the translation relations")
-        self._cohomology: dict[int, FgAbGroup] = {}
+        self._engine = _ComplexCohomology(
+            self.differentials,
+            "coboundary squared is nonzero between degrees {lo} and {hi}; "
+            "the coefficient system does not satisfy the translation relations")
 
     def group(self, n: int) -> CochainGroup:
         return self.groups[n]
@@ -224,11 +221,7 @@ class LeechComplex:
         """
         if not 0 <= n < self.max_degree:
             raise ValueError(f"H^{n} needs the complex built to degree {n + 1}")
-        group = self._cohomology.get(n)
-        if group is None:
-            group = self._cohomology[n] = cohomology_at(
-                self.differential(n - 1), self.differential(n))
-        return group
+        return self._engine.cohomology(n)
 
 
 def leech_cohomology(m: FinMonoid, c: CoeffSystem, n: int) -> FgAbGroup:

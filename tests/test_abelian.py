@@ -24,11 +24,14 @@ from moncoh.abelian import (
     TRIVIAL_GROUP,
     Z,
     Zmod,
+    _ComplexCohomology,
+    _composite_quotient,
+    _cone_columns,
+    _free_row_rank,
     _sparse_diagonal,
     add_block,
     assemble_hom,
     cohomology_at,
-    composes_to_zero,
     direct_sum,
     direct_sum_ngens,
     parse_group,
@@ -263,6 +266,39 @@ class TestSparseRepresentation:
             assert all(x for col in h.columns for x in col.values())
 
     @settings(max_examples=150, deadline=None)
+    @given(small_groups, small_groups, st.data())
+    def test_adopted_columns_match_copied(self, dom, cod, data):
+        # the private path assemble_hom uses keeps fresh maps instead of
+        # copying them, and must build the same hom
+        rows = data.draw(homs(dom, cod))
+        given_cols = [{i: rows[i][j] for i in range(cod.ngens)}
+                      for j in range(dom.ngens)]
+        copied = AbHom.from_columns(dom, cod, given_cols)
+        fresh = [dict(col) for col in given_cols]
+        adopted = AbHom._adopt(dom, cod, fresh)
+        assert copied == adopted and hash(copied) == hash(adopted)
+        assert copied.columns == adopted.columns
+        assert copied.matrix == adopted.matrix == im.freeze(rows)
+        for h in (copied, adopted):
+            assert all(x for col in h.columns for x in col.values())
+        assert not any(a is b for a, b in zip(copied.columns, given_cols))
+        assert all((a is b) is (0 not in b.values())
+                   for a, b in zip(adopted.columns, fresh))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups, small_groups, st.data())
+    def test_adopted_columns_checked_alike(self, dom, cod, data):
+        entry = st.sampled_from([0, 0, 1, -1, 2, 3])
+        cols = [{i: data.draw(entry) for i in range(cod.ngens + 1)}
+                for _ in range(dom.ngens)]
+        if data.draw(st.booleans()):
+            for col in cols:
+                col.pop(cod.ngens)
+        copied = error_of(lambda: AbHom.from_columns(dom, cod, cols))
+        adopted = error_of(lambda: AbHom._adopt(dom, cod, [dict(c) for c in cols]))
+        assert copied == adopted
+
+    @settings(max_examples=150, deadline=None)
     @given(small_groups, small_groups, small_groups, st.data())
     def test_operations_match_dense_references(self, a, b, c, data):
         inner = AbHom(a, b, data.draw(homs(a, b)))
@@ -304,12 +340,17 @@ class TestSparseRepresentation:
 
 
 class TestComposesToZero:
+    """``_composite_quotient`` is the one proof that a composite is zero."""
+
     def test_zero_only_modulo_relations(self):
-        # 6 into Z/6 is zero as a homomorphism, 3 is not
-        assert composes_to_zero(AbHom(Z, Zmod(6), ((6,),)), AbHom.identity(Z))
-        assert not composes_to_zero(AbHom(Z, Zmod(6), ((3,),)), AbHom.identity(Z))
+        # 6 into Z/6 is zero as a homomorphism, 3 is not; 6 = 6 * 1 puts -1
+        # at row 1, after the middle group's one generator
+        assert _composite_quotient(AbHom(Z, Zmod(6), ((6,),)),
+                                   AbHom.identity(Z)) == [{1: -1}]
+        assert _composite_quotient(AbHom(Z, Zmod(6), ((3,),)),
+                                   AbHom.identity(Z)) is None
         with pytest.raises(ShapeMismatch):
-            composes_to_zero(AbHom.identity(Z), AbHom.identity(Zmod(2)))
+            _composite_quotient(AbHom.identity(Z), AbHom.identity(Zmod(2)))
 
     def test_agrees_with_dense_product_randomized(self):
         rng = random.Random(11)
@@ -322,9 +363,21 @@ class TestComposesToZero:
             outer = oracles.random_hom(rng, b, c, span=2)
             if rng.random() < 0.3:
                 inner = AbHom.zero(a, b)
-            want = oracles.dense_is_zero(oracles.dense_compose(outer, inner))
-            assert composes_to_zero(outer, inner) is want
+            product = oracles.dense_compose(outer, inner)
+            want = oracles.dense_is_zero(product)
+            quotients = _composite_quotient(outer, inner)
+            assert (quotients is not None) is want
             seen[want] += 1
+            if quotients is None:
+                continue
+            # the product is R_N times minus the quotients, row m + k
+            # holding the entry of torsion generator k of N
+            m = b.ngens
+            for j, y in enumerate(quotients):
+                assert all(m <= r < m + len(c.torsion) for r in y)
+                column = [product.matrix[i][j] for i in range(c.ngens)]
+                assert column == [0] * c.free_rank + [
+                    -order * y.get(m + k, 0) for k, order in enumerate(c.torsion)]
         assert min(seen.values()) >= 30
 
 
@@ -543,6 +596,77 @@ class TestCohomologyAt:
             d_in = AbHom(FgAbGroup(n_cols), mid, im.freeze(
                 [[cols[c][r] for c in range(n_cols)] for r in range(mid.ngens)]))
             assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
+
+
+@st.composite
+def torsion_pairs(draw):
+    """d_in, d_out with d_out after d_in zero: d_out is random from a group
+    with torsion to one with a free summand, and d_in's columns are random
+    combinations of the lifted kernel of d_out."""
+    groups = st.lists(st.sampled_from([0, 2, 3, 4, 6]), min_size=1,
+                      max_size=4).map(FgAbGroup.from_invariants)
+    mid = draw(groups.filter(lambda g: bool(g.torsion)))
+    cod = draw(groups.filter(lambda g: g.free_rank > 0))
+    d_out = AbHom(mid, cod, draw(homs(mid, cod)))
+    span = oracles.kernel_membership_columns(d_out.matrix, mid.ngens, cod)
+    n_cols = draw(st.integers(0, 4))
+    coef = st.sampled_from([0, 0, 1, -1, 2, 3])
+    cols = []
+    for _ in range(n_cols):
+        col = [0] * mid.ngens
+        for k in range(im.num_cols(span)):
+            c = draw(coef)
+            for r in range(mid.ngens):
+                col[r] += c * span[r][k]
+        cols.append(col)
+    d_in = AbHom(FgAbGroup(n_cols), mid, im.freeze(
+        [[cols[c][r] for c in range(n_cols)] for r in range(mid.ngens)]))
+    return d_in, d_out
+
+
+class TestComplexCohomology:
+    def test_first_nonzero_pair_named(self):
+        # d^1 d^0 = 8 is zero in Z/4 but d^2 d^1 = 2 is not; H^1 = 2Z / 4Z
+        d = [AbHom(Z, Z, ((4,),)), AbHom(Z, Zmod(4), ((2,),)),
+             AbHom(Zmod(4), Zmod(4), ((1,),))]
+        with pytest.raises(AssertionError) as caught:
+            _ComplexCohomology(d, "pair {lo} to {hi}")
+        assert str(caught.value) == "pair 1 to 3"
+        engine = _ComplexCohomology(d[:2], "unused")
+        assert [engine.cohomology(n) for n in (1, 0)] == [Zmod(2), TRIVIAL_GROUP]
+
+
+class TestTopColumnSkip:
+    @staticmethod
+    def skip_of(d_in, d_out):
+        quotients = _composite_quotient(d_out, d_in)
+        assert quotients is not None
+        pivots: list[int] = []
+        _sparse_diagonal(_cone_columns(d_in.columns, d_out, quotients), pivots)
+        return {r for r in pivots if r < d_out.domain.ngens}
+
+    @staticmethod
+    def free_rank(d_out):
+        free = [list(row) for row in d_out.matrix[:d_out.codomain.free_rank]]
+        return smith_normal_form(free, shape=(len(free), d_out.domain.ngens)).rank
+
+    def test_skipped_columns_keep_the_rank(self):
+        # M = Z^2, N = Z: d_in hits (1, 1) and d_out = (1, -1), so the cone
+        # pivots on one middle row and that column of F is dropped
+        d_in = AbHom(Z, FgAbGroup(2), ((1,), (1,)))
+        d_out = AbHom(FgAbGroup(2), Z, ((1, -1),))
+        skip = self.skip_of(d_in, d_out)
+        assert len(skip) == 1
+        assert _free_row_rank(d_out, skip) == _free_row_rank(d_out, ()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(torsion_pairs())
+    def test_full_free_row_rank_on_random_torsion_pairs(self, pair):
+        d_in, d_out = pair
+        skip = self.skip_of(d_in, d_out)
+        want = self.free_rank(d_out)
+        assert _free_row_rank(d_out, skip) == _free_row_rank(d_out, ()) == want
+        assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
 
 
 class TestSparseDiagonal:

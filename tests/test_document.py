@@ -128,6 +128,29 @@ class TestParse:
         root["set_systems"][0]["name"] = "\ud83d\ude00"
         assert parse_document(json.dumps(root)).set_systems[0][0] == "\U0001f600"
 
+    def test_repeated_defaults_rejected(self):
+        # JSON keeps the last of two equal keys: this text would set p_max
+        # from 4 to 1 without a word
+        text = sample_text()
+        assert parse_document(text).defaults.p_max == 4
+        twice = '{"defaults": {"p_max": 1}, ' + text[1:]
+        assert json.loads(twice)["defaults"]["p_max"] == 4
+        assert diags_of(twice) == ["$.defaults: repeated key 'defaults'"]
+
+    def test_repeated_map_key_rejected_at_its_path(self):
+        root = sample_root()
+        root["grids"][0]["vertical"] = {"maps": {"[0,0]": [[1]]}}
+        text = json.dumps(root)
+        assert parse_document(text).grid("pair").family.maps[(0, 0)].matrix == ((1,),)
+        twice = text.replace('"[0,0]": [[1]]', '"[0,0]": [[1]], "[0,0]": [[2]]')
+        assert twice != text
+        assert diags_of(twice) == [
+            "$.grids[0].vertical.maps.[0,0]: repeated key '[0,0]'"]
+        # three values name the key once; each object names its own keys
+        thrice = '{"a": [{"x": 1, "x": 2, "x": 3}], "b": {"y": {}, "y": {}}}'
+        assert diags_of(thrice) == ["$.a[0].x: repeated key 'x'",
+                                    "$.b.y: repeated key 'y'"]
+
     def test_root_must_be_object(self):
         assert any(d.startswith("$:") for d in diags_of("[1, 2]"))
 

@@ -1,10 +1,13 @@
-"""Golden bytes of every subcommand on the demo document.
+"""Golden bytes of every subcommand on the demo document, and of the
+Leech tables script.
 
 The document is the one `scripts/make_demo_document.py` writes; `fs` and
 `h` run with `--pmax 2`, as the script suggests.  Each case pins the exit
 code and the SHA-256 of stdout, so any change to a rendered report, text
-or JSON, shows up here.  Re-record a digest only for a deliberate change
-of output, and say so where the change is described.
+or JSON, shows up here.  `scripts/leech_tables.py --pmax 4` is pinned the
+same way; its rows include `Z x Z/2` and sign-action coefficients.
+Re-record a digest only for a deliberate change of output, and say so
+where the change is described.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from moncoh.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_demo_document.py"
+LEECH_TABLES = ROOT / "scripts" / "leech_tables.py"
+LEECH_TABLES_PMAX_4 = "f3bb19fdd833c3e629dc81fedd16bfda05e83b2077d9b1c8fd9c7dd04d846ea7"
 
 GOLDEN = {
     ("validate", "text"): (0, "64027a378cb0fbec707b4dfefe58f720e64bbeb4928a3a7d8dd301b67534cf18"),
@@ -40,11 +45,15 @@ GOLDEN = {
 }
 
 
-def demo_document() -> dict:
-    spec = importlib.util.spec_from_file_location("make_demo_document", SCRIPT)
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.DOCUMENT
+    return module
+
+
+def demo_document() -> dict:
+    return load_script(SCRIPT).DOCUMENT
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +90,13 @@ def test_module_entry_point_matches_main(capsys, demo_path):
                           capture_output=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == \
         (code, expected.encode("utf-8"), b"")
+
+
+def test_leech_tables_script_output(capsys, monkeypatch):
+    script = load_script(LEECH_TABLES)
+    monkeypatch.setattr(sys, "argv", [str(LEECH_TABLES), "--pmax", "4"])
+    script.main()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == \
+        LEECH_TABLES_PMAX_4

@@ -11,8 +11,7 @@ from collections import Counter
 
 import pytest
 
-from moncoh import grid as grid_module
-from moncoh import leech as leech_module
+from moncoh import abelian
 from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod, cohomology_at
 from moncoh.coeff import constant_system, explicit_system
 from moncoh.grid import (
@@ -379,26 +378,58 @@ class TestWorkDoneOnce:
                            const_floor(cyclic_group(3), Zmod(2)))
             family = VerticalFamily.zero()
             path = PathSpec("RDR")
+        # one product per consecutive pair, one elimination per cone and
+        # no compose, whether the pair is a floor complex's (proven when it
+        # is built) or the path's (proven by cohomology_at at its position)
+        proofs: Counter[tuple[int, int]] = Counter()
+        cones: Counter[tuple[int, int]] = Counter()
         calls: Counter[str] = Counter()
-        real_cohomology_at = cohomology_at
+        real_quotient = abelian._composite_quotient
+        real_cone = abelian._cone_columns
+        real_diagonal = abelian._sparse_diagonal
+        real_free_rank = abelian._free_row_rank
         real_compose = AbHom.compose
 
-        def counted_cohomology_at(d_in, d_out):
-            calls["cohomology_at"] += 1
-            return real_cohomology_at(d_in, d_out)
+        def counted_quotient(outer, inner):
+            proofs[id(outer), id(inner)] += 1
+            return real_quotient(outer, inner)
+
+        def counted_cone(in_columns, d_out, quotients):
+            cones[id(in_columns), id(d_out)] += 1
+            return real_cone(in_columns, d_out, quotients)
+
+        def counted_diagonal(columns, pivot_rows=None):
+            calls["elimination"] += 1
+            return real_diagonal(columns, pivot_rows)
+
+        def counted_free_rank(d_out, skip):
+            calls["free rows"] += 1
+            return real_free_rank(d_out, skip)
 
         def counted_compose(outer, inner):
             calls["compose"] += 1
             return real_compose(outer, inner)
 
-        monkeypatch.setattr(grid_module, "cohomology_at", counted_cohomology_at)
-        monkeypatch.setattr(leech_module, "cohomology_at", counted_cohomology_at)
+        monkeypatch.setattr(abelian, "_composite_quotient", counted_quotient)
+        monkeypatch.setattr(abelian, "_cone_columns", counted_cone)
+        monkeypatch.setattr(abelian, "_sparse_diagonal", counted_diagonal)
+        monkeypatch.setattr(abelian, "_free_row_rank", counted_free_rank)
         monkeypatch.setattr(AbHom, "compose", counted_compose)
         square = square_cohomology(grid, family, path, 3)
         exact = local_exactness_report(grid, family, path, 3,
                                        square_report=square)
         assert exact.identifications and exact.all_identified
-        assert calls == Counter({"cohomology_at": len(square.entries)})
+        floors = square.cochain.complexes
+        floor_pairs = sum(max(cx.max_degree - 1, 0) for cx in floors)
+        on_path = sum(1 for tag in square.tags() if tag != "floor_leech")
+        # a floor's top d^n is eliminated as free rows when its H^n is read
+        tops = sum(1 for e in square.entries if e.tag == "floor_leech"
+                   and e.degree == floors[e.floor].max_degree - 1)
+        assert on_path and floor_pairs
+        assert len(proofs) == floor_pairs + on_path
+        assert set(proofs.values()) == set(cones.values()) == {1}
+        assert calls == Counter({"elimination": len(cones) + on_path + tops,
+                                 "free rows": on_path + tops})
 
 
 class TestFloorDepth:

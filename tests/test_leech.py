@@ -8,11 +8,12 @@ mod p linear algebra, which shares no code with the package.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from moncoh import leech
-from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod
+from moncoh import abelian, leech
+from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod, cohomology_at
 from moncoh.coeff import (
     constant_system,
     explicit_system,
@@ -136,8 +137,12 @@ class TestFrozenDifferentials:
                  (1, 0): AbHom(Z, Z, ((-1,),)), (1, 1): AbHom.identity(Z)}
         rstar = {k: AbHom.identity(Z) for k in lstar}
         c = explicit_system(m, [Z, Z], lstar, rstar)
-        with pytest.raises(AssertionError, match="translation relations"):
-            LeechComplex(m, c, 2)
+        for max_degree in (2, 4):
+            with pytest.raises(AssertionError) as caught:
+                LeechComplex(m, c, max_degree)
+            assert str(caught.value) == (
+                "coboundary squared is nonzero between degrees 0 and 2; the "
+                "coefficient system does not satisfy the translation relations")
 
 
 class TestFrozenTables:
@@ -230,6 +235,68 @@ class TestLatticeOracle:
                     want = lattice_cohomology_at(cx.differential(n - 1),
                                                  cx.differential(n))
                     assert cx.cohomology(n) == want, (m.name, c.groups, n)
+
+
+class TestCohomologyEngine:
+    COEFFS = [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))]
+
+    def test_order_of_requests_does_not_matter(self):
+        # every catalog monoid over Z, Z/2, Z/6 and Z x Z/2, with the sign
+        # actions, to degree 3: degrees asked ascending, descending,
+        # shuffled or one per complex give cohomology_at's group and the
+        # lattice reference's
+        rng = random.Random(5)
+        for m in small_monoids():
+            for c in systems_for(m, self.COEFFS):
+                ref = LeechComplex(m, c, 4)
+                pairs = [(ref.differential(n - 1), ref.differential(n))
+                         for n in range(4)]
+                want = [cohomology_at(*pair) for pair in pairs]
+                assert want == [lattice_cohomology_at(*pair) for pair in pairs]
+                for order in (range(4), range(3, -1, -1), rng.sample(range(4), 4)):
+                    cx = LeechComplex(m, c, 4)
+                    got = {n: cx.cohomology(n) for n in order}
+                    assert [got[n] for n in range(4)] == want, (
+                        m.name, c.groups, list(order))
+                for n in range(4):
+                    assert LeechComplex(m, c, 4).cohomology(n) == want[n]
+
+    def test_cohomology_forms_no_product(self, monkeypatch):
+        # the proofs at construction keep their quotients, so no H^n
+        # multiplies a pair of differentials again
+        built = [LeechComplex(m, c, 4) for m in (cyclic_group(2), power_set_monoid(2))
+                 for c in systems_for(m, self.COEFFS)]
+        products = []
+        real_apply = abelian._apply_sparse
+
+        def counted_apply(cols, vector):
+            products.append(1)
+            return real_apply(cols, vector)
+
+        monkeypatch.setattr(abelian, "_apply_sparse", counted_apply)
+        for cx in built:
+            for n in range(4):
+                cx.cohomology(n)
+        assert products == []
+
+    def test_each_pair_proven_once_at_construction(self, monkeypatch):
+        # every consecutive pair, including those whose H^n is never asked
+        # for; asking for all of them proves nothing again
+        proofs = []
+        real_quotient = abelian._composite_quotient
+
+        def counted_quotient(outer, inner):
+            proofs.append((outer, inner))
+            return real_quotient(outer, inner)
+
+        monkeypatch.setattr(abelian, "_composite_quotient", counted_quotient)
+        m = cyclic_group(3)
+        cx = LeechComplex(m, constant_system(m, Zmod(3)), 5)
+        d = cx.differentials
+        assert proofs == [(d[k + 1], d[k]) for k in range(4)]
+        assert table_renders(cx.cohomology(n) for n in range(5)) == [
+            "Z/3"] * 5
+        assert len(proofs) == 4
 
 
 def mixed_two_three_system():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from moncoh.abelian import AbHom, Z, Zmod, direct_sum
+from moncoh.abelian import AbHom, FgAbGroup, Z, Zmod, cohomology_at, direct_sum
 from moncoh.coeff import constant_system
 from moncoh.grid import GridSpec, VerticalFamily
 from moncoh.leech import leech_cohomology_table
@@ -22,6 +24,38 @@ from catalog import small_monoids
 def const_grid(*pairs, finite=True):
     return GridSpec(tuple((m, constant_system(m, g)) for m, g in pairs),
                     finite=finite)
+
+
+def pullback(upper, lower, phi, order, n):
+    """Degree n pullback C^n(lower) -> C^n(upper) along the element map
+    phi from upper to lower, for constant Z (order 0) or Z/order
+    coefficients, whose generators are the identity-free tuples in
+    lexicographic order."""
+    src = list(itertools.product(lower.non_identity(), repeat=n))
+    dst = list(itertools.product(upper.non_identity(), repeat=n))
+    index = {t: i for i, t in enumerate(src)}
+    cols = [{} for _ in src]
+    for i, t in enumerate(dst):
+        image = tuple(phi[a] for a in t)
+        if lower.identity_index not in image:
+            cols[index[image]][i] = 1
+
+    def group(k):
+        return FgAbGroup(k) if order == 0 else FgAbGroup(0, (order,) * k)
+    return AbHom.from_columns(group(len(src)), group(len(dst)), cols)
+
+
+def pullback_stack(*orders, coeff_order, n_max):
+    """Cyclic floors of the given orders, bottom up, with the pullback
+    along reduction from floor 1 to floor 0 as the only vertical maps."""
+    floors = [cyclic_group(k) for k in orders]
+    grid = const_grid(*((m, Zmod(coeff_order) if coeff_order else Z)
+                        for m in floors))
+    phi = [g % orders[0] for g in range(orders[1])]
+    family = VerticalFamily.explicit({
+        (0, n): pullback(floors[1], floors[0], phi, coeff_order, n)
+        for n in range(n_max + 2)})
+    return grid, family
 
 
 class TestDetection:
@@ -99,6 +133,19 @@ class TestTotalCohomology:
         assert view.ok
         tot = total_cohomology(grid, family, 3)
         assert [g.render() for g in tot] == ["0", "0", "0", "Z/2"]
+
+    @pytest.mark.parametrize("orders", [(2, 4), (3, 6), (2, 4, 3)])
+    @pytest.mark.parametrize("coeff_order", [0, 2])
+    def test_each_degree_matches_cohomology_at_on_pullback_stacks(
+            self, orders, coeff_order):
+        grid, family = pullback_stack(*orders, coeff_order=coeff_order, n_max=3)
+        for degrees in (range(4), range(3, -1, -1)):
+            cx = TotalComplex(grid, family, 3)
+            got = {n: cx.cohomology(n) for n in degrees}
+            assert [got[n] for n in range(4)] == [
+                cohomology_at(cx.differential(n - 1), cx.differential(n))
+                for n in range(4)]
+        assert got[0].render() == "0"  # the degree 0 pullback is injective
 
     def test_empty_range(self):
         grid = const_grid((cyclic_group(2), Z))
