@@ -26,7 +26,7 @@ Conventions
   form.  Its dense ``matrix`` is a view built on demand, for
   serialisation.
 * Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
-  matrices, the cone of the diagonal relations (see ``cohomology_at``):
+  matrices, the cone of the diagonal relations (see ``_ComplexCohomology``):
   the rank of one and the invariant factors of the other.  Both come from
   a sparse elimination with unit and divisor pivots that never builds a
   transform; only a residual it cannot pivot goes to dense Smith form.
@@ -39,7 +39,7 @@ import math
 import re
 from itertools import compress
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import intmat as im
 from .intmat import FrozenMatrix
@@ -595,8 +595,8 @@ def _composite_quotient(outer: AbHom, inner: AbHom) -> list[SparseColumn] | None
     for an integer Y.  Each column of the product is formed sparsely and
     divided by R_N.  Returns the columns of -Y, the entry for torsion
     generator k of N at row m + k, m the generators of the middle group,
-    which is where the cone of ``cohomology_at`` puts it; None when some
-    column is not in the relation lattice.
+    which is where the cone of ``_ComplexCohomology`` puts it; None when
+    some column is not in the relation lattice.
     """
     if inner.codomain != outer.domain:
         raise ShapeMismatch(
@@ -609,22 +609,6 @@ def _composite_quotient(outer: AbHom, inner: AbHom) -> list[SparseColumn] | None
             return None
         quotients.append(y)
     return quotients
-
-
-def _cone_columns(in_columns: Sequence[SparseColumn], d_out: AbHom,
-                  quotients: Sequence[SparseColumn]) -> list[SparseColumn]:
-    """Fresh columns of the cone B = [[D_in, R_M], [-Y, -X]] (see
-    ``cohomology_at``) from the columns of D_in and the columns of -Y that
-    ``_composite_quotient`` returned for d_out after d_in."""
-    mid, cod = d_out.domain, d_out.codomain
-    b_cols = [{**col, **y} for col, y in zip(in_columns, quotients)]
-    for k, order in enumerate(mid.torsion):
-        g = mid.free_rank + k
-        # exact because d_out is well defined on the generator of order `order`
-        x = _negated_relation_quotient(
-            {i: order * v for i, v in d_out.columns[g].items()}, cod, mid.ngens)
-        b_cols.append({g: order, **x})
-    return b_cols
 
 
 def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
@@ -643,65 +627,40 @@ def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
          for j, col in enumerate(d_out.columns) if j not in skipped]))
 
 
-def _middle_group(d_out: AbHom, rank_f: int, diag_b: list[int]) -> FgAbGroup:
-    """Z^(m - rank F - rank B) plus Z/e for the invariant factors e of B."""
-    free = d_out.domain.ngens - rank_f - len(diag_b)
-    return FgAbGroup.from_invariants([0] * free + diag_b)
+class _ComplexCohomology:
+    """H^n = ker(d^n) / im(d^(n-1)) of a complex d^0, ..., d^(P-1), with
+    d^(-1) = 0, for 0 <= n < P; the engine of ``LeechComplex``,
+    ``TotalComplex``, ``PathCochain`` and ``cohomology_at``.
 
+    At degree n write L -> M -> N for the three groups, l, m, n for their
+    numbers of generators, t_M, t_N for the torsion generators of M and
+    N, R_M, R_N for their diagonal relation columns and D_in, D_out for
+    the matrices of d^(n-1) and d^n.  Then D_out R_M = R_N X and
+    D_out D_in = R_N Y for integer X and Y, and
 
-def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
-    """ker(d_out) / im(d_in) at the shared middle group.
-
-    Write L -> M -> N for the three groups, l, m, n for their numbers of
-    generators, t_M, t_N for the torsion generators of M and N, R_M, R_N
-    for their diagonal relation columns and D_in, D_out for the matrices.
-    Then D_out R_M = R_N X and D_out D_in = R_N Y for integer X and Y, and
-
-        Z^(l + t_M) --B--> Z^(m + t_N) --A--> Z^n,
-        A = [D_out | R_N],   B = [[D_in, R_M], [-Y, -X]]
+        Z^(l + t_M) --B_n--> Z^(m + t_N) --A--> Z^n,
+        A = [D_out | R_N],   B_n = [[D_in, R_M], [-Y, -X]]
 
     is a complex of free groups, the cone of the relations, with the same
     middle cohomology: ker A projects isomorphically onto the lifts of
-    ker(d_out), and im B onto im(D_in) + im(R_M).  Since ker A is a direct
-    summand of rank m + t_N - rank A that contains im B,
+    ker(d_out), and im B_n onto im(D_in) + im(R_M).  Since ker A is a
+    direct summand of rank m + t_N - rank A that contains im B_n,
 
-        H = Z^(m + t_N - rank A - rank B) x (Z/e over the invariant
-            factors e of B),
+        H^n = Z^(m + t_N - rank A - rank B_n) x (Z/e over the invariant
+              factors e of B_n),
 
-    so only the rank of A and the invariant factors of B are needed, and
-    ``_sparse_diagonal`` computes nothing else.  Over Q the columns of R_N
-    span the torsion rows, so rank A = t_N + rank F for the free rows F of
-    D_out, and only F is eliminated, without the columns that were pivot
-    rows of B (see ``_free_row_rank``).  Building Y is the composition
-    check: it exists exactly when d_out after d_in is the zero
-    homomorphism.
-    """
-    if d_in.codomain != d_out.domain:
-        raise ShapeMismatch(
-            f"middle groups differ: {d_in.codomain} vs {d_out.domain}")
-    quotients = _composite_quotient(d_out, d_in)
-    if quotients is None:
-        raise CompositionNonzero("d_out after d_in is not the zero homomorphism")
-    pivots: list[int] = []
-    diag_b = _sparse_diagonal(_cone_columns(d_in.columns, d_out, quotients),
-                              pivots)
-    m = d_out.domain.ngens
-    rank_f = _free_row_rank(d_out, (r for r in pivots if r < m))
-    return _middle_group(d_out, rank_f, diag_b)
+    so only the rank of A and the invariant factors of B_n are needed,
+    and ``_sparse_diagonal`` computes nothing else.  Over Q the columns of
+    R_N span the torsion rows, so rank A = t_N + rank F for the free rows
+    F of D_out.
 
-
-class _ComplexCohomology:
-    """H^n = ker(d^n) / im(d^(n-1)) of a complex d^0, ..., d^(P-1), with
-    d^(-1) = 0, for 0 <= n < P; the engine of ``LeechComplex`` and
-    ``TotalComplex``.
-
-    Every consecutive pair is proven to compose to zero once, at
-    construction, whether or not any H^n is asked for; the quotient
-    columns -Y of that proof are kept until the cone B_n of the pair
-    (d^(n-1), d^n) is built, so no product is formed again.  Each B_n is
-    eliminated at most once and its diagonal kept.  H^n needs B_n and the
-    rank of the free rows F of d^n; below the top that rank is read off
-    the next cone, as over Q
+    Building Y is the proof that a pair composes to zero: it exists
+    exactly when d^n after d^(n-1) is the zero homomorphism.  Every
+    consecutive pair is proven once, at construction, whether or not any
+    H^n is asked for; the columns -Y are kept until B_n is built, so no
+    product is formed again.  Each B_n is eliminated at most once and its
+    diagonal kept.  Below the top, rank F(d^n) is read off the next cone,
+    as over Q
 
         rank B_(n+1) = t(C^(n+1)) + rank F(d^n),
 
@@ -715,10 +674,10 @@ class _ComplexCohomology:
     not depend on the order in which degrees are asked for.
     """
 
-    def __init__(self, differentials: Sequence[AbHom], failure: str) -> None:
-        """``failure`` is the text of the AssertionError raised for the
-        first pair (d^k, d^(k+1)) that does not compose to zero, formatted
-        with ``lo=k`` and ``hi=k + 2``."""
+    def __init__(self, differentials: Sequence[AbHom],
+                 failure: Callable[[int], Exception]) -> None:
+        """``failure(k)`` is raised for the first pair (d^k, d^(k+1)) that
+        does not compose to zero."""
         self.differentials = tuple(differentials)
         # quotients[n] holds -Y of (d^(n-1), d^n) until B_n is built
         self._quotients: list[list[SparseColumn] | None] = [[]]
@@ -726,7 +685,7 @@ class _ComplexCohomology:
             quotients = _composite_quotient(self.differentials[k + 1],
                                             self.differentials[k])
             if quotients is None:
-                raise AssertionError(failure.format(lo=k, hi=k + 2))
+                raise failure(k)
             self._quotients.append(quotients)
         self._diagonals: dict[int, list[int]] = {}
         self._top_skip: set[int] = set()
@@ -736,14 +695,22 @@ class _ComplexCohomology:
         diag = self._diagonals.get(n)
         if diag is None:
             d_out = self.differentials[n]
+            mid, cod = d_out.domain, d_out.codomain
             in_columns = self.differentials[n - 1].columns if n else ()
+            cone = [{**col, **y}
+                    for col, y in zip(in_columns, self._quotients[n])]
+            for k, order in enumerate(mid.torsion):
+                g = mid.free_rank + k
+                # exact because d_out is well defined on the generator of order `order`
+                x = _negated_relation_quotient(
+                    {i: order * v for i, v in d_out.columns[g].items()},
+                    cod, mid.ngens)
+                cone.append({g: order, **x})
             pivots: list[int] = []
-            diag = self._diagonals[n] = _sparse_diagonal(
-                _cone_columns(in_columns, d_out, self._quotients[n]), pivots)
+            diag = self._diagonals[n] = _sparse_diagonal(cone, pivots)
             self._quotients[n] = None
             if n == len(self.differentials) - 1:
-                m = d_out.domain.ngens
-                self._top_skip = {r for r in pivots if r < m}
+                self._top_skip = {r for r in pivots if r < mid.ngens}
         return diag
 
     def cohomology(self, n: int) -> FgAbGroup:
@@ -757,8 +724,20 @@ class _ComplexCohomology:
                           - len(d_out.codomain.torsion))
             else:
                 rank_f = _free_row_rank(d_out, self._top_skip)
-            group = self._groups[n] = _middle_group(d_out, rank_f, diag_b)
+            free = d_out.domain.ngens - rank_f - len(diag_b)
+            group = self._groups[n] = FgAbGroup.from_invariants(
+                [0] * free + diag_b)
         return group
+
+
+def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
+    """ker(d_out) / im(d_in) at the shared middle group: H^1 of the
+    complex d_in, d_out (see ``_ComplexCohomology``)."""
+    if d_in.codomain != d_out.domain:
+        raise ShapeMismatch(
+            f"middle groups differ: {d_in.codomain} vs {d_out.domain}")
+    return _ComplexCohomology((d_in, d_out), lambda _: CompositionNonzero(
+        "d_out after d_in is not the zero homomorphism")).cohomology(1)
 
 
 def presentation_to_canonical(

@@ -383,8 +383,8 @@ def _parse_coefficient(p: _Parser, obj: dict, path: str,
         return None
 
 
-def _parse_path(p: _Parser, raw: Any, path: str, grid: GridSpec,
-                p_max: int) -> PathSpec | None:
+def _parse_path(p: _Parser, raw: Any, path: str,
+                grid: GridSpec) -> PathSpec | None:
     if p.obj(raw, path, set(), {"moves", "descend_at"}) is None:
         return None
     if ("moves" in raw) == ("descend_at" in raw):
@@ -408,7 +408,10 @@ def _parse_path(p: _Parser, raw: Any, path: str, grid: GridSpec,
         if v is None:
             return None
         columns.add(v)
-    return path_from_rule(lambda c: c in columns, grid, p_max)
+    # bounded by the last listed column, not the grid's pmax: a run may
+    # take a larger degree bound, and "moves" keeps such a descent too
+    return path_from_rule(lambda c: c in columns, grid,
+                          max(columns, default=-1))
 
 
 def _parse_grid(p: _Parser, obj: dict, path: str,
@@ -522,7 +525,7 @@ def _parse_grid(p: _Parser, obj: dict, path: str,
             return None
 
     if "path" in obj:
-        spec = _parse_path(p, obj["path"], f"{path}.path", grid, p_max)
+        spec = _parse_path(p, obj["path"], f"{path}.path", grid)
         if spec is None:
             return None
     else:

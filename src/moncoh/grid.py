@@ -8,11 +8,14 @@ degree, along a supplied vertical family).  After its explicit moves a
 path continues rightward forever; walks are truncated by a degree bound.
 
 The groups along a path form a cochain sequence.  It is a complex exactly
-when consecutive maps compose to zero: right-right pairs always do, down
-pairs need the family's column condition, and mixed pairs are probed by
-validate_mixed_compositions.  square_cohomology takes cohomology at every
-visited position, which proves each consecutive pair once on the way,
-and classifies each value by the shape of its flanking maps:
+when consecutive maps compose to zero: right-right pairs do when the
+floor's coefficient system satisfies the translation relations, down
+pairs need the family's column condition, and mixed pairs are a condition
+on the family.  PathCochain builds the groups and maps the walk reads and
+hands them to the same cohomology engine as a floor or total complex,
+which proves each consecutive pair once, in path order.
+square_cohomology reads H at every visited position and classifies each
+value by the shape of its flanking maps:
 
     in horizontal or start, out horizontal -> floor_leech: the value is
         the floor's own cohomology at that degree;
@@ -23,9 +26,8 @@ and classifies each value by the shape of its flanking maps:
         vertical-out -> extremal: a truncation artifact of the path, not
         one of the named forms.
 
-Each floor complex is built only as deep as the walk reaches on that
-floor, so differentials no path position reads are neither built nor
-proven.
+No floor complex is built: a coboundary no path position reads is
+neither built nor proven.
 """
 
 from __future__ import annotations
@@ -34,15 +36,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .abelian import (
-    AbHom,
-    CompositionNonzero,
-    FgAbGroup,
-    TRIVIAL_GROUP,
-    cohomology_at,
-)
+from .abelian import AbHom, FgAbGroup, _ComplexCohomology
 from .coeff import CoeffSystem
-from .leech import CochainGroup, LeechComplex
+from .leech import CochainGroup, coboundary, cochain_group, translation_failure
 from .monoid import FinMonoid
 
 Position = tuple[int, int]  # (floor, degree)
@@ -117,9 +113,6 @@ class GridSpec:
     def floor_count(self) -> int:
         return len(self.floors)
 
-    def complexes(self, max_degree: int) -> tuple[LeechComplex, ...]:
-        return tuple(LeechComplex(m, c, max_degree) for m, c in self.floors)
-
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -178,7 +171,9 @@ def path_from_rule(rule: Callable[[int], bool], grid: GridSpec,
     floor = 0
     moves: list[str] = []
     for column in range(p_max + 1):
-        if rule(column) and floor < bottom:
+        if floor == bottom:
+            break
+        if rule(column):
             moves.append("D")
             floor += 1
         moves.append("R")
@@ -216,10 +211,11 @@ class VerticalFamily:
                 out.append((floor, degree, product))
         return out
 
-    def hom(self, complexes: Sequence[LeechComplex], floor: int,
-            degree: int) -> AbHom:
-        dom = complexes[floor].group(degree).total
-        cod = complexes[floor + 1].group(degree).total
+    def hom(self, floor: int, source: CochainGroup,
+            target: CochainGroup) -> AbHom:
+        """The map from source on floor to target on floor + 1, both of
+        one degree."""
+        degree, dom, cod = source.degree, source.total, target.total
         stored = self.maps.get((floor, degree))
         if stored is None:
             return AbHom.zero(dom, cod)
@@ -232,14 +228,17 @@ class VerticalFamily:
 
 
 class PathCochain:
-    """Groups and maps along a truncated path.
+    """The cochain complex along a truncated path.
 
     positions lists the couples with degree <= p_max; maps[k] leaves
     positions[k], the last one landing on tail_position at degree
     p_max + 1.  move_tags mirrors maps with horizontal/vertical labels.
-    complexes[f] is floor f's complex built to the highest degree the walk
-    reaches on f, tail included, and to degree 0 on a floor it never
-    visits; its d o d proofs cover exactly the differentials built.
+    Only what the walk reads is built: the cochain group of each walked
+    position, one coboundary per horizontal move and one family map per
+    descent.  Every consecutive pair of maps is proven to compose to zero
+    at construction, in path order.  A failing pair of coboundaries
+    raises the floor's translation-relations AssertionError, any other
+    failing pair MixedCompositionError.
     """
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, path: PathSpec,
@@ -252,24 +251,31 @@ class PathCochain:
         walked = path.walk(p_max)
         self.positions: tuple[Position, ...] = tuple(walked[:-1])
         self.tail_position: Position = walked[-1]
-        top = [0] * grid.floor_count
-        for f, d in walked:
-            top[f] = max(top[f], d)
-        self.complexes: tuple[LeechComplex, ...] = tuple(
-            LeechComplex(m, c, top[f]) for f, (m, c) in enumerate(grid.floors))
+        groups = [cochain_group(*grid.floors[f], d) for f, d in walked]
         maps: list[AbHom] = []
         tags: list[str] = []
-        for (f0, d0), (f1, _) in zip(walked, walked[1:]):
+        for k, ((f0, d0), (f1, _)) in enumerate(zip(walked, walked[1:])):
             if f1 == f0:
-                maps.append(self.complexes[f0].differential(d0))
+                maps.append(coboundary(*grid.floors[f0], d0, groups[k],
+                                       groups[k + 1]))
                 tags.append("horizontal")
             else:
-                maps.append(family.hom(self.complexes, f0, d0))
+                maps.append(family.hom(f0, groups[k], groups[k + 1]))
                 tags.append("vertical")
         self.maps: tuple[AbHom, ...] = tuple(maps)
         self.move_tags: tuple[str, ...] = tuple(tags)
-        self.groups: tuple[CochainGroup, ...] = tuple(
-            self.complexes[f].group(d) for f, d in self.positions)
+        self.groups: tuple[CochainGroup, ...] = tuple(groups[:-1])
+        self._engine = _ComplexCohomology(maps, self._failure)
+
+    def _failure(self, k: int) -> Exception:
+        if self.move_tags[k] == self.move_tags[k + 1] == "horizontal":
+            return translation_failure(self.positions[k][1])
+        return MixedCompositionError(self.violation_at(k + 1))
+
+    def cohomology(self, k: int) -> FgAbGroup:
+        """H at positions[k]: ker(maps[k]) / im(maps[k - 1]), the map into
+        positions[0] being zero; computed once."""
+        return self._engine.cohomology(k)
 
     def violation_at(self, k: int) -> CompositionViolation:
         """The pair of maps around positions[k] with its product as the
@@ -282,19 +288,18 @@ class PathCochain:
 def validate_mixed_compositions(grid: GridSpec, family: VerticalFamily,
                                 path: PathSpec,
                                 p_max: int) -> CompositionViolation | None:
-    """Probe every consecutive pair of path maps for a nonzero composite.
+    """The first consecutive pair of path maps with a nonzero composite.
 
     Mixed pairs (right-then-down and down-then-right) are the substantive
-    condition on the family; same-direction pairs are implied by the floor
-    complexes and the column condition but are re-checked here anyway.
-    Returns the first violation instead of raising so callers can report
-    the witness.
+    condition on the family; a vertical pair fails where the column
+    condition does.  A failing pair of coboundaries raises the floor's
+    AssertionError instead.  Returns the first violation instead of
+    raising so callers can report the witness.
     """
-    pc = PathCochain(grid, family, path, p_max)
-    for k in range(1, len(pc.maps)):
-        violation = pc.violation_at(k)
-        if not violation.product.is_zero():
-            return violation
+    try:
+        PathCochain(grid, family, path, p_max)
+    except MixedCompositionError as exc:
+        return exc.violation
     return None
 
 
@@ -324,33 +329,21 @@ class SquareReport:
         return [e.tag for e in self.entries]
 
 
-def _flank_kind(tag: str, hom: AbHom) -> str:
-    if tag == "horizontal":
-        return "H"
-    return "V0" if hom.is_zero() else "V"
-
-
-def _classify(in_kind: str, out_kind: str) -> str:
-    if in_kind in ("start", "H") and out_kind == "H":
-        return "floor_leech"
-    if in_kind in ("start", "V0") and out_kind == "V0":
-        return "full_cochain_group"
-    if in_kind == "V0" and out_kind == "H":
-        return "kernel_group"
-    return "extremal"
+# (kind of the map in, kind of the map out) -> tag; any other pair is
+# extremal.  H is horizontal, V0 a zero vertical map, V a nonzero one.
+_TAGS = {("start", "H"): "floor_leech", ("H", "H"): "floor_leech",
+         ("start", "V0"): "full_cochain_group",
+         ("V0", "V0"): "full_cochain_group", ("V0", "H"): "kernel_group"}
 
 
 def classify_trivial(cochain: PathCochain) -> list[str]:
     """Per-position tags from the flanking map shapes; zero-ness of a
     vertical flank is decided by the actual map, so explicit families with
     zero blocks classify the same way as the zero family."""
-    tags = []
-    for k in range(len(cochain.positions)):
-        in_kind = ("start" if k == 0 else
-                   _flank_kind(cochain.move_tags[k - 1], cochain.maps[k - 1]))
-        out_kind = _flank_kind(cochain.move_tags[k], cochain.maps[k])
-        tags.append(_classify(in_kind, out_kind))
-    return tags
+    kinds = ["start"] + ["H" if tag == "horizontal" else
+                         "V0" if hom.is_zero() else "V"
+                         for tag, hom in zip(cochain.move_tags, cochain.maps)]
+    return [_TAGS.get(pair, "extremal") for pair in zip(kinds, kinds[1:])]
 
 
 def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
@@ -358,32 +351,21 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
     """Cohomology at every path position with degree <= p_max.
 
     H at position k is ker(map out of k) / im(map into k), the incoming
-    map at the start being zero.  The column condition is checked first.
-    Each consecutive pair of maps is proven to compose to zero once, by
-    the cohomology computation at the position between them; the first
-    pair that fails raises MixedCompositionError with the same witness
-    validate_mixed_compositions reports.  At a floor_leech position both
-    flanks are the floor's own d^(n-1) and d^n, so the value is the
-    floor complex's stored H^n.  A finite grid makes this the
-    bounded-stack variant, otherwise it is a truncation of the unbounded
-    one.
+    map at the start being zero.  The column condition is checked first;
+    then the PathCochain proves each consecutive pair once, and the first
+    mixed pair that fails raises MixedCompositionError with the same
+    witness validate_mixed_compositions reports.  At a floor_leech
+    position both flanks are the floor's own d^(n-1) and d^n, so the
+    value is the floor's H^n.  A finite grid makes this the bounded-stack
+    variant, otherwise it is a truncation of the unbounded one.
     """
     column = family.column_violations()
     if column:
         raise ColumnConditionError(column)
     pc = PathCochain(grid, family, path, p_max)
     tags = classify_trivial(pc)
-    start = AbHom.zero(TRIVIAL_GROUP, pc.groups[0].total)
     entries = []
     for k, (floor, degree) in enumerate(pc.positions):
-        if tags[k] == "floor_leech":
-            group = pc.complexes[floor].cohomology(degree)
-        else:
-            try:
-                group = cohomology_at(start if k == 0 else pc.maps[k - 1],
-                                      pc.maps[k])
-            except CompositionNonzero:
-                raise MixedCompositionError(pc.violation_at(k)) from None
         entries.append(SquareEntry(
             index=k,
             floor=floor,
@@ -391,7 +373,7 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
             move_in="start" if k == 0 else
                     ("R" if pc.move_tags[k - 1] == "horizontal" else "D"),
             move_out="R" if pc.move_tags[k] == "horizontal" else "D",
-            group=group,
+            group=pc.cohomology(k),
             tag=tags[k],
         ))
     return SquareReport(grid.finite, p_max, path.prefix_moves,
@@ -438,13 +420,13 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
     """Maximal horizontal runs plus the floor-identification check.
 
     Every position flanked by horizontal maps must carry the floor's own
-    cohomology; the report reads the floor value from the floor complex,
-    which stores each H^n once, and records the comparison.  The path
-    value at such a position is that same stored group, so the comparison
-    restates the classification; an independent check builds the floor
-    table separately.  Runs shorter than five moves are flagged, since
-    short runs are the ones whose boundary effects dominate; the final
-    run is the truncated all-right tail and is never flagged short.
+    cohomology.  Its flanks are the floor's own coboundaries, so the path
+    value there is the floor's H^n; the report reads the floor value from
+    the same stored group, so the comparison restates the classification.
+    An independent check builds the floor table separately.  Runs shorter
+    than five moves are flagged, since short runs are the ones whose
+    boundary effects dominate; the final run is the truncated all-right
+    tail and is never flagged short.
 
     A square_report passed in must have been computed for the same grid,
     family, path and p_max; otherwise ValueError is raised.
@@ -490,7 +472,7 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
     for entry in report.entries:
         if entry.tag != "floor_leech":
             continue
-        floor_group = pc.complexes[entry.floor].cohomology(entry.degree)
+        floor_group = pc.cohomology(entry.index)
         identifications.append(FloorIdentification(
             entry.floor, entry.degree, entry.group, floor_group,
             entry.group == floor_group))

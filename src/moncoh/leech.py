@@ -180,6 +180,14 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
     return assemble_hom(src.dsum, tgt.dsum, columns)
 
 
+def translation_failure(n: int) -> AssertionError:
+    """The error for d^(n+1) after d^n nonzero, in a floor complex or
+    along a path."""
+    return AssertionError(
+        f"coboundary squared is nonzero between degrees {n} and {n + 2}; "
+        f"the coefficient system does not satisfy the translation relations")
+
+
 class LeechComplex:
     """Cochain groups C^0..C^P and coboundaries d^0..d^(P-1), with
     d o d = 0 verified once per pair at construction; each H^n is computed
@@ -198,10 +206,8 @@ class LeechComplex:
         self.differentials: list[AbHom] = [
             coboundary(monoid, coeffs, k, self.groups[k], self.groups[k + 1])
             for k in range(max_degree)]
-        self._engine = _ComplexCohomology(
-            self.differentials,
-            "coboundary squared is nonzero between degrees {lo} and {hi}; "
-            "the coefficient system does not satisfy the translation relations")
+        self._engine = _ComplexCohomology(self.differentials,
+                                          translation_failure)
 
     def group(self, n: int) -> CochainGroup:
         return self.groups[n]
@@ -215,9 +221,7 @@ class LeechComplex:
     def cohomology(self, n: int) -> FgAbGroup:
         """H^n = ker(d^n) / im(d^(n-1)); needs n < max_degree.
 
-        Computed once per complex: later calls return the stored group, so
-        callers that hold the complex (a path's floor_leech positions and
-        its floor identifications) share one elimination per degree.
+        Computed once per complex: later calls return the stored group.
         """
         if not 0 <= n < self.max_degree:
             raise ValueError(f"H^{n} needs the complex built to degree {n + 1}")

@@ -71,25 +71,37 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
                       p_max: int) -> DoubleComplexView:
     """Exact commutation test for every square up to the degree bound;
     single-floor grids pass vacuously."""
-    return _double_complex_view(grid, family, grid.complexes(p_max + 1), p_max)
+    return _double_complex_view(family, _floor_complexes(grid, p_max + 1),
+                                p_max)
 
 
-def _double_complex_view(grid: GridSpec, family: VerticalFamily,
+def _floor_complexes(grid: GridSpec,
+                     max_degree: int) -> tuple[LeechComplex, ...]:
+    return tuple(LeechComplex(m, c, max_degree) for m, c in grid.floors)
+
+
+def _vertical(family: VerticalFamily, complexes: Sequence[LeechComplex],
+              floor: int, degree: int) -> AbHom:
+    return family.hom(floor, complexes[floor].group(degree),
+                      complexes[floor + 1].group(degree))
+
+
+def _double_complex_view(family: VerticalFamily,
                          complexes: Sequence[LeechComplex],
                          p_max: int) -> DoubleComplexView:
     """``is_double_complex`` on floor complexes built to degree p_max + 1."""
     rows = []
-    for f in range(grid.floor_count - 1):
+    for f in range(len(complexes) - 1):
         row = []
         for d in range(p_max + 1):
             down_then_right = complexes[f + 1].differential(d).compose(
-                family.hom(complexes, f, d))
-            right_then_down = family.hom(complexes, f, d + 1).compose(
+                _vertical(family, complexes, f, d))
+            right_then_down = _vertical(family, complexes, f, d + 1).compose(
                 complexes[f].differential(d))
             row.append(right_then_down.equals(down_then_right))
         rows.append(tuple(row))
     return DoubleComplexView(
-        floor_count=grid.floor_count,
+        floor_count=len(complexes),
         p_max=p_max,
         commutes=tuple(rows),
         column_ok=not family.column_violations(),
@@ -115,8 +127,8 @@ class TotalComplex:
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
-        self.complexes = grid.complexes(n_max + 1)
-        view = _double_complex_view(grid, family, self.complexes, n_max)
+        self.complexes = _floor_complexes(grid, n_max + 1)
+        view = _double_complex_view(family, self.complexes, n_max)
         if not view.column_ok:
             raise NotADoubleComplex(
                 "vertical maps do not square to zero down the columns", view)
@@ -148,15 +160,15 @@ class TotalComplex:
                 add_block(columns, tgt.offsets[index_of[n + 1][(p, q + 1)]],
                           src.offsets[i], horiz.columns)
                 if p + 1 < grid.floor_count:
-                    vert = family.hom(self.complexes, p, q)
+                    vert = _vertical(family, self.complexes, p, q)
                     if not vert.is_zero():
                         add_block(columns, tgt.offsets[index_of[n + 1][(p + 1, q)]],
                                   src.offsets[i], vert.columns, -1 if q % 2 else 1)
             self.differentials.append(assemble_hom(src, tgt, columns))
         self._engine = _ComplexCohomology(
-            self.differentials,
-            "total differential fails to square to zero between "
-            "degrees {lo} and {hi}")
+            self.differentials, lambda n: AssertionError(
+                f"total differential fails to square to zero between "
+                f"degrees {n} and {n + 2}"))
 
     def group(self, n: int) -> TotalGroup:
         return self.levels[n]

@@ -258,6 +258,18 @@ class TestParse:
         doc = parse_document(json.dumps(root))
         assert doc.grid("pair").path == PathSpec("D")
 
+    def test_rule_path_keeps_descents_past_pmax(self):
+        # a run may take a larger degree bound than the grid's pmax, so a
+        # descent listed past it stays, as it does when spelled as moves
+        root = sample_root()
+        root["grids"][0]["pmax"] = 2
+        root["grids"][0]["path"] = {"descend_at": [3]}
+        doc = parse_document(json.dumps(root))
+        assert doc.grid("pair").path == PathSpec("RRRD")
+        root["grids"][0]["path"] = {"descend_at": [5, 3, 1]}
+        assert parse_document(json.dumps(root)).grid("pair").path == \
+            PathSpec("RD")
+
     def test_moves_and_rule_are_exclusive(self):
         root = sample_root()
         root["grids"][0]["path"] = {"moves": "D", "descend_at": [0]}

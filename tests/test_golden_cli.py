@@ -5,7 +5,10 @@ The document is the one `scripts/make_demo_document.py` writes; `fs` and
 `h` run with `--pmax 2`, as the script suggests.  Each case pins the exit
 code and the SHA-256 of stdout, so any change to a rendered report, text
 or JSON, shows up here.  `scripts/leech_tables.py --pmax 4` is pinned the
-same way; its rows include `Z x Z/2` and sign-action coefficients.
+same way; its rows include `Z x Z/2` and sign-action coefficients.  So is
+`scripts/grid_walkthrough.py --pmax 4`, whose staircase reads path
+positions of every tag, horizontal runs, floor identifications and the
+total complex.
 Re-record a digest only for a deliberate change of output, and say so
 where the change is described.
 """
@@ -28,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_demo_document.py"
 LEECH_TABLES = ROOT / "scripts" / "leech_tables.py"
 LEECH_TABLES_PMAX_4 = "f3bb19fdd833c3e629dc81fedd16bfda05e83b2077d9b1c8fd9c7dd04d846ea7"
+GRID_WALKTHROUGH = ROOT / "scripts" / "grid_walkthrough.py"
+GRID_WALKTHROUGH_PMAX_4 = "737dc34aed5cb2387d46cca43be33584ab30bd2f07f6f96378b5c44383c51306"
 
 GOLDEN = {
     ("validate", "text"): (0, "64027a378cb0fbec707b4dfefe58f720e64bbeb4928a3a7d8dd301b67534cf18"),
@@ -92,11 +97,20 @@ def test_module_entry_point_matches_main(capsys, demo_path):
         (code, expected.encode("utf-8"), b"")
 
 
-def test_leech_tables_script_output(capsys, monkeypatch):
-    script = load_script(LEECH_TABLES)
-    monkeypatch.setattr(sys, "argv", [str(LEECH_TABLES), "--pmax", "4"])
+def script_digest(capsys, monkeypatch, path: Path) -> str:
+    script = load_script(path)
+    monkeypatch.setattr(sys, "argv", [str(path), "--pmax", "4"])
     script.main()
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == \
+    return hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+
+
+def test_leech_tables_script_output(capsys, monkeypatch):
+    assert script_digest(capsys, monkeypatch, LEECH_TABLES) == \
         LEECH_TABLES_PMAX_4
+
+
+def test_grid_walkthrough_script_output(capsys, monkeypatch):
+    assert script_digest(capsys, monkeypatch, GRID_WALKTHROUGH) == \
+        GRID_WALKTHROUGH_PMAX_4

@@ -10,8 +10,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moncoh import abelian
+from moncoh import grid as grid_module
 from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod, cohomology_at
 from moncoh.coeff import constant_system, explicit_system
 from moncoh.grid import (
@@ -30,9 +32,10 @@ from moncoh.grid import (
     validate_mixed_compositions,
     validate_path,
 )
-from moncoh.leech import leech_cohomology_table
+from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
 from moncoh.monoid import cyclic_group, trivial_monoid, union_monoid
 
+import oracles
 from catalog import monogenic_three
 from oracles import random_hom
 
@@ -328,29 +331,64 @@ class TestLocalExactness:
             grid, zero, PathSpec("D"), 3).runs
 
 
+def random_family(rng, grid, moves, span=3):
+    """One random vertical map at each descent of the path, between the
+    cochain groups of the shared degree, entries up to span."""
+    maps = {}
+    floor = degree = 0
+    for move in moves:
+        if move == "R":
+            degree += 1
+            continue
+        maps[floor, degree] = random_hom(
+            rng, cochain_group(*grid.floors[floor], degree).total,
+            cochain_group(*grid.floors[floor + 1], degree).total, span)
+        floor += 1
+    return VerticalFamily.explicit(maps)
+
+
+def reference_maps(grid, family, moves, p_max):
+    """The path's maps and move tags, read off floor complexes built to
+    p_max + 1."""
+    full = [LeechComplex(m, c, p_max + 1) for m, c in grid.floors]
+    walked = PathSpec(moves).walk(p_max)
+    steps = list(zip(walked, walked[1:]))
+    maps = [full[f0].differential(d0) if f1 == f0
+            else family.hom(f0, full[f0].group(d0), full[f1].group(d0))
+            for (f0, d0), (f1, _) in steps]
+    tags = ["horizontal" if f1 == f0 else "vertical"
+            for (f0, _), (f1, _) in steps]
+    return maps, tags
+
+
+WITNESS_GRID = grid_of(const_floor(cyclic_group(3), Zmod(2)),
+                       const_floor(union_monoid([{"x"}]), Zmod(2)))
+THREE_FLOORS = grid_of(const_floor(cyclic_group(2), Zmod(2)),
+                       const_floor(cyclic_group(3), Zmod(2)),
+                       const_floor(union_monoid([{"x"}]), Zmod(2)))
+# free and torsion cochain groups side by side
+MIXED_FLOORS = grid_of(const_floor(cyclic_group(2), Z),
+                       const_floor(cyclic_group(3), Zmod(2)),
+                       const_floor(union_monoid([{"x"}]), Z))
+
+
 class TestFailureWitness:
     def test_square_cohomology_raises_the_validate_witness(self):
         # one random vertical map per family, at the degree where the path
         # descends; the first failing pair may be horizontal-then-vertical
         # or vertical-then-horizontal, and is never the first pair
         rng = random.Random(8080)
-        grid = grid_of(const_floor(cyclic_group(3), Zmod(2)),
-                       const_floor(union_monoid([{"x"}]), Zmod(2)))
-        full = grid.complexes(4)
         seen = set()
         for _ in range(30):
             moves = rng.choice(["RD", "RRD", "RRRD"])
-            degree = moves.count("R")
-            vert = random_hom(rng, full[0].group(degree).total,
-                              full[1].group(degree).total)
-            family = VerticalFamily.explicit({(0, degree): vert})
+            family = random_family(rng, WITNESS_GRID, moves)
             path = PathSpec(moves)
-            expected = validate_mixed_compositions(grid, family, path, 3)
+            expected = validate_mixed_compositions(WITNESS_GRID, family, path, 3)
             if expected is None:
-                square_cohomology(grid, family, path, 3)
+                square_cohomology(WITNESS_GRID, family, path, 3)
                 continue
             with pytest.raises(MixedCompositionError) as info:
-                square_cohomology(grid, family, path, 3)
+                square_cohomology(WITNESS_GRID, family, path, 3)
             got = info.value.violation
             assert (got.index, got.position, got.moves) == \
                 (expected.index, expected.position, expected.moves)
@@ -364,28 +402,64 @@ class TestFailureWitness:
             ("horizontal", "vertical"), ("vertical", "horizontal")}
 
 
+class TestPathAgainstReference:
+    """Random explicit families against maps taken from independently
+    built floor complexes: each group against ``cohomology_at`` and the
+    lattice reference, each failure against the first nonzero composite."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from([(WITNESS_GRID, "RD"), (WITNESS_GRID, "RRD"),
+                            (THREE_FLOORS, "RD"), (THREE_FLOORS, "RRD"),
+                            (THREE_FLOORS, "DRDR"), (MIXED_FLOORS, "RD"),
+                            (MIXED_FLOORS, "DRDR")]),
+           st.integers(2, 3), st.sampled_from([0, 1, 3]))
+    def test_groups_and_witness(self, rng, case, p_max, span):
+        grid, moves = case
+        family = random_family(rng, grid, moves, span)
+        path = PathSpec(moves)
+        maps, tags = reference_maps(grid, family, moves, p_max)
+        failing = [k for k in range(1, len(maps))
+                   if not maps[k].compose(maps[k - 1]).is_zero()]
+        violation = validate_mixed_compositions(grid, family, path, p_max)
+        if failing:
+            k = failing[0]
+            assert (violation.index, violation.position, violation.moves) == \
+                (k, path.walk(p_max)[k], (tags[k - 1], tags[k]))
+            assert violation.product.columns == \
+                maps[k].compose(maps[k - 1]).columns
+            with pytest.raises(MixedCompositionError) as info:
+                square_cohomology(grid, family, path, p_max)
+            assert info.value.violation.index == k
+            return
+        assert violation is None
+        report = square_cohomology(grid, family, path, p_max)
+        start = AbHom.zero(TRIVIAL_GROUP, maps[0].domain)
+        ins = [start] + maps[:-1]
+        assert report.groups() == [cohomology_at(i, o)
+                                   for i, o in zip(ins, maps)]
+        assert report.groups() == [oracles.lattice_cohomology_at(i, o)
+                                   for i, o in zip(ins, maps)]
+
+
+def path_of(case):
+    if case == "explicit D":
+        grid = grid_of(const_floor(trivial_monoid(), Z),
+                       const_floor(cyclic_group(2), Z))
+        return grid, VerticalFamily.explicit({(0, 0): AbHom(Z, Z, ((1,),))}), \
+            PathSpec("D")
+    grid = grid_of(const_floor(cyclic_group(2), Zmod(2)),
+                   const_floor(cyclic_group(3), Zmod(2)))
+    return grid, VerticalFamily.zero(), PathSpec("RDR")
+
+
 class TestWorkDoneOnce:
-    @pytest.mark.parametrize("case", ["explicit D", "zero RDR"])
-    def test_one_cohomology_per_position_and_no_compose(self, monkeypatch,
-                                                        case):
-        if case == "explicit D":
-            grid = grid_of(const_floor(trivial_monoid(), Z),
-                           const_floor(cyclic_group(2), Z))
-            family = VerticalFamily.explicit({(0, 0): AbHom(Z, Z, ((1,),))})
-            path = PathSpec("D")
-        else:
-            grid = grid_of(const_floor(cyclic_group(2), Zmod(2)),
-                           const_floor(cyclic_group(3), Zmod(2)))
-            family = VerticalFamily.zero()
-            path = PathSpec("RDR")
-        # one product per consecutive pair, one elimination per cone and
-        # no compose, whether the pair is a floor complex's (proven when it
-        # is built) or the path's (proven by cohomology_at at its position)
+    @staticmethod
+    def count_work(monkeypatch):
+        """Count proofs per pair, eliminations, top ranks and composes."""
         proofs: Counter[tuple[int, int]] = Counter()
-        cones: Counter[tuple[int, int]] = Counter()
         calls: Counter[str] = Counter()
         real_quotient = abelian._composite_quotient
-        real_cone = abelian._cone_columns
         real_diagonal = abelian._sparse_diagonal
         real_free_rank = abelian._free_row_rank
         real_compose = AbHom.compose
@@ -394,16 +468,12 @@ class TestWorkDoneOnce:
             proofs[id(outer), id(inner)] += 1
             return real_quotient(outer, inner)
 
-        def counted_cone(in_columns, d_out, quotients):
-            cones[id(in_columns), id(d_out)] += 1
-            return real_cone(in_columns, d_out, quotients)
-
         def counted_diagonal(columns, pivot_rows=None):
             calls["elimination"] += 1
             return real_diagonal(columns, pivot_rows)
 
         def counted_free_rank(d_out, skip):
-            calls["free rows"] += 1
+            calls["top rank"] += 1
             return real_free_rank(d_out, skip)
 
         def counted_compose(outer, inner):
@@ -411,25 +481,38 @@ class TestWorkDoneOnce:
             return real_compose(outer, inner)
 
         monkeypatch.setattr(abelian, "_composite_quotient", counted_quotient)
-        monkeypatch.setattr(abelian, "_cone_columns", counted_cone)
         monkeypatch.setattr(abelian, "_sparse_diagonal", counted_diagonal)
         monkeypatch.setattr(abelian, "_free_row_rank", counted_free_rank)
         monkeypatch.setattr(AbHom, "compose", counted_compose)
+        return proofs, calls
+
+    @pytest.mark.parametrize("case", ["explicit D", "zero RDR"])
+    def test_one_cohomology_per_position_and_no_compose(self, monkeypatch,
+                                                        case):
+        grid, family, path = path_of(case)
+        proofs, calls = self.count_work(monkeypatch)
         square = square_cohomology(grid, family, path, 3)
         exact = local_exactness_report(grid, family, path, 3,
                                        square_report=square)
         assert exact.identifications and exact.all_identified
-        floors = square.cochain.complexes
-        floor_pairs = sum(max(cx.max_degree - 1, 0) for cx in floors)
-        on_path = sum(1 for tag in square.tags() if tag != "floor_leech")
-        # a floor's top d^n is eliminated as free rows when its H^n is read
-        tops = sum(1 for e in square.entries if e.tag == "floor_leech"
-                   and e.degree == floors[e.floor].max_degree - 1)
-        assert on_path and floor_pairs
-        assert len(proofs) == floor_pairs + on_path
-        assert set(proofs.values()) == set(cones.values()) == {1}
-        assert calls == Counter({"elimination": len(cones) + on_path + tops,
-                                 "free rows": on_path + tops})
+        # each path pair proven once; one elimination per cone B_k, one per
+        # position, plus the free rows of the top map; no compose
+        maps = square.cochain.maps
+        assert proofs == Counter(
+            {(id(maps[k + 1]), id(maps[k])): 1 for k in range(len(maps) - 1)})
+        positions = len(square.entries)
+        assert calls == Counter({"elimination": positions + 1,
+                                 "top rank": 1})
+
+    @pytest.mark.parametrize("case", ["explicit D", "zero RDR"])
+    def test_passing_validation_proves_each_pair_once(self, monkeypatch,
+                                                      case):
+        grid, family, path = path_of(case)
+        proofs, calls = self.count_work(monkeypatch)
+        assert validate_mixed_compositions(grid, family, path, 3) is None
+        assert len(proofs) == len(path.walk(3)) - 2
+        assert set(proofs.values()) == {1}
+        assert calls == Counter()
 
 
 class TestFloorDepth:
@@ -440,33 +523,52 @@ class TestFloorDepth:
         return grid, VerticalFamily.explicit({(0, 0): AbHom(Z, Z, ((1,),))})
 
     @pytest.mark.parametrize("moves", ["", "D", "DR", "RD", "DRDR"])
-    def test_floors_built_to_the_walk(self, moves):
+    def test_floors_built_to_the_walk(self, monkeypatch, moves):
+        # one cochain group per walked position, one coboundary per
+        # horizontal move and no floor complex
         grid, family = self.grid_and_family()
         p_max = 3
         walked = PathSpec(moves).walk(p_max)
-        top = [max((d for f, d in walked if f == floor), default=0)
-               for floor in range(grid.floor_count)]
-        pc = PathCochain(grid, family, PathSpec(moves), p_max)
-        assert [cx.max_degree for cx in pc.complexes] == top
-        full = grid.complexes(p_max + 1)
-        maps = [full[f0].differential(d0) if f1 == f0
-                else family.hom(full, f0, d0)
-                for (f0, d0), (f1, _) in zip(walked, walked[1:])]
+        built: Counter[str] = Counter()
+
+        def counting(name, real):
+            def wrapper(*args):
+                built[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("cochain_group", "coboundary"):
+            monkeypatch.setattr(grid_module, name,
+                                counting(name, getattr(grid_module, name)))
+        monkeypatch.setattr(LeechComplex, "__init__", counting(
+            "LeechComplex", LeechComplex.__init__))
+        report = square_cohomology(grid, family, PathSpec(moves), p_max)
+        monkeypatch.undo()
+        maps, tags = reference_maps(grid, family, moves, p_max)
+        assert built == Counter({"cochain_group": len(walked),
+                                 "coboundary": tags.count("horizontal")})
         start = AbHom.zero(TRIVIAL_GROUP, maps[0].domain)
         expected = [cohomology_at(maps[k - 1] if k else start, maps[k])
                     for k in range(len(maps))]
-        report = square_cohomology(grid, family, PathSpec(moves), p_max)
         assert report.groups() == expected
 
-    @pytest.mark.parametrize("moves", ["D", "RD"])
-    def test_broken_system_on_a_read_floor_still_raises(self, moves):
+    @pytest.mark.parametrize("moves, degrees", [("D", "0 and 2"),
+                                                ("RD", "1 and 3")],
+                             ids=["D", "RD"])
+    def test_broken_system_on_a_read_floor_still_raises(self, moves, degrees):
+        # the message names the first failing pair the walk reads
         m = cyclic_group(2)
         lstar = {(0, 0): AbHom.identity(Z), (0, 1): AbHom.identity(Z),
                  (1, 0): AbHom(Z, Z, ((-1,),)), (1, 1): AbHom.identity(Z)}
         rstar = {k: AbHom.identity(Z) for k in lstar}
         broken = (m, explicit_system(m, [Z, Z], lstar, rstar))
         grid = grid_of(const_floor(cyclic_group(3), Z), broken)
-        with pytest.raises(AssertionError, match="translation relations"):
+        message = (f"between degrees {degrees}; the coefficient system does "
+                   f"not satisfy the translation relations")
+        with pytest.raises(AssertionError, match=message):
             PathCochain(grid, VerticalFamily.zero(), PathSpec(moves), 2)
-        with pytest.raises(AssertionError, match="translation relations"):
+        with pytest.raises(AssertionError, match=message):
             square_cohomology(grid, VerticalFamily.zero(), PathSpec(moves), 2)
+        with pytest.raises(AssertionError, match=message):
+            validate_mixed_compositions(grid, VerticalFamily.zero(),
+                                        PathSpec(moves), 2)
