@@ -188,24 +188,27 @@ def translation_failure(n: int) -> AssertionError:
         f"the coefficient system does not satisfy the translation relations")
 
 
+def floor_cochains(monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int
+                   ) -> tuple[list[CochainGroup], list[AbHom]]:
+    """C^0..C^P and d^0..d^(P-1), built once and not proven: the groups
+    and maps of a ``LeechComplex`` or of one floor of a total complex."""
+    if coeffs.monoid != monoid:
+        raise ValueError("coefficient system belongs to a different monoid")
+    if max_degree < 0:
+        raise ValueError("max degree must be nonnegative")
+    groups = [cochain_group(monoid, coeffs, k) for k in range(max_degree + 1)]
+    return groups, [coboundary(monoid, coeffs, k, groups[k], groups[k + 1])
+                    for k in range(max_degree)]
+
+
 class LeechComplex:
     """Cochain groups C^0..C^P and coboundaries d^0..d^(P-1), with
     d o d = 0 verified once per pair at construction; each H^n is computed
     on first request and kept."""
 
     def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int):
-        if coeffs.monoid != monoid:
-            raise ValueError("coefficient system belongs to a different monoid")
-        if max_degree < 0:
-            raise ValueError("max degree must be nonnegative")
-        self.monoid = monoid
-        self.coeffs = coeffs
-        self.max_degree = max_degree
-        self.groups: list[CochainGroup] = [
-            cochain_group(monoid, coeffs, k) for k in range(max_degree + 1)]
-        self.differentials: list[AbHom] = [
-            coboundary(monoid, coeffs, k, self.groups[k], self.groups[k + 1])
-            for k in range(max_degree)]
+        self.groups, self.differentials = floor_cochains(monoid, coeffs, max_degree)
+        self.monoid, self.coeffs, self.max_degree = monoid, coeffs, max_degree
         self._engine = _ComplexCohomology(self.differentials,
                                           translation_failure)
 

@@ -10,7 +10,9 @@ holds, folds the stack into a single complex
 with differential D = horizontal + (-1)^degree * vertical on each
 summand.  The sign rides the vertical map and depends on the summand's
 internal degree, which is what makes the two routes around each
-commuting square cancel; D o D = 0 is re-verified on every construction.
+commuting square cancel.  So the one proof of D o D = 0 proves its blocks
+too: each floor's d o d, the column condition and every square (f, d)
+with f + d below the top degree; only squares beyond that are composed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .abelian import (
     assemble_hom,
 )
 from .grid import GridSpec, VerticalFamily
-from .leech import LeechComplex
+from .leech import CochainGroup, floor_cochains, translation_failure
 
 SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
                    "vertical per summand")
@@ -56,11 +58,8 @@ class DoubleComplexView:
 
     @property
     def first_failure(self) -> tuple[int, int] | None:
-        for f, row in enumerate(self.commutes):
-            for d, good in enumerate(row):
-                if not good:
-                    return (f, d)
-        return None
+        return next(((f, d) for f, row in enumerate(self.commutes)
+                     for d, good in enumerate(row) if not good), None)
 
     @property
     def ok(self) -> bool:
@@ -69,43 +68,39 @@ class DoubleComplexView:
 
 def is_double_complex(grid: GridSpec, family: VerticalFamily,
                       p_max: int) -> DoubleComplexView:
-    """Exact commutation test for every square up to the degree bound;
-    single-floor grids pass vacuously."""
-    return _double_complex_view(family, _floor_complexes(grid, p_max + 1),
-                                p_max)
+    """Exact commutation test for every square up to the degree bound, each
+    composed both ways on unproven floors; one floor passes vacuously."""
+    return _double_complex_view(
+        family, *_floors_and_verticals(grid, family, p_max + 1), p_max, 0)
 
 
-def _floor_complexes(grid: GridSpec,
-                     max_degree: int) -> tuple[LeechComplex, ...]:
-    return tuple(LeechComplex(m, c, max_degree) for m, c in grid.floors)
+Floor = tuple[list[CochainGroup], list[AbHom]]  # cochain groups, coboundaries
 
 
-def _vertical(family: VerticalFamily, complexes: Sequence[LeechComplex],
-              floor: int, degree: int) -> AbHom:
-    return family.hom(floor, complexes[floor].group(degree),
-                      complexes[floor + 1].group(degree))
+def _floors_and_verticals(grid: GridSpec, family: VerticalFamily, max_degree: int
+                          ) -> tuple[tuple[Floor, ...], list[list[AbHom]]]:
+    """Each floor built to max_degree, not proven, and ``family.hom`` once
+    per floor pair and degree 0..max_degree."""
+    floors = tuple(floor_cochains(m, c, max_degree) for m, c in grid.floors)
+    return floors, [
+        [family.hom(f, source[d], target[d]) for d in range(max_degree + 1)]
+        for f, ((source, _), (target, _)) in enumerate(zip(floors, floors[1:]))]
 
 
-def _double_complex_view(family: VerticalFamily,
-                         complexes: Sequence[LeechComplex],
-                         p_max: int) -> DoubleComplexView:
-    """``is_double_complex`` on floor complexes built to degree p_max + 1."""
+def _double_complex_view(family: VerticalFamily, floors: Sequence[Floor],
+                         verticals: Sequence[Sequence[AbHom]], p_max: int,
+                         proven: int) -> DoubleComplexView:
+    """``is_double_complex`` on floors built to degree p_max + 1; squares with
+    f + d < proven are blocks of a proven D o D = 0 and are not composed."""
     rows = []
-    for f in range(len(complexes) - 1):
-        row = []
-        for d in range(p_max + 1):
-            down_then_right = complexes[f + 1].differential(d).compose(
-                _vertical(family, complexes, f, d))
-            right_then_down = _vertical(family, complexes, f, d + 1).compose(
-                complexes[f].differential(d))
-            row.append(right_then_down.equals(down_then_right))
-        rows.append(tuple(row))
-    return DoubleComplexView(
-        floor_count=len(complexes),
-        p_max=p_max,
-        commutes=tuple(rows),
-        column_ok=not family.column_violations(),
-    )
+    for f, vert in enumerate(verticals):
+        source, target = floors[f][1], floors[f + 1][1]
+        rows.append(tuple(
+            f + d < proven
+            or target[d].compose(vert[d]).equals(vert[d + 1].compose(source[d]))
+            for d in range(p_max + 1)))
+    return DoubleComplexView(len(floors), p_max, tuple(rows),
+                             not family.column_violations())
 
 
 @dataclass(frozen=True)
@@ -122,53 +117,55 @@ class TotalGroup:
 class TotalComplex:
     """Groups Tot^0..Tot^(n_max + 1) and differentials D^0..D^(n_max), with
     D o D = 0 verified once per pair at construction; each H^n is computed
-    on first request and kept."""
+    on first request and kept.  complexes holds each floor's unproven groups
+    and coboundaries.  A failing proof is located first as a floor breaking
+    the translation relations, then as NotADoubleComplex, then as its own."""
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
-        self.complexes = _floor_complexes(grid, n_max + 1)
-        view = _double_complex_view(family, self.complexes, n_max)
-        if not view.column_ok:
-            raise NotADoubleComplex(
-                "vertical maps do not square to zero down the columns", view)
-        bad = view.first_failure
-        if bad is not None:
-            raise NotADoubleComplex(
-                f"square at (floor {bad[0]}, degree {bad[1]}) does not commute",
-                view)
-        self.grid = grid
-        self.family = family
-        self.n_max = n_max
+        floors, verticals = _floors_and_verticals(grid, family, n_max + 1)
+        self.grid, self.family, self.n_max = grid, family, n_max
+        self.complexes = floors
+        # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
-        index_of: list[dict[tuple[int, int], int]] = []
         for n in range(n_max + 2):
-            summands = tuple(
-                (p, n - p)
-                for p in range(min(grid.floor_count - 1, n) + 1))
-            dsum = DirectSum.of(
-                [self.complexes[p].group(q).total for p, q in summands])
-            self.levels.append(TotalGroup(n, summands, dsum))
-            index_of.append({pq: i for i, pq in enumerate(summands)})
+            summands = tuple((p, n - p) for p in range(min(len(floors), n + 1)))
+            self.levels.append(TotalGroup(n, summands, DirectSum.of(
+                [floors[p][0][q].total for p, q in summands])))
         self.differentials: list[AbHom] = []
         for n in range(n_max + 1):
             src, tgt = self.levels[n].dsum, self.levels[n + 1].dsum
             columns: list[SparseColumn] = [
                 {} for _ in range(src.presentation_size)]
-            for i, (p, q) in enumerate(self.levels[n].summands):
-                horiz = self.complexes[p].differential(q)
-                add_block(columns, tgt.offsets[index_of[n + 1][(p, q + 1)]],
-                          src.offsets[i], horiz.columns)
-                if p + 1 < grid.floor_count:
-                    vert = _vertical(family, self.complexes, p, q)
-                    if not vert.is_zero():
-                        add_block(columns, tgt.offsets[index_of[n + 1][(p + 1, q)]],
-                                  src.offsets[i], vert.columns, -1 if q % 2 else 1)
+            for p, q in self.levels[n].summands:
+                add_block(columns, tgt.offsets[p], src.offsets[p],
+                          floors[p][1][q].columns)
+                if p < len(verticals) and not verticals[p][q].is_zero():
+                    add_block(columns, tgt.offsets[p + 1], src.offsets[p],
+                              verticals[p][q].columns, -1 if q % 2 else 1)
             self.differentials.append(assemble_hom(src, tgt, columns))
-        self._engine = _ComplexCohomology(
-            self.differentials, lambda n: AssertionError(
-                f"total differential fails to square to zero between "
-                f"degrees {n} and {n + 2}"))
+        failure = None
+        try:
+            self._engine = _ComplexCohomology(
+                self.differentials, lambda n: AssertionError(
+                    f"total differential fails to square to zero between "
+                    f"degrees {n} and {n + 2}"))
+        except AssertionError as exc:
+            failure = exc
+            for _, coboundaries in floors:
+                _ComplexCohomology(coboundaries, translation_failure)
+        view = _double_complex_view(family, floors, verticals, n_max,
+                                    n_max if failure is None else 0)
+        if not view.column_ok:
+            raise NotADoubleComplex(
+                "vertical maps do not square to zero down the columns", view)
+        bad = view.first_failure
+        if bad is not None:
+            raise NotADoubleComplex(f"square at (floor {bad[0]}, degree "
+                                    f"{bad[1]}) does not commute", view)
+        if failure is not None:
+            raise failure
 
     def group(self, n: int) -> TotalGroup:
         return self.levels[n]

@@ -9,6 +9,8 @@ same way; its rows include `Z x Z/2` and sign-action coefficients.  So is
 `scripts/grid_walkthrough.py --pmax 4`, whose staircase reads path
 positions of every tag, horizontal runs, floor identifications and the
 total complex.
+`total` is pinned as well on the script's failing document, whose
+extra grids fail a square beyond the total range and a column; it exits 1.
 Re-record a digest only for a deliberate change of output, and say so
 where the change is described.
 """
@@ -49,6 +51,11 @@ GOLDEN = {
     ("h", "json"): (0, "ad606ec8c96a12ea81e80f3fe86115049d69a54d827731eb0da3281092192ee7"),
 }
 
+FAILING_TOTAL = {
+    "text": (1, "d3811955a52b451638362614f58ea548847cb9f79e820fdb6e95aa4461eaa5e4"),
+    "json": (1, "fed605243bd82eae6b79452d130cca94b66d6bef805c8c3d2c830bdaa16e94a7"),
+}
+
 
 def load_script(path: Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -61,12 +68,21 @@ def demo_document() -> dict:
     return load_script(SCRIPT).DOCUMENT
 
 
+def write_document(tmp_path_factory, document: dict) -> Path:
+    path = tmp_path_factory.mktemp("demo") / "demo.json"
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
 @pytest.fixture(scope="module")
 def demo_path(tmp_path_factory) -> Path:
-    path = tmp_path_factory.mktemp("demo") / "demo.json"
-    path.write_text(json.dumps(demo_document(), indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_document(tmp_path_factory, demo_document())
+
+
+@pytest.fixture(scope="module")
+def failing_path(tmp_path_factory) -> Path:
+    return write_document(tmp_path_factory,
+                          load_script(SCRIPT).FAILING_DOCUMENT)
 
 
 def run_cli(capsys, demo_path: Path, command: str, fmt: str) -> tuple[int, str]:
@@ -82,6 +98,11 @@ def run_cli(capsys, demo_path: Path, command: str, fmt: str) -> tuple[int, str]:
 @pytest.mark.parametrize("command, fmt", sorted(GOLDEN))
 def test_output_bytes(capsys, demo_path, command, fmt):
     assert run_cli(capsys, demo_path, command, fmt) == GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_TOTAL))
+def test_failing_total_output_bytes(capsys, failing_path, fmt):
+    assert run_cli(capsys, failing_path, "total", fmt) == FAILING_TOTAL[fmt]
 
 
 def test_module_entry_point_matches_main(capsys, demo_path):
