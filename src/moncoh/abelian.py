@@ -80,19 +80,29 @@ class FgAbGroup:
         """Canonicalize an arbitrary multiset of cyclic orders.
 
         ``0`` contributes a free summand, units are dropped, and a
-        non-chain multiset such as (2, 3) is merged exactly via the Smith
-        form of its diagonal relation matrix.
+        non-chain multiset such as (2, 3) is merged over a coprime base
+        of its orders: each order is a product of powers of the base
+        elements, and the k-th invariant factor from the top multiplies
+        the k-th largest exponent of each base element.
         """
         facs = [abs(int(f)) for f in factors]
         free = sum(1 for f in facs if f == 0)
         tors = sorted(f for f in facs if f > 1)
         if all(b % a == 0 for a, b in zip(tors, tors[1:])):
             return cls(free, tuple(tors))
-        diag = [[tors[i] if i == j else 0 for j in range(len(tors))]
-                for i in range(len(tors))]
-        dec = smith_normal_form(diag)
-        merged = [x for x in dec.diagonal if x > 1]
-        return cls(free, tuple(merged))
+        powers = []
+        for b in _coprime_base(tors):
+            exponents = []
+            for d in tors:
+                e = 0
+                while d % b == 0:
+                    d //= b
+                    e += 1
+                exponents.append(e)
+            powers.append((b, sorted(exponents, reverse=True)))
+        merged = [math.prod(b ** exps[k] for b, exps in powers)
+                  for k in range(len(tors))]
+        return cls(free, tuple(x for x in reversed(merged) if x > 1))
 
     @property
     def ngens(self) -> int:

@@ -47,6 +47,10 @@ CONVENTION = {
 }
 
 
+class _InputError(Exception):
+    """The document or a flag gives a command nothing to run on (exit 2)."""
+
+
 @dataclass(frozen=True)
 class RunFlags:
     p_max: int | None = None
@@ -199,9 +203,9 @@ def _cmd_validate(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]
 
 
 def _leech_targets(doc: Document, flags: RunFlags
-                   ) -> list[tuple[str, str, FinMonoid, CoeffSystem]] | str:
+                   ) -> list[tuple[str, str, FinMonoid, CoeffSystem]]:
     if flags.monoid is not None and doc.monoid(flags.monoid) is None:
-        return f"unknown monoid {flags.monoid!r}"
+        raise _InputError(f"unknown monoid {flags.monoid!r}")
     targets = []
     covered = set()
     for cname, c in doc.coefficients:
@@ -218,14 +222,12 @@ def _leech_targets(doc: Document, flags: RunFlags
             targets.append((mname, f"constant {group.render()} (default)",
                             m, constant_system(m, group)))
     if not targets:
-        return "document defines no monoids"
+        raise _InputError("document defines no monoids")
     return targets
 
 
 def _cmd_leech(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     targets = _leech_targets(doc, flags)
-    if isinstance(targets, str):
-        return 2, {"error": targets}, [targets]
     p_max = _effective_pmax(flags, doc)
     code = 0
     tables = []
@@ -249,21 +251,19 @@ def _cmd_leech(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
 
 
 def _selected_grids(doc: Document, flags: RunFlags
-                    ) -> list[tuple[str, GridBundle]] | str:
+                    ) -> list[tuple[str, GridBundle]]:
     if flags.grid is not None:
         bundle = doc.grid(flags.grid)
         if bundle is None:
-            return f"unknown grid {flags.grid!r}"
+            raise _InputError(f"unknown grid {flags.grid!r}")
         return [(flags.grid, bundle)]
     if not doc.grids:
-        return "document defines no grids"
+        raise _InputError("document defines no grids")
     return list(doc.grids)
 
 
 def _cmd_square(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     grids = _selected_grids(doc, flags)
-    if isinstance(grids, str):
-        return 2, {"error": grids}, [grids]
     code = 0
     results = []
     lines = [f"convention: {INDEXING_CONVENTION}"]
@@ -292,8 +292,6 @@ def _cmd_square(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
 
 def _cmd_total(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     grids = _selected_grids(doc, flags)
-    if isinstance(grids, str):
-        return 2, {"error": grids}, [grids]
     code = 0
     results = []
     lines = [f"convention: {INDEXING_CONVENTION}",
@@ -330,8 +328,7 @@ def _run_pipelines(doc: Document, flags: RunFlags, items, key: str,
     report its square.  describe(report, sizes) gives the item's own JSON
     fields and header lines, the first one following "{section} {name}: "."""
     if not items:
-        msg = f"document defines no {section}s"
-        return 2, {"error": msg}, [msg]
+        raise _InputError(f"document defines no {section}s")
     p_max = _effective_pmax(flags, doc)
     group = doc.defaults.coeff_group
     code = 0
@@ -401,7 +398,10 @@ def run_command(command: str, doc: Document,
     handler = _HANDLERS.get(command)
     if handler is None:
         return 2, f"unknown command {command!r}"
-    code, payload, lines = handler(doc, flags)
+    try:
+        code, payload, lines = handler(doc, flags)
+    except _InputError as exc:
+        code, payload, lines = 2, {"error": str(exc)}, [str(exc)]
     if flags.fmt == "json":
         body = {"command": command, "convention": CONVENTION,
                 "exit_code": code, **payload}

@@ -3,7 +3,10 @@ systems and descriptor lists, with strict parsing and a deterministic
 serializer.
 
 Parsing is strict: unknown keys are rejected, every diagnostic carries a
-JSON path, and cross-references are resolved by name at parse time.  Law
+JSON path, and cross-references are resolved by name at parse time.  A
+problem is raised where it is found and collected once for each entry
+(and each field of "defaults"), so an entry reports its first problem
+and parsing goes on with the next entry.  Law
 checks that are allowed to fail on well-formed input (associativity,
 translation relations, path fit, surjectivity) are deliberately NOT run
 here; the validate command reports those, so that a structurally sound
@@ -17,6 +20,7 @@ unique comma producing two known names.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -100,525 +104,403 @@ _ROOT_KEYS = {"monoids", "coefficients", "grids", "set_systems",
               "descriptor_lists", "defaults"}
 
 
-class _Parser:
-    def __init__(self) -> None:
-        self.diags: list[Diagnostic] = []
+class _Rejected(Exception):
+    """A problem, raised where it is found, with its diagnostics: one, or
+    those found side by side (every unknown and missing key of one
+    object, or the fields `_each` reads).  Not a ValueError, so `_at`
+    never wraps it again."""
 
-    def err(self, path: str, message: str) -> None:
-        self.diags.append(Diagnostic(path, message))
-
-    # shape helpers -----------------------------------------------------
-
-    def obj(self, value: Any, path: str, required: set[str],
-            optional: set[str] = frozenset()) -> dict | None:
-        if not isinstance(value, dict):
-            self.err(path, f"expected an object, got {type(value).__name__}")
-            return None
-        ok = True
-        for key in sorted(set(value) - required - optional):
-            self.err(f"{path}.{key}", "unknown key")
-            ok = False
-        for key in sorted(required - set(value)):
-            self.err(path, f"missing required key {key!r}")
-            ok = False
-        return value if ok else None
-
-    def string(self, value: Any, path: str) -> str | None:
-        if not isinstance(value, str):
-            self.err(path, f"expected a string, got {type(value).__name__}")
-            return None
-        return value
-
-    def integer(self, value: Any, path: str, minimum: int | None = None) -> int | None:
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.err(path, f"expected an integer, got {type(value).__name__}")
-            return None
-        if minimum is not None and value < minimum:
-            self.err(path, f"expected an integer >= {minimum}, got {value}")
-            return None
-        return value
-
-    def array(self, value: Any, path: str) -> list | None:
-        if not isinstance(value, list):
-            self.err(path, f"expected an array, got {type(value).__name__}")
-            return None
-        return value
-
-    def string_array(self, value: Any, path: str) -> list[str] | None:
-        items = self.array(value, path)
-        if items is None:
-            return None
-        out = []
-        for i, item in enumerate(items):
-            s = self.string(item, f"{path}[{i}]")
-            if s is None:
-                return None
-            out.append(s)
-        return out
-
-    def matrix(self, value: Any, path: str) -> list[list[int]] | None:
-        rows = self.array(value, path)
-        if rows is None:
-            return None
-        out = []
-        for i, row in enumerate(rows):
-            cells = self.array(row, f"{path}[{i}]")
-            if cells is None:
-                return None
-            for j, cell in enumerate(cells):
-                if not isinstance(cell, int) or isinstance(cell, bool):
-                    self.err(f"{path}[{i}][{j}]", "matrix entries must be integers")
-                    return None
-            out.append(list(cells))
-        return out
-
-    def group(self, value: Any, path: str) -> FgAbGroup | None:
-        s = self.string(value, path)
-        if s is None:
-            return None
-        try:
-            return parse_group(s)
-        except ValueError as exc:
-            self.err(path, str(exc))
-            return None
-
-    def pair_key(self, key: str, names: Mapping[str, int],
-                 path: str) -> tuple[int, int] | None:
-        """Resolve "[a,x]" where a, x are element names; the split comma is
-        the unique one yielding two known names."""
-        if not (key.startswith("[") and key.endswith("]")):
-            self.err(path, f"pair key {key!r} must look like \"[a,x]\"")
-            return None
-        body = key[1:-1]
-        hits = []
-        for pos in range(len(body)):
-            if body[pos] != ",":
-                continue
-            left, right = body[:pos], body[pos + 1:]
-            if left in names and right in names:
-                hits.append((names[left], names[right]))
-        if len(hits) == 1:
-            return hits[0]
-        reason = "does not name two elements" if not hits else "is ambiguous"
-        self.err(path, f"pair key {key!r} {reason}")
-        return None
+    def __init__(self, *diagnostics: Diagnostic):
+        self.diagnostics = diagnostics
 
 
-def _named_items(p: _Parser, raw: Any, path: str) -> list[tuple[dict, str, str]]:
-    """Entries of a named section as (object, name, entry path)."""
-    items = p.array(raw, path)
-    if items is None:
-        return []
+def _error(path: str, message: str) -> _Rejected:
+    return _Rejected(Diagnostic(path, message))
+
+
+@contextmanager
+def _at(path: str):
+    """Report a constructor's ValueError as a diagnostic at path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _error(path, str(exc))
+
+
+@contextmanager
+def _collected(diags: list[Diagnostic]):
+    """Add the diagnostics of a problem raised inside to diags, and go on."""
+    try:
+        yield
+    except _Rejected as exc:
+        diags.extend(exc.diagnostics)
+
+
+def _each(*parses) -> tuple:
+    """The results of independent parses; if any fails, the diagnostics of
+    every one that fails, in order."""
+    diags: list[Diagnostic] = []
     out = []
-    seen: set[str] = set()
-    for i, item in enumerate(items):
-        entry_path = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            p.err(entry_path, "expected an object")
-            continue
-        name = item.get("name")
-        if not isinstance(name, str) or not name:
-            p.err(entry_path, "missing or empty \"name\"")
-            continue
-        if name in seen:
-            p.err(entry_path, f"duplicate name {name!r}")
-            continue
-        seen.add(name)
-        out.append((item, name, entry_path))
+    for parse in parses:
+        with _collected(diags):
+            out.append(parse())
+    if diags:
+        raise _Rejected(*diags)
+    return tuple(out)
+
+
+# shape helpers -----------------------------------------------------------
+
+
+def _object(value: Any, path: str, required: set[str],
+            optional: set[str] = frozenset()) -> dict:
+    if not isinstance(value, dict):
+        raise _error(path, f"expected an object, got {type(value).__name__}")
+    problems = [Diagnostic(f"{path}.{key}", "unknown key")
+                for key in sorted(set(value) - required - optional)]
+    problems += [Diagnostic(path, f"missing required key {key!r}")
+                 for key in sorted(required - set(value))]
+    if problems:
+        raise _Rejected(*problems)
+    return value
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise _error(path, f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _integer(value: Any, path: str, minimum: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _error(path, f"expected an integer, got {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise _error(path, f"expected an integer >= {minimum}, got {value}")
+    return value
+
+
+def _array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise _error(path, f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _strings(value: Any, path: str) -> list[str]:
+    return [_string(item, f"{path}[{i}]")
+            for i, item in enumerate(_array(value, path))]
+
+
+def _matrix(value: Any, path: str) -> list[list[int]]:
+    out = []
+    for i, row in enumerate(_array(value, path)):
+        cells = _array(row, f"{path}[{i}]")
+        for j, cell in enumerate(cells):
+            if not isinstance(cell, int) or isinstance(cell, bool):
+                raise _error(f"{path}[{i}][{j}]",
+                             "matrix entries must be integers")
+        out.append(list(cells))
     return out
 
 
-def _parse_monoid(p: _Parser, obj: dict, path: str) -> FinMonoid | None:
-    if p.obj(obj, path, {"name", "elements", "identity", "table"}) is None:
-        return None
-    elements = p.string_array(obj["elements"], f"{path}.elements")
-    identity = p.string(obj["identity"], f"{path}.identity")
-    if elements is None or identity is None:
-        return None
+def _group(value: Any, path: str) -> FgAbGroup:
+    text = _string(value, path)
+    with _at(path):
+        return parse_group(text)
+
+
+def _pair_key(key: str, names: Mapping[str, int],
+              path: str) -> tuple[int, int]:
+    """Resolve "[a,x]" where a, x are element names; the split comma is
+    the unique one yielding two known names."""
+    if not (key.startswith("[") and key.endswith("]")):
+        raise _error(path, f"pair key {key!r} must look like \"[a,x]\"")
+    body = key[1:-1]
+    hits = []
+    for pos in range(len(body)):
+        if body[pos] != ",":
+            continue
+        left, right = body[:pos], body[pos + 1:]
+        if left in names and right in names:
+            hits.append((names[left], names[right]))
+    if len(hits) == 1:
+        return hits[0]
+    reason = "does not name two elements" if not hits else "is ambiguous"
+    raise _error(path, f"pair key {key!r} {reason}")
+
+
+# sections ----------------------------------------------------------------
+
+
+def _parse_monoid(obj: dict, path: str) -> FinMonoid:
+    _object(obj, path, {"name", "elements", "identity", "table"})
+    elements, identity = _each(
+        lambda: _strings(obj["elements"], f"{path}.elements"),
+        lambda: _string(obj["identity"], f"{path}.identity"))
     if len(set(elements)) != len(elements):
-        p.err(f"{path}.elements", "element names must be distinct")
-        return None
+        raise _error(f"{path}.elements", "element names must be distinct")
     index = {e: i for i, e in enumerate(elements)}
     if identity not in index:
-        p.err(f"{path}.identity", f"identity {identity!r} is not an element")
-        return None
-    rows = p.array(obj["table"], f"{path}.table")
-    if rows is None:
-        return None
+        raise _error(f"{path}.identity",
+                     f"identity {identity!r} is not an element")
+    rows = _array(obj["table"], f"{path}.table")
     if len(rows) != len(elements):
-        p.err(f"{path}.table", f"expected {len(elements)} rows, got {len(rows)}")
-        return None
+        raise _error(f"{path}.table",
+                     f"expected {len(elements)} rows, got {len(rows)}")
     table = []
     for i, raw_row in enumerate(rows):
-        row = p.string_array(raw_row, f"{path}.table[{i}]")
-        if row is None:
-            return None
+        row = _strings(raw_row, f"{path}.table[{i}]")
         if len(row) != len(elements):
-            p.err(f"{path}.table[{i}]",
-                  f"expected {len(elements)} entries, got {len(row)}")
-            return None
+            raise _error(f"{path}.table[{i}]",
+                         f"expected {len(elements)} entries, got {len(row)}")
         idx_row = []
         for j, cell in enumerate(row):
             if cell not in index:
-                p.err(f"{path}.table[{i}][{j}]", f"unknown element {cell!r}")
-                return None
+                raise _error(f"{path}.table[{i}][{j}]",
+                             f"unknown element {cell!r}")
             idx_row.append(index[cell])
         table.append(tuple(idx_row))
-    try:
+    with _at(path):
         return FinMonoid(obj["name"], tuple(elements), index[identity],
                          tuple(table))
-    except ValueError as exc:
-        p.err(path, str(exc))
-        return None
 
 
-def _parse_hom_table(p: _Parser, raw: Any, path: str, m: FinMonoid,
+def _parse_hom_table(raw: Any, path: str, m: FinMonoid,
                      groups: Sequence[FgAbGroup],
-                     combine) -> dict[tuple[int, int], AbHom] | None:
+                     combine) -> dict[tuple[int, int], AbHom]:
     if not isinstance(raw, dict):
-        p.err(path, "expected an object of pair keys")
-        return None
+        raise _error(path, "expected an object of pair keys")
     names = {e: i for i, e in enumerate(m.element_names)}
     out: dict[tuple[int, int], AbHom] = {}
     for key in sorted(raw):
         key_path = f"{path}.{key}"
-        pair = p.pair_key(key, names, key_path)
-        if pair is None:
-            return None
-        rows = p.matrix(raw[key], key_path)
-        if rows is None:
-            return None
-        a, x = pair
-        try:
-            out[pair] = AbHom.from_rows(groups[x], groups[combine(a, x)], rows)
-        except ValueError as exc:
-            p.err(key_path, str(exc))
-            return None
+        a, x = _pair_key(key, names, key_path)
+        rows = _matrix(raw[key], key_path)
+        with _at(key_path):
+            out[a, x] = AbHom.from_rows(groups[x], groups[combine(a, x)], rows)
     return out
 
 
-def _parse_coefficient(p: _Parser, obj: dict, path: str,
-                       monoids: dict[str, FinMonoid]) -> CoeffSystem | None:
-    base = {"name", "monoid", "kind"}
+_COEFFICIENT_KEYS = {"constant": {"group"}, "action": {"group", "action"},
+                     "explicit": {"groups", "lstar", "rstar"}}
+
+
+def _parse_coefficient(obj: dict, path: str,
+                       monoids: dict[str, FinMonoid]) -> CoeffSystem:
     kind = obj.get("kind")
-    if kind == "constant":
-        checked = p.obj(obj, path, base | {"group"})
-    elif kind == "action":
-        checked = p.obj(obj, path, base | {"group", "action"})
-    elif kind == "explicit":
-        checked = p.obj(obj, path, base | {"groups", "lstar", "rstar"})
-    else:
-        p.err(f"{path}.kind",
-              f"expected \"constant\", \"action\" or \"explicit\", got {kind!r}")
-        return None
-    if checked is None:
-        return None
-    mname = p.string(obj["monoid"], f"{path}.monoid")
-    if mname is None:
-        return None
+    if not isinstance(kind, str) or kind not in _COEFFICIENT_KEYS:
+        raise _error(f"{path}.kind", "expected \"constant\", \"action\" or "
+                                     f"\"explicit\", got {kind!r}")
+    _object(obj, path, {"name", "monoid", "kind"} | _COEFFICIENT_KEYS[kind])
+    mname = _string(obj["monoid"], f"{path}.monoid")
     m = monoids.get(mname)
     if m is None:
-        p.err(f"{path}.monoid",
-              f"coefficient system {obj['name']!r} references unknown monoid {mname!r}")
-        return None
+        raise _error(f"{path}.monoid", f"coefficient system {obj['name']!r} "
+                                       f"references unknown monoid {mname!r}")
     if kind == "constant":
-        g = p.group(obj["group"], f"{path}.group")
-        return None if g is None else constant_system(m, g)
+        return constant_system(m, _group(obj["group"], f"{path}.group"))
     if kind == "action":
-        g = p.group(obj["group"], f"{path}.group")
-        if g is None:
-            return None
+        g = _group(obj["group"], f"{path}.group")
         raw = obj["action"]
         if not isinstance(raw, dict):
-            p.err(f"{path}.action", "expected an object keyed by element name")
-            return None
+            raise _error(f"{path}.action",
+                         "expected an object keyed by element name")
         index = {e: i for i, e in enumerate(m.element_names)}
-        for key in sorted(set(raw) - set(index)):
-            p.err(f"{path}.action.{key}", f"unknown element {key!r}")
-            return None
+        unknown = sorted(set(raw) - set(index))
+        if unknown:
+            raise _error(f"{path}.action.{unknown[0]}",
+                         f"unknown element {unknown[0]!r}")
         missing = [e for e in m.element_names if e not in raw]
         if missing:
-            p.err(f"{path}.action",
-                  "missing elements: " + ", ".join(missing))
-            return None
+            raise _error(f"{path}.action",
+                         "missing elements: " + ", ".join(missing))
         action: dict[int, AbHom] = {}
         for key in sorted(raw):
-            rows = p.matrix(raw[key], f"{path}.action.{key}")
-            if rows is None:
-                return None
-            try:
+            rows = _matrix(raw[key], f"{path}.action.{key}")
+            with _at(f"{path}.action.{key}"):
                 action[index[key]] = AbHom.from_rows(g, g, rows)
-            except ValueError as exc:
-                p.err(f"{path}.action.{key}", str(exc))
-                return None
         try:
             return group_action_system(m, g, action)
         except (KeyError, ValueError) as exc:
-            detail = str(exc) or "action is incomplete"
-            p.err(f"{path}.action", detail)
-            return None
-    groups_raw = p.array(obj["groups"], f"{path}.groups")
-    if groups_raw is None:
-        return None
+            raise _error(f"{path}.action", str(exc) or "action is incomplete")
+    groups_raw = _array(obj["groups"], f"{path}.groups")
     if len(groups_raw) != m.size:
-        p.err(f"{path}.groups",
-              f"expected one group per element ({m.size}), got {len(groups_raw)}")
-        return None
-    groups = []
-    for i, g_raw in enumerate(groups_raw):
-        g = p.group(g_raw, f"{path}.groups[{i}]")
-        if g is None:
-            return None
-        groups.append(g)
-    lstar = _parse_hom_table(p, obj["lstar"], f"{path}.lstar", m, groups,
-                             lambda a, x: m.mul(a, x))
-    rstar = _parse_hom_table(p, obj["rstar"], f"{path}.rstar", m, groups,
-                             lambda b, x: m.mul(x, b))
-    if lstar is None or rstar is None:
-        return None
-    try:
+        raise _error(f"{path}.groups", f"expected one group per element "
+                                       f"({m.size}), got {len(groups_raw)}")
+    groups = [_group(g, f"{path}.groups[{i}]")
+              for i, g in enumerate(groups_raw)]
+    lstar, rstar = _each(
+        lambda: _parse_hom_table(obj["lstar"], f"{path}.lstar", m, groups,
+                                 lambda a, x: m.mul(a, x)),
+        lambda: _parse_hom_table(obj["rstar"], f"{path}.rstar", m, groups,
+                                 lambda b, x: m.mul(x, b)))
+    with _at(path):
         return explicit_system(m, groups, lstar, rstar)
-    except ValueError as exc:
-        p.err(path, str(exc))
-        return None
 
 
-def _parse_path(p: _Parser, raw: Any, path: str,
-                grid: GridSpec) -> PathSpec | None:
-    if p.obj(raw, path, set(), {"moves", "descend_at"}) is None:
-        return None
+def _parse_path(raw: Any, path: str, grid: GridSpec) -> PathSpec:
+    _object(raw, path, set(), {"moves", "descend_at"})
     if ("moves" in raw) == ("descend_at" in raw):
-        p.err(path, "exactly one of \"moves\" or \"descend_at\" is required")
-        return None
+        raise _error(path,
+                     "exactly one of \"moves\" or \"descend_at\" is required")
     if "moves" in raw:
-        moves = p.string(raw["moves"], f"{path}.moves")
-        if moves is None:
-            return None
-        try:
+        moves = _string(raw["moves"], f"{path}.moves")
+        with _at(f"{path}.moves"):
             return PathSpec(moves)
-        except ValueError as exc:
-            p.err(f"{path}.moves", str(exc))
-            return None
-    cols = p.array(raw["descend_at"], f"{path}.descend_at")
-    if cols is None:
-        return None
-    columns = set()
-    for i, c in enumerate(cols):
-        v = p.integer(c, f"{path}.descend_at[{i}]", minimum=0)
-        if v is None:
-            return None
-        columns.add(v)
+    cols = _array(raw["descend_at"], f"{path}.descend_at")
+    columns = {_integer(c, f"{path}.descend_at[{i}]", minimum=0)
+               for i, c in enumerate(cols)}
     # bounded by the last listed column, not the grid's pmax: a run may
     # take a larger degree bound, and "moves" keeps such a descent too
     return path_from_rule(lambda c: c in columns, grid,
                           max(columns, default=-1))
 
 
-def _parse_grid(p: _Parser, obj: dict, path: str,
+def _parse_grid(obj: dict, path: str,
                 monoids: dict[str, FinMonoid],
                 coefficients: dict[str, CoeffSystem],
-                defaults: Defaults) -> GridBundle | None:
-    if p.obj(obj, path, {"name", "floors"},
-             {"vertical", "path", "pmax", "finite"}) is None:
-        return None
-    raw_floors = p.array(obj["floors"], f"{path}.floors")
-    if raw_floors is None:
-        return None
+                defaults: Defaults) -> GridBundle:
+    _object(obj, path, {"name", "floors"},
+            {"vertical", "path", "pmax", "finite"})
     floors = []
-    for i, raw in enumerate(raw_floors):
+    for i, raw in enumerate(_array(obj["floors"], f"{path}.floors")):
         fpath = f"{path}.floors[{i}]"
-        if p.obj(raw, fpath, {"monoid", "coeff"}) is None:
-            return None
-        mname = p.string(raw["monoid"], f"{fpath}.monoid")
-        cname = p.string(raw["coeff"], f"{fpath}.coeff")
-        if mname is None or cname is None:
-            return None
+        _object(raw, fpath, {"monoid", "coeff"})
+        mname, cname = _each(lambda: _string(raw["monoid"], f"{fpath}.monoid"),
+                             lambda: _string(raw["coeff"], f"{fpath}.coeff"))
         m = monoids.get(mname)
         if m is None:
-            p.err(f"{fpath}.monoid",
-                  f"grid {obj['name']!r} references unknown monoid {mname!r}")
-            return None
+            raise _error(f"{fpath}.monoid", f"grid {obj['name']!r} references "
+                                            f"unknown monoid {mname!r}")
         c = coefficients.get(cname)
         if c is None:
-            p.err(f"{fpath}.coeff",
-                  f"grid {obj['name']!r} references unknown coefficient system {cname!r}")
-            return None
+            raise _error(f"{fpath}.coeff",
+                         f"grid {obj['name']!r} references unknown "
+                         f"coefficient system {cname!r}")
         if c.monoid != m:
-            p.err(f"{fpath}.coeff",
-                  f"coefficient system {cname!r} does not belong to monoid {mname!r}")
-            return None
+            raise _error(f"{fpath}.coeff", f"coefficient system {cname!r} "
+                                           f"does not belong to monoid {mname!r}")
         floors.append((m, c))
     finite = obj.get("finite", True)
     if not isinstance(finite, bool):
-        p.err(f"{path}.finite", "expected true or false")
-        return None
-    try:
+        raise _error(f"{path}.finite", "expected true or false")
+    with _at(f"{path}.floors"):
         grid = GridSpec(tuple(floors), finite=finite)
-    except ValueError as exc:
-        p.err(f"{path}.floors", str(exc))
-        return None
 
     p_max = defaults.p_max
     if "pmax" in obj:
-        v = p.integer(obj["pmax"], f"{path}.pmax", minimum=0)
-        if v is None:
-            return None
-        p_max = v
+        p_max = _integer(obj["pmax"], f"{path}.pmax", minimum=0)
 
     family = VerticalFamily.zero()
-    if "vertical" in obj:
-        raw = obj["vertical"]
-        if raw == "zero":
-            pass
-        elif isinstance(raw, dict):
-            if p.obj(raw, f"{path}.vertical", {"maps"}) is None:
-                return None
-            if not isinstance(raw["maps"], dict):
-                p.err(f"{path}.vertical.maps", "expected an object of pair keys")
-                return None
-            maps: dict[tuple[int, int], AbHom] = {}
-            for key in sorted(raw["maps"]):
-                key_path = f"{path}.vertical.maps.{key}"
-                if not (key.startswith("[") and key.endswith("]")
-                        and key.count(",") == 1):
-                    p.err(key_path, f"expected a \"[floor,degree]\" key, got {key!r}")
-                    return None
-                left, right = key[1:-1].split(",")
-                try:
-                    floor, degree = int(left), int(right)
-                except ValueError:
-                    p.err(key_path, f"expected integer floor and degree in {key!r}")
-                    return None
-                if key != f"[{floor},{degree}]":
-                    # keys such as "[0,00]" or "[0, +0]" would alias "[0,0]"
-                    p.err(key_path, f"expected a \"[floor,degree]\" key, got {key!r}")
-                    return None
-                if not 0 <= floor < grid.floor_count - 1:
-                    p.err(key_path,
-                          f"floor {floor} has no floor below it in this grid")
-                    return None
-                if not 0 <= degree <= p_max + 1:
-                    p.err(key_path,
-                          f"degree must lie in 0..{p_max + 1} (the grid "
-                          f"degree bound plus one)")
-                    return None
-                rows = p.matrix(raw["maps"][key], key_path)
-                if rows is None:
-                    return None
-                source, target = grid.floors[floor], grid.floors[floor + 1]
-                try:
-                    # the groups have (|M| - 1)^degree summands, so the
-                    # rows are checked against their counted generators
-                    # before either is built
-                    check_shape(rows, cochain_ngens(*target, degree),
-                                cochain_ngens(*source, degree))
-                    dom = cochain_group(*source, degree).total
-                    cod = cochain_group(*target, degree).total
-                    maps[(floor, degree)] = AbHom.from_rows(dom, cod, rows)
-                except ValueError as exc:
-                    p.err(key_path, str(exc))
-                    return None
-            family = VerticalFamily.explicit(maps)
-        else:
-            p.err(f"{path}.vertical",
-                  "expected \"zero\" or an object with \"maps\"")
-            return None
+    raw = obj.get("vertical", "zero")
+    if isinstance(raw, dict):
+        _object(raw, f"{path}.vertical", {"maps"})
+        if not isinstance(raw["maps"], dict):
+            raise _error(f"{path}.vertical.maps",
+                         "expected an object of pair keys")
+        maps: dict[tuple[int, int], AbHom] = {}
+        for key in sorted(raw["maps"]):
+            key_path = f"{path}.vertical.maps.{key}"
+            if not (key.startswith("[") and key.endswith("]")
+                    and key.count(",") == 1):
+                raise _error(key_path,
+                             f"expected a \"[floor,degree]\" key, got {key!r}")
+            left, right = key[1:-1].split(",")
+            try:
+                floor, degree = int(left), int(right)
+            except ValueError:
+                raise _error(key_path, "expected integer floor and degree "
+                                       f"in {key!r}")
+            if key != f"[{floor},{degree}]":
+                # keys such as "[0,00]" or "[0, +0]" would alias "[0,0]"
+                raise _error(key_path,
+                             f"expected a \"[floor,degree]\" key, got {key!r}")
+            if not 0 <= floor < grid.floor_count - 1:
+                raise _error(key_path,
+                             f"floor {floor} has no floor below it in this grid")
+            if not 0 <= degree <= p_max + 1:
+                raise _error(key_path,
+                             f"degree must lie in 0..{p_max + 1} (the grid "
+                             f"degree bound plus one)")
+            rows = _matrix(raw["maps"][key], key_path)
+            source, target = grid.floors[floor], grid.floors[floor + 1]
+            with _at(key_path):
+                # the groups have (|M| - 1)^degree summands, so the rows
+                # are checked against their counted generators before
+                # either is built
+                check_shape(rows, cochain_ngens(*target, degree),
+                            cochain_ngens(*source, degree))
+                dom = cochain_group(*source, degree).total
+                cod = cochain_group(*target, degree).total
+                maps[(floor, degree)] = AbHom.from_rows(dom, cod, rows)
+        family = VerticalFamily.explicit(maps)
+    elif raw != "zero":
+        raise _error(f"{path}.vertical",
+                     "expected \"zero\" or an object with \"maps\"")
 
     if "path" in obj:
-        spec = _parse_path(p, obj["path"], f"{path}.path", grid)
-        if spec is None:
-            return None
+        spec = _parse_path(obj["path"], f"{path}.path", grid)
     else:
         spec = PathSpec("DR" * (grid.floor_count - 1))
     return GridBundle(grid, family, spec,
                       p_max if "pmax" in obj else None)
 
 
-def _parse_set_system(p: _Parser, obj: dict, path: str) -> SetSystem | None:
-    if p.obj(obj, path, {"name", "points", "sets"}) is None:
-        return None
-    points = p.string_array(obj["points"], f"{path}.points")
-    raw_sets = p.array(obj["sets"], f"{path}.sets")
-    if points is None or raw_sets is None:
-        return None
+def _parse_set_system(obj: dict, path: str) -> SetSystem:
+    _object(obj, path, {"name", "points", "sets"})
+    points, raw_sets = _each(
+        lambda: _strings(obj["points"], f"{path}.points"),
+        lambda: _array(obj["sets"], f"{path}.sets"))
     named_sets = []
     for i, raw in enumerate(raw_sets):
         spath = f"{path}.sets[{i}]"
-        if p.obj(raw, spath, {"name", "members"}) is None:
-            return None
-        sname = p.string(raw["name"], f"{spath}.name")
-        members = p.string_array(raw["members"], f"{spath}.members")
-        if sname is None or members is None:
-            return None
-        named_sets.append((sname, members))
-    try:
+        _object(raw, spath, {"name", "members"})
+        named_sets.append(_each(
+            lambda: _string(raw["name"], f"{spath}.name"),
+            lambda: _strings(raw["members"], f"{spath}.members")))
+    with _at(path):
         return SetSystem.from_names(points, named_sets)
-    except ValueError as exc:
-        p.err(path, str(exc))
-        return None
 
 
-def _parse_descriptor(p: _Parser, raw: Any, path: str) -> StructureDescriptor | None:
-    if p.obj(raw, path, set(), {"operations", "nonalg"}) is None:
-        return None
+def _parse_descriptor(raw: Any, path: str) -> StructureDescriptor:
+    _object(raw, path, set(), {"operations", "nonalg"})
     operations = []
     if "operations" in raw:
-        ops = p.array(raw["operations"], f"{path}.operations")
-        if ops is None:
-            return None
+        ops = _array(raw["operations"], f"{path}.operations")
         for i, op in enumerate(ops):
             opath = f"{path}.operations[{i}]"
-            if p.obj(op, opath, {"arity"}, {"properties"}) is None:
-                return None
-            arity = p.integer(op["arity"], f"{opath}.arity", minimum=1)
-            if arity is None:
-                return None
-            props: list[str] = []
-            if "properties" in op:
-                got = p.string_array(op["properties"], f"{opath}.properties")
-                if got is None:
-                    return None
-                props = got
+            _object(op, opath, {"arity"}, {"properties"})
+            arity = _integer(op["arity"], f"{opath}.arity", minimum=1)
+            props = (_strings(op["properties"], f"{opath}.properties")
+                     if "properties" in op else [])
             operations.append((arity, props))
-    nonalg: list[str] = []
-    if "nonalg" in raw:
-        got = p.string_array(raw["nonalg"], f"{path}.nonalg")
-        if got is None:
-            return None
-        nonalg = got
+    nonalg = (_strings(raw["nonalg"], f"{path}.nonalg")
+              if "nonalg" in raw else [])
     return StructureDescriptor.make(operations, nonalg)
 
 
-def _parse_descriptor_list(p: _Parser, obj: dict,
-                           path: str) -> tuple[StructureDescriptor, ...] | None:
-    if p.obj(obj, path, {"name", "descriptors"}) is None:
-        return None
-    raw = p.array(obj["descriptors"], f"{path}.descriptors")
-    if raw is None:
-        return None
-    out = []
-    for i, d in enumerate(raw):
-        parsed = _parse_descriptor(p, d, f"{path}.descriptors[{i}]")
-        if parsed is None:
-            return None
-        out.append(parsed)
-    return tuple(out)
+def _parse_descriptor_list(obj: dict,
+                           path: str) -> tuple[StructureDescriptor, ...]:
+    _object(obj, path, {"name", "descriptors"})
+    raw = _array(obj["descriptors"], f"{path}.descriptors")
+    return tuple(_parse_descriptor(d, f"{path}.descriptors[{i}]")
+                 for i, d in enumerate(raw))
 
 
-def _parse_defaults(p: _Parser, raw: Any, path: str) -> Defaults:
-    if p.obj(raw, path, set(), {"p_max", "coefficients"}) is None:
-        return Defaults()
-    p_max = 4
-    if "p_max" in raw:
-        v = p.integer(raw["p_max"], f"{path}.p_max", minimum=0)
-        if v is not None:
-            p_max = v
-    group = Z
-    if "coefficients" in raw:
-        g = p.group(raw["coefficients"], f"{path}.coefficients")
-        if g is not None:
-            group = g
-    return Defaults(p_max, group)
+def _walk(root: Any):
+    """Every (path, value) of a JSON tree, each parent before its
+    children, in document order and without recursion.  A key with no
+    UTF-8 form is not entered, as no path through it could be printed."""
+    stack = [("$", root)]
+    while stack:
+        path, value = stack.pop()
+        yield path, value
+        if isinstance(value, dict):
+            stack.extend(reversed([(f"{path}.{key}", item)
+                                   for key, item in value.items()
+                                   if not _unencodable(key)]))
+        elif isinstance(value, list):
+            stack.extend(reversed([(f"{path}[{i}]", item)
+                                   for i, item in enumerate(value)]))
 
 
 def _lone_surrogates(root: Any) -> list[Diagnostic]:
@@ -627,20 +509,10 @@ def _lone_surrogates(root: Any) -> list[Diagnostic]:
     encoding, so no report could print it.  A key is reported at its
     object's path, as the key itself cannot be printed."""
     out = []
-    stack = [("$", root)]
-    while stack:
-        path, value = stack.pop()
+    for path, value in _walk(root):
         if isinstance(value, dict):
-            items = []
-            for key, item in value.items():
-                if _unencodable(key):
-                    out.append(Diagnostic(path, f"key {key!r} holds a lone surrogate"))
-                else:
-                    items.append((f"{path}.{key}", item))
-            stack.extend(reversed(items))
-        elif isinstance(value, list):
-            stack.extend(reversed([(f"{path}[{i}]", item)
-                                   for i, item in enumerate(value)]))
+            out.extend(Diagnostic(path, f"key {key!r} holds a lone surrogate")
+                       for key in value if _unencodable(key))
         elif isinstance(value, str) and _unencodable(value):
             out.append(Diagnostic(path, f"string {value!r} holds a lone surrogate"))
     return out
@@ -659,25 +531,15 @@ def _repeated_keys(root: Any,
     """A diagnostic at the path of every key given more than once in one
     object; ``repeated`` maps the id of such an object to the object and
     those keys."""
-    out = []
-    stack = [("$", root)]
-    while stack:
-        path, value = stack.pop()
-        if isinstance(value, dict):
-            _, keys = repeated.get(id(value), (value, ()))
-            out.extend(Diagnostic(f"{path}.{key}", f"repeated key {key!r}")
-                       for key in keys)
-            stack.extend(reversed([(f"{path}.{key}", item)
-                                   for key, item in value.items()]))
-        elif isinstance(value, list):
-            stack.extend(reversed([(f"{path}[{i}]", item)
-                                   for i, item in enumerate(value)]))
-    return out
+    return [Diagnostic(f"{path}.{key}", f"repeated key {key!r}")
+            for path, value in _walk(root) if isinstance(value, dict)
+            for key in repeated.get(id(value), (value, ()))[1]]
 
 
 def parse_document(text: str) -> Document:
     """Parse and cross-link a UTF-8 JSON document; DocumentError carries
-    path-addressed diagnostics for every problem found."""
+    path-addressed diagnostics: the first problem of each entry, and of
+    each field of "defaults"."""
     # JSON keeps the last value of a key given twice in one object; record
     # such keys, as a document that gives two values means neither.  The
     # object is kept with them, so that its id is not reused.
@@ -709,49 +571,60 @@ def parse_document(text: str) -> Document:
             raise DocumentError(unencodable)
     if repeated:
         raise DocumentError(_repeated_keys(root, repeated))
-    p = _Parser()
-    if p.obj(root, "$", set(), _ROOT_KEYS) is None:
-        raise DocumentError(p.diags)
+    try:
+        _object(root, "$", set(), _ROOT_KEYS)
+    except _Rejected as exc:
+        raise DocumentError(exc.diagnostics)
 
-    defaults = _parse_defaults(p, root.get("defaults", {}), "$.defaults")
+    diags: list[Diagnostic] = []
+    fields = {}
+    raw = root.get("defaults", {})
+    with _collected(diags):
+        _object(raw, "$.defaults", set(), {"p_max", "coefficients"})
+        if "p_max" in raw:
+            with _collected(diags):
+                fields["p_max"] = _integer(raw["p_max"], "$.defaults.p_max",
+                                           minimum=0)
+        if "coefficients" in raw:
+            with _collected(diags):
+                fields["coeff_group"] = _group(raw["coefficients"],
+                                               "$.defaults.coefficients")
+    defaults = Defaults(**fields)
 
-    monoids: list[tuple[str, FinMonoid]] = []
-    for obj, name, path in _named_items(p, root.get("monoids", []), "$.monoids"):
-        m = _parse_monoid(p, obj, path)
-        if m is not None:
-            monoids.append((name, m))
-    monoid_map = dict(monoids)
+    def section(key: str, parse, *context) -> list[tuple[str, Any]]:
+        """Parse each entry of a named section that has an object with a
+        fresh name; a bad entry is reported and the next one read."""
+        entries = []
+        seen: set[str] = set()
+        with _collected(diags):
+            for i, item in enumerate(_array(root.get(key, []), f"$.{key}")):
+                path = f"$.{key}[{i}]"
+                if not isinstance(item, dict):
+                    diags.append(Diagnostic(path, "expected an object"))
+                    continue
+                name = item.get("name")
+                if not isinstance(name, str) or not name:
+                    diags.append(Diagnostic(path, "missing or empty \"name\""))
+                    continue
+                if name in seen:
+                    diags.append(Diagnostic(path, f"duplicate name {name!r}"))
+                    continue
+                seen.add(name)
+                entries.append((item, name, path))
+        parsed = []
+        for item, name, path in entries:
+            with _collected(diags):
+                parsed.append((name, parse(item, path, *context)))
+        return parsed
 
-    coefficients: list[tuple[str, CoeffSystem]] = []
-    for obj, name, path in _named_items(p, root.get("coefficients", []),
-                                        "$.coefficients"):
-        c = _parse_coefficient(p, obj, path, monoid_map)
-        if c is not None:
-            coefficients.append((name, c))
-    coeff_map = dict(coefficients)
-
-    grids: list[tuple[str, GridBundle]] = []
-    for obj, name, path in _named_items(p, root.get("grids", []), "$.grids"):
-        g = _parse_grid(p, obj, path, monoid_map, coeff_map, defaults)
-        if g is not None:
-            grids.append((name, g))
-
-    set_systems: list[tuple[str, SetSystem]] = []
-    for obj, name, path in _named_items(p, root.get("set_systems", []),
-                                        "$.set_systems"):
-        s = _parse_set_system(p, obj, path)
-        if s is not None:
-            set_systems.append((name, s))
-
-    descriptor_lists: list[tuple[str, tuple[StructureDescriptor, ...]]] = []
-    for obj, name, path in _named_items(p, root.get("descriptor_lists", []),
-                                        "$.descriptor_lists"):
-        d = _parse_descriptor_list(p, obj, path)
-        if d is not None:
-            descriptor_lists.append((name, d))
-
-    if p.diags:
-        raise DocumentError(p.diags)
+    monoids = section("monoids", _parse_monoid)
+    coefficients = section("coefficients", _parse_coefficient, dict(monoids))
+    grids = section("grids", _parse_grid, dict(monoids), dict(coefficients),
+                    defaults)
+    set_systems = section("set_systems", _parse_set_system)
+    descriptor_lists = section("descriptor_lists", _parse_descriptor_list)
+    if diags:
+        raise DocumentError(diags)
     return Document(tuple(monoids), tuple(coefficients), tuple(grids),
                     tuple(set_systems), tuple(descriptor_lists), defaults)
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moncoh import abelian
 from moncoh import intmat as im
 from moncoh.abelian import (
     AbHom,
@@ -161,6 +162,26 @@ class TestFgAbGroup:
         assert FgAbGroup.from_invariants([0, 2, 0, 4]) == FgAbGroup(2, (2, 4))
         assert FgAbGroup.from_invariants([1, 1, 0]) == Z
         assert FgAbGroup.from_invariants([6, 4]) == FgAbGroup(0, (2, 12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, -1, 2, 4, 8, 16, 36,
+                                               72, 210, 1024, 3 ** 7]),
+                              st.integers(-60, 60)), max_size=9))
+    def test_from_invariants_is_the_smith_diagonal(self, factors):
+        # the cokernel of diag(factors), read off the dense Smith form
+        n = len(factors)
+        diag = [[factors[i] if i == j else 0 for j in range(n)]
+                for i in range(n)]
+        diagonal = smith_normal_form(diag, shape=(n, n)).diagonal
+        assert FgAbGroup.from_invariants(factors) == FgAbGroup(
+            diagonal.count(0), tuple(x for x in diagonal if x > 1))
+
+    def test_from_invariants_needs_no_matrix(self, monkeypatch):
+        monkeypatch.setattr(abelian, "smith_normal_form", None)
+        assert FgAbGroup.from_invariants([2, 3] * 128) == \
+            FgAbGroup(0, (6,) * 128)
+        assert FgAbGroup.from_invariants([12, 0, 18, 8, 1, 27]) == \
+            FgAbGroup(1, (6, 36, 216))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6, 8, 9, 12]), max_size=6))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from moncoh.cli import RunFlags, main, run_command
+from moncoh.cli import CONVENTION, RunFlags, main, run_command
 from moncoh.document import parse_document
 
 from test_document import DIGIT_LIMIT, sample_root, sample_text
@@ -260,6 +260,40 @@ class TestH:
     def test_no_systems_is_input_error(self):
         code, _ = run("h", {})
         assert code == 2
+
+
+class TestInputErrors:
+    """A document without the section a command reads, or a --grid or
+    --monoid naming nothing, exits 2 with one message and nothing else."""
+
+    CASES = [
+        (["leech"], {}, "document defines no monoids"),
+        (["square"], {}, "document defines no grids"),
+        (["total"], {}, "document defines no grids"),
+        (["fs"], {}, "document defines no descriptor lists"),
+        (["h"], {}, "document defines no set systems"),
+        (["leech", "--monoid", "nope"], sample_root(),
+         "unknown monoid 'nope'"),
+        (["square", "--grid", "nope"], sample_root(), "unknown grid 'nope'"),
+        (["total", "--grid", "nope"], sample_root(), "unknown grid 'nope'"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, root, message", CASES,
+                             ids=[" ".join(c[0]) for c in CASES])
+    def test_exact_output(self, tmp_path, capsys, argv, root, message, fmt):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(root), encoding="utf-8")
+        code = main([argv[0], "--input", str(path), "--format", fmt,
+                     *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        if fmt == "text":
+            assert captured.out == message + "\n"
+        else:
+            assert json.loads(captured.out) == {
+                "command": argv[0], "convention": CONVENTION,
+                "exit_code": 2, "error": message}
 
 
 class TestDeterminism:

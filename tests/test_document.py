@@ -128,6 +128,44 @@ class TestParse:
         root["set_systems"][0]["name"] = "\ud83d\ude00"
         assert parse_document(json.dumps(root)).set_systems[0][0] == "\U0001f600"
 
+    def test_no_path_through_an_unencodable_key(self):
+        text = json.dumps({"defaults": {"\ud800": "\udc00",
+                                        "p_max": ["\udc01"]}})
+        assert diags_of(text) == [
+            "$.defaults: key '\\ud800' holds a lone surrogate",
+            "$.defaults.p_max[0]: string '\\udc01' holds a lone surrogate",
+        ]
+
+    def test_each_defaults_field_then_each_entry(self):
+        text = json.dumps({"defaults": {"p_max": -1, "coefficients": "Q"},
+                           "monoids": 3, "grids": [{"name": "g"}, 1]})
+        assert diags_of(text) == [
+            "$.defaults.p_max: expected an integer >= 0, got -1",
+            "$.defaults.coefficients: unrecognized group term 'Q' in 'Q'",
+            "$.monoids: expected an array, got int",
+            "$.grids[1]: expected an object",
+            "$.grids[0]: missing required key 'floors'",
+        ]
+
+    def test_first_problem_of_each_entry(self):
+        root = sample_root()
+        root["monoids"][1]["elements"] = "abc"
+        root["monoids"][1]["identity"] = 1
+        root["monoids"].append({"name": "C2"})
+        root["coefficients"][2]["action"] = {"y": [[1]], "x": [[1]], "e": 1}
+        # elements and identity are read side by side, so both are
+        # reported; the action reports its first unknown element only
+        assert diags_of(json.dumps(root)) == [
+            "$.monoids[3]: duplicate name 'C2'",
+            "$.monoids[1].elements: expected an array, got str",
+            "$.monoids[1].identity: expected a string, got int",
+            "$.coefficients[1].monoid: coefficient system 'c3Z' references "
+            "unknown monoid 'C3'",
+            "$.coefficients[2].action.x: unknown element 'x'",
+            "$.grids[0].floors[1].monoid: grid 'pair' references unknown "
+            "monoid 'C3'",
+        ]
+
     def test_repeated_defaults_rejected(self):
         # JSON keeps the last of two equal keys: this text would set p_max
         # from 4 to 1 without a word
