@@ -16,11 +16,12 @@ Conventions
 * A homomorphism matrix has one column per domain generator and one row
   per codomain generator; column ``i`` is the image of generator ``i``.
 * A direct sum of groups is presented by the concatenation of their
-  generators.  Its change of basis to the canonical form is stored
-  sparsely, one map per presentation generator: a single entry when the
-  orders already form a chain, Smith-form rows only when they merge.
-  Homomorphisms between direct sums are assembled from sparse columns
-  straight into canonical coordinates.
+  generators.  When its orders form a chain in some order, its change of
+  basis to the canonical form is a permutation, kept as the canonical
+  index of each generator; only when they merge is it read off a Smith
+  form.  Its sparse maps, one per presentation generator, are built when
+  first read.  Homomorphisms between direct sums are assembled from
+  sparse columns straight into canonical coordinates.
 * An ``AbHom`` is stored as sparse columns only, one {row: nonzero
   entry} map per domain generator, and composes and compares in that
   form.  Its dense ``matrix`` is a view built on demand, for
@@ -37,8 +38,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import compress
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, contains
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import intmat as im
@@ -59,21 +62,34 @@ class CompositionNonzero(ValueError):
 
 @dataclass(frozen=True)
 class FgAbGroup:
-    """Finitely generated abelian group in invariant-factor form."""
+    """Finitely generated abelian group in invariant-factor form.
+
+    ``orders`` and ``ngens`` are derived from the two fields once, at
+    construction."""
 
     free_rank: int = 0
     torsion: tuple[int, ...] = ()
+    orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ngens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        for d in self.torsion:
-            if d < 2:
-                raise ValueError(f"torsion invariant {d} < 2 is not canonical")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a:
-                raise ValueError(f"torsion chain broken: {a} does not divide {b}")
+        torsion = tuple(map(int, self.torsion))
+        if torsion:
+            low = min(torsion)
+            if low < 2:
+                bad = next(d for d in torsion if d < 2)
+                raise ValueError(f"torsion invariant {bad} < 2 is not canonical")
+            if low != max(torsion):
+                for a, b in zip(torsion, torsion[1:]):
+                    if b % a:
+                        raise ValueError(
+                            f"torsion chain broken: {a} does not divide {b}")
+        orders = (0,) * self.free_rank + torsion
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "ngens", len(orders))
 
     @classmethod
     def from_invariants(cls, factors: Iterable[int]) -> "FgAbGroup":
@@ -103,14 +119,6 @@ class FgAbGroup:
         merged = [math.prod(b ** exps[k] for b, exps in powers)
                   for k in range(len(tors))]
         return cls(free, tuple(x for x in reversed(merged) if x > 1))
-
-    @property
-    def ngens(self) -> int:
-        return self.free_rank + len(self.torsion)
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return (0,) * self.free_rank + self.torsion
 
     def render(self) -> str:
         parts: list[str] = []
@@ -398,25 +406,41 @@ class AbHom:
             raise ShapeMismatch(
                 f"{len(columns)} columns, domain has {domain.ngens} generators")
         nrows = codomain.ngens
-        cols = tuple({i: x for i, x in col.items() if x} if 0 in col.values()
-                     else col for col in columns)
-        for col in cols:
-            if col and not (0 <= min(col) and max(col) < nrows):
-                raise ShapeMismatch(
-                    f"column entry outside the {nrows} codomain generators")
+        cols = list(columns)
+        if 0 in chain.from_iterable(map(dict.values, cols)):
+            zeros = map(contains, map(dict.values, cols), repeat(0))
+            for j in compress(range(len(cols)), zeros):
+                cols[j] = {i: x for i, x in cols[j].items() if x}
+        filled = list(filter(None, cols))
+        if filled and not (0 <= min(map(min, filled))
+                           and max(map(max, filled)) < nrows):
+            raise ShapeMismatch(
+                f"column entry outside the {nrows} codomain generators")
         hom = cls.__new__(cls)
-        hom._init_columns(domain, codomain, cols)
+        hom._init_columns(domain, codomain, tuple(cols))
         return hom
 
     def _init_columns(self, domain: FgAbGroup, codomain: FgAbGroup,
              cols: tuple[SparseColumn, ...]) -> None:
-        cod_orders = codomain.orders
-        for i, d in enumerate(domain.torsion, domain.free_rank):
-            if any(cod_orders[r] == 0 or d * x % cod_orders[r]
-                   for r, x in cols[i].items()):
-                raise ValueError(
-                    f"matrix does not define a homomorphism: generator {i} "
-                    f"has order {d} but column {i} is not annihilated")
+        cod_orders, free = codomain.orders, codomain.free_rank
+        stop = domain.free_rank
+        for d in dict.fromkeys(domain.torsion):
+            # d * x vanishes in every row whose order divides d: in the
+            # codomain's torsion chain, the rows from `free` up to `end`
+            start, stop = stop, domain.free_rank + bisect_right(domain.torsion, d)
+            end = free + bisect_right(codomain.torsion, max(
+                (o for o in dict.fromkeys(codomain.torsion) if d % o == 0),
+                default=0))
+            if free == 0 and end == len(cod_orders):
+                continue
+            for j in range(start, stop):
+                col = cols[j]
+                if (col and (min(col) < free or max(col) >= end)
+                        and any(cod_orders[r] == 0 or d * x % cod_orders[r]
+                                for r, x in col.items())):
+                    raise ValueError(
+                        f"matrix does not define a homomorphism: generator {j} "
+                        f"has order {d} but column {j} is not annihilated")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "columns", cols)
@@ -452,8 +476,10 @@ class AbHom:
         if inner.codomain != self.domain:
             raise ShapeMismatch(
                 f"cannot compose: inner codomain {inner.codomain} != domain {self.domain}")
+        # a zero outer map sends each column to zero without reading it
+        live = any(self.columns)
         return AbHom._adopt(inner.domain, self.codomain,
-                            [_apply_sparse(self.columns, col)
+                            [_apply_sparse(self.columns, col) if live else {}
                              for col in inner.columns])
 
     def is_zero(self) -> bool:
@@ -763,27 +789,20 @@ def presentation_to_canonical(
     p.  The two are inverse to each other modulo relations.
 
     When the multiset of orders already forms an invariant chain the
-    change of basis is a plain permutation, one entry per generator, and
-    one tuple of maps is returned for both directions (``DirectSum``
-    recognizes a permutation by that); otherwise the Smith form of the
-    diagonal relation matrix supplies it.
+    change of basis is a plain permutation (see ``_chain_index``), one
+    entry per generator, and one tuple of maps is returned for both
+    directions; otherwise the Smith form of the diagonal relation matrix
+    supplies it.
     """
-    n = len(orders)
-    free_pos = [i for i, o in enumerate(orders) if o == 0]
-    tors_pos = sorted((i for i, o in enumerate(orders) if o != 0),
-                      key=lambda i: (orders[i], i))
-    chain_ok = all(orders[i] >= 2 for i in tors_pos) and all(
-        orders[b] % orders[a] == 0 for a, b in zip(tors_pos, tors_pos[1:]))
-    if chain_ok:
-        index = [0] * n
-        for k, p in enumerate(free_pos + tors_pos):
-            index[p] = k
-        perm = tuple({k: 1} for k in index)
-        group = FgAbGroup(len(free_pos), tuple(orders[i] for i in tors_pos))
-        return group, perm, perm
+    chained = _chain_index(orders)
+    if chained is not None:
+        perm = tuple({k: 1} for k in chained[1])
+        return chained[0], perm, perm
 
+    n = len(orders)
+    tors_pos = [i for i, o in enumerate(orders) if o != 0]
     rel = im.zeros(n, len(tors_pos))
-    for k, p in enumerate(sorted(tors_pos)):
+    for k, p in enumerate(tors_pos):
         rel[p][k] = orders[p]
     dec = smith_normal_form(rel, shape=(n, len(tors_pos)))
     diag = dec.diagonal
@@ -800,51 +819,81 @@ def presentation_to_canonical(
     return group, to_can, from_can
 
 
+def _chain_index(orders: Sequence[int]) -> tuple[FgAbGroup, tuple[int, ...]] | None:
+    """The canonical group and the canonical index of each generator when
+    the orders form an invariant chain in some order; None when they merge.
+
+    The canonical generators are the presentation generators stably
+    sorted by order: free ones (order 0) first, then torsion ascending,
+    ties in presentation order.  Only the distinct orders are tested.
+    """
+    distinct = sorted(set(orders))
+    tors = distinct[1:] if distinct and distinct[0] == 0 else distinct
+    if tors and (tors[0] < 2 or any(b % a for a, b in zip(tors, tors[1:]))):
+        return None
+    ranked = sorted(orders)
+    free = bisect_right(ranked, 0)
+    group = FgAbGroup(free, tuple(ranked[free:]))
+    if ranked == list(orders):
+        return group, tuple(range(len(ranked)))
+    # sorting the positions gives canonical -> presentation; sorting again
+    # by that inverts it
+    order = sorted(range(len(ranked)), key=orders.__getitem__)
+    return group, tuple(sorted(range(len(ranked)), key=order.__getitem__))
+
+
 @dataclass(frozen=True)
 class DirectSum:
     """Direct sum of groups with the canonicalizing change of basis.
 
     ``offsets`` gives each component's generator range inside the
-    concatenated presentation; ``to_total`` and ``from_total`` hold the
-    change of basis between that presentation and the canonical
+    concatenated presentation.  ``permutation`` is the canonical index of
+    each presentation generator when the orders chain, so that the change
+    of basis is a permutation, and None when orders merge.
+    ``is_canonical`` says that change is the identity, i.e. the
+    presentation orders already are the canonical ones, as for every sum
+    of copies of one cyclic group.  ``to_total`` and ``from_total`` hold
+    the change of basis between the presentation and the canonical
     generators of ``total`` as one sparse map per presentation generator,
-    in the layout of ``presentation_to_canonical``.  ``is_canonical`` says
-    that change is the identity, i.e. the presentation orders already are
-    the canonical ones, as for every sum of copies of one cyclic group.
+    in the layout of ``presentation_to_canonical``; they are built on
+    first read, and are one object when ``permutation`` is not None.
     """
 
     components: tuple[FgAbGroup, ...]
     total: FgAbGroup
     offsets: tuple[int, ...]
-    to_total: SparseBasisChange
-    from_total: SparseBasisChange
+    permutation: tuple[int, ...] | None
     is_canonical: bool
 
     @classmethod
     def of(cls, components: Sequence[FgAbGroup]) -> "DirectSum":
         comps = tuple(components)
-        orders: list[int] = []
-        offsets = [0]
-        for g in comps:
-            orders.extend(g.orders)
-            offsets.append(offsets[-1] + g.ngens)
-        total, to_can, from_can = presentation_to_canonical(orders)
-        return cls(comps, total, tuple(offsets), to_can, from_can,
-                   tuple(orders) == total.orders)
+        each = list(map(attrgetter("orders"), comps))
+        orders = tuple(chain.from_iterable(each))
+        offsets = tuple(accumulate(map(len, each), initial=0))
+        chained = _chain_index(orders)
+        if chained is None:
+            return cls(comps, FgAbGroup.from_invariants(orders), offsets,
+                       None, False)
+        total, index = chained
+        return cls(comps, total, offsets, index, orders == total.orders)
 
     @property
     def presentation_size(self) -> int:
         return self.offsets[-1]
 
     @functools.cached_property
-    def permutation(self) -> tuple[int, ...] | None:
-        """The canonical index of each presentation generator when the
-        change of basis is a permutation, i.e. when the orders chain and
-        ``presentation_to_canonical`` gave one tuple of single-entry maps
-        for both directions; None when orders merge."""
-        if self.to_total is not self.from_total:
-            return None
-        return tuple(k for image in self.to_total for k in image)
+    def _basis_change(self) -> tuple[SparseBasisChange, SparseBasisChange]:
+        return presentation_to_canonical(
+            tuple(chain.from_iterable(g.orders for g in self.components)))[1:]
+
+    @property
+    def to_total(self) -> SparseBasisChange:
+        return self._basis_change[0]
+
+    @property
+    def from_total(self) -> SparseBasisChange:
+        return self._basis_change[1]
 
     def embedding(self, i: int) -> AbHom:
         lo, hi = self.offsets[i], self.offsets[i + 1]

@@ -442,25 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.pmax is not None and args.pmax < 0:
-        print("--pmax must be nonnegative", file=sys.stderr)
-        return 2
+        return _unusable(args, "--pmax must be nonnegative")
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
+        return _unusable(args, f"cannot read {args.input}: {exc}")
     try:
         doc = parse_document(text)
     except DocumentError as exc:
         if args.fmt == "json":
-            _emit(json.dumps({
-                "command": args.command,
-                "exit_code": 2,
-                "error": "document rejected",
-                "diagnostics": [{"path": d.path, "message": d.message}
-                                for d in exc.diagnostics],
-            }, indent=2, sort_keys=True))
+            _emit(_refusal(args, "document rejected", diagnostics=[
+                {"path": d.path, "message": d.message}
+                for d in exc.diagnostics]))
         else:
             _emit("\n".join(["document rejected:"]
                             + [f"  {d}" for d in exc.diagnostics]))
@@ -469,6 +463,22 @@ def main(argv=None) -> int:
     code, report = run_command(args.command, doc, flags)
     _emit(report)
     return code
+
+
+def _refusal(args: argparse.Namespace, error: str, **extra) -> str:
+    """The JSON body of a run that exits 2 before any command runs."""
+    return json.dumps({"command": args.command, "exit_code": 2,
+                       "error": error, **extra}, indent=2, sort_keys=True)
+
+
+def _unusable(args: argparse.Namespace, error: str) -> int:
+    """Exit 2 for a flag or input file that cannot be used: the error goes
+    to stderr in text, and into a JSON body on stdout in JSON."""
+    if args.fmt == "json":
+        _emit(_refusal(args, error))
+    else:
+        print(error, file=sys.stderr)
+    return 2
 
 
 def _emit(report: str) -> None:

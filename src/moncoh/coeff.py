@@ -61,7 +61,11 @@ class CoeffSystem:
                     if h is None:
                         raise ValueError(f"{family} missing pair "
                                          f"({m.element_names[a]}, {m.element_names[x]})")
-                    if h.domain != self.groups[x] or h.codomain != self.groups[combine(a, x)]:
+                    # a constant system hands every map the very group
+                    # objects it lists: identity decides without comparing
+                    dom, cod = self.groups[x], self.groups[combine(a, x)]
+                    if ((h.domain is not dom and h.domain != dom)
+                            or (h.codomain is not cod and h.codomain != cod)):
                         raise ValueError(
                             f"{family}[{m.element_names[a]}, {m.element_names[x]}] has "
                             f"wrong domain or codomain")

@@ -7,6 +7,7 @@ line; each case says which.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -754,7 +755,7 @@ class TestPresentationAndDirectSum:
         assert prod == [[1]] or (prod[0][0] - 1) % 6 == 0
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.sampled_from([0, 2, 3, 4, 6]), max_size=5))
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]), max_size=5))
     def test_round_trip_identities(self, orders):
         group, to_can, from_can = presentation_to_canonical(orders)
         n = len(orders)
@@ -822,3 +823,201 @@ class TestPresentationAndDirectSum:
         assert ds.total == Zmod(6)
         comp = ds.projection(0).compose(ds.embedding(0))
         assert comp.equals(AbHom.identity(Zmod(2)))
+
+
+def raised(exc_type, build):
+    """The text of the ``exc_type`` that ``build()`` raises."""
+    with pytest.raises(exc_type) as info:
+        build()
+    assert type(info.value) is exc_type
+    return str(info.value)
+
+
+class TestPinnedErrors:
+    """Exact messages of the group and homomorphism checks, including
+    which offender each one names."""
+
+    @pytest.mark.parametrize("torsion, message", [
+        ((2, 1, 0), "torsion invariant 1 < 2 is not canonical"),
+        ((0, 1), "torsion invariant 0 < 2 is not canonical"),
+        ((2, -4, 4), "torsion invariant -4 < 2 is not canonical"),
+        # units are reported before a broken chain, wherever they sit
+        ((4, 2, 1), "torsion invariant 1 < 2 is not canonical"),
+        ((2, 4, 6, 12, 8), "torsion chain broken: 4 does not divide 6"),
+        ((6, 4), "torsion chain broken: 6 does not divide 4"),
+        # equal first and last entries do not make a chain
+        ((2, 3, 2), "torsion chain broken: 2 does not divide 3"),
+        ((6, 4, 6), "torsion chain broken: 6 does not divide 4"),
+    ])
+    def test_group_invariants(self, torsion, message):
+        assert raised(ValueError, lambda: FgAbGroup(0, torsion)) == message
+
+    def test_group_fields(self):
+        assert raised(ValueError, lambda: FgAbGroup(-1, (1,))) == \
+            "free rank must be nonnegative"
+        g = FgAbGroup(1, [2, 4, 4])
+        assert g.torsion == (2, 4, 4) and type(g.torsion) is tuple
+        assert g.orders == (0, 2, 4, 4) and g.ngens == 4
+        assert FgAbGroup(0, (3,) * 5).torsion == (3,) * 5
+
+    # domain Z x Z/2 x Z/2 x Z/4 into Z x Z/2 x Z/4 x Z/8: row 0 is free,
+    # row 1 has an order dividing both 2 and 4, row 2 divides 4 but not 2,
+    # row 3 divides neither
+    DOM, COD = FgAbGroup(1, (2, 2, 4)), FgAbGroup(1, (2, 4, 8))
+    GOOD = [{0: 3, 3: 5}, {1: 1, 3: 4}, {2: 2, 3: -4}, {1: 1, 2: 3, 3: 2}]
+
+    @pytest.mark.parametrize("changes, generator", [
+        ({1: {0: 1}}, 1),          # a free row
+        ({1: {2: 1}}, 1),          # order 4 does not divide 2
+        ({2: {3: 2}}, 2),          # order 8 does not divide 2 * 2
+        ({3: {3: 1}}, 3),          # order 8 does not divide 4 * 1
+        ({3: {0: -2}}, 3),
+        ({2: {3: 2}, 3: {0: 1}}, 2),   # the first offender is named
+        ({1: {3: -4}, 3: {3: 1}}, 3),  # row 3 allows 2 * -4
+    ])
+    def test_hom_names_first_generator_not_annihilated(self, changes, generator):
+        cols = [dict(col) for col in self.GOOD]
+        for j, entries in changes.items():
+            cols[j].update(entries)
+        order = self.DOM.orders[generator]
+        message = (f"matrix does not define a homomorphism: generator "
+                   f"{generator} has order {order} but column {generator} "
+                   f"is not annihilated")
+        rows = [[cols[j].get(i, 0) for j in range(self.DOM.ngens)]
+                for i in range(self.COD.ngens)]
+        assert raised(ValueError, lambda: AbHom(self.DOM, self.COD, rows)) == message
+        assert raised(ValueError, lambda: AbHom.from_columns(
+            self.DOM, self.COD, cols)) == message
+        assert raised(ValueError, lambda: AbHom._adopt(
+            self.DOM, self.COD, [dict(c) for c in cols])) == message
+
+    def test_well_defined_homs_accepted(self):
+        h = AbHom.from_columns(self.DOM, self.COD, self.GOOD)
+        assert h.columns == tuple(self.GOOD)
+        # every row of the codomain divides the domain order: nothing fails
+        AbHom.from_columns(FgAbGroup(0, (2,) * 4), FgAbGroup(0, (2,) * 3),
+                           [{0: 1, 2: 3}, {}, {1: -1}, {0: 1, 1: 1, 2: 1}])
+        # free domain generators may go anywhere
+        AbHom.from_columns(FgAbGroup(2), FgAbGroup(1, (3,)), [{0: 7, 1: 2}, {1: 1}])
+
+    def test_adopt_messages(self):
+        assert raised(ShapeMismatch, lambda: AbHom._adopt(
+            FgAbGroup(2), Z, [{0: 1}])) == "1 columns, domain has 2 generators"
+        for cols in ([{1: 1}], [{-1: 1}], [{0: 1, 2: 0, 1: 3}]):
+            assert raised(ShapeMismatch, lambda: AbHom._adopt(
+                Z, Z, [dict(c) for c in cols])) == \
+                "column entry outside the 1 codomain generators"
+        assert raised(ShapeMismatch, lambda: AbHom._adopt(
+            FgAbGroup(3), Zmod(2), [{}, {0: 1}, {5: 2}])) == \
+            "column entry outside the 1 codomain generators"
+        # the row range is checked before well-definedness
+        assert raised(ShapeMismatch, lambda: AbHom._adopt(
+            FgAbGroup(0, (2, 2)), Z, [{0: 1}, {4: 1}])) == \
+            "column entry outside the 1 codomain generators"
+
+    def test_out_of_range_zero_entries_dropped(self):
+        for build in (AbHom.from_columns, AbHom._adopt):
+            h = build(FgAbGroup(3), FgAbGroup(2),
+                      [{0: 1, 5: 0}, {-1: 0}, {1: 2, 0: 0, 2: 0}])
+            assert h.columns == ({0: 1}, {}, {1: 2})
+            assert h.matrix == ((1, 0, 0), (0, 0, 2))
+        fresh = [{0: 1}, {1: 0, 0: 2}]
+        adopted = AbHom._adopt(FgAbGroup(2), FgAbGroup(2), fresh)
+        assert adopted.columns[0] is fresh[0]
+        assert adopted.columns[1] == {0: 2} and fresh[1] == {1: 0, 0: 2}
+
+
+_SUM_POOL = [TRIVIAL_GROUP, Z, Zmod(2), Zmod(3), Zmod(4), Zmod(6),
+             FgAbGroup(1, (2,)), FgAbGroup(0, (2, 4)), FgAbGroup(2, (6,))]
+_CHAIN_POOL = [TRIVIAL_GROUP, Z, Zmod(2), Zmod(4), FgAbGroup(1, (2,)),
+               FgAbGroup(0, (2, 4)), FgAbGroup(1, (4, 8))]
+
+direct_sum_components = st.one_of(
+    # copies of one group, as in every cochain group of a constant system
+    st.tuples(st.sampled_from(_SUM_POOL), st.integers(0, 7)).map(
+        lambda gk: [gk[0]] * gk[1]),
+    # orders that chain, in any order
+    st.lists(st.sampled_from(_CHAIN_POOL), max_size=6),
+    # anything, merging sums included
+    st.lists(st.sampled_from(_SUM_POOL), max_size=6))
+
+
+class TestDirectSumAgainstDenseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(direct_sum_components)
+    def test_matches_dense_presentation_to_canonical(self, components):
+        ds = DirectSum.of(components)
+        orders = [o for g in components for o in g.orders]
+        group, to_mat, from_mat = oracles.dense_presentation_to_canonical(orders)
+        assert ds.total == group
+        assert ds.components == tuple(components)
+        assert list(ds.offsets) == [0] + list(itertools.accumulate(
+            g.ngens for g in components))
+        assert TestPresentationAndDirectSum.dense(
+            group, ds.to_total, ds.from_total) == (to_mat, from_mat)
+        assert all(all(m.values()) for m in ds.to_total + ds.from_total)
+        tors = sorted(o for o in orders if o)
+        if all(b % a == 0 for a, b in zip(tors, tors[1:])):
+            # the orders chain: each generator goes to one canonical index
+            assert ds.to_total is ds.from_total
+            assert ds.permutation == tuple(
+                [row[p] for row in to_mat].index(1) for p in range(len(orders)))
+        else:
+            assert ds.permutation is None
+        assert ds.is_canonical == (tuple(orders) == group.orders)
+        assert ds.is_canonical == (ds.permutation == tuple(range(len(orders))))
+
+
+def _first_not_annihilated(domain, codomain, columns):
+    """The well-definedness message by the plain per-entry scan, or None."""
+    orders = codomain.orders
+    for j, d in enumerate(domain.orders):
+        if d and any(orders[r] == 0 or d * x % orders[r]
+                     for r, x in columns[j].items() if x):
+            return (f"matrix does not define a homomorphism: generator {j} "
+                    f"has order {d} but column {j} is not annihilated")
+    return None
+
+
+mixed_groups = st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 12]),
+                        max_size=4).map(FgAbGroup.from_invariants)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_groups, mixed_groups, st.data())
+def test_well_definedness_matches_per_entry_scan(dom, cod, data):
+    entry = st.sampled_from([0, 1, -1, 2, 3, 4, 6, 8, 12])
+    cols = [{i: data.draw(entry) for i in range(cod.ngens)
+             if data.draw(st.booleans())} for _ in range(dom.ngens)]
+    assert error_of(lambda: AbHom.from_columns(dom, cod, cols)) == \
+        _first_not_annihilated(dom, cod, cols)
+
+
+def test_direct_sum_change_of_basis_built_on_first_read(monkeypatch):
+    calls = []
+    real = abelian.smith_normal_form
+    monkeypatch.setattr(abelian, "smith_normal_form",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    merged = DirectSum.of([Zmod(2), Zmod(3)] * 4)
+    assert merged.total == FgAbGroup(0, (6,) * 4)
+    assert merged.permutation is None and not merged.is_canonical
+    assert not calls
+    to_total = merged.to_total
+    assert len(calls) == 1
+    assert merged.to_total is to_total and merged.from_total is not to_total
+    assert len(calls) == 1
+    chained = DirectSum.of([FgAbGroup(1, (2,))] * 3)
+    assert chained.permutation == (0, 3, 1, 4, 2, 5)
+    assert "_basis_change" not in vars(chained)
+    assert chained.to_total is chained.from_total
+    assert chained.to_total == ({0: 1}, {3: 1}, {1: 1}, {4: 1}, {2: 1}, {5: 1})
+    assert len(calls) == 1
+
+
+def test_compose_after_a_zero_map_reads_no_column(monkeypatch):
+    # every product column is the fresh empty map, whatever the inner map
+    monkeypatch.setattr(abelian, "_apply_sparse", None)
+    inner = AbHom(FgAbGroup(2), FgAbGroup(1, (4,)), ((1, 2), (3, 0)))
+    prod = AbHom.zero(inner.codomain, Zmod(2)).compose(inner)
+    assert prod == AbHom.zero(FgAbGroup(2), Zmod(2))
+    assert prod.columns == ({}, {}) and prod.columns[0] is not prod.columns[1]

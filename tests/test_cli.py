@@ -370,6 +370,45 @@ class TestMain:
         assert "nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", ["missing", "non_utf8", "negative_pmax"])
+    def test_unusable_input_or_flag(self, tmp_path, capsys, case, fmt):
+        # exit 2 before any document is parsed: text on stderr, or a JSON
+        # body on stdout shaped like the rejected document's
+        path = tmp_path / "doc.json"
+        pmax = []
+        if case == "missing":
+            error = f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+        elif case == "non_utf8":
+            path.write_bytes(b"\xff\xfe{}")
+            error = (f"cannot read {path}: 'utf-8' codec can't decode byte "
+                     f"0xff in position 0: invalid start byte")
+        else:
+            path.write_text(sample_text(), encoding="utf-8")
+            pmax, error = ["--pmax", "-1"], "--pmax must be nonnegative"
+        code = main(["leech", "--input", str(path), "--format", fmt, *pmax])
+        captured = capsys.readouterr()
+        assert code == 2
+        if fmt == "text":
+            assert (captured.out, captured.err) == ("", error + "\n")
+        else:
+            assert captured.err == ""
+            assert json.loads(captured.out) == {
+                "command": "leech", "exit_code": 2, "error": error}
+
+    def test_rejected_document_json_body(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"bogus": 1}', encoding="utf-8")
+        code = main(["validate", "--input", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        body = json.loads(captured.out)
+        assert body.keys() == {"command", "exit_code", "error", "diagnostics"}
+        assert (body["command"], body["exit_code"], body["error"]) == (
+            "validate", 2, "document rejected")
+        assert body["diagnostics"] and all(
+            d["path"].startswith("$") for d in body["diagnostics"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_lone_surrogate_rejected(self, tmp_path, capsys, fmt):
         root = {"monoids": [{"name": "\ud800", "elements": ["e"],
                              "identity": "e", "table": [["e"]]}]}

@@ -123,6 +123,27 @@ class TestExplicitSystem:
         with pytest.raises(ValueError, match="domain or codomain"):
             CoeffSystem(m, (Z, Zmod(2)), bad, dict(bad))
 
+    def test_first_wrong_domain_or_codomain_named(self):
+        m = cyclic_group(3)
+        ident = AbHom.identity(Zmod(2))
+        good = {(a, x): ident for a in range(3) for x in range(3)}
+        # equal groups that are not the maps' own objects are accepted
+        CoeffSystem(m, (FgAbGroup(0, (2,)),) * 3, good, dict(good))
+        names = m.element_names
+        for family, pair, h in (
+                ("lstar", (1, 2), AbHom(Zmod(2), Zmod(4), ((2,),))),  # codomain
+                ("rstar", (2, 0), AbHom(Z, Zmod(2), ((1,),))),        # domain
+                ("rstar", (0, 1), AbHom.identity(FgAbGroup(0, (2, 2))))):
+            stars = {"lstar": dict(good), "rstar": dict(good)}
+            stars[family][pair] = h
+            # a later offender in the same family does not change the name
+            stars[family][(2, 2)] = AbHom.identity(Z)
+            with pytest.raises(ValueError) as info:
+                CoeffSystem(m, (Zmod(2),) * 3, stars["lstar"], stars["rstar"])
+            assert str(info.value) == (
+                f"{family}[{names[pair[0]]}, {names[pair[1]]}] has wrong "
+                f"domain or codomain")
+
 
 def z4_automorphism_system() -> CoeffSystem:
     m = cyclic_group(4)
