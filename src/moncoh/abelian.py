@@ -31,6 +31,10 @@ Conventions
   the rank of one and the invariant factors of the other.  Both come from
   a sparse elimination with unit and divisor pivots that never builds a
   transform; only a residual it cannot pivot goes to dense Smith form.
+  The rank of the top differential is first taken over F_2 and F_3 on
+  bit-packed rows, and is certified when it reaches its upper bound; a
+  complex of groups (Z/p)^k, p = 2 or 3, is a complex of F_p vector
+  spaces and takes F_p ranks only, with no cone.
 """
 
 from __future__ import annotations
@@ -452,11 +456,12 @@ class AbHom:
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
-        return cls.from_columns(group, group, [{j: 1} for j in range(group.ngens)])
+        return cls._adopt(group, group, [{j: 1} for j in range(group.ngens)])
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "AbHom":
-        return cls.from_columns(domain, codomain, [{}] * domain.ngens)
+        # one empty map for every column: no code writes into a hom's columns
+        return cls._adopt(domain, codomain, [{}] * domain.ngens)
 
     @functools.cached_property
     def matrix(self) -> FrozenMatrix:
@@ -504,10 +509,15 @@ class AbHom:
 
 def _apply_sparse(cols: Sequence[SparseColumn], vector: SparseColumn) -> SparseColumn:
     """The matrix with the given columns times a sparse vector."""
-    out: SparseColumn = {}
-    for k, a in vector.items():
+    if not vector:
+        return {}
+    terms = iter(vector.items())
+    k, a = next(terms)  # the first column starts the sum as a copy
+    out = dict(cols[k]) if a == 1 else {i: a * x for i, x in cols[k].items()}
+    get = out.get
+    for k, a in terms:
         for i, x in cols[k].items():
-            out[i] = out.get(i, 0) + a * x
+            out[i] = get(i, 0) + a * x
     return out
 
 
@@ -647,6 +657,73 @@ def _composite_quotient(outer: AbHom, inner: AbHom) -> list[SparseColumn] | None
     return quotients
 
 
+def _field_rank(columns: Iterable[SparseColumn], primes: Sequence[int],
+                bound: int) -> int:
+    """The largest rank over F_p, p in ``primes`` (each 2 or 3), of the
+    matrix with the given sparse integer columns, or ``bound`` as soon as
+    one of them reaches it.
+
+    A row is packed as an int whose bit k stands for column k; over F_3 it
+    is two such bit planes, for the entries 1 and 2, in which a + b is
+    t = (a1 | b2) ^ (a2 | b1), ((a2 | b2) ^ t, (a1 | b1) ^ t).  Each row is
+    reduced by the pivot row stored under its leading bit until it is zero
+    or leads with a new bit, and then becomes that bit's pivot.  The
+    fields take each row in turn, so they advance together.
+    """
+    by_row: dict[int, list[int]] = {}
+    for k, col in enumerate(columns):
+        k <<= 3
+        for i, x in col.items():
+            # the column, then the entry mod 6
+            if i in by_row:
+                by_row[i].append(k | x % 6)
+            else:
+                by_row[i] = [k | x % 6]
+    two, three = 2 in primes, 3 in primes
+    lead2: dict[int, int] = {}
+    lead3: dict[int, tuple[int, int]] = {}  # leading digit 1
+    # in index order the rows of a Leech top map reach full rank after far
+    # fewer rows than in the order the columns first meet them
+    for i in sorted(by_row):
+        r = a1 = a2 = 0
+        for e in by_row.pop(i):
+            bit = 1 << (e >> 3)
+            if e & 1:
+                r |= bit
+            if three:
+                e = (e & 7) % 3
+                if e == 1:
+                    a1 |= bit
+                elif e:
+                    a2 |= bit
+        while two and r:
+            top = r.bit_length()
+            lead = lead2.get(top)
+            if lead is None:
+                lead2[top] = r
+                if len(lead2) == bound:
+                    return bound
+                break
+            r ^= lead
+        u = a1 | a2
+        while u:
+            top = u.bit_length()
+            lead = lead3.get(top)
+            if lead is None:
+                lead3[top] = (a1, a2) if a1.bit_length() == top else (a2, a1)
+                if len(lead3) == bound:
+                    return bound
+                break
+            if a1.bit_length() == top:  # subtract: add the negative
+                b2, b1 = lead
+            else:
+                b1, b2 = lead
+            t = (a1 | b2) ^ (a2 | b1)
+            a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+            u = a1 | a2
+    return max(len(lead2), len(lead3))
+
+
 def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
     """Rank of the free rows F of D_out, the columns in ``skip`` left out.
 
@@ -655,23 +732,43 @@ def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
     nonsingular minor of im D_in + im R_M, on which F D_out vanishes
     because D_out D_in = R_N Y and D_out R_M = R_N X while F R_N = 0, so
     each skipped column of F D_out is a combination of the others.
+
+    The rank over Q is at most the number of kept columns and at least
+    their rank over any F_p, so an F_2 or F_3 rank that reaches that
+    number is the rank; otherwise ``_sparse_diagonal`` computes it.
     """
-    free = d_out.codomain.free_rank
+    free, torsion = d_out.codomain.free_rank, d_out.codomain.torsion
     skipped = set(skip)
-    return len(_sparse_diagonal(
-        [{i: v for i, v in col.items() if i < free}
-         for j, col in enumerate(d_out.columns) if j not in skipped]))
+    kept = [c for c in ({i: v for i, v in col.items() if i < free}
+                        if torsion else col
+                        for j, col in enumerate(d_out.columns)
+                        if j not in skipped) if c]
+    if kept and _field_rank(kept, (2, 3), len(kept)) == len(kept):
+        return len(kept)
+    return len(_sparse_diagonal(map(dict, kept)))  # it consumes its columns
+
+
+def _elementary_prime(groups: Iterable[FgAbGroup]) -> int | None:
+    """p when every group is (Z/p)^k for one p in {2, 3}, else None."""
+    orders: set[int] = set()
+    for g in groups:
+        if g.free_rank:
+            return None
+        orders.update(g.torsion)
+    return orders.pop() if orders in ({2}, {3}) else None
 
 
 class _ComplexCohomology:
     """H^n = ker(d^n) / im(d^(n-1)) of a complex d^0, ..., d^(P-1), with
     d^(-1) = 0, for 0 <= n < P; the engine of ``LeechComplex``,
-    ``TotalComplex``, ``PathCochain`` and ``cohomology_at``.
+    ``TotalComplex``, ``PathCochain`` and ``cohomology_at``.  It takes one
+    of three routes: the cone, with the top rank certified over a small
+    field when it can be, or, for elementary p-groups, F_p ranks alone.
 
-    At degree n write L -> M -> N for the three groups, l, m, n for their
-    numbers of generators, t_M, t_N for the torsion generators of M and
-    N, R_M, R_N for their diagonal relation columns and D_in, D_out for
-    the matrices of d^(n-1) and d^n.  Then D_out R_M = R_N X and
+    The cone.  At degree n write L -> M -> N for the three groups, l, m, n
+    for their numbers of generators, t_M, t_N for the torsion generators
+    of M and N, R_M, R_N for their diagonal relation columns and D_in,
+    D_out for the matrices of d^(n-1) and d^n.  Then D_out R_M = R_N X and
     D_out D_in = R_N Y for integer X and Y, and
 
         Z^(l + t_M) --B_n--> Z^(m + t_N) --A--> Z^n,
@@ -704,28 +801,58 @@ class _ComplexCohomology:
     independent, and clearing the torsion rows of a column of [D_in; -Y]
     with them leaves its free rows, a column of F(d^n), over rows that are
     a linear function of them: R_N, of full column rank, times their
-    negative is D_out of the cleared column.  Only the top d^(P-1) is
-    eliminated as free rows, without the columns that were pivot rows of
-    B_(P-1) (see ``_free_row_rank``).  Which cones and ranks H^n uses does
-    not depend on the order in which degrees are asked for.
+    negative is D_out of the cleared column.  Which cones and ranks H^n
+    uses does not depend on the order in which degrees are asked for.
+
+    The certified top rank.  Only the top d^(P-1) is ranked as free rows,
+    without the columns that were pivot rows of B_(P-1) (see
+    ``_free_row_rank``).  Its rank over Q is at most the number of
+    columns kept and at least its rank over any field F_p, since a minor
+    that is nonzero mod p is nonzero.  So an F_2 or F_3 rank that reaches
+    the number of kept columns is the rank over Q, and the two fields stop
+    as soon as one does.  One that falls short says nothing: an invariant
+    factor of d^(P-1) divisible by p, or a free part of H^(P-1), and then
+    the free rows are eliminated exactly.
+
+    Elementary p-groups.  When every group of the complex is (Z/p)^k for
+    one p in {2, 3}, it is a complex of F_p vector spaces, and
+
+        H^n = (Z/p)^(c_n - r_n - r_(n-1))
+
+    with c_n the generators of C^n and r_n the F_p rank of all of d^n,
+    each computed once and kept: no cone, no relation column and no skip.
+    Each pair is still proven by forming Y, whose columns are then
+    dropped.
     """
 
     def __init__(self, differentials: Sequence[AbHom],
                  failure: Callable[[int], Exception]) -> None:
         """``failure(k)`` is raised for the first pair (d^k, d^(k+1)) that
         does not compose to zero."""
-        self.differentials = tuple(differentials)
-        # quotients[n] holds -Y of (d^(n-1), d^n) until B_n is built
+        self.differentials = ds = tuple(differentials)
+        self._prime = _elementary_prime(
+            [d.domain for d in ds] + [d.codomain for d in ds[-1:]])
+        # quotients[n] holds -Y of (d^(n-1), d^n) until B_n is built; the
+        # elementary route builds no B_n and drops it at once
         self._quotients: list[list[SparseColumn] | None] = [[]]
-        for k in range(len(self.differentials) - 1):
-            quotients = _composite_quotient(self.differentials[k + 1],
-                                            self.differentials[k])
+        for k in range(len(ds) - 1):
+            quotients = _composite_quotient(ds[k + 1], ds[k])
             if quotients is None:
                 raise failure(k)
-            self._quotients.append(quotients)
+            self._quotients.append(None if self._prime else quotients)
+        self._ranks: dict[int, int] = {}
         self._diagonals: dict[int, list[int]] = {}
         self._top_skip: set[int] = set()
         self._groups: dict[int, FgAbGroup] = {}
+
+    def _rank(self, n: int) -> int:
+        """The F_p rank of d^n, for a complex of elementary p-groups."""
+        rank = self._ranks.get(n)
+        if rank is None:
+            d = self.differentials[n]
+            rank = self._ranks[n] = _field_rank(d.columns, (self._prime,),
+                                                d.domain.ngens)
+        return rank
 
     def _cone_diagonal(self, n: int) -> list[int]:
         diag = self._diagonals.get(n)
@@ -752,7 +879,11 @@ class _ComplexCohomology:
     def cohomology(self, n: int) -> FgAbGroup:
         """H^n for 0 <= n < P, computed on first request and kept."""
         group = self._groups.get(n)
-        if group is None:
+        if group is None and self._prime:
+            dim = self.differentials[n].domain.ngens - self._rank(n)
+            group = self._groups[n] = FgAbGroup(0, (self._prime,) * (
+                dim - (self._rank(n - 1) if n else 0)))
+        elif group is None:
             d_out = self.differentials[n]
             diag_b = self._cone_diagonal(n)
             if n + 1 < len(self.differentials):

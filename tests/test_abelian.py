@@ -39,8 +39,12 @@ from moncoh.abelian import (
     presentation_to_canonical,
     smith_normal_form,
 )
+from moncoh.coeff import constant_system
+from moncoh.leech import LeechComplex
+from moncoh.monoid import cyclic_group
 
 import oracles
+from catalog import small_monoids, systems_for
 
 
 def unfreeze(m):
@@ -687,6 +691,149 @@ class TestTopColumnSkip:
         want = self.free_rank(d_out)
         assert _free_row_rank(d_out, skip) == _free_row_rank(d_out, ()) == want
         assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
+
+
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 1, 2, -2, 3, -3, 4, 5, 6, -6, 9])
+
+
+@st.composite
+def integer_matrices(draw, max_rows=7, max_cols=7):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+def sparse_columns_of(matrix):
+    cols = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+            for j in range(cols)]
+
+
+class TestFieldRank:
+    def test_bit_sliced_sum_and_difference_on_all_nine_pairs(self):
+        # rows (a, 1) and (b, +-1) share their leading column, so the second
+        # is reduced to (b - a, 0) or (b + a, 0) by the bit-sliced F_3 sum
+        for a, b in itertools.product(range(3), repeat=2):
+            for sign, reduced in ((1, b - a), (-1, b + a)):
+                cols = [{0: a, 1: b}, {0: 1, 1: sign}]
+                assert abelian._field_rank(cols, (3,), 2) == (
+                    2 if reduced % 3 else 1), (a, b, sign)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_rank_over_each_field_matches_the_oracle(self, matrix):
+        cols = sparse_columns_of(matrix)
+        n = len(cols)
+        two, three = oracles.fp_rank(matrix, 2), oracles.fp_rank(matrix, 3)
+        assert abelian._field_rank(cols, (2,), n) == two
+        assert abelian._field_rank(cols, (3,), n) == three
+        assert abelian._field_rank(cols, (2, 3), n) == max(two, three)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices(), st.integers(1, 7))
+    def test_stops_at_the_bound(self, matrix, bound):
+        cols = sparse_columns_of(matrix)
+        best = max(oracles.fp_rank(matrix, 2), oracles.fp_rank(matrix, 3))
+        assert abelian._field_rank(cols, (2, 3), bound) == min(best, bound)
+
+
+def exact_free_row_rank(d_out, skip):
+    free = d_out.codomain.free_rank
+    return len(_sparse_diagonal(
+        [{i: v for i, v in col.items() if i < free}
+         for j, col in enumerate(d_out.columns) if j not in set(skip)]))
+
+
+@st.composite
+def catalog_top_maps(draw):
+    """A differential of a catalog complex and a set of its columns to skip."""
+    m = draw(st.sampled_from(small_monoids()))
+    system = draw(st.sampled_from(systems_for(
+        m, [Z, Zmod(2), Zmod(3), Zmod(6), FgAbGroup(1, (2,)), FgAbGroup(2)])))
+    n = draw(st.integers(0, 3 if m.size <= 3 else 2))
+    d_out = LeechComplex(m, system, n + 1).differential(n)
+    skip = draw(st.sets(st.integers(0, max(d_out.domain.ngens - 1, 0))))
+    return d_out, skip
+
+
+class TestCertifiedTopRank:
+    """``_free_row_rank`` reports an F_p rank only when it meets the bound,
+    and otherwise eliminates exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(catalog_top_maps())
+    def test_certified_and_exact_agree_on_catalog_maps(self, top):
+        d_out, skip = top
+        assert _free_row_rank(d_out, skip) == exact_free_row_rank(d_out, skip)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_certified_and_exact_agree_on_random_maps(self, matrix):
+        cols = len(matrix[0]) if matrix else 0
+        d_out = AbHom(FgAbGroup(cols), FgAbGroup(len(matrix)), matrix)
+        want = TestTopColumnSkip.free_rank(d_out) if matrix else 0
+        assert _free_row_rank(d_out, ()) == exact_free_row_rank(d_out, ()) == want
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        calls = []
+        real = abelian._sparse_diagonal
+
+        def counted(columns, pivot_rows=None):
+            calls.append(pivot_rows is None)  # True for the top rank
+            return real(columns, pivot_rows)
+
+        monkeypatch.setattr(abelian, "_sparse_diagonal", counted)
+        return calls
+
+    def test_bound_counts_only_columns_with_a_free_row(self, monkeypatch):
+        # over Z x Z/2 the top d^4 of Z/4 keeps 120 of its 162 columns after
+        # the skip, and only 60 of those reach a free row: the certificate
+        # needs that count, so no elimination runs for the top
+        m = cyclic_group(4)
+        cx = LeechComplex(m, constant_system(m, FgAbGroup(1, (2,))), 5)
+        assert [cx.cohomology(n).render() for n in range(4)] == [
+            "Z x Z/2", "Z/2", "Z/2 x Z/4", "Z/2"]
+        calls = self.count_eliminations(monkeypatch)
+        assert cx.cohomology(4).render() == "Z/2 x Z/4"
+        assert calls == []
+
+    def test_free_cohomology_falls_back(self, monkeypatch):
+        # d_out = (1, 1) on Z^2 has a kernel over Q, so H^1 = Z and no field
+        # rank reaches the two kept columns
+        calls = self.count_eliminations(monkeypatch)
+        d_out = AbHom(FgAbGroup(2), Z, ((1, 1),))
+        assert cohomology_at(AbHom.zero(TRIVIAL_GROUP, FgAbGroup(2)), d_out) == Z
+        assert calls.count(True) == 1
+
+    def test_invariant_factor_six_falls_back(self, monkeypatch):
+        # H^4(Z/6; Z) = Z/6 is the torsion of the top d^3's cokernel, so its
+        # F_2 and F_3 ranks both come one short of the kept columns
+        m = cyclic_group(6)
+        cx = LeechComplex(m, constant_system(m, Z), 4)
+        assert [cx.cohomology(n).render() for n in range(3)] == [
+            "Z", "0", "Z/6"]
+        skip = cx._engine._top_skip
+        kept = [c for j, c in enumerate(cx.differential(3).columns)
+                if c and j not in skip]
+        for p in (2, 3):
+            assert abelian._field_rank(kept, (p,), len(kept)) == len(kept) - 1
+        calls = self.count_eliminations(monkeypatch)
+        assert cx.cohomology(3) == TRIVIAL_GROUP
+        assert calls == [True]
+
+    def test_field_rank_one_short_falls_back(self, monkeypatch):
+        systems = [(m, c) for m in small_monoids()
+                   for c in systems_for(m, [Z, Zmod(6), FgAbGroup(1, (2,))])]
+        tables = [[LeechComplex(m, c, 4).cohomology(n) for n in range(4)]
+                  for m, c in systems]
+        calls = self.count_eliminations(monkeypatch)
+        monkeypatch.setattr(abelian, "_field_rank",
+                            lambda columns, primes, bound: bound - 1)
+        for (m, c), table in zip(systems, tables):
+            cx = LeechComplex(m, c, 4)
+            assert [cx.cohomology(n) for n in range(4)] == table, m.name
+        assert True in calls
 
 
 class TestSparseDiagonal:

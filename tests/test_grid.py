@@ -456,12 +456,14 @@ def path_of(case):
 class TestWorkDoneOnce:
     @staticmethod
     def count_work(monkeypatch):
-        """Count proofs per pair, eliminations, top ranks and composes."""
+        """Count proofs per pair, eliminations, top ranks, F_p ranks and
+        composes."""
         proofs: Counter[tuple[int, int]] = Counter()
         calls: Counter[str] = Counter()
         real_quotient = abelian._composite_quotient
         real_diagonal = abelian._sparse_diagonal
         real_free_rank = abelian._free_row_rank
+        real_field_rank = abelian._field_rank
         real_compose = AbHom.compose
 
         def counted_quotient(outer, inner):
@@ -476,6 +478,10 @@ class TestWorkDoneOnce:
             calls["top rank"] += 1
             return real_free_rank(d_out, skip)
 
+        def counted_field_rank(columns, primes, bound):
+            calls["field rank"] += 1
+            return real_field_rank(columns, primes, bound)
+
         def counted_compose(outer, inner):
             calls["compose"] += 1
             return real_compose(outer, inner)
@@ -483,6 +489,7 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(abelian, "_composite_quotient", counted_quotient)
         monkeypatch.setattr(abelian, "_sparse_diagonal", counted_diagonal)
         monkeypatch.setattr(abelian, "_free_row_rank", counted_free_rank)
+        monkeypatch.setattr(abelian, "_field_rank", counted_field_rank)
         monkeypatch.setattr(AbHom, "compose", counted_compose)
         return proofs, calls
 
@@ -495,14 +502,18 @@ class TestWorkDoneOnce:
         exact = local_exactness_report(grid, family, path, 3,
                                        square_report=square)
         assert exact.identifications and exact.all_identified
-        # each path pair proven once; one elimination per cone B_k, one per
-        # position, plus the free rows of the top map; no compose
+        # each path pair proven once and no compose.  Over Z: one
+        # elimination per cone B_k, one per position, and the free rows of
+        # the top map certified by one F_2/F_3 rank, so not eliminated.
+        # Over Z/2 every group is elementary: no cone and no top rank, one
+        # F_2 rank per differential
         maps = square.cochain.maps
         assert proofs == Counter(
             {(id(maps[k + 1]), id(maps[k])): 1 for k in range(len(maps) - 1)})
         positions = len(square.entries)
-        assert calls == Counter({"elimination": positions + 1,
-                                 "top rank": 1})
+        assert calls == (
+            Counter({"elimination": positions, "top rank": 1, "field rank": 1})
+            if case == "explicit D" else Counter({"field rank": positions}))
 
     @pytest.mark.parametrize("case", ["explicit D", "zero RDR"])
     def test_passing_validation_proves_each_pair_once(self, monkeypatch,

@@ -299,6 +299,73 @@ class TestCohomologyEngine:
         assert len(proofs) == 4
 
 
+def negation_mod_three(order: int):
+    """The cyclic group of even order acting on Z/3 through the sign of the
+    exponent, a module on which the F_3 differentials have entries 2."""
+    m = cyclic_group(order)
+    sign = {g: AbHom(Zmod(3), Zmod(3), ((1,),) if g % 2 == 0 else ((-1,),))
+            for g in range(order)}
+    return m, group_action_system(m, Zmod(3), sign)
+
+
+def elementary_systems():
+    """Catalog monoids over Z/2 and Z/3, the sign actions on Z/3 and the swap
+    action on (Z/2)^2, each with its degree bound."""
+    out = [(m, c, 4 if m.size <= 3 else 3) for m in small_monoids()
+           for c in systems_for(m, [Zmod(2), Zmod(3)])]
+    out += [(*negation_mod_three(order), 4) for order in (2, 4)]
+    out.append((cyclic_group(2), swap_action_system(), 4))
+    return out
+
+
+class TestElementaryRoute:
+    """Complexes of (Z/p)^k for p = 2 or 3 take F_p ranks of their
+    differentials instead of cones."""
+
+    def test_tables_match_the_cone_engine(self, monkeypatch):
+        systems = elementary_systems()
+        tables = [leech_cohomology_table(m, c, p) for m, c, p in systems]
+        monkeypatch.setattr(abelian, "_elementary_prime", lambda groups: None)
+        for (m, c, p), table in zip(systems, tables):
+            assert leech_cohomology_table(m, c, p) == table, (m.name, c.groups)
+
+    @pytest.mark.parametrize("order, p, action", [
+        (2, 2, "constant"), (4, 2, "constant"), (3, 3, "constant"),
+        (2, 3, "sign"), (4, 3, "sign"), (2, 2, "swap")])
+    def test_groups_match_the_bar_complex(self, order, p, action):
+        if action == "sign":
+            m, system = negation_mod_three(order)
+            mats = [[[1]] if g % 2 == 0 else [[-1]] for g in range(order)]
+        elif action == "swap":
+            m, system = cyclic_group(2), swap_action_system()
+            mats = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+        else:
+            m = cyclic_group(order)
+            system = constant_system(m, Zmod(p))
+            mats = [[[1]]] * order
+        dims = bar_cohomology_dims_mod_p(m.table, mats, len(mats[0]), p, 3)
+        assert leech_cohomology_table(m, system, 3) == [
+            FgAbGroup(0, (p,) * d) for d in dims]
+
+    def test_no_cone_and_one_field_rank_per_differential(self, monkeypatch):
+        calls = []
+        real_rank = abelian._field_rank
+
+        def counted_rank(columns, primes, bound):
+            calls.append(primes)
+            return real_rank(columns, primes, bound)
+
+        monkeypatch.setattr(abelian, "_sparse_diagonal",
+                            lambda *args: calls.append("elimination"))
+        monkeypatch.setattr(abelian, "_field_rank", counted_rank)
+        m = cyclic_group(4)
+        cx = LeechComplex(m, constant_system(m, Zmod(2)), 5)
+        assert table_renders(cx.cohomology(n) for n in (4, 0, 2, 1, 3)) == [
+            "Z/2"] * 5
+        assert calls == [(2,)] * 5
+        assert not any(cx._engine._quotients)  # no -Y kept
+
+
 def mixed_two_three_system():
     """Left zeros x, y with an identity adjoined, A(e) = Z, A(x) = Z/2 and
     A(y) = Z/3: left translations by x, y are zero, right translations

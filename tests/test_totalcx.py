@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from moncoh import abelian, totalcx
 from moncoh.abelian import AbHom, FgAbGroup, Z, Zmod, cohomology_at, direct_sum
 from moncoh.coeff import constant_system, explicit_system
-from moncoh.grid import GridSpec, VerticalFamily
+from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
 from moncoh.leech import LeechComplex, leech_cohomology_table
 from moncoh.monoid import cyclic_group, trivial_monoid, union_monoid
 from moncoh.totalcx import (
@@ -150,6 +150,25 @@ class TestTotalCohomology:
                 cohomology_at(cx.differential(n - 1), cx.differential(n))
                 for n in range(4)]
         assert got[0].render() == "0"  # the degree 0 pullback is injective
+
+    @pytest.mark.parametrize("orders, coeff_order", [
+        ((2, 4), 2), ((2, 6), 2), ((2, 4, 3), 2), ((3, 6), 3), ((3, 6, 2), 3)])
+    def test_elementary_route_matches_the_cone_engine(
+            self, monkeypatch, orders, coeff_order):
+        # floors, totals and paths over Z/2 and Z/3 with pullback verticals:
+        # F_p ranks against the cones they replace
+        grid, family = pullback_stack(*orders, coeff_order=coeff_order,
+                                      n_max=3)
+        path = PathSpec("DR" * (len(orders) - 1))
+
+        def tables():
+            return (total_cohomology(grid, family, 3),
+                    square_cohomology(grid, family, path, 3).groups(),
+                    [leech_cohomology_table(m, c, 3) for m, c in grid.floors])
+
+        fast = tables()
+        monkeypatch.setattr(abelian, "_elementary_prime", lambda groups: None)
+        assert fast == tables()
 
     def test_empty_range(self):
         grid = const_grid((cyclic_group(2), Z))
