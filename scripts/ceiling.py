@@ -24,7 +24,8 @@ from moncoh.leech import LeechComplex, cochain_ngens
 
 # (monoid, coefficients, degree bound)
 ROWS = [("P(3)", "Z", 4), ("Z/8", "Z", 4), ("P(4)", "Z", 3),
-        ("Z/8", "Z/2", 4), ("P(3)", "Z/2", 4)]
+        ("Z/8", "Z/2", 4), ("P(3)", "Z/2", 4), ("Z/8", "Z", 5),
+        ("Z/8", "Z/2", 5)]
 
 
 def monoid(label: str):

@@ -1126,11 +1126,7 @@ def assemble_hom(domain: DirectSum, codomain: DirectSum,
     to_cod = codomain.to_total
     can_cols: list[SparseColumn] = [{} for _ in range(domain.total.ngens)]
     for col, placement in zip(columns, domain.from_total):
-        image_col: SparseColumn = {}
-        for r, v in col.items():
-            if v:
-                for i, a in to_cod[r].items():
-                    image_col[i] = image_col.get(i, 0) + a * v
+        image_col = _apply_sparse(to_cod, col)
         for j, b in placement.items():
             target = can_cols[j]
             for i, x in image_col.items():

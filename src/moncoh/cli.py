@@ -3,8 +3,8 @@ prints a deterministic text or JSON report.
 
 Exit codes: 0 success, 1 a validation or consistency check failed, 2 the
 input could not be used (unreadable file, rejected document, unknown
-name).  JSON reports carry a "convention" block naming the indexing and
-sign choices so tables can be compared across tools.
+name, out of memory).  JSON reports carry a "convention" block naming the
+indexing and sign choices so tables can be compared across tools.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .abelian import FgAbGroup
 from .coeff import CoeffSystem, constant_system, validate_relations
 from .document import (
     Document,
@@ -68,38 +69,20 @@ def _effective_pmax(flags: RunFlags, doc: Document,
     return doc.defaults.p_max
 
 
+def _fields(record) -> dict:
+    """A report record's fields under their own names, groups rendered."""
+    return {key: value.render() if isinstance(value, FgAbGroup) else value
+            for key, value in vars(record).items()}
+
+
 def _square_payload(square, exact) -> dict:
-    positions = [{
-        "index": e.index,
-        "floor": e.floor,
-        "degree": e.degree,
-        "move_in": e.move_in,
-        "move_out": e.move_out,
-        "tag": e.tag,
-        "group": e.group.render(),
-    } for e in square.entries]
-    runs = [{
-        "floor": r.floor,
-        "start_degree": r.start_degree,
-        "end_degree": r.end_degree,
-        "length": r.length,
-        "short": r.short,
-        "tail": r.tail,
-    } for r in exact.runs]
-    idents = [{
-        "floor": i.floor,
-        "degree": i.degree,
-        "path_group": i.path_group.render(),
-        "floor_group": i.floor_group.render(),
-        "matches": i.matches,
-    } for i in exact.identifications]
     return {
         "moves": square.moves,
-        "positions": positions,
+        "positions": [_fields(e) for e in square.entries],
         "local_exactness": {
-            "runs": runs,
-            "identifications": idents,
-            "extremal": [list(pos) for pos in exact.extremal_positions],
+            "runs": [_fields(r) for r in exact.runs],
+            "identifications": [_fields(i) for i in exact.identifications],
+            "extremal": exact.extremal_positions,
             "all_identified": exact.all_identified,
         },
     }
@@ -174,13 +157,9 @@ def _cmd_validate(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]
     for name, ds in doc.descriptor_lists:
         classes = distinct_classes(ds)
         notes = [f"{len(classes)} distinct classes from {len(ds)} descriptors"]
-        seen: list = []
-        for i, d in enumerate(ds):
-            if d in seen:
-                notes.append(f"descriptor {i} repeats an earlier class; "
-                             f"the fs command rejects this list")
-            else:
-                seen.append(d)
+        notes += [f"descriptor {i} repeats an earlier class; "
+                  f"the fs command rejects this list"
+                  for i, d in enumerate(ds) if ds.index(d) < i]
         results.append(("descriptor list", name, [], notes))
 
     payload_results = [{"section": section, "name": name,
@@ -341,7 +320,7 @@ def _run_pipelines(doc: Document, flags: RunFlags, items, key: str,
             code = 1
             failure = {key: name, "error": str(exc)}
             if isinstance(exc, NotSurjective):
-                failure["missing"] = list(exc.missing)
+                failure["missing"] = exc.missing
             results.append(failure)
             lines.append(f"{section} {name}: FAIL {exc}")
             continue
@@ -353,7 +332,7 @@ def _run_pipelines(doc: Document, flags: RunFlags, items, key: str,
             **fields,
             "floor_sizes": [m.size for m in report.floors],
             "pmax": p_max,
-            "notes": list(report.notes),
+            "notes": report.notes,
             **payload,
         })
         lines.append(f"{section} {name}: {header[0]}")
@@ -376,8 +355,7 @@ def _cmd_h(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     return _run_pipelines(
         doc, flags, doc.set_systems, "system", "set system",
         h_pipeline, lambda report, sizes: (
-            {"chain": {"permutation": list(report.chain.permutation),
-                       "representatives": list(report.chain.representatives)}},
+            {"chain": _fields(report.chain)},
             [f"floors of sizes {sizes}", "  chain representatives: "
              + ", ".join(report.chain.representatives)]))
 
@@ -448,8 +426,9 @@ def main(argv=None) -> int:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         return _unusable(args, f"cannot read {args.input}: {exc}")
+    flags = RunFlags(args.pmax, args.fmt, args.grid, args.monoid)
     try:
-        doc = parse_document(text)
+        code, report = run_command(args.command, parse_document(text), flags)
     except DocumentError as exc:
         if args.fmt == "json":
             _emit(_refusal(args, "document rejected", diagnostics=[
@@ -459,8 +438,8 @@ def main(argv=None) -> int:
             _emit("\n".join(["document rejected:"]
                             + [f"  {d}" for d in exc.diagnostics]))
         return 2
-    flags = RunFlags(args.pmax, args.fmt, args.grid, args.monoid)
-    code, report = run_command(args.command, doc, flags)
+    except MemoryError:
+        return _unusable(args, "out of memory; try a smaller --pmax")
     _emit(report)
     return code
 

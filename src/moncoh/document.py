@@ -440,7 +440,7 @@ def _parse_grid(obj: dict, path: str,
     if "path" in obj:
         spec = _parse_path(obj["path"], f"{path}.path", grid)
     else:
-        spec = PathSpec("DR" * (grid.floor_count - 1))
+        spec = PathSpec.staircase(grid.floor_count)
     return GridBundle(grid, family, spec,
                       p_max if "pmax" in obj else None)
 

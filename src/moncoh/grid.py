@@ -125,6 +125,11 @@ class PathSpec:
         if bad:
             raise ValueError(f"path moves must be R or D, got {sorted(bad)!r}")
 
+    @classmethod
+    def staircase(cls, floor_count: int) -> "PathSpec":
+        """Down then right once per lower floor: the default path."""
+        return cls("DR" * (floor_count - 1))
+
     def walk(self, p_max: int) -> list[Position]:
         """Positions from (0,0) through degree p_max, plus the single next
         position at degree p_max + 1 so the last one has an outgoing map."""
@@ -447,18 +452,15 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
     pc = report.cochain
     runs: list[HorizontalRun] = []
     n_moves = len(pc.maps)
-    k = 0
-    while k < n_moves:
-        if pc.move_tags[k] != "horizontal":
-            k += 1
+    for tag, group in itertools.groupby(range(n_moves),
+                                        pc.move_tags.__getitem__):
+        if tag != "horizontal":
             continue
-        start = k
-        while k < n_moves and pc.move_tags[k] == "horizontal":
-            k += 1
-        floor, start_degree = pc.positions[start]
-        last_reported = min(k, len(pc.positions) - 1)
-        end_degree = pc.positions[last_reported][1]
-        tail = k == n_moves
+        moves = list(group)
+        end = moves[-1] + 1  # the position the run's last move lands on
+        floor, start_degree = pc.positions[moves[0]]
+        end_degree = pc.positions[min(end, len(pc.positions) - 1)][1]
+        tail = end == n_moves
         length = end_degree - start_degree
         runs.append(HorizontalRun(
             floor=floor,

@@ -71,10 +71,6 @@ class CochainGroup:
     def total(self) -> FgAbGroup:
         return self.dsum.total
 
-    @property
-    def generator_offsets(self) -> tuple[int, ...]:
-        return self.dsum.offsets
-
 
 def cochain_group(m: FinMonoid, c: CoeffSystem, n: int) -> CochainGroup:
     """Build the degree n cochain group; (m.size - 1)^n components."""
@@ -139,7 +135,7 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
     left = {p: [c.lstar[(a, p)].columns for a in non_id] for p in present}
     right = {p: [c.rstar[(a, p)].columns for a in non_id] for p in present}
     right_sign = -1 if (n + 1) % 2 else 1
-    src_off, tgt_off = src.generator_offsets, tgt.generator_offsets
+    src_off, tgt_off = src.dsum.offsets, tgt.dsum.offsets
     # one int per target row, shared as a key by every column that has the
     # row; a fresh sum row0 + r per entry would cost 32 bytes per nonzero
     rows = tuple(range(tgt_off[-1]))

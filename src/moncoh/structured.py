@@ -239,10 +239,6 @@ def build_gr(system: SetSystem, r: int) -> FinMonoid:
     return union_monoid(family, name=f"g{r}")
 
 
-def _staircase(floor_count: int) -> PathSpec:
-    return PathSpec("DR" * (floor_count - 1))
-
-
 @dataclass(eq=False)
 class PipelineReport:
     floors: tuple[FinMonoid, ...]
@@ -251,11 +247,7 @@ class PipelineReport:
     square: SquareReport
     exactness: LocalExactnessReport
     notes: tuple[str, ...]
-
-
-@dataclass(eq=False)
-class HPipelineReport(PipelineReport):
-    chain: ChainPlan = None  # type: ignore[assignment]
+    chain: ChainPlan | None = None
 
 
 def _run_grid(floors: Sequence[FinMonoid], coeff_group: FgAbGroup,
@@ -268,7 +260,7 @@ def _run_grid(floors: Sequence[FinMonoid], coeff_group: FgAbGroup,
     notes.append(
         f"floors carry constant coefficient systems over {coeff_group.render()}")
     if path is None:
-        path = _staircase(len(grid.floors))
+        path = PathSpec.staircase(len(grid.floors))
         notes.append(f"default staircase path {path.prefix_moves!r} chosen")
     if family is None:
         family = VerticalFamily.zero()
@@ -311,7 +303,7 @@ def h_pipeline(system: SetSystem,
                coeff_group: FgAbGroup = Z,
                path: PathSpec | None = None,
                p_max: int = 4,
-               family: VerticalFamily | None = None) -> HPipelineReport:
+               family: VerticalFamily | None = None) -> PipelineReport:
     """Floors are the union monoids of growing set prefixes.
 
     Requires the point-to-subcollection map to be surjective onto the
@@ -324,5 +316,5 @@ def h_pipeline(system: SetSystem,
         "floor sizes " + ", ".join(str(m.size) for m in floors)]
     grid, path, square, exact = _run_grid(
         floors, coeff_group, path, p_max, family, notes)
-    return HPipelineReport(tuple(floors), grid, path, square, exact,
-                           tuple(notes), chain=chain)
+    return PipelineReport(tuple(floors), grid, path, square, exact,
+                          tuple(notes), chain=chain)

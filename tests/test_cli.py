@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from moncoh import cli
 from moncoh.cli import CONVENTION, RunFlags, main, run_command
 from moncoh.document import parse_document
 
@@ -420,6 +421,31 @@ class TestMain:
         assert "$.monoids[0].name" in captured.out
         assert "lone surrogate" in captured.out
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("stage", ["parse", "run"])
+    def test_out_of_memory(self, tmp_path, monkeypatch, capsys, stage, fmt):
+        # a step that runs out of memory exits 2 with a one-line diagnostic,
+        # never a traceback; the failing step is simulated, not allocated
+        def exhausted(*args):
+            raise MemoryError
+
+        if stage == "parse":
+            monkeypatch.setattr(cli, "parse_document", exhausted)
+        else:
+            monkeypatch.setitem(cli._HANDLERS, "leech", exhausted)
+        path = tmp_path / "doc.json"
+        path.write_text(sample_text(), encoding="utf-8")
+        code = main(["leech", "--input", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        error = "out of memory; try a smaller --pmax"
+        assert code == 2
+        if fmt == "text":
+            assert (captured.out, captured.err) == ("", error + "\n")
+        else:
+            assert captured.err == ""
+            assert json.loads(captured.out) == {
+                "command": "leech", "exit_code": 2, "error": error}
 
 
 class ClosedPipe(io.TextIOBase):

@@ -11,6 +11,10 @@ positions of every tag, horizontal runs, floor identifications and the
 total complex.
 `total` is pinned as well on the script's failing document, whose
 extra grids fail a square beyond the total range and a column; it exits 1.
+Every subcommand is pinned on BROKEN_DOCUMENT too, whose every part
+fails its check: a coefficient system breaking the translation relations,
+a grid failing the column condition, a descriptor list with a repeat and
+a set system whose h map misses a subcollection.  All of them exit 1.
 Re-record a digest only for a deliberate change of output, and say so
 where the change is described.
 """
@@ -56,6 +60,68 @@ FAILING_TOTAL = {
     "json": (1, "fed605243bd82eae6b79452d130cca94b66d6bef805c8c3d2c830bdaa16e94a7"),
 }
 
+# C2 = {e, g} with Z at both elements, where left translation by g
+# doubles, so translating by g twice is not translating by g * g = e; a
+# grid whose two stacked identities at degree 0 compose to the identity;
+# a third descriptor repeating the first; and two disjoint singletons,
+# whose h map misses the subcollection {U0,U1}.
+BROKEN_DOCUMENT = {
+    "monoids": [
+        {"name": "C2", "elements": ["e", "g"], "identity": "e",
+         "table": [["e", "g"], ["g", "e"]]},
+        {"name": "S", "elements": ["{}", "{x}"], "identity": "{}",
+         "table": [["{}", "{x}"], ["{x}", "{x}"]]},
+        {"name": "T", "elements": ["e"], "identity": "e", "table": [["e"]]},
+    ],
+    "coefficients": [
+        {"name": "doubling", "monoid": "C2", "kind": "explicit",
+         "groups": ["Z", "Z"],
+         "lstar": {"[e,e]": [[1]], "[e,g]": [[1]],
+                   "[g,e]": [[2]], "[g,g]": [[2]]},
+         "rstar": {"[e,e]": [[1]], "[e,g]": [[1]],
+                   "[g,e]": [[1]], "[g,g]": [[1]]}},
+        {"name": "c2Z", "monoid": "C2", "kind": "constant", "group": "Z"},
+        {"name": "sZ", "monoid": "S", "kind": "constant", "group": "Z"},
+        {"name": "tZ", "monoid": "T", "kind": "constant", "group": "Z"},
+    ],
+    "grids": [
+        {"name": "column",
+         "floors": [{"monoid": "T", "coeff": "tZ"},
+                    {"monoid": "C2", "coeff": "c2Z"},
+                    {"monoid": "S", "coeff": "sZ"}],
+         "vertical": {"maps": {"[0,0]": [[1]], "[1,0]": [[1]]}},
+         "pmax": 2},
+    ],
+    "set_systems": [
+        {"name": "gappy", "points": ["a", "b"],
+         "sets": [{"name": "U0", "members": ["a"]},
+                  {"name": "U1", "members": ["b"]}]},
+    ],
+    "descriptor_lists": [
+        {"name": "repeat", "descriptors": [
+            {"operations": [{"arity": 2}]},
+            {"operations": [{"arity": 2, "properties": ["associative"]}]},
+            {"operations": [{"arity": 2}]},
+        ]},
+    ],
+    "defaults": {"p_max": 2, "coefficients": "Z"},
+}
+
+BROKEN_GOLDEN = {
+    ("validate", "text"): (1, "f9aa4a51d2b015829e8cd628cbb8e0c85e4d3ed119f7198dfa46587e62a2e682"),
+    ("validate", "json"): (1, "66a63455c6a4cf67bc201c626c047f01aca98e3973b7d1beb33039fdca5b3793"),
+    ("leech", "text"): (1, "6ea9907449c9f41a4e45863fd7c7ac299e6893bbee2955c8b78747a1cea0d3a5"),
+    ("leech", "json"): (1, "78472a69be251c9b79b82b3f6789ab9df3d243f4e5def376d904b53003842001"),
+    ("square", "text"): (1, "3eb7e4c314f381f77a385b7afdb66d285569390b7cc2bc766e0ed4fc72637a92"),
+    ("square", "json"): (1, "2ac630d10bb98962192033c29195f41132e7766be617537c21483070e3d493e6"),
+    ("total", "text"): (1, "be5cb65913f599b907728569300d1d5daa1852632e31d69d8b161ff3a084cdaa"),
+    ("total", "json"): (1, "461f4a4b7538c0ce6c9ad60dd7db43b861f65e873144676fa13ede1a1215d856"),
+    ("fs", "text"): (1, "e206137977338f520c5333e8a7a31e23e4070275380fcbd6ee4179ad9d924d28"),
+    ("fs", "json"): (1, "5c4aa73369d8e6494b1d779c7969e80b1eab433f34f9805d58d368c43513a1a5"),
+    ("h", "text"): (1, "45e2b3a07be991ff746ea39be425c78164d6931640fdc33d75f73fe9fa067aa9"),
+    ("h", "json"): (1, "44e6808ef30dbafd654adee9c90921121b12e66aefc5e44633aaf61e68f384db"),
+}
+
 
 def load_script(path: Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -85,6 +151,11 @@ def failing_path(tmp_path_factory) -> Path:
                           load_script(SCRIPT).FAILING_DOCUMENT)
 
 
+@pytest.fixture(scope="module")
+def broken_path(tmp_path_factory) -> Path:
+    return write_document(tmp_path_factory, BROKEN_DOCUMENT)
+
+
 def run_cli(capsys, demo_path: Path, command: str, fmt: str) -> tuple[int, str]:
     argv = [command, "--input", str(demo_path), "--format", fmt]
     if command in ("fs", "h"):
@@ -103,6 +174,12 @@ def test_output_bytes(capsys, demo_path, command, fmt):
 @pytest.mark.parametrize("fmt", sorted(FAILING_TOTAL))
 def test_failing_total_output_bytes(capsys, failing_path, fmt):
     assert run_cli(capsys, failing_path, "total", fmt) == FAILING_TOTAL[fmt]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(BROKEN_GOLDEN))
+def test_broken_document_output_bytes(capsys, broken_path, command, fmt):
+    assert run_cli(capsys, broken_path, command, fmt) == \
+        BROKEN_GOLDEN[command, fmt]
 
 
 def test_module_entry_point_matches_main(capsys, demo_path):

@@ -58,6 +58,10 @@ class TestPathSpec:
         assert walked == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2),
                           (2, 3), (2, 4), (2, 5)]
 
+    def test_staircase_descends_to_the_bottom_floor(self):
+        assert PathSpec.staircase(3) == PathSpec("DRDR")
+        assert PathSpec.staircase(1) == PathSpec("")
+
     def test_walk_empty_prefix(self):
         assert PathSpec("").walk(2) == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
