@@ -23,7 +23,12 @@ from .document import (
     GridBundle,
     parse_document,
 )
-from .grid import local_exactness_report, square_cohomology, validate_mixed_compositions
+from .grid import (
+    ColumnConditionError,
+    local_exactness_report,
+    square_cohomology,
+    validate_mixed_compositions,
+)
 from .leech import (
     ALTERNATE_INDEXING_NOTE,
     INDEXING_CONVENTION,
@@ -38,8 +43,6 @@ from .structured import (
     h_pipeline,
 )
 from .totalcx import SIGN_CONVENTION, NotADoubleComplex, TotalComplex
-
-COMMANDS = ("validate", "leech", "square", "total", "fs", "h")
 
 CONVENTION = {
     "indexing": INDEXING_CONVENTION,
@@ -100,11 +103,8 @@ def _square_lines(payload: dict, indent: str = "  ") -> list[str]:
         lines.append(
             f"{indent}run: floor {r['floor']} degrees "
             f"{r['start_degree']}..{r['end_degree']}{suffix}")
-    if ex["extremal"]:
-        spots = ", ".join(f"({f}, {d})" for f, d in ex["extremal"])
-        lines.append(f"{indent}extremal positions: {spots}")
-    else:
-        lines.append(f"{indent}extremal positions: none")
+    spots = ", ".join(f"({f}, {d})" for f, d in ex["extremal"])
+    lines.append(f"{indent}extremal positions: {spots or 'none'}")
     for i in ex["identifications"]:
         word = "match" if i["matches"] else "MISMATCH"
         lines.append(
@@ -117,11 +117,8 @@ def _square_lines(payload: dict, indent: str = "  ") -> list[str]:
 
 
 def _grid_problems(bundle: GridBundle, p_max: int) -> list[str]:
-    problems = []
-    for floor, degree, _ in bundle.family.column_violations():
-        problems.append(
-            f"vertical maps do not square to zero at (floor {floor}, "
-            f"degree {degree})")
+    problems = [str(ColumnConditionError([v]))
+                for v in bundle.family.column_violations()]
     if problems:
         return problems
     try:
@@ -138,7 +135,41 @@ def _grid_problems(bundle: GridBundle, p_max: int) -> list[str]:
     return problems
 
 
+def _failure(exc: Exception) -> dict:
+    """The JSON fields of an item whose run raised exc."""
+    if isinstance(exc, NotADoubleComplex):
+        return {"commutes": False,
+                "error": str(exc) if exc.view.column_ok
+                else "vertical maps do not square to zero"}
+    if isinstance(exc, NotSurjective):
+        return {"error": str(exc), "missing": exc.missing}
+    return {"error": str(exc)}
+
+
+def _each(items, run, header: list[str], key: str = "results",
+          **extra) -> tuple[int, dict, list[str]]:
+    """Report each (label, JSON fields, item) under the header lines and
+    the key.  run(*item) returns the item's exit code, JSON fields and
+    text lines, the first one following "{label}:".  A ValueError or
+    AssertionError fails that item alone, with exit code 1."""
+    code = 0
+    results = []
+    lines = list(header)
+    for label, fields, item in items:
+        try:
+            item_code, payload, text = run(*item)
+        except (ValueError, AssertionError) as exc:
+            item_code, payload = 1, _failure(exc)
+            text = [f"FAIL {payload['error']}"]
+        code = max(code, item_code)
+        results.append({**fields, **payload})
+        lines.append(f"{label}: {text[0]}" if text[0] else f"{label}:")
+        lines.extend(text[1:])
+    return code, {key: results, **extra}, lines
+
+
 def _cmd_validate(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
+    """run every law, relation, path and coverage check"""
     results = []
     for name, m in doc.monoids:
         results.append(("monoid", name, validate_monoid(m), []))
@@ -182,122 +213,83 @@ def _cmd_validate(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]
 
 
 def _leech_targets(doc: Document, flags: RunFlags
-                   ) -> list[tuple[str, str, FinMonoid, CoeffSystem]]:
+                   ) -> list[tuple[str, dict, tuple[FinMonoid, CoeffSystem]]]:
+    """Each coefficient system, then a default on each monoid without one."""
     if flags.monoid is not None and doc.monoid(flags.monoid) is None:
         raise _InputError(f"unknown monoid {flags.monoid!r}")
-    targets = []
-    covered = set()
-    for cname, c in doc.coefficients:
-        mname = doc.monoid_name(c.monoid)
-        if flags.monoid is not None and mname != flags.monoid:
-            continue
-        covered.add(mname)
-        targets.append((mname, cname, c.monoid, c))
+    pairs = [(doc.monoid_name(c.monoid), cname, c)
+             for cname, c in doc.coefficients]
+    covered = {mname for mname, _, _ in pairs}
     group = doc.defaults.coeff_group
-    for mname, m in doc.monoids:
-        if flags.monoid is not None and mname != flags.monoid:
-            continue
-        if mname not in covered:
-            targets.append((mname, f"constant {group.render()} (default)",
-                            m, constant_system(m, group)))
+    pairs += [(mname, f"constant {group.render()} (default)",
+               constant_system(m, group)) for mname, m in doc.monoids
+              if mname not in covered and flags.monoid in (None, mname)]
+    targets = [(f"monoid {mname}, coefficients {cname}",
+                {"monoid": mname, "coefficients": cname}, (c.monoid, c))
+               for mname, cname, c in pairs if flags.monoid in (None, mname)]
     if not targets:
         raise _InputError("document defines no monoids")
     return targets
 
 
 def _cmd_leech(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
+    """cohomology table for each monoid and coefficient system"""
     targets = _leech_targets(doc, flags)
     p_max = _effective_pmax(flags, doc)
-    code = 0
-    tables = []
-    lines = [f"leech cohomology, degrees 0..{p_max}",
-             f"convention: {INDEXING_CONVENTION}"]
-    for mname, label, m, c in targets:
-        try:
-            groups = [g.render()
-                      for g in leech_cohomology_table(m, c, p_max)]
-        except (ValueError, AssertionError) as exc:
-            code = 1
-            tables.append({"monoid": mname, "coefficients": label,
-                           "error": str(exc)})
-            lines.append(f"monoid {mname}, coefficients {label}: FAIL {exc}")
-            continue
-        tables.append({"monoid": mname, "coefficients": label,
-                       "groups": groups})
-        lines.append(f"monoid {mname}, coefficients {label}:")
-        lines.extend(f"  H^{n} = {g}" for n, g in enumerate(groups))
-    return code, {"pmax": p_max, "tables": tables}, lines
+
+    def run(m, c):
+        groups = [g.render() for g in leech_cohomology_table(m, c, p_max)]
+        return 0, {"groups": groups}, [
+            "", *(f"  H^{n} = {g}" for n, g in enumerate(groups))]
+
+    return _each(targets, run, [f"leech cohomology, degrees 0..{p_max}",
+                                f"convention: {INDEXING_CONVENTION}"],
+                 "tables", pmax=p_max)
 
 
 def _selected_grids(doc: Document, flags: RunFlags
-                    ) -> list[tuple[str, GridBundle]]:
-    if flags.grid is not None:
-        bundle = doc.grid(flags.grid)
-        if bundle is None:
-            raise _InputError(f"unknown grid {flags.grid!r}")
-        return [(flags.grid, bundle)]
+                    ) -> list[tuple[str, dict, tuple[GridBundle, int]]]:
+    """The (grid, pmax) items of square and total."""
+    if flags.grid is not None and doc.grid(flags.grid) is None:
+        raise _InputError(f"unknown grid {flags.grid!r}")
     if not doc.grids:
         raise _InputError("document defines no grids")
-    return list(doc.grids)
+    items = []
+    for name, bundle in doc.grids:
+        if flags.grid in (None, name):
+            p_max = _effective_pmax(flags, doc, bundle)
+            items.append((f"grid {name}", {"grid": name, "pmax": p_max},
+                          (bundle, p_max)))
+    return items
 
 
 def _cmd_square(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
-    grids = _selected_grids(doc, flags)
-    code = 0
-    results = []
-    lines = [f"convention: {INDEXING_CONVENTION}"]
-    for name, bundle in grids:
-        p_max = _effective_pmax(flags, doc, bundle)
-        try:
-            square = square_cohomology(bundle.grid, bundle.family,
-                                       bundle.path, p_max)
-            exact = local_exactness_report(bundle.grid, bundle.family,
-                                           bundle.path, p_max,
-                                           square_report=square)
-        except (ValueError, AssertionError) as exc:
-            code = max(code, 1)
-            results.append({"grid": name, "pmax": p_max, "error": str(exc)})
-            lines.append(f"grid {name}: FAIL {exc}")
-            continue
+    """path cohomology and local-exactness report per grid"""
+    def run(bundle, p_max):
+        walk = (bundle.grid, bundle.family, bundle.path, p_max)
+        square = square_cohomology(*walk)
+        exact = local_exactness_report(*walk, square_report=square)
         payload = _square_payload(square, exact)
-        if not exact.all_identified:
-            code = max(code, 1)
-        results.append({"grid": name, "pmax": p_max, **payload})
-        lines.append(f"grid {name}: moves {payload['moves']!r}, "
-                     f"p_max {p_max}")
-        lines.extend(_square_lines(payload))
-    return code, {"results": results}, lines
+        return (0 if exact.all_identified else 1), payload, [
+            f"moves {payload['moves']!r}, p_max {p_max}",
+            *_square_lines(payload)]
+
+    return _each(_selected_grids(doc, flags), run,
+                 [f"convention: {INDEXING_CONVENTION}"])
 
 
 def _cmd_total(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
-    grids = _selected_grids(doc, flags)
-    code = 0
-    results = []
-    lines = [f"convention: {INDEXING_CONVENTION}",
-             f"sign: {SIGN_CONVENTION}"]
-    for name, bundle in grids:
-        p_max = _effective_pmax(flags, doc, bundle)
-        try:
-            cx = TotalComplex(bundle.grid, bundle.family, p_max)
-            groups = [cx.cohomology(n).render() for n in range(p_max + 1)]
-        except NotADoubleComplex as exc:
-            reason = ("vertical maps do not square to zero"
-                      if not exc.view.column_ok else str(exc))
-            code = max(code, 1)
-            results.append({"grid": name, "pmax": p_max,
-                            "commutes": False, "error": reason})
-            lines.append(f"grid {name}: FAIL {reason}")
-            continue
-        except (ValueError, AssertionError) as exc:
-            code = max(code, 1)
-            results.append({"grid": name, "pmax": p_max, "error": str(exc)})
-            lines.append(f"grid {name}: FAIL {exc}")
-            continue
-        results.append({"grid": name, "pmax": p_max, "commutes": True,
-                        "total": groups})
-        lines.append(f"grid {name}: double complex ok, degrees 0..{p_max}")
-        lines.extend(f"  Tot^{n} = {g}" for n, g in enumerate(groups))
-    return code, {"results": results}, lines
+    """double-complex check and total cohomology per grid"""
+    def run(bundle, p_max):
+        cx = TotalComplex(bundle.grid, bundle.family, p_max)
+        groups = [cx.cohomology(n).render() for n in range(p_max + 1)]
+        return 0, {"commutes": True, "total": groups}, [
+            f"double complex ok, degrees 0..{p_max}",
+            *(f"  Tot^{n} = {g}" for n, g in enumerate(groups))]
+
+    return _each(_selected_grids(doc, flags), run,
+                 [f"convention: {INDEXING_CONVENTION}",
+                  f"sign: {SIGN_CONVENTION}"])
 
 
 def _run_pipelines(doc: Document, flags: RunFlags, items, key: str,
@@ -310,40 +302,28 @@ def _run_pipelines(doc: Document, flags: RunFlags, items, key: str,
         raise _InputError(f"document defines no {section}s")
     p_max = _effective_pmax(flags, doc)
     group = doc.defaults.coeff_group
-    code = 0
-    results = []
-    lines = [f"convention: {INDEXING_CONVENTION}"]
-    for name, item in items:
-        try:
-            report = pipeline(item, coeff_group=group, p_max=p_max)
-        except (ValueError, AssertionError) as exc:
-            code = 1
-            failure = {key: name, "error": str(exc)}
-            if isinstance(exc, NotSurjective):
-                failure["missing"] = exc.missing
-            results.append(failure)
-            lines.append(f"{section} {name}: FAIL {exc}")
-            continue
+
+    def run(item):
+        report = pipeline(item, coeff_group=group, p_max=p_max)
         payload = _square_payload(report.square, report.exactness)
         sizes = ", ".join(str(m.size) for m in report.floors)
         fields, header = describe(report, sizes)
-        results.append({
-            key: name,
+        return 0, {
             **fields,
             "floor_sizes": [m.size for m in report.floors],
             "pmax": p_max,
             "notes": report.notes,
             **payload,
-        })
-        lines.append(f"{section} {name}: {header[0]}")
-        lines.extend(header[1:])
-        lines.append(f"  moves {payload['moves']!r}, p_max {p_max}")
-        lines.extend(_square_lines(payload))
-        lines.extend(f"  note: {n}" for n in report.notes)
-    return code, {"results": results}, lines
+        }, [*header, f"  moves {payload['moves']!r}, p_max {p_max}",
+            *_square_lines(payload), *(f"  note: {n}" for n in report.notes)]
+
+    return _each(
+        [(f"{section} {name}", {key: name}, (item,)) for name, item in items],
+        run, [f"convention: {INDEXING_CONVENTION}"])
 
 
 def _cmd_fs(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
+    """structure-descriptor pipeline per descriptor list"""
     return _run_pipelines(
         doc, flags, doc.descriptor_lists, "list", "descriptor list",
         fs_pipeline, lambda report, sizes: (
@@ -352,6 +332,7 @@ def _cmd_fs(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_h(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
+    """set-system pipeline per set system"""
     return _run_pipelines(
         doc, flags, doc.set_systems, "system", "set system",
         h_pipeline, lambda report, sizes: (
@@ -360,6 +341,7 @@ def _cmd_h(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
              + ", ".join(report.chain.representatives)]))
 
 
+# the subcommands, in --help order; each one's help is its docstring
 _HANDLERS = {
     "validate": _cmd_validate,
     "leech": _cmd_leech,
@@ -394,26 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "grids and total complexes, driven by JSON documents.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    helps = {
-        "validate": "run every law, relation, path and coverage check",
-        "leech": "cohomology table for each monoid and coefficient system",
-        "square": "path cohomology and local-exactness report per grid",
-        "total": "double-complex check and total cohomology per grid",
-        "fs": "structure-descriptor pipeline per descriptor list",
-        "h": "set-system pipeline per set system",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, handler in _HANDLERS.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("--input", required=True, metavar="FILE",
                         help="JSON document to read")
         sp.add_argument("--pmax", type=int, default=None, metavar="N",
                         help="degree bound (default: document setting or 4)")
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         dest="fmt", help="report format")
-        sp.add_argument("--grid", default=None, metavar="NAME",
-                        help="restrict square/total to one named grid")
-        sp.add_argument("--monoid", default=None, metavar="NAME",
-                        help="restrict leech to one named monoid")
+        if name in ("square", "total"):
+            sp.add_argument("--grid", default=None, metavar="NAME",
+                            help="restrict square/total to one named grid")
+        if name == "leech":
+            sp.add_argument("--monoid", default=None, metavar="NAME",
+                            help="restrict leech to one named monoid")
     return parser
 
 
@@ -426,7 +402,8 @@ def main(argv=None) -> int:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         return _unusable(args, f"cannot read {args.input}: {exc}")
-    flags = RunFlags(args.pmax, args.fmt, args.grid, args.monoid)
+    flags = RunFlags(args.pmax, args.fmt, getattr(args, "grid", None),
+                     getattr(args, "monoid", None))
     try:
         code, report = run_command(args.command, parse_document(text), flags)
     except DocumentError as exc:

@@ -117,6 +117,19 @@ def _set_name(members: tuple[int, ...], points: Sequence[str]) -> str:
     return "{" + ",".join(points[i] for i in members) + "}"
 
 
+def _mask_monoid(name: str, points: Sequence[str], masks: Iterable[int]) -> FinMonoid:
+    """Union-closed bitmasks over points, 0 among them, under union; ordered
+    by cardinality, then by member indices, so the identity comes first."""
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(len(points)) if mask >> i & 1)
+
+    ordered = sorted(masks, key=lambda mask: (bin(mask).count("1"), members(mask)))
+    index_of_mask = {mask: i for i, mask in enumerate(ordered)}
+    names = tuple(_set_name(members(mask), points) for mask in ordered)
+    table = tuple(tuple(index_of_mask[a | b] for b in ordered) for a in ordered)
+    return FinMonoid(name, names, 0, table)
+
+
 def union_monoid(family: Iterable[Iterable[str]], name: str | None = None) -> FinMonoid:
     """All unions of subfamilies of the given sets, under union.
 
@@ -144,34 +157,16 @@ def union_monoid(family: Iterable[Iterable[str]], name: str | None = None) -> Fi
             if new not in closure:
                 closure.add(new)
                 frontier.append(new)
-
-    def members(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(len(points)) if mask >> i & 1)
-
-    ordered = sorted(closure, key=lambda mask: (bin(mask).count("1"), members(mask)))
-    index_of_mask = {mask: i for i, mask in enumerate(ordered)}
-    names = tuple(_set_name(members(mask), points) for mask in ordered)
-    table = tuple(
-        tuple(index_of_mask[a | b] for b in ordered) for a in ordered)
     if name is None:
         name = f"U({len(sets)} sets/{len(points)} points)"
-    return FinMonoid(name, names, 0, table)
+    return _mask_monoid(name, points, closure)
 
 
 def power_set_monoid(n: int) -> FinMonoid:
     """Subsets of {0, ..., n-1} under union; 2^n elements."""
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
-    points = [str(i) for i in range(n)]
-
-    def members(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n) if mask >> i & 1)
-
-    ordered = sorted(range(1 << n), key=lambda mask: (bin(mask).count("1"), members(mask)))
-    index_of_mask = {mask: i for i, mask in enumerate(ordered)}
-    names = tuple(_set_name(members(mask), points) for mask in ordered)
-    table = tuple(tuple(index_of_mask[a | b] for b in ordered) for a in ordered)
-    return FinMonoid(f"P({n})", names, 0, table)
+    return _mask_monoid(f"P({n})", [str(i) for i in range(n)], range(1 << n))
 
 
 def trivial_monoid() -> FinMonoid:

@@ -6,7 +6,8 @@ cohomology, the lattice route to ``ker / im`` that tracks full Smith
 transforms, dense coboundaries assembled through dense change-of-basis
 matrices, dense composition and zero tests of homomorphisms, the
 translation-relation check with one composition per relation instance,
-and a Bareiss determinant.  None of it shares code with the
+universal coefficients read off integral Smith diagonals, and a Bareiss
+determinant.  None of it shares code with the
 package's cochain construction or its sparse elimination, so agreement is
 meaningful.
 """
@@ -25,7 +26,7 @@ from moncoh.abelian import (
     ShapeMismatch,
     smith_normal_form,
 )
-from moncoh.coeff import CoeffSystem, RelationViolation
+from moncoh.coeff import CoeffSystem, RelationViolation, constant_system
 
 
 def elements(orders: Sequence[int]) -> list[tuple[int, ...]]:
@@ -381,6 +382,40 @@ def dense_coboundary(m, c, n: int) -> AbHom:
             -1 if (n + 1) % 2 else 1)
     return dense_assemble_hom([c.groups[product(t)] for t in src],
                               [c.groups[product(t)] for t in tgt], blocks)
+
+
+def uct_cohomology_table(m, group: FgAbGroup, p: int) -> list[FgAbGroup]:
+    """H^0 .. H^p of a monoid with constant coefficients A = group, by
+    universal coefficients.
+
+    The integral normalized complex splits into pieces Z and Z --e--> Z,
+    one e for each entry of E_n, the nonzero Smith diagonal of the
+    integral d^n.  So H^n(M; A) = A^(f_n) + sum over E_n of A[e] + sum
+    over E_(n-1) of A/eA, with f_n = c_n - |E_n| - |E_(n-1)|.  Only dense
+    Smith forms of integer matrices are used: no cone and no field rank.
+    """
+    integral = constant_system(m, FgAbGroup(1))
+    ngens, diagonals = [], []
+    for n in range(p + 1):
+        d = dense_coboundary(m, integral, n)
+        snf = smith_normal_form(d.matrix, (d.codomain.ngens, d.domain.ngens))
+        ngens.append(d.domain.ngens)
+        diagonals.append([e for e in snf.diagonal if e])
+    a_factors = [0] * group.free_rank + list(group.torsion)
+    table = []
+    for n in range(p + 1):
+        below = diagonals[n - 1] if n else []
+        free = ngens[n] - len(diagonals[n]) - len(below)
+        assert free >= 0
+        factors = a_factors * free
+        # A[e]: only torsion summands have elements killed by e
+        factors += [math.gcd(e, t) for e in diagonals[n] for t in group.torsion]
+        # A/eA: Z/e per free summand, Z/gcd(e, t) per torsion summand
+        factors += [f for e in below
+                    for f in [e] * group.free_rank
+                    + [math.gcd(e, t) for t in group.torsion]]
+        table.append(FgAbGroup.from_invariants(factors))
+    return table
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:

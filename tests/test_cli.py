@@ -297,6 +297,43 @@ class TestInputErrors:
                 "exit_code": 2, "error": message}
 
 
+class TestFlagScope:
+    """--grid is read only by square and total, --monoid only by leech;
+    every other subcommand rejects them as argparse usage errors."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("validate", "--grid"), ("validate", "--monoid"),
+        ("leech", "--grid"), ("square", "--monoid"), ("total", "--monoid"),
+        ("fs", "--grid"), ("fs", "--monoid"),
+        ("h", "--grid"), ("h", "--monoid")])
+    def test_unread_flag_is_rejected(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "doc.json"
+        path.write_text(sample_text(), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--input", str(path), flag, "nope"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} nope" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("validate", []), ("leech", ["--monoid"]), ("square", ["--grid"]),
+        ("total", ["--grid"]), ("fs", []), ("h", [])])
+    def test_help_lists_only_read_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert [f for f in ("--grid", "--monoid") if f in out] == flags
+
+    def test_top_level_help_reads_handler_docstrings(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for handler in cli._HANDLERS.values():
+            assert handler.__doc__ in out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_repeated_runs_byte_identical(self, fmt):

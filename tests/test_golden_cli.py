@@ -15,6 +15,11 @@ Every subcommand is pinned on BROKEN_DOCUMENT too, whose every part
 fails its check: a coefficient system breaking the translation relations,
 a grid failing the column condition, a descriptor list with a repeat and
 a set system whose h map misses a subcollection.  All of them exit 1.
+BADFLOOR_DOCUMENT adds one grid whose lower floor breaks the translation
+relations: its path leaves that floor after degree 0, so `validate` finds
+it ok and `square --grid badfloor` exits 0, while `total` fails it with
+the coboundary's own error, the one failure that is not a column or
+square check.
 Re-record a digest only for a deliberate change of output, and say so
 where the change is described.
 """
@@ -122,6 +127,41 @@ BROKEN_GOLDEN = {
     ("h", "json"): (1, "44e6808ef30dbafd654adee9c90921121b12e66aefc5e44633aaf61e68f384db"),
 }
 
+# BROKEN_DOCUMENT plus a grid over the broken `doubling` floor; the D path
+# leaves it after degree 0, so only the total complex sees the breakage.
+BADFLOOR_DOCUMENT = {
+    **BROKEN_DOCUMENT,
+    "grids": BROKEN_DOCUMENT["grids"] + [
+        {"name": "badfloor",
+         "floors": [{"monoid": "C2", "coeff": "doubling"},
+                    {"monoid": "S", "coeff": "sZ"}],
+         "pmax": 2},
+    ],
+}
+
+BADFLOOR_GOLDEN = {
+    ("validate", "text"): (1, "6feb02162f5fd28048e2ada81a53c5ca21fb28d6b891d1d382183e246133b9b8"),
+    ("validate", "json"): (1, "2081364447d338acc05f3b4a25cde3f2d7f36b3f8625f5abe199f46c4c3a87ee"),
+    ("leech", "text"): (1, "6ea9907449c9f41a4e45863fd7c7ac299e6893bbee2955c8b78747a1cea0d3a5"),
+    ("leech", "json"): (1, "78472a69be251c9b79b82b3f6789ab9df3d243f4e5def376d904b53003842001"),
+    ("square", "text"): (1, "75bedd6827bb8f4bfbf3909f8cb4b81a6624f907025a5de14c9d0275e6307591"),
+    ("square", "json"): (1, "d813e35f350e9c1d4cda965b878d7be18896722498372cc1db8b390541d98694"),
+    ("total", "text"): (1, "9fe672310263185d794e336f462915d9ff09b1329bfb0a9ef955bb632d1d3140"),
+    ("total", "json"): (1, "48096e80df0d61bce5150876ed82df7599c14420d620dec01a521427df431a66"),
+    ("fs", "text"): (1, "e206137977338f520c5333e8a7a31e23e4070275380fcbd6ee4179ad9d924d28"),
+    ("fs", "json"): (1, "5c4aa73369d8e6494b1d779c7969e80b1eab433f34f9805d58d368c43513a1a5"),
+    ("h", "text"): (1, "45e2b3a07be991ff746ea39be425c78164d6931640fdc33d75f73fe9fa067aa9"),
+    ("h", "json"): (1, "44e6808ef30dbafd654adee9c90921121b12e66aefc5e44633aaf61e68f384db"),
+}
+
+# the same document with `--grid badfloor`
+BADFLOOR_ONE_GRID = {
+    ("square", "text"): (0, "4acc6668979e1e81d1b70e85530a6adc597eeee7167f2587de59248e955a9d16"),
+    ("square", "json"): (0, "5f7f905e3a2c80af6bccf13d752170c0d08c58bbedf5f2287c22d5172d6fc458"),
+    ("total", "text"): (1, "a1e37da3d030de2a99f1d7c7ca7e783b3f7a9d08ab068d322b916663ee8b5d00"),
+    ("total", "json"): (1, "0a0034857ae05067a264fbec98b94690b848e4d9f26901a5210549b857dfff7c"),
+}
+
 
 def load_script(path: Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -156,8 +196,14 @@ def broken_path(tmp_path_factory) -> Path:
     return write_document(tmp_path_factory, BROKEN_DOCUMENT)
 
 
-def run_cli(capsys, demo_path: Path, command: str, fmt: str) -> tuple[int, str]:
-    argv = [command, "--input", str(demo_path), "--format", fmt]
+@pytest.fixture(scope="module")
+def badfloor_path(tmp_path_factory) -> Path:
+    return write_document(tmp_path_factory, BADFLOOR_DOCUMENT)
+
+
+def run_cli(capsys, demo_path: Path, command: str, fmt: str,
+            *extra: str) -> tuple[int, str]:
+    argv = [command, "--input", str(demo_path), "--format", fmt, *extra]
     if command in ("fs", "h"):
         argv += ["--pmax", "2"]
     code = main(argv)
@@ -180,6 +226,18 @@ def test_failing_total_output_bytes(capsys, failing_path, fmt):
 def test_broken_document_output_bytes(capsys, broken_path, command, fmt):
     assert run_cli(capsys, broken_path, command, fmt) == \
         BROKEN_GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(BADFLOOR_GOLDEN))
+def test_badfloor_document_output_bytes(capsys, badfloor_path, command, fmt):
+    assert run_cli(capsys, badfloor_path, command, fmt) == \
+        BADFLOOR_GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(BADFLOOR_ONE_GRID))
+def test_badfloor_grid_output_bytes(capsys, badfloor_path, command, fmt):
+    assert run_cli(capsys, badfloor_path, command, fmt,
+                   "--grid", "badfloor") == BADFLOOR_ONE_GRID[command, fmt]
 
 
 def test_module_entry_point_matches_main(capsys, demo_path):

@@ -38,7 +38,12 @@ from catalog import (
     swap_action_system,
     systems_for,
 )
-from oracles import bar_cohomology_dims_mod_p, dense_coboundary, lattice_cohomology_at
+from oracles import (
+    bar_cohomology_dims_mod_p,
+    dense_coboundary,
+    lattice_cohomology_at,
+    uct_cohomology_table,
+)
 
 
 def table_renders(groups):
@@ -235,6 +240,18 @@ class TestLatticeOracle:
                     want = lattice_cohomology_at(cx.differential(n - 1),
                                                  cx.differential(n))
                     assert cx.cohomology(n) == want, (m.name, c.groups, n)
+
+
+class TestUniversalCoefficientsOracle:
+    """Constant-coefficient tables against universal coefficients over the
+    integral complex, which shares no elimination route with the engine."""
+
+    @pytest.mark.parametrize("m", small_monoids(), ids=lambda m: m.name)
+    def test_catalog_tables_to_degree_four(self, m):
+        for group in (Z, Zmod(2), Zmod(4), Zmod(6), FgAbGroup(1, (2,))):
+            table = leech_cohomology_table(m, constant_system(m, group), 4)
+            assert table == uct_cohomology_table(m, group, 4), \
+                (m.name, group.render(), table_renders(table))
 
 
 class TestCohomologyEngine:

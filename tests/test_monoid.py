@@ -117,6 +117,14 @@ class TestBuilders:
         m = power_set_monoid(2)
         assert m.element_names == ("{}", "{0}", "{1}", "{0,1}")
 
+    def test_power_set_names_points_in_numeric_order(self):
+        # from ten points on, string order would put "10" before "2"
+        m = power_set_monoid(11)
+        assert m.element_names[1:12] == tuple(f"{{{i}}}" for i in range(11))
+        assert "{2,10}" in m.element_names
+        assert "{10,2}" not in m.element_names
+        assert m.element_names.index("{2,9}") < m.element_names.index("{2,10}")
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sets(st.sampled_from("abcd")), min_size=1, max_size=4))
     def test_union_monoid_always_valid_and_idempotent(self, family):
