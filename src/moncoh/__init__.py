@@ -14,7 +14,6 @@ from .abelian import (  # noqa: F401
     Z,
     Zmod,
     cohomology_at,
-    direct_sum,
     parse_group,
     smith_normal_form,
 )
@@ -43,7 +42,6 @@ from .leech import (  # noqa: F401
     LeechComplex,
     cochain_group,
     coboundary,
-    leech_cohomology,
     leech_cohomology_table,
 )
 from .grid import (  # noqa: F401
@@ -63,7 +61,6 @@ from .grid import (  # noqa: F401
     TooManyDescents,
     VerticalFamily,
     local_exactness_report,
-    path_from_rule,
     square_cohomology,
     validate_mixed_compositions,
     validate_path,

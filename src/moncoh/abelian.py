@@ -1040,15 +1040,6 @@ class DirectSum:
         return AbHom.from_columns(self.total, self.components[i], cols)
 
 
-def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
-    """Canonical form of the direct sum; for the full change of basis use
-    DirectSum.of."""
-    invariants: list[int] = []
-    for g in groups:
-        invariants.extend(g.orders)
-    return FgAbGroup.from_invariants(invariants)
-
-
 def _coprime_base(numbers: Iterable[int]) -> list[int]:
     """Pairwise coprime integers > 1 such that every given number > 1 is a
     product of powers of them; found by gcd splitting, never factoring."""

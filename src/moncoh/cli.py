@@ -91,28 +91,28 @@ def _square_payload(square, exact) -> dict:
     }
 
 
-def _square_lines(payload: dict, indent: str = "  ") -> list[str]:
+def _square_lines(payload: dict) -> list[str]:
     lines = []
     for e in payload["positions"]:
         lines.append(
-            f"{indent}position {e['index']}: (floor {e['floor']}, degree "
+            f"  position {e['index']}: (floor {e['floor']}, degree "
             f"{e['degree']}) tag {e['tag']} H = {e['group']}")
     ex = payload["local_exactness"]
     for r in ex["runs"]:
         suffix = " tail" if r["tail"] else (" short" if r["short"] else "")
         lines.append(
-            f"{indent}run: floor {r['floor']} degrees "
+            f"  run: floor {r['floor']} degrees "
             f"{r['start_degree']}..{r['end_degree']}{suffix}")
     spots = ", ".join(f"({f}, {d})" for f, d in ex["extremal"])
-    lines.append(f"{indent}extremal positions: {spots or 'none'}")
+    lines.append(f"  extremal positions: {spots or 'none'}")
     for i in ex["identifications"]:
         word = "match" if i["matches"] else "MISMATCH"
         lines.append(
-            f"{indent}identification: (floor {i['floor']}, degree "
+            f"  identification: (floor {i['floor']}, degree "
             f"{i['degree']}) path {i['path_group']} floor "
             f"{i['floor_group']} {word}")
     word = "all match" if ex["all_identified"] else "MISMATCHES PRESENT"
-    lines.append(f"{indent}floor identifications: {word}")
+    lines.append(f"  floor identifications: {word}")
     return lines
 
 
@@ -138,9 +138,7 @@ def _grid_problems(bundle: GridBundle, p_max: int) -> list[str]:
 def _failure(exc: Exception) -> dict:
     """The JSON fields of an item whose run raised exc."""
     if isinstance(exc, NotADoubleComplex):
-        return {"commutes": False,
-                "error": str(exc) if exc.view.column_ok
-                else "vertical maps do not square to zero"}
+        return {"commutes": False, "error": str(exc)}
     if isinstance(exc, NotSurjective):
         return {"error": str(exc), "missing": exc.missing}
     return {"error": str(exc)}

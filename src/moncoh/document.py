@@ -26,7 +26,7 @@ from typing import Any, Mapping, Sequence
 
 from .abelian import AbHom, FgAbGroup, Z, check_shape, parse_group
 from .coeff import CoeffSystem, constant_system, explicit_system, group_action_system
-from .grid import GridSpec, PathSpec, VerticalFamily, path_from_rule
+from .grid import GridSpec, PathSpec, VerticalFamily
 from .leech import cochain_group, cochain_ngens
 from .monoid import FinMonoid
 from .structured import SetSystem, StructureDescriptor
@@ -347,12 +347,11 @@ def _parse_path(raw: Any, path: str, grid: GridSpec) -> PathSpec:
         with _at(f"{path}.moves"):
             return PathSpec(moves)
     cols = _array(raw["descend_at"], f"{path}.descend_at")
-    columns = {_integer(c, f"{path}.descend_at[{i}]", minimum=0)
-               for i, c in enumerate(cols)}
-    # bounded by the last listed column, not the grid's pmax: a run may
-    # take a larger degree bound, and "moves" keeps such a descent too
-    return path_from_rule(lambda c: c in columns, grid,
-                          max(columns, default=-1))
+    columns = [_integer(c, f"{path}.descend_at[{i}]", minimum=0)
+               for i, c in enumerate(cols)]
+    # columns past the grid's pmax are kept: a run may take a larger
+    # degree bound, and "moves" keeps such a descent too
+    return PathSpec.descending_at(columns, grid.floor_count)
 
 
 def _parse_grid(obj: dict, path: str,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .abelian import AbHom, FgAbGroup, _ComplexCohomology
 from .coeff import CoeffSystem
@@ -130,6 +130,18 @@ class PathSpec:
         """Down then right once per lower floor: the default path."""
         return cls("DR" * (floor_count - 1))
 
+    @classmethod
+    def descending_at(cls, columns: Iterable[int],
+                      floor_count: int) -> "PathSpec":
+        """Down at each of the first floor_count - 1 distinct columns, in
+        ascending order; the other columns are dropped."""
+        chosen = sorted(set(columns))
+        if chosen and chosen[0] < 0:
+            raise ValueError("descent columns must be nonnegative")
+        chosen = chosen[:max(floor_count - 1, 0)]
+        return cls("".join("R" * (c - prev) + "D" for prev, c
+                           in zip([0, *chosen], chosen)))
+
     def walk(self, p_max: int) -> list[Position]:
         """Positions from (0,0) through degree p_max, plus the single next
         position at degree p_max + 1 so the last one has an outgoing map."""
@@ -165,26 +177,6 @@ def validate_path(path: PathSpec, grid: GridSpec) -> None:
                     f"move {k} needs floor {floor + 1} but only "
                     f"{grid.floor_count} floors were supplied")
             floor += 1
-
-
-def path_from_rule(rule: Callable[[int], bool], grid: GridSpec,
-                   p_max: int) -> PathSpec:
-    """Path that descends at every column where the rule holds, clamped at
-    the bottom floor; trailing right-moves are dropped since the tail is
-    implicit."""
-    bottom = grid.floor_count - 1
-    floor = 0
-    moves: list[str] = []
-    for column in range(p_max + 1):
-        if floor == bottom:
-            break
-        if rule(column):
-            moves.append("D")
-            floor += 1
-        moves.append("R")
-    while moves and moves[-1] == "R":
-        moves.pop()
-    return PathSpec("".join(moves))
 
 
 @dataclass(frozen=True)

@@ -208,9 +208,6 @@ class LeechComplex:
         self._engine = _ComplexCohomology(self.differentials,
                                           translation_failure)
 
-    def group(self, n: int) -> CochainGroup:
-        return self.groups[n]
-
     def differential(self, n: int) -> AbHom:
         """d^n for 0 <= n < max_degree; d^(-1) is the zero map into C^0."""
         if n == -1:
@@ -225,11 +222,6 @@ class LeechComplex:
         if not 0 <= n < self.max_degree:
             raise ValueError(f"H^{n} needs the complex built to degree {n + 1}")
         return self._engine.cohomology(n)
-
-
-def leech_cohomology(m: FinMonoid, c: CoeffSystem, n: int) -> FgAbGroup:
-    """H^n of the monoid with the given coefficients."""
-    return LeechComplex(m, c, n + 1).cohomology(n)
 
 
 def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,

@@ -2,12 +2,12 @@
 pipelines that feed them into the path-cohomology engine.
 
 A structure descriptor is the canonical signature of an algebraic
-structure: its operation multiset (arity plus property tags), its
-non-algebraic tags, and an empty marker for the structure with no data
-at all.  Equivalent descriptors collapse to one class; products of
-classes only record which classes appear, so the class subsets under
-union form the monoid built by build_Kn, with the empty structure as
-identity.
+structure: its operation multiset (arity plus property tags) and its
+non-algebraic tags; the descriptor with neither is the empty structure,
+the one with no data at all.  Equivalent descriptors collapse to one
+class; products of classes only record which classes appear, so the
+class subsets under union form the monoid built by build_Kn, with the
+empty structure as identity.
 
 A set system is a finite list of named point sets.  Each point x is sent
 to the subcollection of sets containing it; when that map reaches every
@@ -54,15 +54,10 @@ class NotSurjective(ValueError):
 
 @dataclass(frozen=True)
 class StructureDescriptor:
-    """Canonical signature; construct through make() or empty().
-
-    The empty structure is exactly the descriptor with no operations and
-    no tags, so the marker is derived rather than chosen.
-    """
+    """Canonical signature; construct through make()."""
 
     operations: tuple[Operation, ...]
     nonalg_tags: tuple[str, ...]
-    is_empty: bool
 
     def __post_init__(self) -> None:
         for op in self.operations:
@@ -75,11 +70,11 @@ class StructureDescriptor:
             raise ValueError("operations not in canonical order")
         if tuple(sorted(set(self.nonalg_tags))) != self.nonalg_tags:
             raise ValueError("non-algebraic tags not canonical")
-        derived = not self.operations and not self.nonalg_tags
-        if self.is_empty != derived:
-            raise ValueError(
-                "the empty marker must hold exactly when there are no "
-                "operations and no tags")
+
+    @property
+    def is_empty(self) -> bool:
+        """The structure with no data: no operations and no tags."""
+        return not self.operations and not self.nonalg_tags
 
     @classmethod
     def make(cls, operations, nonalg_tags=()) -> "StructureDescriptor":
@@ -87,11 +82,7 @@ class StructureDescriptor:
             (int(arity), tuple(sorted(set(map(str, tags)))))
             for arity, tags in operations))
         nonalg = tuple(sorted(set(map(str, nonalg_tags))))
-        return cls(ops, nonalg, not ops and not nonalg)
-
-    @classmethod
-    def empty(cls) -> "StructureDescriptor":
-        return cls((), (), True)
+        return cls(ops, nonalg)
 
 
 def distinct_classes(

@@ -30,7 +30,7 @@ from .abelian import (
     add_block,
     assemble_hom,
 )
-from .grid import GridSpec, VerticalFamily
+from .grid import ColumnConditionError, GridSpec, VerticalFamily
 from .leech import CochainGroup, floor_cochains, translation_failure
 
 SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
@@ -71,7 +71,8 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
     """Exact commutation test for every square up to the degree bound, each
     composed both ways on unproven floors; one floor passes vacuously."""
     return _double_complex_view(
-        family, *_floors_and_verticals(grid, family, p_max + 1), p_max, 0)
+        family.column_violations(),
+        *_floors_and_verticals(grid, family, p_max + 1), p_max, 0)
 
 
 Floor = tuple[list[CochainGroup], list[AbHom]]  # cochain groups, coboundaries
@@ -87,7 +88,8 @@ def _floors_and_verticals(grid: GridSpec, family: VerticalFamily, max_degree: in
         for f, ((source, _), (target, _)) in enumerate(zip(floors, floors[1:]))]
 
 
-def _double_complex_view(family: VerticalFamily, floors: Sequence[Floor],
+def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
+                         floors: Sequence[Floor],
                          verticals: Sequence[Sequence[AbHom]], p_max: int,
                          proven: int) -> DoubleComplexView:
     """``is_double_complex`` on floors built to degree p_max + 1; squares with
@@ -99,8 +101,7 @@ def _double_complex_view(family: VerticalFamily, floors: Sequence[Floor],
             f + d < proven
             or target[d].compose(vert[d]).equals(vert[d + 1].compose(source[d]))
             for d in range(p_max + 1)))
-    return DoubleComplexView(len(floors), p_max, tuple(rows),
-                             not family.column_violations())
+    return DoubleComplexView(len(floors), p_max, tuple(rows), not violations)
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,18 @@ class TotalComplex:
             failure = exc
             for _, coboundaries in floors:
                 _ComplexCohomology(coboundaries, translation_failure)
-        view = _double_complex_view(family, floors, verticals, n_max,
+        violations = family.column_violations()
+        view = _double_complex_view(violations, floors, verticals, n_max,
                                     n_max if failure is None else 0)
-        if not view.column_ok:
-            raise NotADoubleComplex(
-                "vertical maps do not square to zero down the columns", view)
+        if violations:
+            raise NotADoubleComplex(str(ColumnConditionError(violations)),
+                                    view)
         bad = view.first_failure
         if bad is not None:
             raise NotADoubleComplex(f"square at (floor {bad[0]}, degree "
                                     f"{bad[1]}) does not commute", view)
         if failure is not None:
             raise failure
-
-    def group(self, n: int) -> TotalGroup:
-        return self.levels[n]
 
     def differential(self, n: int) -> AbHom:
         if n == -1:

@@ -33,7 +33,6 @@ from moncoh.abelian import (
     add_block,
     assemble_hom,
     cohomology_at,
-    direct_sum,
     direct_sum_ngens,
     parse_group,
     presentation_to_canonical,
@@ -195,9 +194,9 @@ class TestFgAbGroup:
         assert FgAbGroup.from_invariants(g.orders) == g
 
     def test_direct_sum(self):
-        assert direct_sum([Zmod(2), Zmod(3)]) == Zmod(6)
-        assert direct_sum([Zmod(2), Zmod(4)]) == FgAbGroup(0, (2, 4))
-        assert direct_sum([Z, TRIVIAL_GROUP, Z]) == FgAbGroup(2)
+        assert DirectSum.of([Zmod(2), Zmod(3)]).total == Zmod(6)
+        assert DirectSum.of([Zmod(2), Zmod(4)]).total == FgAbGroup(0, (2, 4))
+        assert DirectSum.of([Z, TRIVIAL_GROUP, Z]).total == FgAbGroup(2)
 
 
 class TestAbHom:
@@ -939,7 +938,8 @@ class TestPresentationAndDirectSum:
         for g, k in pairs:
             multiplicity[g] = multiplicity.get(g, 0) + k
         groups = [g for g, k in multiplicity.items() for _ in range(k)]
-        assert direct_sum_ngens(multiplicity) == direct_sum(groups).ngens
+        assert direct_sum_ngens(multiplicity) == \
+            DirectSum.of(groups).total.ngens
 
     def test_generator_count_of_huge_sums(self):
         # counted, never built, and no order is factored

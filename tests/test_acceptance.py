@@ -12,12 +12,12 @@ import pytest
 
 from moncoh.abelian import (
     AbHom,
+    DirectSum,
     FgAbGroup,
     TRIVIAL_GROUP,
     Z,
     Zmod,
     cohomology_at,
-    direct_sum,
     smith_normal_form,
 )
 from moncoh.coeff import CoeffSystem, constant_system, group_action_system
@@ -321,7 +321,7 @@ def test_criterion_07_total_complex_shifted_sum():
         t1 = leech_cohomology_table(m1, c1, 3)
         for n in range(4):
             parts = [t0[n]] + ([t1[n - 1]] if n >= 1 else [])
-            want = direct_sum(parts)
+            want = DirectSum.of(parts).total
             got = tc.cohomology(n)
             if got != want:
                 failures.append(

@@ -204,12 +204,13 @@ class TestTotal:
         })
         code, text = run("total", root, grid="column")
         assert code == 1
-        assert text.endswith(
-            "grid column: FAIL vertical maps do not square to zero")
+        assert text.endswith("grid column: FAIL vertical maps do not square "
+                             "to zero at (floor 0, degree 0)")
         code, body = run_json("total", root, grid="column")
         assert body["results"] == [{
             "grid": "column", "pmax": 1, "commutes": False,
-            "error": "vertical maps do not square to zero"}]
+            "error": "vertical maps do not square to zero at "
+                     "(floor 0, degree 0)"}]
 
     def test_sign_named_in_report(self):
         _, text = run("total", sample_root(), grid="pair")

@@ -5,6 +5,7 @@ import pytest
 
 import moncoh.document
 from moncoh.abelian import AbHom, Z, Zmod
+from moncoh.cli import run_command
 from moncoh.document import (
     Defaults,
     Document,
@@ -307,6 +308,15 @@ class TestParse:
         root["grids"][0]["path"] = {"descend_at": [5, 3, 1]}
         assert parse_document(json.dumps(root)).grid("pair").path == \
             PathSpec("RD")
+
+    def test_rule_path_far_column(self):
+        # a descent a million columns out is one string, and validate walks
+        # the path only to the degree bound
+        root = sample_root()
+        root["grids"][0]["path"] = {"descend_at": [10**6]}
+        doc = parse_document(json.dumps(root))
+        assert doc.grid("pair").path == PathSpec("R" * 10**6 + "D")
+        assert run_command("validate", doc)[0] == 0
 
     def test_moves_and_rule_are_exclusive(self):
         root = sample_root()

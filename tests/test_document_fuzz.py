@@ -21,12 +21,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moncoh.cli import main
+from moncoh.cli import _HANDLERS, main
 from moncoh.document import DocumentError, parse_document
 
 from test_golden_cli import demo_document
-
-COMMANDS = ("validate", "leech", "square", "total", "fs", "h")
 
 
 def json_paths(node, prefix: tuple = ()) -> list[tuple]:
@@ -109,7 +107,7 @@ def test_mutated_demo_document_never_escapes(n_mutations, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(text, encoding="utf-8")
-        for command in COMMANDS:
+        for command in _HANDLERS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--input", str(path), "--pmax", "1",

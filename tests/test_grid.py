@@ -6,6 +6,7 @@ exercised randomly in the acceptance suite.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -27,7 +28,6 @@ from moncoh.grid import (
     VerticalFamily,
     classify_trivial,
     local_exactness_report,
-    path_from_rule,
     square_cohomology,
     validate_mixed_compositions,
     validate_path,
@@ -36,7 +36,6 @@ from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
 from moncoh.monoid import cyclic_group, trivial_monoid, union_monoid
 
 import oracles
-from catalog import monogenic_three
 from oracles import random_hom
 
 
@@ -108,37 +107,43 @@ class TestValidatePath:
 
 
 class TestPathFromRule:
-    def five_floor_grid(self):
-        floors = [const_floor(m, Zmod(2)) for m in
-                  (trivial_monoid(), cyclic_group(2), cyclic_group(3),
-                   cyclic_group(4), monogenic_three())]
-        return grid_of(*floors)
+    """PathSpec.descending_at, the path a document's descend_at names."""
 
     def test_prime_columns(self):
-        def is_prime(n):
-            return n >= 2 and all(n % d for d in range(2, n))
-        path = path_from_rule(is_prime, self.five_floor_grid(), 10)
+        # any order, repeats ignored, 11 dropped: five floors, four descents
+        path = PathSpec.descending_at([7, 2, 11, 5, 3, 2], 5)
         assert path.prefix_moves == "RRDRDRRDRRD"
 
     def test_late_first_descent(self):
-        def late_prime(n):
-            return n > 30 and all(n % d for d in range(2, n))
-        grid = grid_of(const_floor(cyclic_group(2), Z),
-                       const_floor(cyclic_group(3), Z),
-                       const_floor(cyclic_group(4), Z))
-        path = path_from_rule(late_prime, grid, 40)
+        path = PathSpec.descending_at([31, 37], 3)
         assert path.prefix_moves == "R" * 31 + "D" + "R" * 6 + "D"
 
     def test_never_fires(self):
-        path = path_from_rule(lambda j: False, self.five_floor_grid(), 10)
-        assert path.prefix_moves == ""
+        assert PathSpec.descending_at([], 5).prefix_moves == ""
 
     def test_clamped_at_bottom(self):
         grid = grid_of(const_floor(cyclic_group(2), Z),
                        const_floor(cyclic_group(3), Z))
-        path = path_from_rule(lambda j: True, grid, 3)
+        path = PathSpec.descending_at([0, 1, 2, 3], grid.floor_count)
         assert path.prefix_moves == "D"
         validate_path(path, grid)
+
+    def test_rejects_negative_column(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PathSpec.descending_at([-1, 3], 3)
+
+    def test_seeded_corpus_digest(self):
+        # 500 column lists (duplicates and any order) over grids of 1-5
+        # floors; the digest pins every move string
+        rng = random.Random(19)
+        moves = []
+        for _ in range(500):
+            cols = [rng.randint(0, 40) for _ in range(rng.randint(0, 8))]
+            moves.append(PathSpec.descending_at(
+                cols, rng.randint(1, 5)).prefix_moves)
+        digest = hashlib.sha256("\n".join(moves).encode()).hexdigest()
+        assert digest == ("77b51f727d54049c3fcd440240f5352c"
+                          "f8fefaf9d7e595e144819dbe75b687ba")
 
 
 class TestGridSpec:
@@ -358,7 +363,7 @@ def reference_maps(grid, family, moves, p_max):
     walked = PathSpec(moves).walk(p_max)
     steps = list(zip(walked, walked[1:]))
     maps = [full[f0].differential(d0) if f1 == f0
-            else family.hom(f0, full[f0].group(d0), full[f1].group(d0))
+            else family.hom(f0, full[f0].groups[d0], full[f1].groups[d0])
             for (f0, d0), (f1, _) in steps]
     tags = ["horizontal" if f1 == f0 else "vertical"
             for (f0, _), (f1, _) in steps]

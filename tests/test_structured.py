@@ -49,23 +49,18 @@ class TestDescriptors:
 
     def test_bare_set_is_the_empty_structure(self):
         assert StructureDescriptor.make([]).is_empty
-        assert StructureDescriptor.make([], []) == StructureDescriptor.empty()
+        assert StructureDescriptor.make([], []) == StructureDescriptor.make([])
+        assert not POSPACE.is_empty
 
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError, match="arity"):
             StructureDescriptor.make([(0, [])])
 
-    def test_rejects_inconsistent_empty_marker(self):
-        with pytest.raises(ValueError, match="empty marker"):
-            StructureDescriptor(((2, ()),), (), True)
-        with pytest.raises(ValueError, match="empty marker"):
-            StructureDescriptor((), (), False)
-
     def test_rejects_noncanonical_fields(self):
         with pytest.raises(ValueError, match="canonical"):
-            StructureDescriptor(((2, ("b", "a")),), (), False)
+            StructureDescriptor(((2, ("b", "a")),), ())
         with pytest.raises(ValueError, match="canonical"):
-            StructureDescriptor((), ("t", "t"), False)
+            StructureDescriptor((), ("t", "t"))
 
 
 def class_set(m, element: int) -> frozenset[int]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moncoh import abelian, totalcx
-from moncoh.abelian import AbHom, FgAbGroup, Z, Zmod, cohomology_at, direct_sum
+from moncoh.abelian import AbHom, DirectSum, FgAbGroup, Z, Zmod, cohomology_at
 from moncoh.coeff import constant_system, explicit_system
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
 from moncoh.leech import LeechComplex, leech_cohomology_table
@@ -91,7 +91,8 @@ class TestDetection:
                           (union_monoid([{"x"}]), Z))
         one = AbHom(Z, Z, ((1,),))
         family = VerticalFamily.explicit({(0, 0): one, (1, 0): one})
-        with pytest.raises(NotADoubleComplex, match="columns"):
+        with pytest.raises(NotADoubleComplex,
+                           match=r"zero at \(floor 0, degree 0\)"):
             TotalComplex(grid, family, 2)
 
 
@@ -113,7 +114,7 @@ class TestTotalCohomology:
             parts = [h0[n]]
             if n >= 1:
                 parts.append(h1[n - 1])
-            assert tot[n] == direct_sum(parts)
+            assert tot[n] == DirectSum.of(parts).total
 
     def test_zero_family_shifted_sum_on_catalog_pairs(self):
         pool = [m for m in small_monoids() if m.size <= 3]
@@ -126,7 +127,8 @@ class TestTotalCohomology:
             t1 = leech_cohomology_table(m1, constant_system(m1, Zmod(4)), 2)
             for n in range(3):
                 parts = [t0[n]] + ([t1[n - 1]] if n >= 1 else [])
-                assert tot[n] == direct_sum(parts), (m0.name, m1.name, n)
+                assert tot[n] == DirectSum.of(parts).total, \
+                    (m0.name, m1.name, n)
 
     def test_commuting_nonzero_family(self):
         # identity vertical at degree 0 between two copies of Z; the only
@@ -177,10 +179,10 @@ class TestTotalCohomology:
     def test_summand_layout(self):
         grid = const_grid((cyclic_group(2), Z), (cyclic_group(3), Z))
         cx = TotalComplex(grid, VerticalFamily.zero(), 2)
-        assert cx.group(0).summands == ((0, 0),)
-        assert cx.group(1).summands == ((0, 1), (1, 0))
-        assert cx.group(2).summands == ((0, 2), (1, 1))
-        assert cx.group(3).summands == ((0, 3), (1, 2))
+        assert cx.levels[0].summands == ((0, 0),)
+        assert cx.levels[1].summands == ((0, 1), (1, 0))
+        assert cx.levels[2].summands == ((0, 2), (1, 1))
+        assert cx.levels[3].summands == ((0, 3), (1, 2))
 
 
 def broken_floor():
@@ -360,7 +362,8 @@ class TestFailingInputs:
         view = is_double_complex(grid, family, n_max)
         assert not view.column_ok
         assert view.first_failure == ((1, 1) if n_max >= 1 else None)
-        with pytest.raises(NotADoubleComplex, match="columns") as caught:
+        with pytest.raises(NotADoubleComplex,
+                           match=r"zero at \(floor 0, degree 0\)") as caught:
             TotalComplex(grid, family, n_max)
         assert caught.value.view == view
 
@@ -385,7 +388,7 @@ def test_perturbed_families_match_the_view_or_the_reference(shape, n_max, data):
     if len(orders) == 3:
         keys += [(1, d) for d in range(n_max + 2)]
     for f, d in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
-        dom, cod = floors[f].group(d).total, floors[f + 1].group(d).total
+        dom, cod = floors[f].groups[d].total, floors[f + 1].groups[d].total
         if not dom.ngens or not cod.ngens:
             continue
         base = maps.get((f, d), AbHom.zero(dom, cod))
