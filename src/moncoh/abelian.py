@@ -27,7 +27,7 @@ Conventions
   form.  Its dense ``matrix`` is a view built on demand, for
   serialisation.
 * Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
-  matrices, the cone of the diagonal relations (see ``_ComplexCohomology``):
+  matrices, the cone of the diagonal relations (see ``CochainComplex``):
   the rank of one and the invariant factors of the other.  Both come from
   a sparse elimination with unit and divisor pivots that never builds a
   transform; only a residual it cannot pivot goes to dense Smith form.
@@ -142,6 +142,8 @@ Z = FgAbGroup(1)
 
 
 def Zmod(n: int) -> FgAbGroup:
+    if n < 1:
+        raise ValueError(f"Z/{n} needs n >= 1; Z/0 is Z")
     return FgAbGroup(0, (n,)) if n > 1 else TRIVIAL_GROUP
 
 
@@ -363,6 +365,14 @@ def check_shape(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> None
                 f"{ncols} generators")
 
 
+def _integers_only(lines: Sequence[Iterable[object]]) -> None:
+    """Raise ValueError at the first entry that is not an int or is a bool."""
+    if set(map(type, chain.from_iterable(lines))) - {int}:
+        for x in chain.from_iterable(lines):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"matrix entry {x!r} is not an integer")
+
+
 @dataclass(frozen=True, init=False)
 class AbHom:
     """Homomorphism of finitely generated abelian groups.
@@ -387,6 +397,7 @@ class AbHom:
                  matrix: Sequence[Sequence[int]]) -> None:
         ncols = domain.ngens
         check_shape(matrix, codomain.ngens, ncols)
+        _integers_only(matrix)
         cols: list[SparseColumn] = [{} for _ in range(ncols)]
         for i, row in enumerate(matrix):
             for j in compress(range(ncols), row):
@@ -398,6 +409,7 @@ class AbHom:
                      columns: Sequence[SparseColumn]) -> "AbHom":
         """The hom whose column j is the {row: entry} map ``columns[j]``;
         zero entries are dropped and the maps are copied, not kept."""
+        _integers_only([col.values() for col in columns])
         return cls._adopt(domain, codomain,
                           [{i: x for i, x in col.items() if x} for col in columns])
 
@@ -641,7 +653,7 @@ def _composite_quotient(outer: AbHom, inner: AbHom) -> list[SparseColumn] | None
     for an integer Y.  Each column of the product is formed sparsely and
     divided by R_N.  Returns the columns of -Y, the entry for torsion
     generator k of N at row m + k, m the generators of the middle group,
-    which is where the cone of ``_ComplexCohomology`` puts it; None when
+    which is where the cone of ``CochainComplex`` puts it; None when
     some column is not in the relation lattice.
     """
     if inner.codomain != outer.domain:
@@ -758,12 +770,12 @@ def _elementary_prime(groups: Iterable[FgAbGroup]) -> int | None:
     return orders.pop() if orders in ({2}, {3}) else None
 
 
-class _ComplexCohomology:
+class CochainComplex:
     """H^n = ker(d^n) / im(d^(n-1)) of a complex d^0, ..., d^(P-1), with
-    d^(-1) = 0, for 0 <= n < P; the engine of ``LeechComplex``,
-    ``TotalComplex``, ``PathCochain`` and ``cohomology_at``.  It takes one
-    of three routes: the cone, with the top rank certified over a small
-    field when it can be, or, for elementary p-groups, F_p ranks alone.
+    d^(-1) = 0, for 0 <= n < P; the base class of ``LeechComplex``,
+    ``TotalComplex`` and ``PathCochain`` and the engine of ``cohomology_at``.
+    It takes one of three routes: the cone, with the top rank certified over
+    a small field when it can be, or, for elementary p-groups, F_p ranks alone.
 
     The cone.  At degree n write L -> M -> N for the three groups, l, m, n
     for their numbers of generators, t_M, t_N for the torsion generators
@@ -876,8 +888,23 @@ class _ComplexCohomology:
                 self._top_skip = {r for r in pivots if r < mid.ngens}
         return diag
 
+    def _start(self) -> FgAbGroup:
+        """C^0, the codomain of d^(-1)."""
+        return self.differentials[0].domain
+
+    def _check(self, n: int, low: int) -> None:
+        if not low <= n < len(self.differentials):
+            raise ValueError(f"index {n} needs {low} <= n < {len(self.differentials)}")
+
+    def differential(self, n: int) -> AbHom:
+        """d^n for -1 <= n < P; d^(-1) is the zero map into C^0."""
+        self._check(n, -1)
+        return (self.differentials[n] if n >= 0
+                else AbHom.zero(TRIVIAL_GROUP, self._start()))
+
     def cohomology(self, n: int) -> FgAbGroup:
         """H^n for 0 <= n < P, computed on first request and kept."""
+        self._check(n, 0)
         group = self._groups.get(n)
         if group is None and self._prime:
             dim = self.differentials[n].domain.ngens - self._rank(n)
@@ -899,11 +926,9 @@ class _ComplexCohomology:
 
 def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     """ker(d_out) / im(d_in) at the shared middle group: H^1 of the
-    complex d_in, d_out (see ``_ComplexCohomology``)."""
-    if d_in.codomain != d_out.domain:
-        raise ShapeMismatch(
-            f"middle groups differ: {d_in.codomain} vs {d_out.domain}")
-    return _ComplexCohomology((d_in, d_out), lambda _: CompositionNonzero(
+    complex d_in, d_out (see ``CochainComplex``); ShapeMismatch when the
+    middle groups differ."""
+    return CochainComplex((d_in, d_out), lambda _: CompositionNonzero(
         "d_out after d_in is not the zero homomorphism")).cohomology(1)
 
 

@@ -80,7 +80,7 @@ def _fields(record) -> dict:
 
 def _square_payload(square, exact) -> dict:
     return {
-        "moves": square.moves,
+        "moves": square.cochain.path.prefix_moves,
         "positions": [_fields(e) for e in square.entries],
         "local_exactness": {
             "runs": [_fields(r) for r in exact.runs],

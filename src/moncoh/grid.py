@@ -11,9 +11,9 @@ The groups along a path form a cochain sequence.  It is a complex exactly
 when consecutive maps compose to zero: right-right pairs do when the
 floor's coefficient system satisfies the translation relations, down
 pairs need the family's column condition, and mixed pairs are a condition
-on the family.  PathCochain builds the groups and maps the walk reads and
-hands them to the same cohomology engine as a floor or total complex,
-which proves each consecutive pair once, in path order.
+on the family.  PathCochain builds the groups and maps the walk reads; it
+is a CochainComplex like a floor or total complex, so each consecutive
+pair is proven once at construction, in path order.
 square_cohomology reads H at every visited position and classifies each
 value by the shape of its flanking maps:
 
@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .abelian import AbHom, FgAbGroup, _ComplexCohomology
+from .abelian import AbHom, CochainComplex, FgAbGroup
 from .coeff import CoeffSystem
 from .leech import CochainGroup, coboundary, cochain_group, translation_failure
 from .monoid import FinMonoid
@@ -164,19 +164,17 @@ def validate_path(path: PathSpec, grid: GridSpec) -> None:
     a declared move below the bottom floor is an error even when
     truncation would hide it.
     """
-    floor = 0
-    bottom = grid.floor_count - 1
-    for k, move in enumerate(path.prefix_moves):
-        if move == "D":
-            if floor == bottom:
-                if grid.finite:
-                    raise DescentBelowBottomFloor(
-                        f"move {k} descends below floor {bottom}, the bottom "
-                        f"of a finite grid")
-                raise TooManyDescents(
-                    f"move {k} needs floor {floor + 1} but only "
-                    f"{grid.floor_count} floors were supplied")
-            floor += 1
+    moves, bottom = path.prefix_moves, grid.floor_count - 1
+    if moves.count("D") > bottom:
+        k = -1  # the descent from the bottom floor is the floor_count-th
+        for _ in range(grid.floor_count):
+            k = moves.find("D", k + 1)
+        if grid.finite:
+            raise DescentBelowBottomFloor(
+                f"move {k} descends below floor {bottom}, the bottom of a "
+                f"finite grid")
+        raise TooManyDescents(f"move {k} needs floor {bottom + 1} but only "
+                              f"{grid.floor_count} floors were supplied")
 
 
 @dataclass(frozen=True)
@@ -224,12 +222,13 @@ class VerticalFamily:
         return stored
 
 
-class PathCochain:
+class PathCochain(CochainComplex):
     """The cochain complex along a truncated path.
 
-    positions lists the couples with degree <= p_max; maps[k] leaves
-    positions[k], the last one landing on tail_position at degree
-    p_max + 1.  move_tags mirrors maps with horizontal/vertical labels.
+    positions lists the couples with degree <= p_max; differentials[k]
+    leaves positions[k], the last one landing at degree p_max + 1, and
+    cohomology(k) is H at positions[k].  move_tags mirrors differentials
+    with horizontal/vertical labels.
     Only what the walk reads is built: the cochain group of each walked
     position, one coboundary per horizontal move and one family map per
     descent.  Every consecutive pair of maps is proven to compose to zero
@@ -247,7 +246,6 @@ class PathCochain:
         self.p_max = p_max
         walked = path.walk(p_max)
         self.positions: tuple[Position, ...] = tuple(walked[:-1])
-        self.tail_position: Position = walked[-1]
         groups = [cochain_group(*grid.floors[f], d) for f, d in walked]
         maps: list[AbHom] = []
         tags: list[str] = []
@@ -259,27 +257,16 @@ class PathCochain:
             else:
                 maps.append(family.hom(f0, groups[k], groups[k + 1]))
                 tags.append("vertical")
-        self.maps: tuple[AbHom, ...] = tuple(maps)
         self.move_tags: tuple[str, ...] = tuple(tags)
         self.groups: tuple[CochainGroup, ...] = tuple(groups[:-1])
-        self._engine = _ComplexCohomology(maps, self._failure)
+        super().__init__(maps, self._failure)
 
     def _failure(self, k: int) -> Exception:
         if self.move_tags[k] == self.move_tags[k + 1] == "horizontal":
             return translation_failure(self.positions[k][1])
-        return MixedCompositionError(self.violation_at(k + 1))
-
-    def cohomology(self, k: int) -> FgAbGroup:
-        """H at positions[k]: ker(maps[k]) / im(maps[k - 1]), the map into
-        positions[0] being zero; computed once."""
-        return self._engine.cohomology(k)
-
-    def violation_at(self, k: int) -> CompositionViolation:
-        """The pair of maps around positions[k] with its product as the
-        witness; for k >= 1."""
-        return CompositionViolation(
-            k, self.positions[k], (self.move_tags[k - 1], self.move_tags[k]),
-            self.maps[k].compose(self.maps[k - 1]))
+        return MixedCompositionError(CompositionViolation(
+            k + 1, self.positions[k + 1], self.move_tags[k:k + 2],
+            self.differentials[k + 1].compose(self.differentials[k])))
 
 
 def validate_mixed_compositions(grid: GridSpec, family: VerticalFamily,
@@ -313,9 +300,6 @@ class SquareEntry:
 
 @dataclass(eq=False)
 class SquareReport:
-    finite: bool
-    p_max: int
-    moves: str
     entries: tuple[SquareEntry, ...]
     cochain: PathCochain
 
@@ -339,7 +323,8 @@ def classify_trivial(cochain: PathCochain) -> list[str]:
     zero blocks classify the same way as the zero family."""
     kinds = ["start"] + ["H" if tag == "horizontal" else
                          "V0" if hom.is_zero() else "V"
-                         for tag, hom in zip(cochain.move_tags, cochain.maps)]
+                         for tag, hom in zip(cochain.move_tags,
+                                             cochain.differentials)]
     return [_TAGS.get(pair, "extremal") for pair in zip(kinds, kinds[1:])]
 
 
@@ -373,8 +358,7 @@ def square_cohomology(grid: GridSpec, family: VerticalFamily, path: PathSpec,
             group=pc.cohomology(k),
             tag=tags[k],
         ))
-    return SquareReport(grid.finite, p_max, path.prefix_moves,
-                        tuple(entries), pc)
+    return SquareReport(tuple(entries), pc)
 
 
 @dataclass(frozen=True)
@@ -443,7 +427,7 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
                 + ", ".join(differing))
     pc = report.cochain
     runs: list[HorizontalRun] = []
-    n_moves = len(pc.maps)
+    n_moves = len(pc.differentials)
     for tag, group in itertools.groupby(range(n_moves),
                                         pc.move_tags.__getitem__):
         if tag != "horizontal":

@@ -33,11 +33,10 @@ from typing import Sequence
 
 from .abelian import (
     AbHom,
+    CochainComplex,
     DirectSum,
     FgAbGroup,
     SparseColumn,
-    TRIVIAL_GROUP,
-    _ComplexCohomology,
     assemble_hom,
     direct_sum_ngens,
 )
@@ -197,31 +196,17 @@ def floor_cochains(monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int
                     for k in range(max_degree)]
 
 
-class LeechComplex:
+class LeechComplex(CochainComplex):
     """Cochain groups C^0..C^P and coboundaries d^0..d^(P-1), with
     d o d = 0 verified once per pair at construction; each H^n is computed
     on first request and kept."""
 
     def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int):
-        self.groups, self.differentials = floor_cochains(monoid, coeffs, max_degree)
-        self.monoid, self.coeffs, self.max_degree = monoid, coeffs, max_degree
-        self._engine = _ComplexCohomology(self.differentials,
-                                          translation_failure)
+        self.groups, differentials = floor_cochains(monoid, coeffs, max_degree)
+        super().__init__(differentials, translation_failure)
 
-    def differential(self, n: int) -> AbHom:
-        """d^n for 0 <= n < max_degree; d^(-1) is the zero map into C^0."""
-        if n == -1:
-            return AbHom.zero(TRIVIAL_GROUP, self.groups[0].total)
-        return self.differentials[n]
-
-    def cohomology(self, n: int) -> FgAbGroup:
-        """H^n = ker(d^n) / im(d^(n-1)); needs n < max_degree.
-
-        Computed once per complex: later calls return the stored group.
-        """
-        if not 0 <= n < self.max_degree:
-            raise ValueError(f"H^{n} needs the complex built to degree {n + 1}")
-        return self._engine.cohomology(n)
+    def _start(self) -> FgAbGroup:
+        return self.groups[0].total
 
 
 def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,

@@ -22,11 +22,10 @@ from typing import Sequence
 
 from .abelian import (
     AbHom,
+    CochainComplex,
     DirectSum,
     FgAbGroup,
     SparseColumn,
-    TRIVIAL_GROUP,
-    _ComplexCohomology,
     add_block,
     assemble_hom,
 )
@@ -115,7 +114,7 @@ class TotalGroup:
         return self.dsum.total
 
 
-class TotalComplex:
+class TotalComplex(CochainComplex):
     """Groups Tot^0..Tot^(n_max + 1) and differentials D^0..D^(n_max), with
     D o D = 0 verified once per pair at construction; each H^n is computed
     on first request and kept.  complexes holds each floor's unproven groups
@@ -126,7 +125,6 @@ class TotalComplex:
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
         floors, verticals = _floors_and_verticals(grid, family, n_max + 1)
-        self.grid, self.family, self.n_max = grid, family, n_max
         self.complexes = floors
         # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
@@ -134,7 +132,7 @@ class TotalComplex:
             summands = tuple((p, n - p) for p in range(min(len(floors), n + 1)))
             self.levels.append(TotalGroup(n, summands, DirectSum.of(
                 [floors[p][0][q].total for p, q in summands])))
-        self.differentials: list[AbHom] = []
+        differentials: list[AbHom] = []
         for n in range(n_max + 1):
             src, tgt = self.levels[n].dsum, self.levels[n + 1].dsum
             columns: list[SparseColumn] = [
@@ -145,17 +143,16 @@ class TotalComplex:
                 if p < len(verticals) and not verticals[p][q].is_zero():
                     add_block(columns, tgt.offsets[p + 1], src.offsets[p],
                               verticals[p][q].columns, -1 if q % 2 else 1)
-            self.differentials.append(assemble_hom(src, tgt, columns))
+            differentials.append(assemble_hom(src, tgt, columns))
         failure = None
         try:
-            self._engine = _ComplexCohomology(
-                self.differentials, lambda n: AssertionError(
-                    f"total differential fails to square to zero between "
-                    f"degrees {n} and {n + 2}"))
+            super().__init__(differentials, lambda n: AssertionError(
+                f"total differential fails to square to zero between "
+                f"degrees {n} and {n + 2}"))
         except AssertionError as exc:
             failure = exc
             for _, coboundaries in floors:
-                _ComplexCohomology(coboundaries, translation_failure)
+                CochainComplex(coboundaries, translation_failure)
         violations = family.column_violations()
         view = _double_complex_view(violations, floors, verticals, n_max,
                                     n_max if failure is None else 0)
@@ -168,16 +165,6 @@ class TotalComplex:
                                     f"{bad[1]}) does not commute", view)
         if failure is not None:
             raise failure
-
-    def differential(self, n: int) -> AbHom:
-        if n == -1:
-            return AbHom.zero(TRIVIAL_GROUP, self.levels[0].total)
-        return self.differentials[n]
-
-    def cohomology(self, n: int) -> FgAbGroup:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"H^{n} is outside the built range 0..{self.n_max}")
-        return self._engine.cohomology(n)
 
 
 def total_cohomology(grid: GridSpec, family: VerticalFamily,

@@ -19,6 +19,7 @@ from moncoh import abelian
 from moncoh import intmat as im
 from moncoh.abelian import (
     AbHom,
+    CochainComplex,
     CompositionNonzero,
     DirectSum,
     FgAbGroup,
@@ -26,7 +27,6 @@ from moncoh.abelian import (
     TRIVIAL_GROUP,
     Z,
     Zmod,
-    _ComplexCohomology,
     _composite_quotient,
     _free_row_rank,
     _sparse_diagonal,
@@ -654,9 +654,9 @@ class TestComplexCohomology:
         d = [AbHom(Z, Z, ((4,),)), AbHom(Z, Zmod(4), ((2,),)),
              AbHom(Zmod(4), Zmod(4), ((1,),))]
         with pytest.raises(KeyError) as caught:
-            _ComplexCohomology(d, lambda k: KeyError(f"pair {k} to {k + 2}"))
+            CochainComplex(d, lambda k: KeyError(f"pair {k} to {k + 2}"))
         assert caught.value.args == ("pair 1 to 3",)
-        engine = _ComplexCohomology(d[:2], lambda k: AssertionError("unused"))
+        engine = CochainComplex(d[:2], lambda k: AssertionError("unused"))
         assert [engine.cohomology(n) for n in (1, 0)] == [Zmod(2), TRIVIAL_GROUP]
 
 
@@ -664,7 +664,7 @@ class TestTopColumnSkip:
     @staticmethod
     def skip_of(d_in, d_out):
         # the rows the engine leaves out of its top d_out
-        engine = _ComplexCohomology((d_in, d_out), AssertionError)
+        engine = CochainComplex((d_in, d_out), AssertionError)
         engine.cohomology(1)
         return engine._top_skip
 
@@ -812,7 +812,7 @@ class TestCertifiedTopRank:
         cx = LeechComplex(m, constant_system(m, Z), 4)
         assert [cx.cohomology(n).render() for n in range(3)] == [
             "Z", "0", "Z/6"]
-        skip = cx._engine._top_skip
+        skip = cx._top_skip
         kept = [c for j, c in enumerate(cx.differential(3).columns)
                 if c and j not in skip]
         for p in (2, 3):
@@ -1168,3 +1168,43 @@ def test_compose_after_a_zero_map_reads_no_column(monkeypatch):
     prod = AbHom.zero(inner.codomain, Zmod(2)).compose(inner)
     assert prod == AbHom.zero(FgAbGroup(2), Zmod(2))
     assert prod.columns == ({}, {}) and prod.columns[0] is not prod.columns[1]
+
+
+class TestIntegerEntriesOnly:
+    """The public AbHom constructors take int entries and no bool, the rule
+    of document matrices; Zmod takes n >= 1."""
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0, 0.0, True, False])
+    def test_dense_constructors_reject(self, entry):
+        for build in (AbHom, AbHom.from_rows):
+            with pytest.raises(ValueError, match=f"entry {entry!r} is not"):
+                build(Zmod(4), Zmod(4), [[entry]])
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True])
+    def test_from_columns_rejects(self, entry):
+        with pytest.raises(ValueError, match=f"entry {entry!r} is not"):
+            AbHom.from_columns(FgAbGroup(2), Z, [{0: 1}, {0: entry}])
+
+    def test_first_offender_is_named(self):
+        with pytest.raises(ValueError, match="entry 2.5 is not"):
+            AbHom(FgAbGroup(2), FgAbGroup(2), [[1, 2.5], [True, 3]])
+
+    def test_float_no_longer_reaches_the_engine(self):
+        with pytest.raises(ValueError, match="entry 1.5 is not"):
+            cohomology_at(AbHom(Z, Z, [[1.5]]), AbHom.zero(Z, Z))
+
+    def test_int_subclasses_other_than_bool_are_integers(self):
+        class Count(int):
+            pass
+
+        assert AbHom(Z, Z, [[Count(3)]]) == AbHom(Z, Z, [[3]])
+        assert AbHom.from_columns(Z, Z, [{0: Count(3)}]) == AbHom(Z, Z, [[3]])
+
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_zmod_rejects_nonpositive(self, n):
+        with pytest.raises(ValueError, match=f"Z/{n} needs n >= 1"):
+            Zmod(n)
+
+    def test_zmod_one_is_trivial(self):
+        assert Zmod(1) == TRIVIAL_GROUP
+        assert Zmod(6) == FgAbGroup(0, (6,))

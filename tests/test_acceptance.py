@@ -219,7 +219,7 @@ def test_criterion_03_trivial_position_equivalence(grid_corpus):
                         f"cochain group is {pc.groups[k].total}")
             elif entry.tag == "kernel_group":
                 checked += 1
-                h = pc.maps[k]
+                h = pc.differentials[k]
                 # the lattice reference shares no code with cohomology_at,
                 # which computed the entry
                 ker = lattice_cohomology_at(AbHom.zero(TRIVIAL_GROUP, h.domain), h)

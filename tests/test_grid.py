@@ -105,6 +105,42 @@ class TestValidatePath:
             PathCochain(self.two_floor(), VerticalFamily.zero(),
                         PathSpec("RRRRRRDD"), 2)
 
+    def test_long_prefix_names_the_move_and_floor(self):
+        path = PathSpec("R" * 10**6 + "DD")
+        with pytest.raises(DescentBelowBottomFloor) as caught:
+            validate_path(path, self.two_floor())
+        assert str(caught.value) == (
+            "move 1000001 descends below floor 1, the bottom of a finite grid")
+        with pytest.raises(TooManyDescents) as caught:
+            validate_path(path, self.two_floor(finite=False))
+        assert str(caught.value) == (
+            "move 1000001 needs floor 2 but only 2 floors were supplied")
+
+    @staticmethod
+    def walked_verdict(moves, grid):
+        """The error a walk over every move raises, or None: the reference
+        for the counting check."""
+        floor = 0
+        for k, move in enumerate(moves):
+            if move == "D":
+                if floor == grid.floor_count - 1:
+                    return (DescentBelowBottomFloor if grid.finite
+                            else TooManyDescents), k
+                floor += 1
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("RD", max_size=12), st.integers(1, 4), st.booleans())
+    def test_matches_a_walk_over_every_move(self, moves, floors, finite):
+        grid = grid_of(*(const_floor(cyclic_group(k), Z)
+                         for k in range(2, 2 + floors)), finite=finite)
+        expected = self.walked_verdict(moves, grid)
+        if expected is None:
+            validate_path(PathSpec(moves), grid)
+            return
+        with pytest.raises(expected[0], match=f"^move {expected[1]} "):
+            validate_path(PathSpec(moves), grid)
+
 
 class TestPathFromRule:
     """PathSpec.descending_at, the path a document's descend_at names."""
@@ -516,7 +552,7 @@ class TestWorkDoneOnce:
         # the top map certified by one F_2/F_3 rank, so not eliminated.
         # Over Z/2 every group is elementary: no cone and no top rank, one
         # F_2 rank per differential
-        maps = square.cochain.maps
+        maps = square.cochain.differentials
         assert proofs == Counter(
             {(id(maps[k + 1]), id(maps[k])): 1 for k in range(len(maps) - 1)})
         positions = len(square.entries)

@@ -379,7 +379,7 @@ class TestElementaryRoute:
         assert table_renders(cx.cohomology(n) for n in (4, 0, 2, 1, 3)) == [
             "Z/2"] * 5
         assert calls == [(2,)] * 5
-        assert not any(cx._engine._quotients)  # no -Y kept
+        assert not any(cx._quotients)  # no -Y kept
 
 
 def mixed_two_three_system():
