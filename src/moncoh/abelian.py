@@ -64,6 +64,17 @@ class CompositionNonzero(ValueError):
     """The two maps handed to ``cohomology_at`` do not compose to zero."""
 
 
+def _integers_only(lines: Iterable[Iterable[object]],
+                   what: str = "matrix entry") -> None:
+    """Raise ValueError at the first entry that is not an int or is a bool,
+    naming it as ``what``; one type test per entry at C level when all
+    are ints."""
+    if set(map(type, chain.from_iterable(lines))) - {int}:
+        for x in chain.from_iterable(lines):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{what} {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class FgAbGroup:
     """Finitely generated abelian group in invariant-factor form.
@@ -77,9 +88,10 @@ class FgAbGroup:
     ngens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        torsion = tuple(self.torsion)
+        _integers_only(((self.free_rank,), torsion), "group invariant")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        torsion = tuple(map(int, self.torsion))
         if torsion:
             low = min(torsion)
             if low < 2:
@@ -365,14 +377,6 @@ def check_shape(matrix: Sequence[Sequence[int]], nrows: int, ncols: int) -> None
                 f"{ncols} generators")
 
 
-def _integers_only(lines: Sequence[Iterable[object]]) -> None:
-    """Raise ValueError at the first entry that is not an int or is a bool."""
-    if set(map(type, chain.from_iterable(lines))) - {int}:
-        for x in chain.from_iterable(lines):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"matrix entry {x!r} is not an integer")
-
-
 @dataclass(frozen=True, init=False)
 class AbHom:
     """Homomorphism of finitely generated abelian groups.
@@ -409,6 +413,7 @@ class AbHom:
                      columns: Sequence[SparseColumn]) -> "AbHom":
         """The hom whose column j is the {row: entry} map ``columns[j]``;
         zero entries are dropped and the maps are copied, not kept."""
+        _integers_only(columns, "row key")
         _integers_only([col.values() for col in columns])
         return cls._adopt(domain, codomain,
                           [{i: x for i, x in col.items() if x} for col in columns])

@@ -78,71 +78,69 @@ class CoeffSystem:
                 and dict(self.rstar) == dict(other.rstar))
 
 
+_FAMILIES = (
+    ("left translation composition",
+     "translation by a*b differs from translating by b then a"),
+    ("right translation composition",
+     "translation by a*b differs from translating by a then b"),
+    ("mixed translation commutation",
+     "left translation by a and right translation by b do not commute"),
+)
+
+
 def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
     """Check all four translation-relation families over every element triple.
 
     A system stores the same map object under many pairs (the constant
-    system one identity for all of them), so each distinct (outer, inner)
-    pair of objects is composed once and each distinct pair of compared
-    objects is compared once.  Both memos are keyed by object identity,
-    which is stable because ``c`` and the memos hold every map for the
-    whole call.
+    system one identity for all of them), so the maps are numbered by
+    object identity, stable because ``c`` holds every map for the whole
+    call, and each relation is decided once per distinct combination of
+    numbers.  Only when some combination fails are the triples walked,
+    in order, to list the violations that map to it.
     """
     m = c.monoid
-    names = m.element_names
-    e = m.identity_index
-    out: list[RelationViolation] = []
+    t, r, e = m.table, range(m.size), m.identity_index
+    maps = list({id(h): h for h in (*c.lstar.values(), *c.rstar.values())}
+                .values())
+    number = {id(h): k for k, h in enumerate(maps)}
+    left = [[number[id(c.lstar[a, x])] for x in r] for a in r]
+    right = [[number[id(c.rstar[a, x])] for x in r] for a in r]
     composites: dict[tuple[int, int], AbHom] = {}
-    verdicts: dict[tuple[int, int], bool] = {}
 
-    def compose(outer: AbHom, inner: AbHom) -> AbHom:
-        key = (id(outer), id(inner))
-        h = composites.get(key)
-        if h is None:
-            h = composites[key] = outer.compose(inner)
-        return h
+    def compose(outer: int, inner: int) -> AbHom:
+        if (outer, inner) not in composites:
+            composites[outer, inner] = maps[outer].compose(maps[inner])
+        return composites[outer, inner]
 
-    def equal(lhs: AbHom, rhs: AbHom) -> bool:
-        key = (id(lhs), id(rhs))
-        v = verdicts.get(key)
-        if v is None:
-            v = verdicts[key] = lhs.equals(rhs)
-        return v
+    # per triple, one key per family of _FAMILIES: (lhs, outer, inner) for
+    # the two composition families, (outer, inner, outer, inner) for the
+    # commutation
+    keys = [(a, b, x,
+             (left[t[a][b]][x], left[a][t[b][x]], left[b][x]),
+             (right[t[a][b]][x], right[b][t[x][a]], right[a][x]),
+             (right[b][t[a][x]], left[a][x], left[a][t[x][b]], right[b][x]))
+            for a in r for b in r for x in r]
+    identity = {h: maps[h].equals(AbHom.identity(maps[h].domain))
+                for h in {*left[e], *right[e]}}
+    holds = {k: (maps[k[0]].equals(compose(k[1], k[2])) if len(k) == 3
+                 else compose(k[0], k[1]).equals(compose(k[2], k[3])))
+             for k in {k for triple in keys for k in triple[3:]}}
+    if all(identity.values()) and all(holds.values()):
+        return []
 
-    for x in range(m.size):
-        ident = AbHom.identity(c.groups[x])
-        if not c.lstar[(e, x)].equals(ident):
-            out.append(RelationViolation(
-                "identity translation", (names[x],),
-                "left translation by the identity is not the identity map"))
-        if not c.rstar[(e, x)].equals(ident):
-            out.append(RelationViolation(
-                "identity translation", (names[x],),
-                "right translation by the identity is not the identity map"))
-
-    for a in range(m.size):
-        for b in range(m.size):
-            for x in range(m.size):
-                lhs = c.lstar[(m.mul(a, b), x)]
-                rhs = compose(c.lstar[(a, m.mul(b, x))], c.lstar[(b, x)])
-                if not equal(lhs, rhs):
-                    out.append(RelationViolation(
-                        "left translation composition", (names[a], names[b], names[x]),
-                        "translation by a*b differs from translating by b then a"))
-
-                lhs = c.rstar[(m.mul(a, b), x)]
-                rhs = compose(c.rstar[(b, m.mul(x, a))], c.rstar[(a, x)])
-                if not equal(lhs, rhs):
-                    out.append(RelationViolation(
-                        "right translation composition", (names[a], names[b], names[x]),
-                        "translation by a*b differs from translating by a then b"))
-
-                lhs = compose(c.rstar[(b, m.mul(a, x))], c.lstar[(a, x)])
-                rhs = compose(c.lstar[(a, m.mul(x, b))], c.rstar[(b, x)])
-                if not equal(lhs, rhs):
-                    out.append(RelationViolation(
-                        "mixed translation commutation", (names[a], names[b], names[x]),
-                        "left translation by a and right translation by b do not commute"))
+    names = m.element_names
+    out: list[RelationViolation] = []
+    for x in r:
+        for family, side in ((left, "left"), (right, "right")):
+            if not identity[family[e][x]]:
+                out.append(RelationViolation(
+                    "identity translation", (names[x],),
+                    f"{side} translation by the identity is not the identity map"))
+    for a, b, x, *triple in keys:
+        for k, (relation, detail) in zip(triple, _FAMILIES):
+            if not holds[k]:
+                out.append(RelationViolation(
+                    relation, (names[a], names[b], names[x]), detail))
     return out
 
 

@@ -1199,6 +1199,29 @@ class TestIntegerEntriesOnly:
 
         assert AbHom(Z, Z, [[Count(3)]]) == AbHom(Z, Z, [[3]])
         assert AbHom.from_columns(Z, Z, [{0: Count(3)}]) == AbHom(Z, Z, [[3]])
+        assert AbHom.from_columns(Z, FgAbGroup(2), [{Count(1): 2}]) == AbHom(
+            Z, FgAbGroup(2), [[0], [2]])
+        assert FgAbGroup(Count(1), (Count(2),)) == FgAbGroup(1, (2,))
+
+    @pytest.mark.parametrize("key", [0.5, 1.0, True, False, "0"])
+    def test_from_columns_rejects_row_keys(self, key):
+        # a float key once passed the range test and then read as zero
+        with pytest.raises(ValueError, match=f"^row key {key!r} is not an integer$"):
+            AbHom.from_columns(Z, FgAbGroup(2), [{key: 1}])
+
+    def test_non_integer_row_key_no_longer_reaches_the_engine(self):
+        with pytest.raises(ValueError, match="^row key 0.5 is not an integer$"):
+            cohomology_at(AbHom.zero(TRIVIAL_GROUP, Z),
+                          AbHom.from_columns(Z, FgAbGroup(2), [{0.5: 1}]))
+
+    @pytest.mark.parametrize("free, torsion, bad", [
+        (0, (2.5,), "2.5"), (True, (2,), "True"), (0, (2, 4.0), "4.0"),
+        (1.0, (), "1.0"), (0, (False,), "False")])
+    def test_groups_reject_non_integer_invariants(self, free, torsion, bad):
+        # (0, (2.5,)) rendered Z/2 and (True, (2,)) Z x Z/2 before
+        with pytest.raises(ValueError,
+                           match=f"^group invariant {bad} is not an integer$"):
+            FgAbGroup(free, torsion)
 
     @pytest.mark.parametrize("n", [0, -1, -4])
     def test_zmod_rejects_nonpositive(self, n):

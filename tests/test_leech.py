@@ -22,14 +22,17 @@ from moncoh.coeff import (
 )
 from moncoh.leech import (
     LeechComplex,
+    MorseLeechComplex,
     cochain_group,
     cochain_ngens,
     coboundary,
     leech_cohomology_table,
+    one_level_matching,
 )
 from moncoh.monoid import cyclic_group, power_set_monoid, trivial_monoid, union_monoid
 
 from catalog import (
+    chain_semilattice,
     left_zero_adjoined,
     monogenic_three,
     negation_on_integers,
@@ -41,6 +44,7 @@ from oracles import (
     bar_cohomology_dims_mod_p,
     dense_coboundary,
     lattice_cohomology_at,
+    reference_validate_relations,
     uct_cohomology_table,
 )
 
@@ -447,9 +451,8 @@ class TestSparseConstruction:
             assert all(len(image) == 1 and 1 in image.values()
                        for image in dsum.to_total)
 
-    def test_table_builds_no_dense_matrix(self, monkeypatch):
-        # the differentials stay sparse columns; a dense view is built only
-        # when something reads .matrix, and nothing on this path does
+    @staticmethod
+    def record_assembly(monkeypatch) -> list[AbHom]:
         built = []
         assemble = leech.assemble_hom
 
@@ -458,12 +461,31 @@ class TestSparseConstruction:
             return built[-1]
 
         monkeypatch.setattr(leech, "assemble_hom", recording)
+        return built
+
+    def test_table_builds_no_dense_matrix(self, monkeypatch):
+        # the differentials stay sparse columns; a dense view is built only
+        # when something reads .matrix, and nothing on this path does
+        built = self.record_assembly(monkeypatch)
+        m = power_set_monoid(3)
+        cx = LeechComplex(m, constant_system(m, Z), 4)
+        table = [cx.cohomology(n) for n in range(4)]
+        assert table_renders(table) == ["Z", "0", "0", "0"]
+        assert len(built) == 4
+        assert not any("matrix" in vars(d) for d in built)
+        assert len(built[-1].matrix) == 2401
+        assert "matrix" in vars(built[-1])
+
+    def test_reduced_table_builds_no_dense_matrix(self, monkeypatch):
+        # the same for the Morse-reduced complex behind the table, whose
+        # d^3 has one row per critical cell of degree 4: 17 * 7^2 of 7^4
+        built = self.record_assembly(monkeypatch)
         m = power_set_monoid(3)
         table = leech_cohomology_table(m, constant_system(m, Z), 3)
         assert table_renders(table) == ["Z", "0", "0", "0"]
         assert len(built) == 4
         assert not any("matrix" in vars(d) for d in built)
-        assert len(built[-1].matrix) == 2401
+        assert len(built[-1].matrix) == 833
         assert "matrix" in vars(built[-1])
 
 
@@ -483,3 +505,123 @@ class TestComplexApi:
     def test_monogenic_catalog_entry_has_collapsing_table(self):
         m = monogenic_three()
         assert m.mul(1, 1) == 2 and m.mul(1, 2) == 2 and m.mul(2, 2) == 2
+
+
+def z4_sign_on_one_generator():
+    """Z/4 over Z with left translation by 1 negating and by 2, 3 fixing: not
+    multiplicative, so the translation relations break."""
+    m = cyclic_group(4)
+    minus = AbHom(Z, Z, ((-1,),))
+    lstar = {(a, x): minus if a == 1 else AbHom.identity(Z)
+             for a in range(4) for x in range(4)}
+    rstar = {(a, x): AbHom.identity(Z) for a in range(4) for x in range(4)}
+    return m, explicit_system(m, [Z] * 4, lstar, rstar)
+
+
+class TestMorseReduction:
+    """Leech tables come from the complex reduced along the one-level
+    matching; the full complex is the reference."""
+
+    def test_tables_match_the_full_complex_across_catalog(self):
+        systems = [(m, c) for m in small_monoids() for c in systems_for(m)]
+        systems.append((cyclic_group(2), swap_action_system()))
+        reduced = 0
+        for m, c in systems:
+            full = LeechComplex(m, c, 5)
+            assert leech_cohomology_table(m, c, 4) == [
+                full.cohomology(n) for n in range(5)], (m.name, c.groups)
+            reduced += bool(one_level_matching(m)[1])
+        assert reduced >= 20
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_cyclic_critical_cells(self, k):
+        m = cyclic_group(k)
+        gens, pairs, length = one_level_matching(m)
+        assert gens == [1]
+        assert pairs == {(1, a - 1): a for a in range(2, k)}
+        assert length == list(range(k))
+        cx = MorseLeechComplex(m, constant_system(m, Z), 5,
+                               (gens, pairs, length))
+        assert [len(cells) for cells in cx.cells] == [
+            1, 1, 1, k - 1, (k - 1) ** 2, (k - 1) ** 3]
+
+    def test_power_set_critical_cells(self):
+        m = power_set_monoid(2)
+        cx = MorseLeechComplex(m, constant_system(m, Z), 4,
+                               one_level_matching(m))
+        assert [len(cells) for cells in cx.cells] == [1, 2, 5, 15, 45]
+
+    def test_chain_semilattice_has_no_matched_pair(self, monkeypatch):
+        # every element is its own generator, so the full complex runs and
+        # the relations are not checked for it
+        checked = []
+        monkeypatch.setattr(leech, "validate_relations",
+                            lambda c: checked.append(c) or [])
+        for n in (1, 2, 3):
+            m = chain_semilattice(n)
+            assert one_level_matching(m)[:2] == (m.non_identity(), {})
+            c = constant_system(m, Z)
+            assert leech_cohomology_table(m, c, 3) == [
+                LeechComplex(m, c, 4).cohomology(k) for k in range(4)]
+        assert checked == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_cyclic_group_integral_cohomology_to_degree_eight(self, k):
+        m = cyclic_group(k)
+        table = table_renders(leech_cohomology_table(m, constant_system(m, Z), 8))
+        odd, even = "0", (f"Z/{k}" if k > 1 else "0")
+        assert table == ["Z"] + [odd if n % 2 else even for n in range(1, 9)]
+
+    def test_z8_over_z6_to_degree_five(self):
+        # the full complex runs out of memory here; the table is the sum of
+        # the Z/2 and Z/3 tables
+        m = cyclic_group(8)
+        assert table_renders(leech_cohomology_table(
+            m, constant_system(m, Zmod(6)), 5)) == ["Z/6"] + ["Z/2"] * 5
+
+    def test_broken_relations_raise_as_the_full_complex_does(self):
+        m, c = z4_sign_on_one_generator()
+        assert one_level_matching(m)[1] and validate_relations(c)
+        with pytest.raises(AssertionError) as full:
+            LeechComplex(m, c, 5)
+        with pytest.raises(AssertionError) as table:
+            leech_cohomology_table(m, c, 4)
+        assert str(table.value) == str(full.value)
+        assert "does not satisfy the translation relations" in str(full.value)
+
+    def test_deduplicated_relations_match_the_reference(self):
+        m, broken = z4_sign_on_one_generator()
+        systems = [c for m in small_monoids() for c in systems_for(m)]
+        systems += [swap_action_system(), broken]
+        for c in systems:
+            want = reference_validate_relations(c)
+            assert validate_relations(c) == want, (c.monoid.name, c.groups)
+        assert validate_relations(broken)
+
+    def test_full_complex_never_built(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("full complex built")
+
+        monkeypatch.setattr(LeechComplex, "__init__", refuse)
+        m = cyclic_group(4)
+        assert table_renders(leech_cohomology_table(
+            m, constant_system(m, Z), 4)) == ["Z", "0", "Z/4", "0", "Z/4"]
+
+    @pytest.mark.parametrize("max_degree", [0, 3])
+    def test_zero_map_into_degree_zero(self, max_degree):
+        m = cyclic_group(4)
+        cx = MorseLeechComplex(m, constant_system(m, Zmod(4)), max_degree,
+                               one_level_matching(m))
+        assert cx.differential(-1) == AbHom.zero(TRIVIAL_GROUP, Zmod(4))
+
+    def test_rejects_what_the_full_complex_rejects(self):
+        c = constant_system(cyclic_group(3), Z)
+        with pytest.raises(ValueError, match="different monoid"):
+            MorseLeechComplex(cyclic_group(4), c, 2,
+                              one_level_matching(c.monoid))
+        with pytest.raises(ValueError, match="different monoid"):
+            leech_cohomology_table(cyclic_group(4), c, 2)
+        with pytest.raises(ValueError, match="max degree must be nonnegative"):
+            MorseLeechComplex(cyclic_group(3), c, -1,
+                              one_level_matching(c.monoid))
+        assert leech_cohomology_table(cyclic_group(3), c, -1) == []
