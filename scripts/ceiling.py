@@ -40,7 +40,8 @@ from moncoh.leech import LeechComplex, cochain_ngens
 ROWS = [("P(3)", "Z", 4, "full"), ("Z/8", "Z", 4, "full"),
         ("P(4)", "Z", 3, "full"), ("Z/8", "Z/2", 4, "full"),
         ("P(3)", "Z/2", 4, "full"), ("Z/8", "Z", 5, "full"),
-        ("Z/8", "Z/2", 5, "full"), ("Z/8", "Z/6", 5, "table"),
+        ("Z/8", "Z/2", 5, "full"), ("Z/8", "Z/4", 4, "full"),
+        ("Z/8", "Z/6", 4, "full"), ("Z/8", "Z/6", 5, "table"),
         ("Z/8", "Z x Z/2", 5, "table"), ("Z/8", "Z", 6, "table")]
 
 

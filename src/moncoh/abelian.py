@@ -29,8 +29,8 @@ Conventions
 * Cohomology ``ker(d_out) / im(d_in)`` is read off two free integer
   matrices, the cone of the diagonal relations (see ``CochainComplex``):
   the rank of one and the invariant factors of the other.  Both come from
-  a sparse elimination with unit and divisor pivots that never builds a
-  transform; only a residual it cannot pivot goes to dense Smith form.
+  one sparse elimination by unit and Euclid pivots that builds no
+  transform and no dense matrix.
   The rank of the top differential is first taken over F_2 and F_3 on
   bit-packed rows, and is certified when it reaches its upper bound; a
   complex of groups (Z/p)^k, p = 2 or 3, is a complex of F_p vector
@@ -117,7 +117,9 @@ class FgAbGroup:
         elements, and the k-th invariant factor from the top multiplies
         the k-th largest exponent of each base element.
         """
-        facs = [abs(int(f)) for f in factors]
+        facs = list(factors)
+        _integers_only([facs], "group invariant")
+        facs = [abs(f) for f in facs]
         free = sum(1 for f in facs if f == 0)
         tors = sorted(f for f in facs if f > 1)
         if all(b % a == 0 for a, b in zip(tors, tors[1:])):
@@ -154,6 +156,7 @@ Z = FgAbGroup(1)
 
 
 def Zmod(n: int) -> FgAbGroup:
+    _integers_only([[n]], "group invariant")
     if n < 1:
         raise ValueError(f"Z/{n} needs n >= 1; Z/0 is Z")
     return FgAbGroup(0, (n,)) if n > 1 else TRIVIAL_GROUP
@@ -560,22 +563,21 @@ def _sparse_diagonal(columns: Iterable[SparseColumn],
                      pivot_rows: list[int] | None = None) -> list[int]:
     """Nonzero diagonal of a diagonal matrix equivalent to the given one.
 
-    The columns are consumed.  A pivot p is taken only when it divides
-    every entry of its row and its column; its row and column are then
-    deleted through the Schur update a_ij -= a_ic * a_rj / p, which is an
-    equivalence, and |p| is recorded.  Unit pivots come first, in sweeps
-    over the columns shortest first, each column pivoting on the unit
-    whose row is shortest, which keeps the Markowitz cost
+    The columns are consumed.  A pivot p that divides its row and column
+    is removed with them by the Schur update a_ij -= a_ic * a_rj / p, and
+    |p| is recorded.  Sweeps over the columns, shortest first, pivot each
+    on the unit whose row is shortest, which keeps the Markowitz cost
     (|column| - 1)(|row| - 1) and with it the fill-in low.  When a sweep
-    finds no unit, one looks for divisor pivots instead.  What is left
-    goes to ``smith_normal_form``.  The multiset is a diagonal, not
-    necessarily a divisibility chain; ``FgAbGroup.from_invariants``
-    canonicalizes it.
+    finds none, the next isolates a least entry of each column by Euclid
+    steps: the pivot p moves to the least entry of its row, column steps
+    reduce the row mod p, and once p divides it row steps reduce p's
+    column; a remainder becomes the pivot, so |p| falls until p goes.
+    Every step is unimodular and nothing dense is built.  The result need
+    not be a chain; ``FgAbGroup.from_invariants`` makes it one.
 
-    When ``pivot_rows`` is given, the row of every unit and divisor pivot
-    is appended to it.  Those rows, with the pivot columns, index a
-    nonsingular minor of the given matrix, the product of the pivots up to
-    sign; the residual's pivots are not recorded.
+    Given ``pivot_rows``, each pivot's row is appended to it up to the
+    first row step that leaves a remainder: column steps and exact row
+    steps by a recorded row keep the given matrix full rank on them.
     """
     cols = {j: c for j, c in enumerate(columns) if c}
     rows: dict[int, set[int]] = {}
@@ -584,34 +586,35 @@ def _sparse_diagonal(columns: Iterable[SparseColumn],
             rows.setdefault(i, set()).add(j)
     diag: list[int] = []
 
+    def subtract(j: int, f: int, col_c: SparseColumn) -> None:
+        # column j -= f * col_c, for f != 0
+        col_j = cols[j]
+        for i, v in col_c.items():
+            x = col_j.get(i)
+            if x is None:
+                col_j[i] = -f * v
+                rows[i].add(j)
+            elif x == f * v:
+                del col_j[i]
+                rows[i].discard(j)
+            else:
+                col_j[i] = x - f * v
+        if not col_j:
+            del cols[j]
+
     def eliminate(r: int, c: int) -> None:
         col_c = cols.pop(c)
         p = col_c.pop(r)
         for i in col_c:
             rows[i].discard(c)
-        row_r = rows.pop(r)
-        row_r.discard(c)
-        for j in row_r:
-            col_j = cols[j]
-            f = col_j.pop(r) // p
-            for i, v in col_c.items():
-                x = col_j.get(i)
-                if x is None:
-                    col_j[i] = -f * v
-                    rows[i].add(j)
-                elif x == f * v:
-                    del col_j[i]
-                    rows[i].discard(j)
-                else:
-                    col_j[i] = x - f * v
-            if not col_j:
-                del cols[j]
+        for j in rows.pop(r) - {c}:
+            subtract(j, cols[j].pop(r) // p, col_c)
         diag.append(abs(p))
         if pivot_rows is not None:
             pivot_rows.append(r)
 
-    def unit_sweep() -> bool:
-        found = False
+    while cols:
+        before = len(diag)
         for c in sorted(cols, key=lambda j: len(cols[j])):
             best = None
             for r, v in cols.get(c, {}).items():
@@ -621,32 +624,28 @@ def _sparse_diagonal(columns: Iterable[SparseColumn],
                         break
             if best is not None:
                 eliminate(best, c)
-                found = True
-        return found
-
-    def divisor_sweep() -> bool:
-        found = False
-        for c in sorted(cols, key=lambda j: len(cols[j])):
-            for r, p in sorted(cols.get(c, {}).items(), key=lambda e: abs(e[1])):
-                if (all(v % p == 0 for v in cols[c].values())
-                        and all(cols[j][r] % p == 0 for j in rows[r])):
-                    eliminate(r, c)
-                    found = True
+        if len(diag) > before:
+            continue
+        for k in sorted(cols, key=lambda j: len(cols[j])):  # no unit is left
+            if k not in cols:
+                continue
+            r = min(cols[k], key=lambda i: abs(cols[k][i]))
+            while True:  # Euclid steps, until p divides its row and column
+                c = min(rows[r], key=lambda j: abs(cols[j][r]))
+                col_c, p = cols[c], cols[c][r]
+                for j in rows[r] - {c}:
+                    subtract(j, cols[j][r] // p, col_c)
+                if len(rows[r]) > 1:  # column steps left remainders in row r
+                    continue
+                kept = {i: v % p for i, v in col_c.items() if v % p}  # row r is p e_c
+                if not kept:
                     break
-        return found
-
-    while cols and (unit_sweep() or divisor_sweep()):
-        pass
-
-    if cols:
-        keep = sorted({i for c in cols.values() for i in c})
-        pos = {i: k for k, i in enumerate(keep)}
-        residual = im.zeros(len(keep), len(cols))
-        for k, c in enumerate(cols.values()):
-            for i, v in c.items():
-                residual[pos[i]][k] = v
-        dec = smith_normal_form(residual, shape=(len(keep), len(cols)))
-        diag.extend(x for x in dec.diagonal if x)
+                pivot_rows = None  # a remainder row step mixes rows
+                for i in col_c.keys() - kept.keys() - {r}:
+                    rows[i].discard(c)
+                cols[c] = {r: p, **kept}
+                r = min(kept, key=lambda i: abs(kept[i]))
+            eliminate(r, c)
     return diag
 
 
@@ -744,11 +743,11 @@ def _field_rank(columns: Iterable[SparseColumn], primes: Sequence[int],
 def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
     """Rank of the free rows F of D_out, the columns in ``skip`` left out.
 
-    Leaving out the rows of the cone B's unit and divisor pivots that
-    index the middle group keeps the rank over Q: those rows index a
-    nonsingular minor of im D_in + im R_M, on which F D_out vanishes
-    because D_out D_in = R_N Y and D_out R_M = R_N X while F R_N = 0, so
-    each skipped column of F D_out is a combination of the others.
+    Leaving out the cone B's recorded pivot rows that index the middle
+    group keeps the rank over Q: those rows index a nonsingular minor of
+    im D_in + im R_M, on which F D_out vanishes because D_out D_in = R_N Y
+    and D_out R_M = R_N X while F R_N = 0, so each skipped column of
+    F D_out is a combination of the others.
 
     The rank over Q is at most the number of kept columns and at least
     their rank over any F_p, so an F_2 or F_3 rank that reaches that
@@ -822,7 +821,7 @@ class CochainComplex:
     uses does not depend on the order in which degrees are asked for.
 
     The certified top rank.  Only the top d^(P-1) is ranked as free rows,
-    without the columns that were pivot rows of B_(P-1) (see
+    without the columns that were recorded pivot rows of B_(P-1) (see
     ``_free_row_rank``).  Its rank over Q is at most the number of
     columns kept and at least its rank over any field F_p, since a minor
     that is nonzero mod p is nonzero.  So an F_2 or F_3 rank that reaches

@@ -7,12 +7,13 @@ line; each case says which.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moncoh import abelian
@@ -835,6 +836,40 @@ class TestCertifiedTopRank:
         assert True in calls
 
 
+UNIT_FREE = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, 9, 10, 15])
+
+
+@st.composite
+def unit_free_matrices(draw):
+    """A tall (up to 40 x 4) or wide (up to 4 x 40) matrix with no unit
+    entry, and its number of columns."""
+    short, long = draw(st.integers(0, 4)), draw(st.integers(0, 40))
+    rows, cols = (long, short) if draw(st.booleans()) else (short, long)
+    row = st.lists(UNIT_FREE, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows)), cols
+
+
+@contextlib.contextmanager
+def no_dense_matrices():
+    """Make the dense Smith form and every intmat builder raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abelian, "smith_normal_form", refuse)
+        for name in ("zeros", "identity", "freeze", "matmul"):
+            patch.setattr(im, name, refuse)
+        yield
+
+
+def rows_independent(a, cols, pivot_rows):
+    """The rows ``pivot_rows`` of the dense matrix ``a`` are distinct and
+    of full rank, by the dense Smith form."""
+    sub = [a[r] for r in pivot_rows]
+    return (len(set(pivot_rows)) == len(sub)
+            and smith_normal_form(sub, shape=(len(sub), cols)).rank == len(sub))
+
+
 class TestSparseDiagonal:
     @staticmethod
     def canonical(diag):
@@ -855,7 +890,7 @@ class TestSparseDiagonal:
         assert self.canonical(_sparse_diagonal([{0: 2, 1: 6}, {0: 4, 1: 8}])) == (
             2, FgAbGroup(0, (2, 4)))
         # 2 at row 0 is a divisor pivot; no entry of [[2, 3], [3, 2]]
-        # divides its row, so that block goes to smith_normal_form: (1, 5)
+        # divides its row, so that block takes Euclid steps: (1, 5)
         cols = [{0: 2}, {1: 2, 2: 3}, {1: 3, 2: 2}]
         assert self.canonical(_sparse_diagonal(cols)) == (3, Zmod(10))
 
@@ -867,6 +902,86 @@ class TestSparseDiagonal:
         want = smith_normal_form(a, shape=(rows, cols)).diagonal
         got = _sparse_diagonal(self.sparse_columns(a, cols))
         assert self.canonical(got) == self.canonical(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_free_matrices())
+    def test_unit_free_matches_smith_normal_form(self, case):
+        a, cols = case
+        want = smith_normal_form(a, shape=(len(a), cols)).diagonal
+        with no_dense_matrices():
+            got = _sparse_diagonal(self.sparse_columns(a, cols))
+        assert self.canonical(got) == self.canonical(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_free_matrices())
+    # recording the rows of pivots taken after a remainder row step gives
+    # rows 1, 2, 0 and 4 here, which are dependent
+    @example(([[0, 0, 0, -2], [2, 2, 0, 9], [6, 9, 2, 6], [-3, 15, 2, 9],
+               [0, 6, 4, -3]], 4))
+    def test_recorded_rows_are_independent(self, case):
+        a, cols = case
+        pivot_rows = []
+        _sparse_diagonal(self.sparse_columns(a, cols), pivot_rows)
+        assert rows_independent(a, cols, pivot_rows)
+
+    def test_recording_stops_at_a_remainder_row_step(self):
+        # 2 at row 0 divides its row and column and is recorded; column
+        # steps alone isolate the pivots of [[2, 3], [3, 2]], so its rows
+        # are recorded too
+        pivot_rows = []
+        cols = [{0: 2}, {1: 2, 2: 3}, {1: 3, 2: 2}]
+        assert self.canonical(_sparse_diagonal(cols, pivot_rows)) == (3, Zmod(10))
+        assert pivot_rows == [0, 1, 2]
+        # the column (2, 3)^T needs the row step row 2 -= row 1, which
+        # leaves the remainder 1, so neither of its rows is recorded
+        pivot_rows = []
+        cols = [{0: 2}, {1: 2, 2: 3}]
+        assert self.canonical(_sparse_diagonal(cols, pivot_rows)) == (2, Zmod(2))
+        assert pivot_rows == [0]
+
+    def test_recorded_rows_of_catalog_cones_are_independent(self, monkeypatch):
+        cones = []
+        real = abelian._sparse_diagonal
+
+        def recorded(columns, pivot_rows=None):
+            columns = list(columns)
+            copies = [dict(c) for c in columns]
+            diag = real(columns, pivot_rows)
+            if pivot_rows is not None:
+                cones.append((copies, pivot_rows, diag))
+            return diag
+
+        monkeypatch.setattr(abelian, "_sparse_diagonal", recorded)
+        for m in small_monoids():
+            for system in systems_for(m, [Zmod(4), Zmod(6), FgAbGroup(1, (2,))]):
+                cx = LeechComplex(m, system, 4)
+                for n in range(4):
+                    cx.cohomology(n)
+        # some cones stop recording at a remainder row step
+        assert any(len(rows) < len(diag) for _, rows, diag in cones)
+        for columns, pivot_rows, _ in cones:
+            nrows = 1 + max((i for c in columns for i in c), default=-1)
+            a = [[c.get(i, 0) for c in columns] for i in range(nrows)]
+            assert rows_independent(a, len(columns), pivot_rows)
+
+    def test_tall_residual_builds_no_dense_matrix(self):
+        # twenty copies of [[2, 3], [3, 2]] and of twice it, stacked: no
+        # entry divides its row or column
+        block = [[2, 3], [3, 2]] * 20 + [[4, 6], [6, 4]] * 20
+        d_in = AbHom(FgAbGroup(2), FgAbGroup(80), block)
+        d_out = AbHom.zero(FgAbGroup(80), Zmod(4))
+        want = oracles.lattice_cohomology_at(d_in, d_out)
+        with no_dense_matrices():
+            assert cohomology_at(d_in, d_out) == want == FgAbGroup(78, (5,))
+
+    def test_torsion_cones_build_no_dense_matrix(self):
+        # H^*(Z/8; Z/6) = Z/6, then Z/2 in each degree; no unit or divisor
+        # pivot finishes these cones, so each takes Euclid steps
+        m = cyclic_group(8)
+        cx = LeechComplex(m, constant_system(m, Zmod(6)), 4)
+        with no_dense_matrices():
+            table = [cx.cohomology(n).render() for n in range(4)]
+        assert table == ["Z/6", "Z/2", "Z/2", "Z/2"]
 
 
 class TestPresentationAndDirectSum:
@@ -1231,3 +1346,20 @@ class TestIntegerEntriesOnly:
     def test_zmod_one_is_trivial(self):
         assert Zmod(1) == TRIVIAL_GROUP
         assert Zmod(6) == FgAbGroup(0, (6,))
+
+    @pytest.mark.parametrize("factors, bad", [
+        ([2.5, 3], "2.5"), ([True, 4], "True"), ([0, 6.0], "6.0"),
+        ((2, -1.5), "-1.5")])
+    def test_from_invariants_rejects_non_integers(self, factors, bad):
+        # int() would read [2.5, 3] as Z/6 and [True, 4] as Z/4
+        with pytest.raises(ValueError,
+                           match=f"^group invariant {bad} is not an integer$"):
+            FgAbGroup.from_invariants(factors)
+
+    @pytest.mark.parametrize("n, bad", [(True, "True"), (2.5, "2.5"),
+                                        (6.0, "6.0")])
+    def test_zmod_rejects_non_integers(self, n, bad):
+        # True passes n >= 1 and would give the trivial group
+        with pytest.raises(ValueError,
+                           match=f"^group invariant {bad} is not an integer$"):
+            Zmod(n)
