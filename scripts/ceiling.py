@@ -42,7 +42,8 @@ ROWS = [("P(3)", "Z", 4, "full"), ("Z/8", "Z", 4, "full"),
         ("P(3)", "Z/2", 4, "full"), ("Z/8", "Z", 5, "full"),
         ("Z/8", "Z/2", 5, "full"), ("Z/8", "Z/4", 4, "full"),
         ("Z/8", "Z/6", 4, "full"), ("Z/8", "Z/6", 5, "table"),
-        ("Z/8", "Z x Z/2", 5, "table"), ("Z/8", "Z", 6, "table")]
+        ("Z/8", "Z x Z/2", 5, "table"), ("Z/8", "Z", 6, "table"),
+        ("P(4)", "Z", 4, "table")]
 
 
 def monoid(label: str):

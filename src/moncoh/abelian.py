@@ -32,9 +32,9 @@ Conventions
   one sparse elimination by unit and Euclid pivots that builds no
   transform and no dense matrix.
   The rank of the top differential is first taken over F_2 and F_3 on
-  bit-packed rows, and is certified when it reaches its upper bound; a
-  complex of groups (Z/p)^k, p = 2 or 3, is a complex of F_p vector
-  spaces and takes F_p ranks only, with no cone.
+  bit-packed rows, and is certified when it reaches the upper bound that
+  the top cone gives; a complex of groups (Z/p)^k, p = 2 or 3, is a
+  complex of F_p vector spaces and takes F_p ranks only, with no cone.
 """
 
 from __future__ import annotations
@@ -559,8 +559,7 @@ def _negated_relation_quotient(column: SparseColumn, group: FgAbGroup,
     return out
 
 
-def _sparse_diagonal(columns: Iterable[SparseColumn],
-                     pivot_rows: list[int] | None = None) -> list[int]:
+def _sparse_diagonal(columns: Iterable[SparseColumn]) -> list[int]:
     """Nonzero diagonal of a diagonal matrix equivalent to the given one.
 
     The columns are consumed.  A pivot p that divides its row and column
@@ -574,10 +573,6 @@ def _sparse_diagonal(columns: Iterable[SparseColumn],
     column; a remainder becomes the pivot, so |p| falls until p goes.
     Every step is unimodular and nothing dense is built.  The result need
     not be a chain; ``FgAbGroup.from_invariants`` makes it one.
-
-    Given ``pivot_rows``, each pivot's row is appended to it up to the
-    first row step that leaves a remainder: column steps and exact row
-    steps by a recorded row keep the given matrix full rank on them.
     """
     cols = {j: c for j, c in enumerate(columns) if c}
     rows: dict[int, set[int]] = {}
@@ -610,8 +605,6 @@ def _sparse_diagonal(columns: Iterable[SparseColumn],
         for j in rows.pop(r) - {c}:
             subtract(j, cols[j].pop(r) // p, col_c)
         diag.append(abs(p))
-        if pivot_rows is not None:
-            pivot_rows.append(r)
 
     while cols:
         before = len(diag)
@@ -640,7 +633,6 @@ def _sparse_diagonal(columns: Iterable[SparseColumn],
                 kept = {i: v % p for i, v in col_c.items() if v % p}  # row r is p e_c
                 if not kept:
                     break
-                pivot_rows = None  # a remainder row step mixes rows
                 for i in col_c.keys() - kept.keys() - {r}:
                     rows[i].discard(c)
                 cols[c] = {r: p, **kept}
@@ -740,27 +732,22 @@ def _field_rank(columns: Iterable[SparseColumn], primes: Sequence[int],
     return max(len(lead2), len(lead3))
 
 
-def _free_row_rank(d_out: AbHom, skip: Iterable[int]) -> int:
-    """Rank of the free rows F of D_out, the columns in ``skip`` left out.
+def _free_row_rank(d_out: AbHom, bound: int) -> int:
+    """Rank over Q of the free rows F of D_out, given an upper bound.
 
-    Leaving out the cone B's recorded pivot rows that index the middle
-    group keeps the rank over Q: those rows index a nonsingular minor of
-    im D_in + im R_M, on which F D_out vanishes because D_out D_in = R_N Y
-    and D_out R_M = R_N X while F R_N = 0, so each skipped column of
-    F D_out is a combination of the others.
-
-    The rank over Q is at most the number of kept columns and at least
-    their rank over any F_p, so an F_2 or F_3 rank that reaches that
-    number is the rank; otherwise ``_sparse_diagonal`` computes it.
+    The caller must ensure that ``bound`` is at least that rank.  The
+    number of nonzero columns of F bounds it too, and the lesser bound is
+    used; a bound of 0 is the rank.  The rank is at least the rank over
+    any F_p, so an F_2 or F_3 rank that reaches the bound is the rank;
+    otherwise ``_sparse_diagonal`` computes it.
     """
     free, torsion = d_out.codomain.free_rank, d_out.codomain.torsion
-    skipped = set(skip)
     kept = [c for c in ({i: v for i, v in col.items() if i < free}
                         if torsion else col
-                        for j, col in enumerate(d_out.columns)
-                        if j not in skipped) if c]
-    if kept and _field_rank(kept, (2, 3), len(kept)) == len(kept):
-        return len(kept)
+                        for col in d_out.columns) if c]
+    bound = min(bound, len(kept))
+    if not bound or _field_rank(kept, (2, 3), bound) == bound:
+        return bound
     return len(_sparse_diagonal(map(dict, kept)))  # it consumes its columns
 
 
@@ -820,15 +807,18 @@ class CochainComplex:
     negative is D_out of the cleared column.  Which cones and ranks H^n
     uses does not depend on the order in which degrees are asked for.
 
-    The certified top rank.  Only the top d^(P-1) is ranked as free rows,
-    without the columns that were recorded pivot rows of B_(P-1) (see
-    ``_free_row_rank``).  Its rank over Q is at most the number of
-    columns kept and at least its rank over any field F_p, since a minor
-    that is nonzero mod p is nonzero.  So an F_2 or F_3 rank that reaches
-    the number of kept columns is the rank over Q, and the two fields stop
-    as soon as one does.  One that falls short says nothing: an invariant
-    factor of d^(P-1) divisible by p, or a free part of H^(P-1), and then
-    the free rows are eliminated exactly.
+    The certified top rank.  Only the top d^(P-1) is ranked as free rows
+    (see ``_free_row_rank``), against the bound m - rank B_(P-1).  Since
+    F R_N = 0, F(D_out) vanishes on the torsion generators of M and on
+    the free part of each column of D_in, so over Q rank F(D_out) <=
+    m - t_M - rank F(D_in), which by the identity above is
+    m - rank B_(P-1).  Its rank is at least its rank over any field F_p,
+    since a minor that is nonzero mod p is nonzero.  So an F_2 or F_3
+    rank that reaches the bound is the rank over Q, and the two fields
+    stop as soon as one does.  The rank over Q meets the bound exactly
+    when H^(P-1) has no free part; a field rank also falls short of it at
+    an invariant factor of d^(P-1) divisible by p, and then the free rows
+    are eliminated exactly.
 
     Elementary p-groups.  When every group of the complex is (Z/p)^k for
     one p in {2, 3}, it is a complex of F_p vector spaces, and
@@ -836,7 +826,7 @@ class CochainComplex:
         H^n = (Z/p)^(c_n - r_n - r_(n-1))
 
     with c_n the generators of C^n and r_n the F_p rank of all of d^n,
-    each computed once and kept: no cone, no relation column and no skip.
+    each computed once and kept: no cone and no relation column.
     Each pair is still proven by forming Y, whose columns are then
     dropped.
     """
@@ -858,7 +848,6 @@ class CochainComplex:
             self._quotients.append(None if self._prime else quotients)
         self._ranks: dict[int, int] = {}
         self._diagonals: dict[int, list[int]] = {}
-        self._top_skip: set[int] = set()
         self._groups: dict[int, FgAbGroup] = {}
 
     def _rank(self, n: int) -> int:
@@ -885,15 +874,14 @@ class CochainComplex:
                     {i: order * v for i, v in d_out.columns[g].items()},
                     cod, mid.ngens)
                 cone.append({g: order, **x})
-            pivots: list[int] = []
-            diag = self._diagonals[n] = _sparse_diagonal(cone, pivots)
+            diag = self._diagonals[n] = _sparse_diagonal(cone)
             self._quotients[n] = None
-            if n == len(self.differentials) - 1:
-                self._top_skip = {r for r in pivots if r < mid.ngens}
         return diag
 
     def _start(self) -> FgAbGroup:
         """C^0, the codomain of d^(-1)."""
+        if not self.differentials:
+            raise ValueError("no differential to read C^0 from")
         return self.differentials[0].domain
 
     def _check(self, n: int, low: int) -> None:
@@ -917,12 +905,13 @@ class CochainComplex:
         elif group is None:
             d_out = self.differentials[n]
             diag_b = self._cone_diagonal(n)
+            bound = d_out.domain.ngens - len(diag_b)  # m - rank B_n
             if n + 1 < len(self.differentials):
                 rank_f = (len(self._cone_diagonal(n + 1))
                           - len(d_out.codomain.torsion))
             else:
-                rank_f = _free_row_rank(d_out, self._top_skip)
-            free = d_out.domain.ngens - rank_f - len(diag_b)
+                rank_f = _free_row_rank(d_out, bound)
+            free = bound - rank_f
             group = self._groups[n] = FgAbGroup.from_invariants(
                 [0] * free + diag_b)
         return group

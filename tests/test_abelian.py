@@ -13,7 +13,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moncoh import abelian
@@ -41,7 +41,7 @@ from moncoh.abelian import (
 )
 from moncoh.coeff import constant_system
 from moncoh.leech import LeechComplex
-from moncoh.monoid import cyclic_group
+from moncoh.monoid import cyclic_group, power_set_monoid
 
 import oracles
 from catalog import small_monoids, systems_for
@@ -661,35 +661,25 @@ class TestComplexCohomology:
         assert [engine.cohomology(n) for n in (1, 0)] == [Zmod(2), TRIVIAL_GROUP]
 
 
-class TestTopColumnSkip:
-    @staticmethod
-    def skip_of(d_in, d_out):
-        # the rows the engine leaves out of its top d_out
-        engine = CochainComplex((d_in, d_out), AssertionError)
-        engine.cohomology(1)
-        return engine._top_skip
+def dense_free_row_rank(d_out):
+    """Rank of the free rows of d_out, by the dense Smith form."""
+    free = [list(row) for row in d_out.matrix[:d_out.codomain.free_rank]]
+    return smith_normal_form(free, shape=(len(free), d_out.domain.ngens)).rank
 
-    @staticmethod
-    def free_rank(d_out):
-        free = [list(row) for row in d_out.matrix[:d_out.codomain.free_rank]]
-        return smith_normal_form(free, shape=(len(free), d_out.domain.ngens)).rank
 
-    def test_skipped_columns_keep_the_rank(self):
-        # M = Z^2, N = Z: d_in hits (1, 1) and d_out = (1, -1), so the cone
-        # pivots on one middle row and that column of F is dropped
-        d_in = AbHom(Z, FgAbGroup(2), ((1,), (1,)))
-        d_out = AbHom(FgAbGroup(2), Z, ((1, -1),))
-        skip = self.skip_of(d_in, d_out)
-        assert len(skip) == 1
-        assert _free_row_rank(d_out, skip) == _free_row_rank(d_out, ()) == 1
-
+class TestTopRankBound:
     @settings(max_examples=200, deadline=None)
     @given(torsion_pairs())
-    def test_full_free_row_rank_on_random_torsion_pairs(self, pair):
+    def test_cone_bounds_the_free_row_rank(self, pair):
+        # the engine's bound m - rank B_1 is at least rank F(d_out), and
+        # meets it exactly when H^1 has no free part
         d_in, d_out = pair
-        skip = self.skip_of(d_in, d_out)
-        want = self.free_rank(d_out)
-        assert _free_row_rank(d_out, skip) == _free_row_rank(d_out, ()) == want
+        engine = CochainComplex((d_in, d_out), AssertionError)
+        group = engine.cohomology(1)
+        bound = d_out.domain.ngens - len(engine._cone_diagonal(1))
+        rank = dense_free_row_rank(d_out)
+        assert bound >= rank
+        assert (bound == rank) == (group.free_rank == 0)
         assert cohomology_at(d_in, d_out) == oracles.lattice_cohomology_at(d_in, d_out)
 
 
@@ -737,23 +727,25 @@ class TestFieldRank:
         assert abelian._field_rank(cols, (2, 3), bound) == min(best, bound)
 
 
-def exact_free_row_rank(d_out, skip):
+def exact_free_row_rank(d_out):
     free = d_out.codomain.free_rank
     return len(_sparse_diagonal(
-        [{i: v for i, v in col.items() if i < free}
-         for j, col in enumerate(d_out.columns) if j not in set(skip)]))
+        [{i: v for i, v in col.items() if i < free} for col in d_out.columns]))
 
 
 @st.composite
 def catalog_top_maps(draw):
-    """A differential of a catalog complex and a set of its columns to skip."""
+    """A differential of a catalog complex."""
     m = draw(st.sampled_from(small_monoids()))
     system = draw(st.sampled_from(systems_for(
         m, [Z, Zmod(2), Zmod(3), Zmod(6), FgAbGroup(1, (2,)), FgAbGroup(2)])))
     n = draw(st.integers(0, 3 if m.size <= 3 else 2))
-    d_out = LeechComplex(m, system, n + 1).differential(n)
-    skip = draw(st.sets(st.integers(0, max(d_out.domain.ngens - 1, 0))))
-    return d_out, skip
+    return LeechComplex(m, system, n + 1).differential(n)
+
+
+def random_map(matrix):
+    cols = len(matrix[0]) if matrix else 0
+    return AbHom(FgAbGroup(cols), FgAbGroup(len(matrix)), matrix)
 
 
 class TestCertifiedTopRank:
@@ -762,34 +754,59 @@ class TestCertifiedTopRank:
 
     @settings(max_examples=150, deadline=None)
     @given(catalog_top_maps())
-    def test_certified_and_exact_agree_on_catalog_maps(self, top):
-        d_out, skip = top
-        assert _free_row_rank(d_out, skip) == exact_free_row_rank(d_out, skip)
+    def test_certified_and_exact_agree_on_catalog_maps(self, d_out):
+        assert _free_row_rank(d_out, d_out.domain.ngens) == (
+            exact_free_row_rank(d_out))
 
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
     def test_certified_and_exact_agree_on_random_maps(self, matrix):
-        cols = len(matrix[0]) if matrix else 0
-        d_out = AbHom(FgAbGroup(cols), FgAbGroup(len(matrix)), matrix)
-        want = TestTopColumnSkip.free_rank(d_out) if matrix else 0
-        assert _free_row_rank(d_out, ()) == exact_free_row_rank(d_out, ()) == want
+        d_out = random_map(matrix)
+        got = _free_row_rank(d_out, d_out.domain.ngens)
+        assert got == exact_free_row_rank(d_out) == dense_free_row_rank(d_out)
+
+    @staticmethod
+    def every_bound_gives_the_rank(d_out):
+        rank = dense_free_row_rank(d_out)
+        return all(_free_row_rank(d_out, b) == rank
+                   for b in range(rank, d_out.domain.ngens + 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(catalog_top_maps())
+    def test_every_bound_from_the_rank_up_on_catalog_maps(self, d_out):
+        assert self.every_bound_gives_the_rank(d_out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_every_bound_from_the_rank_up_on_random_maps(self, matrix):
+        assert self.every_bound_gives_the_rank(random_map(matrix))
 
     @staticmethod
     def count_eliminations(monkeypatch):
-        calls = []
-        real = abelian._sparse_diagonal
+        """One entry per elimination, True when it ranks a top map."""
+        calls, top = [], []
+        real_diagonal = abelian._sparse_diagonal
+        real_rank = abelian._free_row_rank
 
-        def counted(columns, pivot_rows=None):
-            calls.append(pivot_rows is None)  # True for the top rank
-            return real(columns, pivot_rows)
+        def counted(columns):
+            calls.append(bool(top))
+            return real_diagonal(columns)
+
+        def ranked(d_out, bound):
+            top.append(d_out)
+            rank = real_rank(d_out, bound)
+            top.pop()
+            return rank
 
         monkeypatch.setattr(abelian, "_sparse_diagonal", counted)
+        monkeypatch.setattr(abelian, "_free_row_rank", ranked)
         return calls
 
     def test_bound_counts_only_columns_with_a_free_row(self, monkeypatch):
-        # over Z x Z/2 the top d^4 of Z/4 keeps 120 of its 162 columns after
-        # the skip, and only 60 of those reach a free row: the certificate
-        # needs that count, so no elimination runs for the top
+        # over Z x Z/2 the top d^4 of Z/4 has 162 columns, and only its 81
+        # free ones reach a free row; the cone B_4 has rank 102, so the
+        # bound is 162 - 102 = 60, which a field rank reaches, and no
+        # elimination runs for the top
         m = cyclic_group(4)
         cx = LeechComplex(m, constant_system(m, FgAbGroup(1, (2,))), 5)
         assert [cx.cohomology(n).render() for n in range(4)] == [
@@ -800,7 +817,7 @@ class TestCertifiedTopRank:
 
     def test_free_cohomology_falls_back(self, monkeypatch):
         # d_out = (1, 1) on Z^2 has a kernel over Q, so H^1 = Z and no field
-        # rank reaches the two kept columns
+        # rank reaches the bound 2 - rank B_1 = 2
         calls = self.count_eliminations(monkeypatch)
         d_out = AbHom(FgAbGroup(2), Z, ((1, 1),))
         assert cohomology_at(AbHom.zero(TRIVIAL_GROUP, FgAbGroup(2)), d_out) == Z
@@ -808,16 +825,16 @@ class TestCertifiedTopRank:
 
     def test_invariant_factor_six_falls_back(self, monkeypatch):
         # H^4(Z/6; Z) = Z/6 is the torsion of the top d^3's cokernel, so its
-        # F_2 and F_3 ranks both come one short of the kept columns
+        # F_2 and F_3 ranks both come one short of the bound m - rank B_3
         m = cyclic_group(6)
         cx = LeechComplex(m, constant_system(m, Z), 4)
         assert [cx.cohomology(n).render() for n in range(3)] == [
             "Z", "0", "Z/6"]
-        skip = cx._top_skip
-        kept = [c for j, c in enumerate(cx.differential(3).columns)
-                if c and j not in skip]
+        top = cx.differential(3)
+        bound = top.domain.ngens - len(cx._cone_diagonal(3))
+        kept = [c for c in top.columns if c]
         for p in (2, 3):
-            assert abelian._field_rank(kept, (p,), len(kept)) == len(kept) - 1
+            assert abelian._field_rank(kept, (p,), bound) == bound - 1
         calls = self.count_eliminations(monkeypatch)
         assert cx.cohomology(3) == TRIVIAL_GROUP
         assert calls == [True]
@@ -834,6 +851,16 @@ class TestCertifiedTopRank:
             cx = LeechComplex(m, c, 4)
             assert [cx.cohomology(n) for n in range(4)] == table, m.name
         assert True in calls
+
+    def test_top_map_with_no_free_row_runs_no_elimination(self, monkeypatch):
+        # H^*(P(1); Z) = Z, 0, 0: the top d^2 is zero, so its rank is 0 with
+        # nothing to eliminate, and B_2 was eliminated once, for H^1
+        m = power_set_monoid(1)
+        cx = LeechComplex(m, constant_system(m, Z), 3)
+        assert [cx.cohomology(n) for n in range(2)] == [Z, TRIVIAL_GROUP]
+        calls = self.count_eliminations(monkeypatch)
+        assert cx.cohomology(2) == TRIVIAL_GROUP
+        assert calls == []
 
 
 UNIT_FREE = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, 9, 10, 15])
@@ -860,14 +887,6 @@ def no_dense_matrices():
         for name in ("zeros", "identity", "freeze", "matmul"):
             patch.setattr(im, name, refuse)
         yield
-
-
-def rows_independent(a, cols, pivot_rows):
-    """The rows ``pivot_rows`` of the dense matrix ``a`` are distinct and
-    of full rank, by the dense Smith form."""
-    sub = [a[r] for r in pivot_rows]
-    return (len(set(pivot_rows)) == len(sub)
-            and smith_normal_form(sub, shape=(len(sub), cols)).rank == len(sub))
 
 
 class TestSparseDiagonal:
@@ -911,58 +930,6 @@ class TestSparseDiagonal:
         with no_dense_matrices():
             got = _sparse_diagonal(self.sparse_columns(a, cols))
         assert self.canonical(got) == self.canonical(want)
-
-    @settings(max_examples=200, deadline=None)
-    @given(unit_free_matrices())
-    # recording the rows of pivots taken after a remainder row step gives
-    # rows 1, 2, 0 and 4 here, which are dependent
-    @example(([[0, 0, 0, -2], [2, 2, 0, 9], [6, 9, 2, 6], [-3, 15, 2, 9],
-               [0, 6, 4, -3]], 4))
-    def test_recorded_rows_are_independent(self, case):
-        a, cols = case
-        pivot_rows = []
-        _sparse_diagonal(self.sparse_columns(a, cols), pivot_rows)
-        assert rows_independent(a, cols, pivot_rows)
-
-    def test_recording_stops_at_a_remainder_row_step(self):
-        # 2 at row 0 divides its row and column and is recorded; column
-        # steps alone isolate the pivots of [[2, 3], [3, 2]], so its rows
-        # are recorded too
-        pivot_rows = []
-        cols = [{0: 2}, {1: 2, 2: 3}, {1: 3, 2: 2}]
-        assert self.canonical(_sparse_diagonal(cols, pivot_rows)) == (3, Zmod(10))
-        assert pivot_rows == [0, 1, 2]
-        # the column (2, 3)^T needs the row step row 2 -= row 1, which
-        # leaves the remainder 1, so neither of its rows is recorded
-        pivot_rows = []
-        cols = [{0: 2}, {1: 2, 2: 3}]
-        assert self.canonical(_sparse_diagonal(cols, pivot_rows)) == (2, Zmod(2))
-        assert pivot_rows == [0]
-
-    def test_recorded_rows_of_catalog_cones_are_independent(self, monkeypatch):
-        cones = []
-        real = abelian._sparse_diagonal
-
-        def recorded(columns, pivot_rows=None):
-            columns = list(columns)
-            copies = [dict(c) for c in columns]
-            diag = real(columns, pivot_rows)
-            if pivot_rows is not None:
-                cones.append((copies, pivot_rows, diag))
-            return diag
-
-        monkeypatch.setattr(abelian, "_sparse_diagonal", recorded)
-        for m in small_monoids():
-            for system in systems_for(m, [Zmod(4), Zmod(6), FgAbGroup(1, (2,))]):
-                cx = LeechComplex(m, system, 4)
-                for n in range(4):
-                    cx.cohomology(n)
-        # some cones stop recording at a remainder row step
-        assert any(len(rows) < len(diag) for _, rows, diag in cones)
-        for columns, pivot_rows, _ in cones:
-            nrows = 1 + max((i for c in columns for i in c), default=-1)
-            a = [[c.get(i, 0) for c in columns] for i in range(nrows)]
-            assert rows_independent(a, len(columns), pivot_rows)
 
     def test_tall_residual_builds_no_dense_matrix(self):
         # twenty copies of [[2, 3], [3, 2]] and of twice it, stacked: no

@@ -111,3 +111,10 @@ def test_complex_built_to_degree_zero(coeffs):
                     ("differential", -2)):
         with pytest.raises(ValueError):
             getattr(cx, call)(n)
+
+
+def test_complex_with_no_differential_has_no_c0():
+    # the base class reads C^0 off d^0; LeechComplex reads its groups
+    cx = CochainComplex([], lambda _: CompositionNonzero("unused"))
+    with pytest.raises(ValueError, match="no differential"):
+        cx.differential(-1)

@@ -515,13 +515,13 @@ class TestWorkDoneOnce:
             proofs[id(outer), id(inner)] += 1
             return real_quotient(outer, inner)
 
-        def counted_diagonal(columns, pivot_rows=None):
+        def counted_diagonal(columns):
             calls["elimination"] += 1
-            return real_diagonal(columns, pivot_rows)
+            return real_diagonal(columns)
 
-        def counted_free_rank(d_out, skip):
+        def counted_free_rank(d_out, bound):
             calls["top rank"] += 1
-            return real_free_rank(d_out, skip)
+            return real_free_rank(d_out, bound)
 
         def counted_field_rank(columns, primes, bound):
             calls["field rank"] += 1
