@@ -168,46 +168,44 @@ def _each(items, run, header: list[str], key: str = "results",
 
 def _cmd_validate(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     """run every law, relation, path and coverage check"""
-    results = []
+    checks = []
     for name, m in doc.monoids:
-        results.append(("monoid", name, validate_monoid(m), []))
+        checks.append(("monoid", name, validate_monoid(m), []))
     for name, c in doc.coefficients:
         problems = [str(v) for v in validate_relations(c)]
-        results.append(("coefficient system", name, problems, []))
+        checks.append(("coefficient system", name, problems, []))
     for name, bundle in doc.grids:
         p_max = _effective_pmax(flags, doc, bundle)
-        results.append(("grid", name, _grid_problems(bundle, p_max), []))
+        checks.append(("grid", name, _grid_problems(bundle, p_max), []))
     for name, system in doc.set_systems:
         report = check_h_surjective(system)
         problems = ([] if report.ok else
                     ["h map misses subcollections: "
                      + ", ".join(report.missing_names)])
-        results.append(("set system", name, problems, []))
+        checks.append(("set system", name, problems, []))
     for name, ds in doc.descriptor_lists:
         classes = distinct_classes(ds)
         notes = [f"{len(classes)} distinct classes from {len(ds)} descriptors"]
         notes += [f"descriptor {i} repeats an earlier class; "
                   f"the fs command rejects this list"
                   for i, d in enumerate(ds) if ds.index(d) < i]
-        results.append(("descriptor list", name, [], notes))
+        checks.append(("descriptor list", name, [], notes))
 
-    payload_results = [{"section": section, "name": name,
-                        "ok": not problems, "problems": problems,
-                        "notes": notes}
-                       for section, name, problems, notes in results]
-    failed = sum(1 for r in payload_results if not r["ok"])
-    payload = {"results": payload_results, "ok": failed == 0}
-    lines = []
-    for section, name, problems, notes in results:
-        lines.append(f"{section} {name}: {'FAIL' if problems else 'ok'}")
-        for problem in problems:
-            lines.append(f"  problem: {problem}")
-        for note in notes:
-            lines.append(f"  note: {note}")
-    total = len(results)
-    lines.append(f"validate: {failed} of {total} checks failed" if failed
-                 else f"validate: all {total} checks passed")
-    return (1 if failed else 0), payload, lines
+    def run(problems, notes):
+        text = ["FAIL" if problems else "ok"]
+        text += [f"  problem: {p}" for p in problems]
+        text += [f"  note: {note}" for note in notes]
+        return (1 if problems else 0), {
+            "ok": not problems, "problems": problems, "notes": notes}, text
+
+    code, payload, lines = _each(
+        [(f"{sec} {name}", {"section": sec, "name": name}, rest)
+         for sec, name, *rest in checks], run, [])
+    failed = sum(not r["ok"] for r in payload["results"])
+    payload["ok"] = failed == 0
+    lines.append(f"validate: {failed} of {len(checks)} checks failed" if failed
+                 else f"validate: all {len(checks)} checks passed")
+    return code, payload, lines
 
 
 def _leech_targets(doc: Document, flags: RunFlags

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Container, Iterable
 
 from .abelian import (
     AbHom,
@@ -75,10 +75,17 @@ class CochainGroup:
         return self.dsum.total
 
 
+def _check(m: FinMonoid, c: CoeffSystem, n: int,
+           what: str = "cochain degree") -> None:
+    if c.monoid is not m and c.monoid != m:
+        raise ValueError("coefficient system belongs to a different monoid")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
 def cochain_group(m: FinMonoid, c: CoeffSystem, n: int) -> CochainGroup:
     """Build the degree n cochain group; (m.size - 1)^n components."""
-    if n < 0:
-        raise ValueError("cochain degree must be nonnegative")
+    _check(m, c, n)
     non_id = m.non_identity()
     # tuple t + (a,) follows t + (b,) for b < a, so each degree's products
     # extend the previous degree's in order
@@ -93,8 +100,7 @@ def cochain_ngens(m: FinMonoid, c: CoeffSystem, n: int) -> int:
     """Canonical generators of the degree n cochain group, counted without
     building it: how many tuples have each product, then
     ``direct_sum_ngens``."""
-    if n < 0:
-        raise ValueError("cochain degree must be nonnegative")
+    _check(m, c, n)
     non_id = m.non_identity()
     counts = [0] * m.size
     counts[m.identity_index] = 1
@@ -114,30 +120,61 @@ def cochain_ngens(m: FinMonoid, c: CoeffSystem, n: int) -> int:
     return direct_sum_ngens(multiplicity)
 
 
-def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
-               source: CochainGroup | None = None,
-               target: CochainGroup | None = None) -> AbHom:
-    """The degree n coboundary d^n : C^n -> C^(n+1).
-
-    The sparse presentation columns are filled one source tuple s at a
-    time, each with every term that reads f(s).  With k = m.size - 1 and
-    tuples numbered lexicographically, the targets are found by index
-    arithmetic: (a, s) is row block pos(a) * k^n + idx(s) (lstar), (s, a)
-    is idx(s) * k + pos(a) (rstar), and splitting the entry s_j into each
-    pair x * y = s_j gives the middle terms.  ``assemble_hom`` converts
-    the columns to the canonical bases.
-    """
-    src = source if source is not None else cochain_group(m, c, n)
-    tgt = target if target is not None else cochain_group(m, c, n + 1)
+def _face_rule(m: FinMonoid, c: CoeffSystem, n: int,
+               heads: Container[int] | None, present: Iterable[int]
+               ) -> Callable[[int, int], list[tuple]]:
+    """faces(i, p) lists the terms of d^n that read f(s), for the degree n
+    tuple s with lexicographic index i and product p, as (target index,
+    translation block or None for a signed identity, sign): lstar, then
+    middle by q, then rstar, kept when the target starts with an element
+    of heads (every element for None).  With k = m.size - 1, (a, s) is
+    pos(a) * k^n + i (lstar), (s, a) is i * k + pos(a) (rstar), and
+    splitting s_q into each x * y = s_q gives the middle terms.  Blocks
+    are built for the products in present."""
     non_id = m.non_identity()
     k = len(non_id)
     width = k ** n
     splits = m.factor_pairs
-    # the translation blocks by the product they act on, in pos(a) order
-    present = set(src.products)
-    left = {p: [c.lstar[(a, p)].columns for a in non_id] for p in present}
-    right = {p: [c.rstar[(a, p)].columns for a in non_id] for p in present}
+    head = [True] * k if heads is None else [a in heads for a in non_id]
+    # x * y = s_0 with x a head
+    first = splits if heads is None else [
+        tuple(xy for xy in fs if head[xy // k]) for fs in splits]
+    left = {p: [(pa * width, c.lstar[a, p].columns)
+                for pa, a in enumerate(non_id) if head[pa]] for p in present}
+    right = {p: [(pa, c.rstar[a, p].columns) for pa, a in enumerate(non_id)
+                 if n or head[pa]] for p in present}
     right_sign = -1 if (n + 1) % 2 else 1
+
+    def faces(i: int, p: int) -> list[tuple]:
+        terms = [(t + i, block, 1) for t, block in left[p]]
+        w = width
+        for q in range(n):
+            # entry q of s is the digit of weight w = k^(n-1-q) in i
+            w //= k
+            base = i // (w * k) * (w * k * k) + i % w
+            sign = -1 if q % 2 == 0 else 1
+            terms += [(base + xy * w, None, sign) for xy in
+                      (splits if q else first)[non_id[i // w % k]]]
+            if q == 0 and not head[i // w]:
+                return terms  # every later target starts with s_0
+        terms += [(i * k + pa, block, right_sign) for pa, block in right[p]]
+        return terms
+
+    return faces
+
+
+def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
+               source: CochainGroup | None = None,
+               target: CochainGroup | None = None) -> AbHom:
+    """The degree n coboundary d^n : C^n -> C^(n+1), its sparse columns
+    filled one source tuple at a time from ``_face_rule`` with every
+    element as a head, then converted by ``assemble_hom``."""
+    _check(m, c, n)
+    src = source if source is not None else cochain_group(m, c, n)
+    tgt = target if target is not None else cochain_group(m, c, n + 1)
+    if (src.degree, tgt.degree) != (n, n + 1):
+        raise ValueError(f"d^{n} needs groups of degrees {n} and {n + 1}")
+    faces = _face_rule(m, c, n, None, set(src.products))
     src_off, tgt_off = src.dsum.offsets, tgt.dsum.offsets
     # one int per target row, shared as a key by every column that has the
     # row; a fresh sum row0 + r per entry would cost 32 bytes per nonzero
@@ -147,19 +184,7 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
         lo, hi = src_off[i], src_off[i + 1]
         if lo == hi:
             continue
-        # (target tuple index, block or None for the identity, sign)
-        terms: list[tuple[int, Sequence[SparseColumn] | None, int]] = [
-            (pa * width + i, block, 1) for pa, block in enumerate(left[p])]
-        w = width
-        for q in range(n):
-            # entry q of s is the digit of weight w = k^(n-1-q) in idx(s)
-            w //= k
-            base = i // (w * k) * (w * k * k) + i % w
-            sign = -1 if q % 2 == 0 else 1
-            terms += [(base + xy * w, None, sign)
-                      for xy in splits[non_id[i // w % k]]]
-        terms += [(i * k + pa, block, right_sign)
-                  for pa, block in enumerate(right[p])]
+        terms = faces(i, p)
         # rows in ascending target order, the order a row-by-row build
         # inserts them: elimination breaks ties between pivots by the order
         # of a column's entries, so this keeps its pivots and fill-in
@@ -187,19 +212,11 @@ def translation_failure(n: int) -> AssertionError:
         f"the coefficient system does not satisfy the translation relations")
 
 
-def _check_floor(monoid: FinMonoid, coeffs: CoeffSystem,
-                 max_degree: int) -> None:
-    if coeffs.monoid != monoid:
-        raise ValueError("coefficient system belongs to a different monoid")
-    if max_degree < 0:
-        raise ValueError("max degree must be nonnegative")
-
-
 def floor_cochains(monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int
                    ) -> tuple[list[CochainGroup], list[AbHom]]:
     """C^0..C^P and d^0..d^(P-1), built once and not proven: the groups
     and maps of a ``LeechComplex`` or of one floor of a total complex."""
-    _check_floor(monoid, coeffs, max_degree)
+    _check(monoid, coeffs, max_degree, "max degree")
     groups = [cochain_group(monoid, coeffs, k) for k in range(max_degree + 1)]
     return groups, [coboundary(monoid, coeffs, k, groups[k], groups[k + 1])
                     for k in range(max_degree)]
@@ -267,107 +284,96 @@ class MorseLeechComplex(CochainComplex):
     reaches x, so their block is minus the identity, invertible with any
     coefficients; besides y, the column of x meets only matched cells
     (s', a, ...) one letter longer, so the matching is acyclic.  The
-    critical cells ``cells[n]``, listed lexicographically, are (), each
-    (s) and each (s, t_2, ...) whose first two entries are not a chosen
-    pair; ``groups[n]`` is the direct sum of their groups.
+    critical cells are (), each (s) and each (s, t_2, ...) whose first two
+    entries are not a chosen pair.  ``cells[n]`` lists their indices in
+    ``cochain_group(monoid, coeffs, n)``; ``groups[n]`` is their sum.
 
     Column c of the reduced d^n is d(c) with its matched cells cleared
     level by level, each by adding its value times its partner's column,
     then projected onto the critical cells: Gaussian elimination along
-    the matched blocks.  It keeps cohomology when the full complex
-    squares to zero, which ``leech_cohomology_table`` first certifies by
-    ``validate_relations``; the engine proves each reduced pair.
+    the matched blocks, reading d from ``_face_rule`` with the heads S:
+    only cells whose first entry lies in S survive the projection.  It
+    keeps cohomology when the full complex squares to zero, which
+    ``leech_cohomology_table`` first certifies by ``validate_relations``;
+    the engine proves each reduced pair.
     """
 
     def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int,
                  matching: Matching):
-        _check_floor(monoid, coeffs, max_degree)
+        _check(monoid, coeffs, max_degree, "max degree")
         gens, pairs, length = matching
         table, non_id = monoid.table, monoid.non_identity()
         k = len(non_id)
-        in_s = [t in gens for t in range(monoid.size)]
-        splits = [[(non_id[f // k], non_id[f % k]) for f in fs]
-                  for fs in monoid.factor_pairs]
-        # x * y = z with x in S: only cells whose first entry lies in S
-        # survive the projection
-        heads = [[pair for pair in pairs_z if in_s[pair[0]]] for pairs_z in splits]
-        lstar = [[coeffs.lstar[b, p].columns for p in range(monoid.size)]
-                 for b in range(monoid.size)]
-        rstar = [[coeffs.rstar[b, p].columns for p in range(monoid.size)]
-                 for b in range(monoid.size)]
+        pos = {a: pa for pa, a in enumerate(non_id)}
+        # a by the two-digit code pos(s(a)) * k + pos(r(a)) of its split
+        chosen = {pos[s] * k + pos[r]: a for (s, r), a in pairs.items()}
 
-        cells: list[list[tuple[int, ...]]] = [[()]]
-        products = [[monoid.identity_index]]
+        cells, products = [[0]], [[monoid.identity_index]]
         for n in range(1, max_degree + 1):
-            step = [(cell + (t,), table[p][t])
-                    for cell, p in zip(cells[-1], products[-1])
+            step = [(i * k + pos[t], table[p][t])
+                    for i, p in zip(cells[-1], products[-1])
                     for t in (gens if n == 1 else non_id)
-                    if n != 2 or (cell[0], t) not in pairs]
-            cells.append([cell for cell, _ in step])
+                    if n != 2 or i * k + pos[t] not in chosen]
+            cells.append([i for i, _ in step])
             products.append([p for _, p in step])
         self.cells = cells
         self.groups = [DirectSum.of([coeffs.groups[p] for p in prods])
                        for prods in products]
 
-        def add(v: dict, queue: list, cell: tuple[int, ...], p: int,
-                vec: SparseColumn) -> None:
-            """v += d(vec at cell) on the cells whose first entry lies in
-            S; a matched cell met for the first time joins the queue of
-            its level with its product."""
-            n = len(cell)
-            negated = {i: -x for i, x in vec.items()}
-            terms = [((b,) + cell, table[b][p], _apply_sparse(lstar[b][p], vec))
-                     for b in gens]
-            if n:
-                tail = cell[1:]
-                terms += [(pair + tail, p, negated) for pair in heads[cell[0]]]
-            if not n or in_s[cell[0]]:
-                for q in range(1, n):
-                    head, tail = cell[:q], cell[q + 1:]
-                    w = vec if q % 2 else negated
-                    terms += [(head + pair + tail, p, w) for pair in splits[cell[q]]]
-                w = vec if n % 2 else negated
-                terms += [(cell + (b,), table[p][b], _apply_sparse(rstar[b][p], w))
-                          for b in (non_id if n else gens)]
-            for z, pz, w in terms:
-                cur = v.get(z)
-                if cur is None:
-                    v[z] = dict(w)
-                    a = pairs.get(z[:2])
-                    if a is not None:
-                        queue[length[a]].append((z, pz))
-                else:
-                    for i, x in w.items():
-                        cur[i] = cur.get(i, 0) + x
-
         top = max(length)
         differentials = []
+        tails = [monoid.identity_index]  # the products of C^(n-1), by index
         for n in range(max_degree):
+            if n > 1:
+                tails = [table[p][t] for p in tails for t in non_id]
+            faces = _face_rule(monoid, coeffs, n, gens, range(monoid.size))
+            # a degree n + 1 target t, n > 0, starts with the code t // w
+            w, codes = k ** max(n - 1, 0), chosen if n else {}
+
+            def add(v: dict, queue: list, i: int, p: int,
+                    vec: SparseColumn) -> None:
+                """v += d(vec at cell i of product p); a matched cell met
+                for the first time joins the queue of its level."""
+                negated = {j: -x for j, x in vec.items()}
+                for t, block, sign in faces(i, p):
+                    vt = vec if sign > 0 else negated
+                    vt = vt if block is None else _apply_sparse(block, vt)
+                    cur = v.get(t)
+                    if cur is None:
+                        v[t] = dict(vt)
+                        a = codes.get(t // w)
+                        if a is not None:
+                            queue[length[a]].append(t)
+                    else:
+                        for j, x in vt.items():
+                            cur[j] = cur.get(j, 0) + x
+
             src, tgt = self.groups[n], self.groups[n + 1]
             where = dict(zip(cells[n + 1], tgt.offsets))
             columns: list[SparseColumn] = []
-            for cell, p in zip(cells[n], products[n]):
+            for i, p in zip(cells[n], products[n]):
                 for g in range(coeffs.groups[p].ngens):
-                    v: dict[tuple[int, ...], SparseColumn] = {}
-                    queue: list[list[tuple[tuple[int, ...], int]]] = [
-                        [] for _ in range(top + 1)]
-                    add(v, queue, cell, p, {g: 1})
+                    v: dict[int, SparseColumn] = {}
+                    queue: list[list[int]] = [[] for _ in range(top + 1)]
+                    add(v, queue, i, p, {g: 1})
                     for level in queue:
-                        for y, py in level:
+                        for y in level:
                             vy = v[y]
                             if any(vy.values()):
-                                add(v, queue, (pairs[y[:2]],) + y[2:], py, dict(vy))
+                                a, rest = codes[y // w], y % w
+                                add(v, queue, pos[a] * w + rest,
+                                    table[a][tails[rest]], dict(vy))
                                 if any(v[y].values()):
                                     raise AssertionError(
                                         f"matched cell {y} was not cleared")
                             del v[y]
                     col: SparseColumn = {}
-                    for z, w in v.items():
+                    for z, vz in v.items():
                         off = where.get(z)
                         if off is not None:
-                            for i, x in w.items():
+                            for j, x in vz.items():
                                 if x:
-                                    col[off + i] = x
+                                    col[off + j] = x
                     columns.append(col)
             differentials.append(assemble_hom(src, tgt, columns))
         super().__init__(differentials, translation_failure)

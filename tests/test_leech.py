@@ -495,6 +495,30 @@ class TestComplexApi:
         with pytest.raises(ValueError, match="different monoid"):
             LeechComplex(cyclic_group(3), c, 2)
 
+    @pytest.mark.parametrize("m", [power_set_monoid(1), cyclic_group(3)],
+                             ids=["same size", "other size"])
+    def test_builders_reject_a_system_of_another_monoid(self, m):
+        # P(1) has the size of Z/2, so every index of a Z/2 system is in
+        # range for it; the two monoids' d^1 differ, (1) against (0)
+        c = group_action_system(cyclic_group(2), Z, {
+            0: AbHom.identity(Z), 1: AbHom(Z, Z, ((-1,),))})
+        for build in (cochain_group, cochain_ngens, coboundary):
+            with pytest.raises(ValueError, match="different monoid"):
+                build(m, c, 1)
+        assert coboundary(cyclic_group(2), c, 1).matrix == ((0,),)
+        assert coboundary(power_set_monoid(1),
+                          constant_system(power_set_monoid(1), Z),
+                          1).matrix == ((1,),)
+
+    def test_coboundary_rejects_groups_of_other_degrees(self):
+        m = cyclic_group(3)
+        c = constant_system(m, Z)
+        c2, c3 = cochain_group(m, c, 2), cochain_group(m, c, 3)
+        for source, target in ((c2, c3), (c2, None), (None, c3)):
+            with pytest.raises(ValueError, match="degrees 1 and 2"):
+                coboundary(m, c, 1, source, target)
+        assert coboundary(m, c, 2, c2, c3) == coboundary(m, c, 2)
+
     def test_cohomology_needs_one_more_degree(self):
         m = cyclic_group(2)
         cx = LeechComplex(m, constant_system(m, Z), 2)
@@ -532,6 +556,28 @@ class TestMorseReduction:
                 full.cohomology(n) for n in range(5)], (m.name, c.groups)
             reduced += bool(one_level_matching(m)[1])
         assert reduced >= 20
+
+    def test_every_element_a_generator_gives_the_full_complex(self):
+        # the reduced and the full complex read d from one face rule: with
+        # S every element and no pair, they are the same complex
+        for m in small_monoids():
+            for c in systems_for(m, [Z, Zmod(2), FgAbGroup(1, (2,))]):
+                matching = (m.non_identity(), {}, [0] * m.size)
+                assert MorseLeechComplex(m, c, 3, matching).differentials == \
+                    LeechComplex(m, c, 3).differentials, (m.name, c.groups)
+
+    def test_critical_cells_are_indices_of_the_full_cochains(self):
+        for m in small_monoids():
+            k = m.size - 1
+            for c in systems_for(m, [Z, FgAbGroup(1, (2,))]):
+                cx = MorseLeechComplex(m, c, 4, one_level_matching(m))
+                for n, cells in enumerate(cx.cells):
+                    full = cochain_group(m, c, n)
+                    assert all(type(i) is int and 0 <= i < k ** n
+                               for i in cells)
+                    assert cells == sorted(set(cells))
+                    assert cx.groups[n].components == tuple(
+                        c.groups[full.products[i]] for i in cells)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_cyclic_critical_cells(self, k):
