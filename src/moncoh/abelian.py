@@ -762,9 +762,10 @@ def _elementary_prime(groups: Iterable[FgAbGroup]) -> int | None:
 
 
 class CochainComplex:
-    """H^n = ker(d^n) / im(d^(n-1)) of a complex d^0, ..., d^(P-1), with
-    d^(-1) = 0, for 0 <= n < P; the base class of ``LeechComplex``,
-    ``TotalComplex`` and ``PathCochain`` and the engine of ``cohomology_at``.
+    """H^n = ker(d^n) / im(d^(n-1)), 0 <= n < P, of C^0, given when built,
+    and d^0, ..., d^(P-1), with d^(-1) = 0 into C^0; the base class of
+    ``LeechComplex``, ``MorseLeechComplex``, ``TotalComplex`` and
+    ``PathCochain`` and the engine of ``cohomology_at``.
     It takes one of three routes: the cone, with the top rank certified over
     a small field when it can be, or, for elementary p-groups, F_p ranks alone.
 
@@ -831,10 +832,11 @@ class CochainComplex:
     dropped.
     """
 
-    def __init__(self, differentials: Sequence[AbHom],
+    def __init__(self, start: FgAbGroup, differentials: Sequence[AbHom],
                  failure: Callable[[int], Exception]) -> None:
-        """``failure(k)`` is raised for the first pair (d^k, d^(k+1)) that
-        does not compose to zero."""
+        """``start`` is C^0; ``failure(k)`` is raised for the first pair
+        (d^k, d^(k+1)) that does not compose to zero."""
+        self.start = start
         self.differentials = ds = tuple(differentials)
         self._prime = _elementary_prime(
             [d.domain for d in ds] + [d.codomain for d in ds[-1:]])
@@ -878,12 +880,6 @@ class CochainComplex:
             self._quotients[n] = None
         return diag
 
-    def _start(self) -> FgAbGroup:
-        """C^0, the codomain of d^(-1)."""
-        if not self.differentials:
-            raise ValueError("no differential to read C^0 from")
-        return self.differentials[0].domain
-
     def _check(self, n: int, low: int) -> None:
         if not low <= n < len(self.differentials):
             raise ValueError(f"index {n} needs {low} <= n < {len(self.differentials)}")
@@ -892,7 +888,7 @@ class CochainComplex:
         """d^n for -1 <= n < P; d^(-1) is the zero map into C^0."""
         self._check(n, -1)
         return (self.differentials[n] if n >= 0
-                else AbHom.zero(TRIVIAL_GROUP, self._start()))
+                else AbHom.zero(TRIVIAL_GROUP, self.start))
 
     def cohomology(self, n: int) -> FgAbGroup:
         """H^n for 0 <= n < P, computed on first request and kept."""
@@ -921,8 +917,9 @@ def cohomology_at(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     """ker(d_out) / im(d_in) at the shared middle group: H^1 of the
     complex d_in, d_out (see ``CochainComplex``); ShapeMismatch when the
     middle groups differ."""
-    return CochainComplex((d_in, d_out), lambda _: CompositionNonzero(
-        "d_out after d_in is not the zero homomorphism")).cohomology(1)
+    return CochainComplex(d_in.domain, (d_in, d_out), lambda _: (
+        CompositionNonzero("d_out after d_in is not the zero homomorphism"))
+    ).cohomology(1)
 
 
 def presentation_to_canonical(

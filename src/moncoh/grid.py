@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .abelian import AbHom, CochainComplex, FgAbGroup
+from .abelian import AbHom, CochainComplex, FgAbGroup, _integers_only
 from .coeff import CoeffSystem
 from .leech import CochainGroup, coboundary, cochain_group, translation_failure
 from .monoid import FinMonoid
@@ -96,6 +96,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.floors:
             raise ValueError("a grid needs at least one floor")
+        if not isinstance(self.finite, bool):
+            raise ValueError(f"finite must be a bool, got {self.finite!r}")
         object.__setattr__(self, "floors", tuple(
             (m, c) for m, c in self.floors))
         for k, (m, c) in enumerate(self.floors):
@@ -121,6 +123,9 @@ class PathSpec:
     prefix_moves: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.prefix_moves, str):
+            raise ValueError(f"path moves must be a string, got "
+                             f"{self.prefix_moves!r}")
         bad = set(self.prefix_moves) - {"R", "D"}
         if bad:
             raise ValueError(f"path moves must be R or D, got {sorted(bad)!r}")
@@ -135,6 +140,8 @@ class PathSpec:
                       floor_count: int) -> "PathSpec":
         """Down at each of the first floor_count - 1 distinct columns, in
         ascending order; the other columns are dropped."""
+        columns = list(columns)
+        _integers_only([columns], "descent column")
         chosen = sorted(set(columns))
         if chosen and chosen[0] < 0:
             raise ValueError("descent columns must be nonnegative")
@@ -259,7 +266,7 @@ class PathCochain(CochainComplex):
                 tags.append("vertical")
         self.move_tags: tuple[str, ...] = tuple(tags)
         self.groups: tuple[CochainGroup, ...] = tuple(groups[:-1])
-        super().__init__(maps, self._failure)
+        super().__init__(groups[0].total, maps, self._failure)
 
     def _failure(self, k: int) -> Exception:
         if self.move_tags[k] == self.move_tags[k + 1] == "horizontal":

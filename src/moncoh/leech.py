@@ -229,10 +229,8 @@ class LeechComplex(CochainComplex):
 
     def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int):
         self.groups, differentials = floor_cochains(monoid, coeffs, max_degree)
-        super().__init__(differentials, translation_failure)
-
-    def _start(self) -> FgAbGroup:
-        return self.groups[0].total
+        super().__init__(self.groups[0].total, differentials,
+                         translation_failure)
 
 
 # generators S, the chosen pairs {(s(a), r(a)): a}, word lengths
@@ -376,10 +374,8 @@ class MorseLeechComplex(CochainComplex):
                                     col[off + j] = x
                     columns.append(col)
             differentials.append(assemble_hom(src, tgt, columns))
-        super().__init__(differentials, translation_failure)
-
-    def _start(self) -> FgAbGroup:
-        return self.groups[0].total
+        super().__init__(self.groups[0].total, differentials,
+                         translation_failure)
 
 
 def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,

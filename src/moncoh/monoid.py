@@ -11,6 +11,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .abelian import _integers_only
+
 
 @dataclass(frozen=True)
 class FinMonoid:
@@ -27,10 +29,12 @@ class FinMonoid:
             raise ValueError("a monoid needs at least the identity element")
         if len(set(self.element_names)) != n:
             raise ValueError("element names must be distinct")
+        _integers_only([(self.identity_index,)], "identity index")
         if not 0 <= self.identity_index < n:
             raise ValueError("identity index out of range")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError(f"table must be {n} x {n}")
+        _integers_only(self.table, "table entry")
         for row in self.table:
             for x in row:
                 if not 0 <= x < n:

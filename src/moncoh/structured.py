@@ -52,6 +52,14 @@ class NotSurjective(ValueError):
             "the point-to-subcollection map misses " + ", ".join(self.missing))
 
 
+def _arity(arity: object) -> int:
+    """arity itself when it is a positive int and not a bool."""
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+        raise ValueError(
+            f"operation arity must be a positive integer, got {arity!r}")
+    return arity
+
+
 @dataclass(frozen=True)
 class StructureDescriptor:
     """Canonical signature; construct through make()."""
@@ -60,10 +68,8 @@ class StructureDescriptor:
     nonalg_tags: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for op in self.operations:
-            arity, tags = op
-            if not isinstance(arity, int) or arity < 1:
-                raise ValueError(f"operation arity must be a positive integer, got {arity!r}")
+        for arity, tags in self.operations:
+            _arity(arity)
             if tuple(sorted(set(tags))) != tags:
                 raise ValueError(f"operation tags not canonical: {tags!r}")
         if tuple(sorted(self.operations)) != self.operations:
@@ -79,7 +85,7 @@ class StructureDescriptor:
     @classmethod
     def make(cls, operations, nonalg_tags=()) -> "StructureDescriptor":
         ops = tuple(sorted(
-            (int(arity), tuple(sorted(set(map(str, tags)))))
+            (_arity(arity), tuple(sorted(set(map(str, tags)))))
             for arity, tags in operations))
         nonalg = tuple(sorted(set(map(str, nonalg_tags))))
         return cls(ops, nonalg)

@@ -146,13 +146,13 @@ class TotalComplex(CochainComplex):
             differentials.append(assemble_hom(src, tgt, columns))
         failure = None
         try:
-            super().__init__(differentials, lambda n: AssertionError(
-                f"total differential fails to square to zero between "
-                f"degrees {n} and {n + 2}"))
+            super().__init__(self.levels[0].total, differentials, lambda n: (
+                AssertionError(f"total differential fails to square to zero "
+                               f"between degrees {n} and {n + 2}")))
         except AssertionError as exc:
             failure = exc
-            for _, coboundaries in floors:
-                CochainComplex(coboundaries, translation_failure)
+            for groups, maps in floors:
+                CochainComplex(groups[0].total, maps, translation_failure)
         violations = family.column_violations()
         view = _double_complex_view(violations, floors, verticals, n_max,
                                     n_max if failure is None else 0)

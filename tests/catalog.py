@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from moncoh.abelian import AbHom, FgAbGroup, Z, Zmod
 from moncoh.coeff import CoeffSystem, constant_system, group_action_system
 from moncoh.monoid import (
@@ -48,6 +50,49 @@ def small_monoids() -> list[FinMonoid]:
         left_zero_adjoined(),
         right_zero_adjoined(),
     ]
+
+
+def monoids_up_to_order(n_max: int) -> list[FinMonoid]:
+    """Every monoid of order 2 to n_max with identity 0, one per
+    isomorphism class: the table least among its relabellings that fix 0.
+    The non-identity cells are filled in row-major order, and a branch is
+    cut at the first triple whose four products are filled and disagree."""
+    found: list[FinMonoid] = []
+    for n in range(2, n_max + 1):
+        non_id = range(1, n)
+        cells = list(itertools.product(non_id, repeat=2))
+        triples = list(itertools.product(non_id, repeat=3))
+        perms = [(0, *p) for p in itertools.permutations(non_id)]
+        t = [[b if a == 0 else a if b == 0 else None for b in range(n)]
+             for a in range(n)]
+
+        def associative() -> bool:
+            for a, b, c in triples:
+                ab, bc = t[a][b], t[b][c]
+                if ab is not None and bc is not None:
+                    left, right = t[ab][c], t[a][bc]
+                    if None not in (left, right) and left != right:
+                        return False
+            return True
+
+        def fill(k: int) -> None:
+            if k == len(cells):
+                table = tuple(map(tuple, t))
+                if all(table <= tuple(tuple(p.index(table[p[a]][p[b]])
+                                            for b in range(n))
+                                      for a in range(n)) for p in perms):
+                    found.append(FinMonoid(f"order {n} #{len(found)}",
+                                           tuple("eabc"[:n]), 0, table))
+                return
+            a, b = cells[k]
+            for v in range(n):
+                t[a][b] = v
+                if associative():
+                    fill(k + 1)
+            t[a][b] = None
+
+        fill(0)
+    return found
 
 
 def small_groups() -> list[FgAbGroup]:

@@ -655,9 +655,9 @@ class TestComplexCohomology:
         d = [AbHom(Z, Z, ((4,),)), AbHom(Z, Zmod(4), ((2,),)),
              AbHom(Zmod(4), Zmod(4), ((1,),))]
         with pytest.raises(KeyError) as caught:
-            CochainComplex(d, lambda k: KeyError(f"pair {k} to {k + 2}"))
+            CochainComplex(Z, d, lambda k: KeyError(f"pair {k} to {k + 2}"))
         assert caught.value.args == ("pair 1 to 3",)
-        engine = CochainComplex(d[:2], lambda k: AssertionError("unused"))
+        engine = CochainComplex(Z, d[:2], lambda k: AssertionError("unused"))
         assert [engine.cohomology(n) for n in (1, 0)] == [Zmod(2), TRIVIAL_GROUP]
 
 
@@ -674,7 +674,7 @@ class TestTopRankBound:
         # the engine's bound m - rank B_1 is at least rank F(d_out), and
         # meets it exactly when H^1 has no free part
         d_in, d_out = pair
-        engine = CochainComplex((d_in, d_out), AssertionError)
+        engine = CochainComplex(d_in.domain, (d_in, d_out), AssertionError)
         group = engine.cohomology(1)
         bound = d_out.domain.ngens - len(engine._cone_diagonal(1))
         rank = dense_free_row_rank(d_out)

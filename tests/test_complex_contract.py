@@ -1,10 +1,11 @@
 """One index contract for every cochain complex.
 
-``LeechComplex``, ``TotalComplex``, ``PathCochain`` and the two-map
-complex behind ``cohomology_at`` are all ``CochainComplex``es with
-differentials d^0..d^(P-1): ``cohomology(n)`` takes 0 <= n < P,
-``differential(n)`` takes -1 <= n < P, d^(-1) is the zero map into C^0,
-and every other index raises ValueError.
+``LeechComplex``, ``MorseLeechComplex``, ``TotalComplex``,
+``PathCochain`` and the two-map complex behind ``cohomology_at`` are all
+``CochainComplex``es with differentials d^0..d^(P-1), each given C^0 when
+it is built: ``cohomology(n)`` takes 0 <= n < P, ``differential(n)``
+takes -1 <= n < P, d^(-1) is the zero map into C^0, and every other
+index raises ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from moncoh.abelian import (
 )
 from moncoh.coeff import constant_system
 from moncoh.grid import GridSpec, PathCochain, PathSpec, VerticalFamily
-from moncoh.leech import LeechComplex, cochain_group
+from moncoh.leech import (
+    LeechComplex,
+    MorseLeechComplex,
+    cochain_group,
+    one_level_matching,
+)
 from moncoh.monoid import cyclic_group
 from moncoh.totalcx import TotalComplex
 
@@ -35,6 +41,13 @@ def two_floors(coeffs):
 def leech(coeffs):
     m = cyclic_group(3)
     cx = LeechComplex(m, constant_system(m, coeffs), 3)
+    return cx, cx.groups[0].total
+
+
+def morse(coeffs):
+    m = cyclic_group(3)
+    cx = MorseLeechComplex(m, constant_system(m, coeffs), 3,
+                           one_level_matching(m))
     return cx, cx.groups[0].total
 
 
@@ -52,13 +65,16 @@ def path(coeffs):
 def two_maps():
     # the complex cohomology_at builds: Z --2--> Z --1--> Z/2
     d_in, d_out = AbHom(Z, Z, ((2,),)), AbHom(Z, Zmod(2), ((1,),))
-    cx = CochainComplex((d_in, d_out), lambda _: CompositionNonzero("unused"))
+    cx = CochainComplex(d_in.domain, (d_in, d_out),
+                        lambda _: CompositionNonzero("unused"))
     return cx, d_in.domain
 
 
 COMPLEXES = {
     "leech over Z": lambda: leech(Z),
     "leech over Z/2": lambda: leech(Zmod(2)),
+    "morse over Z": lambda: morse(Z),
+    "morse over Z/2": lambda: morse(Zmod(2)),
     "total": total,
     "path over Z": lambda: path(Z),
     "path over Z/2": lambda: path(Zmod(2)),
@@ -114,7 +130,7 @@ def test_complex_built_to_degree_zero(coeffs):
 
 
 def test_complex_with_no_differential_has_no_c0():
-    # the base class reads C^0 off d^0; LeechComplex reads its groups
-    cx = CochainComplex([], lambda _: CompositionNonzero("unused"))
-    with pytest.raises(ValueError, match="no differential"):
-        cx.differential(-1)
+    # C^0 is given at construction, so an engine with no differential
+    # still answers d^(-1)
+    cx = CochainComplex(Zmod(6), [], lambda _: CompositionNonzero("unused"))
+    assert cx.differential(-1) == AbHom.zero(TRIVIAL_GROUP, Zmod(6))

@@ -73,6 +73,12 @@ class TestPathSpec:
         with pytest.raises(ValueError, match="moves must be R or D"):
             PathSpec("DXR")
 
+    @pytest.mark.parametrize("moves", [["D", "D"], ("R",), b"RD"])
+    def test_moves_must_be_a_string(self, moves):
+        # a list of letters used to pass the letter check
+        with pytest.raises(ValueError, match="moves must be a string, got"):
+            PathSpec(moves)
+
     def test_negative_bound(self):
         with pytest.raises(ValueError):
             PathSpec("").walk(-1)
@@ -168,6 +174,13 @@ class TestPathFromRule:
         with pytest.raises(ValueError, match="nonnegative"):
             PathSpec.descending_at([-1, 3], 3)
 
+    @pytest.mark.parametrize("column", [True, 1.5, 2.0, "2"])
+    def test_rejects_non_integer_column(self, column):
+        # True used to descend at column 1, and 1.5 to raise TypeError
+        with pytest.raises(ValueError,
+                           match=f"descent column {column!r} is not an integer"):
+            PathSpec.descending_at([0, column], 3)
+
     def test_seeded_corpus_digest(self):
         # 500 column lists (duplicates and any order) over grids of 1-5
         # floors; the digest pins every move string
@@ -191,6 +204,12 @@ class TestGridSpec:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one floor"):
             GridSpec(())
+
+    @pytest.mark.parametrize("finite", ["no", 0, None])
+    def test_finite_must_be_a_bool(self, finite):
+        # "no" used to be taken as a finite grid
+        with pytest.raises(ValueError, match="finite must be a bool, got"):
+            grid_of(const_floor(cyclic_group(2), Z), finite=finite)
 
     def test_rejects_mismatched_coefficients(self):
         c = constant_system(cyclic_group(3), Z)

@@ -35,6 +35,7 @@ from catalog import (
     chain_semilattice,
     left_zero_adjoined,
     monogenic_three,
+    monoids_up_to_order,
     negation_on_integers,
     small_monoids,
     swap_action_system,
@@ -547,13 +548,21 @@ class TestMorseReduction:
     matching; the full complex is the reference."""
 
     def test_tables_match_the_full_complex_across_catalog(self):
-        systems = [(m, c) for m in small_monoids() for c in systems_for(m)]
-        systems.append((cyclic_group(2), swap_action_system()))
+        systems = [(m, c, 4) for m in small_monoids() for c in systems_for(m)]
+        systems.append((cyclic_group(2), swap_action_system(), 4))
+        # every monoid of order 2 to 4, so that the matched block is seen
+        # to be minus the identity on every small table, not only the
+        # catalog's
+        every = monoids_up_to_order(4)
+        assert len(every) == 44
+        assert sum(bool(one_level_matching(m)[1]) for m in every) == 8
+        systems += [(m, constant_system(m, g), 3) for m in every
+                    for g in (Z, Zmod(2), FgAbGroup(1, (2,)), Zmod(6))]
         reduced = 0
-        for m, c in systems:
-            full = LeechComplex(m, c, 5)
-            assert leech_cohomology_table(m, c, 4) == [
-                full.cohomology(n) for n in range(5)], (m.name, c.groups)
+        for m, c, p in systems:
+            full = LeechComplex(m, c, p + 1)
+            assert leech_cohomology_table(m, c, p) == [
+                full.cohomology(n) for n in range(p + 1)], (m.name, c.groups)
             reduced += bool(one_level_matching(m)[1])
         assert reduced >= 20
 

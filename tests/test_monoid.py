@@ -64,6 +64,20 @@ class TestValidate:
         with pytest.raises(ValueError):
             FinMonoid("x", ("e",), 3, ((0,),))
 
+    @pytest.mark.parametrize("entry", [1.0, True, "1"])
+    def test_non_integer_table_entry_rejected(self, entry):
+        # 1.0 and True used to pass the range check and break validate()
+        # and the cochain groups later
+        with pytest.raises(ValueError,
+                           match=f"table entry {entry!r} is not an integer"):
+            FinMonoid("x", ("e", "a"), 0, ((0, 1), (1, entry)))
+
+    @pytest.mark.parametrize("index", [True, 0.0])
+    def test_non_integer_identity_index_rejected(self, index):
+        with pytest.raises(ValueError,
+                           match=f"identity index {index!r} is not an integer"):
+            FinMonoid("x", ("e", "a"), index, ((0, 1), (1, 1)))
+
 
 class TestBuilders:
     def test_cyclic_group_structure(self):

@@ -56,6 +56,15 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="arity"):
             StructureDescriptor.make([(0, [])])
 
+    @pytest.mark.parametrize("arity", [2.0, "2", True])
+    def test_rejects_non_integer_arity(self, arity):
+        # make used to coerce these to 2, 2 and 1, and the dataclass took True
+        message = f"arity must be a positive integer, got {arity!r}"
+        with pytest.raises(ValueError, match=message):
+            StructureDescriptor.make([(arity, ["assoc"])])
+        with pytest.raises(ValueError, match=message):
+            StructureDescriptor(((arity, ("assoc",)),), ())
+
     def test_rejects_noncanonical_fields(self):
         with pytest.raises(ValueError, match="canonical"):
             StructureDescriptor(((2, ("b", "a")),), ())

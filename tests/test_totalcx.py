@@ -227,9 +227,9 @@ class TestWorkDoneOnce:
             calls["proof"] += 1
             return real_quotient(outer, inner)
 
-        def counted_engine(self, differentials, failure):
+        def counted_engine(self, start, differentials, failure):
             calls["engine"] += 1
-            real_engine(self, differentials, failure)
+            real_engine(self, start, differentials, failure)
 
         def counted_leech(self, *args):
             calls["floor complex"] += 1
