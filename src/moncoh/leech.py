@@ -41,6 +41,7 @@ from .abelian import (
     FgAbGroup,
     SparseColumn,
     _apply_sparse,
+    _integers_only,
     assemble_hom,
     direct_sum_ngens,
 )
@@ -79,6 +80,7 @@ def _check(m: FinMonoid, c: CoeffSystem, n: int,
            what: str = "cochain degree") -> None:
     if c.monoid is not m and c.monoid != m:
         raise ValueError("coefficient system belongs to a different monoid")
+    _integers_only([[n]], what)
     if n < 0:
         raise ValueError(f"{what} must be nonnegative")
 
@@ -387,6 +389,7 @@ def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,
     complex squares to zero, and otherwise the ``LeechComplex``; a
     mismatched monoid or a negative degree raises the same error either
     way."""
+    _integers_only([[p_max]], "degree bound")
     matching = one_level_matching(m)
     if matching[1] and not validate_relations(c):
         cx: CochainComplex = MorseLeechComplex(m, c, p_max + 1, matching)

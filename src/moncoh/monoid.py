@@ -110,6 +110,7 @@ def validate(m: FinMonoid) -> list[str]:
 
 
 def cyclic_group(n: int) -> FinMonoid:
+    _integers_only([[n]], "cyclic group order")
     if n < 1:
         raise ValueError("cyclic group order must be positive")
     names = tuple(str(i) for i in range(n))
@@ -168,6 +169,7 @@ def union_monoid(family: Iterable[Iterable[str]], name: str | None = None) -> Fi
 
 def power_set_monoid(n: int) -> FinMonoid:
     """Subsets of {0, ..., n-1} under union; 2^n elements."""
+    _integers_only([[n]], "ground set size")
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
     return _mask_monoid(f"P({n})", [str(i) for i in range(n)], range(1 << n))

@@ -14,9 +14,10 @@ to the subcollection of sets containing it; when that map reaches every
 nonempty subcollection, the unions of the first r + 1 sets form a
 strictly growing tower of idempotent monoids, one floor per r.
 
-Both pipelines stack their monoids as grid floors (constant coefficient
-systems unless the caller supplies otherwise) and return the square
-cohomology and local-exactness reports.
+Both pipelines stack their monoids as grid floors with the constant
+coefficient system over the caller's group, then read the staircase path
+under the zero vertical family into the square cohomology and
+local-exactness reports.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abelian import FgAbGroup, Z
+from .abelian import FgAbGroup, Z, _integers_only
 from .coeff import constant_system
 from .grid import (
     GridSpec,
@@ -60,6 +61,14 @@ def _arity(arity: object) -> int:
     return arity
 
 
+def _tags(tags: object) -> tuple[str, ...]:
+    """The sorted distinct tags of a sequence; a bare string is refused
+    rather than read as a sequence of one-letter tags."""
+    if isinstance(tags, str):
+        raise ValueError(f"tags must be a sequence of strings, got {tags!r}")
+    return tuple(sorted(set(map(str, tags))))
+
+
 @dataclass(frozen=True)
 class StructureDescriptor:
     """Canonical signature; construct through make()."""
@@ -84,11 +93,9 @@ class StructureDescriptor:
 
     @classmethod
     def make(cls, operations, nonalg_tags=()) -> "StructureDescriptor":
-        ops = tuple(sorted(
-            (_arity(arity), tuple(sorted(set(map(str, tags)))))
-            for arity, tags in operations))
-        nonalg = tuple(sorted(set(map(str, nonalg_tags))))
-        return cls(ops, nonalg)
+        ops = tuple(sorted((_arity(arity), _tags(tags))
+                           for arity, tags in operations))
+        return cls(ops, _tags(nonalg_tags))
 
 
 def distinct_classes(
@@ -228,6 +235,7 @@ def reorder_chain(system: SetSystem) -> ChainPlan:
 
 def build_gr(system: SetSystem, r: int) -> FinMonoid:
     """Monoid of all unions of the first r + 1 sets, identity empty."""
+    _integers_only([[r]], "set index")
     if not 0 <= r < system.set_count:
         raise ValueError(f"set index {r} out of range")
     family = []
@@ -248,31 +256,27 @@ class PipelineReport:
 
 
 def _run_grid(floors: Sequence[FinMonoid], coeff_group: FgAbGroup,
-              path: PathSpec | None, p_max: int,
-              family: VerticalFamily | None,
-              notes: list[str]) -> tuple[GridSpec, PathSpec, SquareReport,
-                                         LocalExactnessReport]:
+              p_max: int, notes: Sequence[str],
+              chain: ChainPlan | None = None) -> PipelineReport:
     grid = GridSpec(tuple((m, constant_system(m, coeff_group))
                           for m in floors))
-    notes.append(
-        f"floors carry constant coefficient systems over {coeff_group.render()}")
-    if path is None:
-        path = PathSpec.staircase(len(grid.floors))
-        notes.append(f"default staircase path {path.prefix_moves!r} chosen")
-    if family is None:
-        family = VerticalFamily.zero()
-        notes.append("zero vertical family assumed")
+    path = PathSpec.staircase(len(grid.floors))
+    family = VerticalFamily.zero()
+    notes = (
+        *notes,
+        f"floors carry constant coefficient systems over {coeff_group.render()}",
+        f"default staircase path {path.prefix_moves!r} chosen",
+        "zero vertical family assumed")
     square = square_cohomology(grid, family, path, p_max)
     exact = local_exactness_report(grid, family, path, p_max,
                                    square_report=square)
-    return grid, path, square, exact
+    return PipelineReport(tuple(floors), grid, path, square, exact, notes,
+                          chain)
 
 
 def fs_pipeline(descriptors: Sequence[StructureDescriptor],
                 coeff_group: FgAbGroup = Z,
-                path: PathSpec | None = None,
-                p_max: int = 4,
-                family: VerticalFamily | None = None) -> PipelineReport:
+                p_max: int = 4) -> PipelineReport:
     """Floors are the class-subset monoids of each descriptor prefix.
 
     Every descriptor must introduce a new class, otherwise two
@@ -289,18 +293,13 @@ def fs_pipeline(descriptors: Sequence[StructureDescriptor],
                 f"floor would repeat the previous floor")
         classes.append(d)
         floors.append(build_Kn(classes))
-    notes: list[str] = [f"{len(classes)} structure classes"]
-    grid, path, square, exact = _run_grid(
-        floors, coeff_group, path, p_max, family, notes)
-    return PipelineReport(tuple(floors), grid, path, square, exact,
-                          tuple(notes))
+    return _run_grid(floors, coeff_group, p_max,
+                     [f"{len(classes)} structure classes"])
 
 
 def h_pipeline(system: SetSystem,
                coeff_group: FgAbGroup = Z,
-               path: PathSpec | None = None,
-               p_max: int = 4,
-               family: VerticalFamily | None = None) -> PipelineReport:
+               p_max: int = 4) -> PipelineReport:
     """Floors are the union monoids of growing set prefixes.
 
     Requires the point-to-subcollection map to be surjective onto the
@@ -309,9 +308,6 @@ def h_pipeline(system: SetSystem,
     """
     chain = reorder_chain(system)  # raises NotSurjective with the witnesses
     floors = [build_gr(system, r) for r in range(system.set_count)]
-    notes: list[str] = [
-        "floor sizes " + ", ".join(str(m.size) for m in floors)]
-    grid, path, square, exact = _run_grid(
-        floors, coeff_group, path, p_max, family, notes)
-    return PipelineReport(tuple(floors), grid, path, square, exact,
-                          tuple(notes), chain=chain)
+    return _run_grid(floors, coeff_group, p_max,
+                     ["floor sizes " + ", ".join(str(m.size) for m in floors)],
+                     chain)

@@ -26,6 +26,7 @@ from .abelian import (
     DirectSum,
     FgAbGroup,
     SparseColumn,
+    _integers_only,
     add_block,
     assemble_hom,
 )
@@ -69,6 +70,7 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
                       p_max: int) -> DoubleComplexView:
     """Exact commutation test for every square up to the degree bound, each
     composed both ways on unproven floors; one floor passes vacuously."""
+    _integers_only([[p_max]], "degree bound")
     return _double_complex_view(
         family.column_violations(),
         *_floors_and_verticals(grid, family, p_max + 1), p_max, 0)
@@ -122,6 +124,7 @@ class TotalComplex(CochainComplex):
     the translation relations, then as NotADoubleComplex, then as its own."""
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
+        _integers_only([[n_max]], "degree bound")
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
         floors, verticals = _floors_and_verticals(grid, family, n_max + 1)
@@ -170,6 +173,7 @@ class TotalComplex(CochainComplex):
 def total_cohomology(grid: GridSpec, family: VerticalFamily,
                      n_max: int) -> list[FgAbGroup]:
     """H^0..H^n_max of the total complex; empty when the range is empty."""
+    _integers_only([[n_max]], "degree bound")
     if n_max < 0:
         return []
     cx = TotalComplex(grid, family, n_max)

@@ -107,6 +107,13 @@ class TestSmithNormalForm:
         dec3 = smith_normal_form([], shape=(0, 0))
         assert dec3.d == ()
 
+    @pytest.mark.parametrize("matrix, shape, message", [
+        ([[1]], (2, 1), "expected 2 rows, got 1"),
+        ([[1, 2], [3]], None, "ragged matrix")], ids=["short", "ragged"])
+    def test_malformed_matrix_rejected(self, matrix, shape, message):
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            smith_normal_form(matrix, shape=shape)
+
     def test_divisibility_merge(self):
         # diag(2, 3) has invariant factors (1, 6)
         dec = smith_normal_form([[2, 0], [0, 3]])
@@ -232,6 +239,8 @@ class TestAbHom:
         assert h.is_zero()
         assert h.equals(AbHom.zero(Z, Zmod(2)))
         assert not AbHom(Z, Zmod(2), ((1,),)).is_zero()
+        # maps between different groups are never equal
+        assert not AbHom.identity(Z).equals(AbHom.identity(Zmod(2)))
 
     def test_sparse_columns(self):
         h = AbHom(FgAbGroup(3), FgAbGroup(2), ((0, 2, 0), (0, -1, 0)))

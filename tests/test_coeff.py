@@ -38,6 +38,9 @@ class TestConstantSystem:
         c = constant_system(cyclic_group(2), Z)
         assert set(c.lstar.keys()) == {(a, x) for a in range(2) for x in range(2)}
 
+    def test_never_equal_to_another_type(self):
+        assert constant_system(cyclic_group(2), Z) != 5
+
 
 class TestGroupActionSystem:
     def test_negation_on_z2(self):
@@ -66,6 +69,11 @@ class TestGroupActionSystem:
         action = {0: AbHom(Z, Z, ((-1,),)), 1: AbHom.identity(Z)}
         with pytest.raises(ActionNotHomomorphic):
             group_action_system(m, Z, action)
+
+    def test_action_map_missing_for_an_element(self):
+        with pytest.raises(ActionNotHomomorphic,
+                           match="action map missing for element 1"):
+            group_action_system(cyclic_group(2), Z, {0: AbHom.identity(Z)})
 
     def test_wrong_carrier_rejected(self):
         m = cyclic_group(2)
@@ -107,6 +115,13 @@ class TestExplicitSystem:
         kinds = {p.relation for p in problems}
         assert "left translation composition" in kinds
         assert "mixed translation commutation" in kinds
+
+    def test_one_group_per_element_required(self):
+        m = cyclic_group(2)
+        ident = AbHom.identity(Z)
+        stars = {(a, x): ident for a in range(2) for x in range(2)}
+        with pytest.raises(ValueError, match="one group per monoid element"):
+            CoeffSystem(m, (Z,), stars, dict(stars))
 
     def test_missing_pair_rejected(self):
         m = cyclic_group(2)

@@ -403,6 +403,19 @@ class TestParse:
             f"$.grids[0].vertical.maps.{key}: expected a \"[floor,degree]\" "
             f"key, got {key!r}"]
 
+    def test_vertical_map_key_must_hold_integers(self):
+        root = sample_root()
+        root["grids"][0]["vertical"] = {"maps": {"[x,1]": [[1]]}}
+        assert diags_of(json.dumps(root)) == [
+            "$.grids[0].vertical.maps.[x,1]: expected integer floor and "
+            "degree in '[x,1]'"]
+
+    def test_finite_must_be_true_or_false(self):
+        root = sample_root()
+        root["grids"][0]["finite"] = "no"
+        assert diags_of(json.dumps(root)) == [
+            "$.grids[0].finite: expected true or false"]
+
     def test_vertical_map_floor_bounds(self):
         root = sample_root()
         root["grids"][0]["vertical"] = {"maps": {"[1,0]": [[1]]}}
@@ -460,6 +473,15 @@ class TestRoundTrip:
         assert again == doc
         assert serialize_document(again) == text
 
+    def test_infinite_grid_round_trips(self):
+        root = sample_root()
+        root["grids"][0]["finite"] = False
+        doc = parse_document(json.dumps(root))
+        assert doc.grid("pair").grid.finite is False
+        text = serialize_document(doc)
+        assert json.loads(text)["grids"][0]["finite"] is False
+        assert parse_document(text) == doc
+
     def test_serializer_is_deterministic(self):
         doc = parse_document(sample_text())
         assert serialize_document(doc) == serialize_document(
@@ -472,4 +494,7 @@ class TestRoundTrip:
             VerticalFamily.zero(), PathSpec(""))
         doc = Document(grids=(("loose", bundle),))
         with pytest.raises(ValueError, match="unnamed"):
+            serialize_document(doc)
+        doc = Document(coefficients=(("loose", constant_system(m, Z)),))
+        with pytest.raises(ValueError, match="not a named document monoid"):
             serialize_document(doc)

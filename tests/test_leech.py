@@ -430,6 +430,24 @@ class TestSparseConstruction:
                 for n in range(5):
                     self.assert_matches_reference(m, c, n)
 
+    def test_trivial_coefficient_group_has_no_columns(self):
+        # A(y) = 0, so every tuple with product y has an empty component
+        m = left_zero_adjoined()
+        groups = [Z, Zmod(2), TRIVIAL_GROUP]
+        lstar, rstar = {}, {}
+        for a in range(3):
+            for x in range(3):
+                src, dst = groups[x], groups[m.mul(a, x)]
+                lstar[(a, x)] = (AbHom.identity(src) if a == 0
+                                 else AbHom.zero(src, dst))
+                rstar[(a, x)] = (AbHom.identity(src) if x != 0 or a == 0
+                                 else AbHom(Z, dst, ((1,),) * dst.ngens))
+        c = explicit_system(m, groups, lstar, rstar)
+        assert validate_relations(c) == []
+        assert cochain_group(m, c, 1).total == Zmod(2)
+        for n in range(4):
+            self.assert_matches_reference(m, c, n)
+
     def test_merging_coefficient_groups(self):
         m = left_zero_adjoined()
         c = mixed_two_three_system()

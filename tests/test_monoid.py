@@ -63,6 +63,10 @@ class TestValidate:
             FinMonoid("x", ("e", "e"), 0, ((0, 1), (1, 0)))
         with pytest.raises(ValueError):
             FinMonoid("x", ("e",), 3, ((0,),))
+        with pytest.raises(ValueError, match="at least the identity"):
+            FinMonoid("x", (), 0, ())
+        with pytest.raises(ValueError, match="table entry out of range"):
+            FinMonoid("x", ("e", "a"), 0, ((0, 1), (1, 2)))
 
     @pytest.mark.parametrize("entry", [1.0, True, "1"])
     def test_non_integer_table_entry_rejected(self, entry):
@@ -86,6 +90,12 @@ class TestBuilders:
         assert m.is_group()
         assert idempotents(m) == [0]
         assert validate(m) == []
+
+    def test_builders_reject_out_of_range_sizes(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            cyclic_group(0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            power_set_monoid(-1)
 
     def test_trivial(self):
         assert trivial_monoid().size == 1

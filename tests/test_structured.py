@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from moncoh.abelian import Zmod
-from moncoh.grid import DescentBelowBottomFloor, PathSpec
 from moncoh.leech import leech_cohomology_table
 from moncoh.monoid import power_set_monoid, validate
 from moncoh.structured import (
@@ -70,6 +69,15 @@ class TestDescriptors:
             StructureDescriptor(((2, ("b", "a")),), ())
         with pytest.raises(ValueError, match="canonical"):
             StructureDescriptor((), ("t", "t"))
+        with pytest.raises(ValueError, match="canonical order"):
+            StructureDescriptor(((2, ()), (1, ())), ())
+
+    def test_rejects_a_bare_string_of_tags(self):
+        # make used to read "assoc" as the tags a, c, o, s
+        with pytest.raises(ValueError, match="got 'assoc'"):
+            StructureDescriptor.make([(2, "assoc")])
+        with pytest.raises(ValueError, match="got 'top'"):
+            StructureDescriptor.make([], "top")
 
 
 def class_set(m, element: int) -> frozenset[int]:
@@ -168,6 +176,10 @@ class TestSetSystem:
         with pytest.raises(ValueError, match="at least one"):
             SetSystem.from_names(["p"], [])
 
+    def test_rejects_out_of_range_member(self):
+        with pytest.raises(ValueError, match="set U0 has an out-of-range member"):
+            SetSystem(("p",), (("U0", frozenset({1})),))
+
 
 class TestSurjectivity:
     def test_seven_point_passes(self):
@@ -252,8 +264,7 @@ def renders(groups) -> list[str]:
 
 class TestFsPipeline:
     def test_single_class_all_r_matches_floor_table(self):
-        report = fs_pipeline([GROUP], coeff_group=Zmod(2),
-                             path=PathSpec(""), p_max=2)
+        report = fs_pipeline([GROUP], coeff_group=Zmod(2), p_max=2)
         floor, coeff = report.grid.floors[0]
         expected = leech_cohomology_table(floor, coeff, 2)
         assert renders(report.square.groups()) == renders(expected)
@@ -278,11 +289,6 @@ class TestFsPipeline:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             fs_pipeline([])
-
-    def test_bad_explicit_path_propagates(self):
-        with pytest.raises(DescentBelowBottomFloor):
-            fs_pipeline([GROUP, MAGMA], coeff_group=Zmod(2),
-                        path=PathSpec("DD"), p_max=2)
 
 
 class TestHPipeline:

@@ -176,6 +176,8 @@ class TestTotalCohomology:
     def test_empty_range(self):
         grid = const_grid((cyclic_group(2), Z))
         assert total_cohomology(grid, VerticalFamily.zero(), -1) == []
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            TotalComplex(grid, VerticalFamily.zero(), -1)
 
     def test_summand_layout(self):
         grid = const_grid((cyclic_group(2), Z), (cyclic_group(3), Z))
