@@ -13,6 +13,14 @@ internal degree, which is what makes the two routes around each
 commuting square cancel.  So the one proof of D o D = 0 proves its blocks
 too: each floor's d o d, the column condition and every square (f, d)
 with f + d below the top degree; only squares beyond that are composed.
+
+Each call keeps its own floor store: every floor's cochain groups, built
+up front because each vertical map is checked against them, and each
+floor coboundary, built on first read.  D reads floor p's d^q for
+q <= n_max - p.  A square past the proof's reach reads d^d of its lower
+floor only through a nonzero vertical map, and d^d of its upper floor
+only after one, through ``leech.coboundary_after``; a square with two
+zero vertical maps reads nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +39,12 @@ from .abelian import (
     assemble_hom,
 )
 from .grid import ColumnConditionError, GridSpec, VerticalFamily
-from .leech import CochainGroup, floor_cochains, translation_failure
+from .leech import (
+    coboundary,
+    coboundary_after,
+    cochain_group,
+    translation_failure,
+)
 
 SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
                    "vertical per summand")
@@ -68,41 +81,73 @@ class DoubleComplexView:
 
 def is_double_complex(grid: GridSpec, family: VerticalFamily,
                       p_max: int) -> DoubleComplexView:
-    """Exact commutation test for every square up to the degree bound, each
-    composed both ways on unproven floors; one floor passes vacuously."""
+    """Exact commutation test for every square up to the degree bound on
+    unproven floors; one floor passes vacuously."""
     _integers_only([[p_max]], "degree bound")
-    return _double_complex_view(
-        family.column_violations(),
-        *_floors_and_verticals(grid, family, p_max + 1), p_max, 0)
+    if p_max < 0:
+        raise ValueError("degree bound must be nonnegative")
+    violations = family.column_violations()
+    return _double_complex_view(violations, _FloorStore(grid, family, p_max),
+                                p_max, 0)
 
 
-Floor = tuple[list[CochainGroup], list[AbHom]]  # cochain groups, coboundaries
+class _FloorStore:
+    """The floors of one call to degree bound n: each floor's cochain
+    groups C^0..C^(n+1) and ``family.hom`` once per floor pair and degree,
+    built up front, and its coboundaries, each built on first read and
+    kept for that call, never proven."""
 
+    def __init__(self, grid: GridSpec, family: VerticalFamily, n: int):
+        self.floors = grid.floors
+        self.groups = [[cochain_group(m, c, k) for k in range(n + 2)]
+                       for m, c in grid.floors]
+        self.verticals = [[family.hom(f, s, t) for s, t in zip(source, target)]
+                          for f, (source, target) in enumerate(
+                              zip(self.groups, self.groups[1:]))]
+        self._maps: list[dict[int, AbHom]] = [{} for _ in grid.floors]
 
-def _floors_and_verticals(grid: GridSpec, family: VerticalFamily, max_degree: int
-                          ) -> tuple[tuple[Floor, ...], list[list[AbHom]]]:
-    """Each floor built to max_degree, not proven, and ``family.hom`` once
-    per floor pair and degree 0..max_degree."""
-    floors = tuple(floor_cochains(m, c, max_degree) for m, c in grid.floors)
-    return floors, [
-        [family.hom(f, source[d], target[d]) for d in range(max_degree + 1)]
-        for f, ((source, _), (target, _)) in enumerate(zip(floors, floors[1:]))]
+    def coboundary(self, f: int, d: int) -> AbHom:
+        maps = self._maps[f]
+        if d not in maps:
+            groups = self.groups[f]
+            maps[d] = coboundary(*self.floors[f], d, groups[d], groups[d + 1])
+        return maps[d]
+
+    def coboundary_after(self, f: int, d: int, inner: AbHom) -> AbHom:
+        """d^d of floor f after inner, filling only what inner reaches
+        unless d^d is already built."""
+        built = self._maps[f].get(d)
+        if built is not None:
+            return built.compose(inner)
+        groups = self.groups[f]
+        return coboundary_after(*self.floors[f], d, inner, groups[d],
+                                groups[d + 1])
 
 
 def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
-                         floors: Sequence[Floor],
-                         verticals: Sequence[Sequence[AbHom]], p_max: int,
+                         store: _FloorStore, p_max: int,
                          proven: int) -> DoubleComplexView:
-    """``is_double_complex`` on floors built to degree p_max + 1; squares with
-    f + d < proven are blocks of a proven D o D = 0 and are not composed."""
+    """``is_double_complex`` on the store's floors; squares with
+    f + d < proven are blocks of a proven D o D = 0 and are not composed.
+    A route through a zero vertical map is zero, so a square with two zero
+    vertical maps commutes, and one with one zero map commutes when the
+    other route is zero."""
     rows = []
-    for f, vert in enumerate(verticals):
-        source, target = floors[f][1], floors[f + 1][1]
-        rows.append(tuple(
-            f + d < proven
-            or target[d].compose(vert[d]).equals(vert[d + 1].compose(source[d]))
-            for d in range(p_max + 1)))
-    return DoubleComplexView(len(floors), p_max, tuple(rows), not violations)
+    for f, vert in enumerate(store.verticals):
+        row = []
+        for d in range(p_max + 1):
+            below, above = vert[d].is_zero(), vert[d + 1].is_zero()
+            if f + d < proven or below and above:
+                row.append(True)
+            elif below:
+                row.append(vert[d + 1].compose(store.coboundary(f, d)).is_zero())
+            else:
+                up = store.coboundary_after(f + 1, d, vert[d])
+                row.append(up.is_zero() if above else up.equals(
+                    vert[d + 1].compose(store.coboundary(f, d))))
+        rows.append(tuple(row))
+    return DoubleComplexView(len(store.groups), p_max, tuple(rows),
+                             not violations)
 
 
 @dataclass(frozen=True)
@@ -119,22 +164,24 @@ class TotalGroup:
 class TotalComplex(CochainComplex):
     """Groups Tot^0..Tot^(n_max + 1) and differentials D^0..D^(n_max), with
     D o D = 0 verified once per pair at construction; each H^n is computed
-    on first request and kept.  complexes holds each floor's unproven groups
-    and coboundaries.  A failing proof is located first as a floor breaking
-    the translation relations, then as NotADoubleComplex, then as its own."""
+    on first request and kept.  Floor p's coboundaries are built for the
+    blocks of D, d^q with q <= n_max - p, and beyond that only as far as
+    the squares past the proof's reach read them.  A failing proof is
+    located first as a floor breaking the translation relations, then as
+    NotADoubleComplex, then as its own."""
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
         _integers_only([[n_max]], "degree bound")
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
-        floors, verticals = _floors_and_verticals(grid, family, n_max + 1)
-        self.complexes = floors
+        store = _FloorStore(grid, family, n_max)
+        groups, verticals = store.groups, store.verticals
         # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
         for n in range(n_max + 2):
-            summands = tuple((p, n - p) for p in range(min(len(floors), n + 1)))
+            summands = tuple((p, n - p) for p in range(min(len(groups), n + 1)))
             self.levels.append(TotalGroup(n, summands, DirectSum.of(
-                [floors[p][0][q].total for p, q in summands])))
+                [groups[p][q].total for p, q in summands])))
         differentials: list[AbHom] = []
         for n in range(n_max + 1):
             src, tgt = self.levels[n].dsum, self.levels[n + 1].dsum
@@ -142,7 +189,7 @@ class TotalComplex(CochainComplex):
                 {} for _ in range(src.presentation_size)]
             for p, q in self.levels[n].summands:
                 add_block(columns, tgt.offsets[p], src.offsets[p],
-                          floors[p][1][q].columns)
+                          store.coboundary(p, q).columns)
                 if p < len(verticals) and not verticals[p][q].is_zero():
                     add_block(columns, tgt.offsets[p + 1], src.offsets[p],
                               verticals[p][q].columns, -1 if q % 2 else 1)
@@ -154,10 +201,12 @@ class TotalComplex(CochainComplex):
                                f"between degrees {n} and {n + 2}")))
         except AssertionError as exc:
             failure = exc
-            for groups, maps in floors:
-                CochainComplex(groups[0].total, maps, translation_failure)
+            for f, floor in enumerate(groups):
+                CochainComplex(floor[0].total, [
+                    store.coboundary(f, d) for d in range(n_max + 1)],
+                    translation_failure)
         violations = family.column_violations()
-        view = _double_complex_view(violations, floors, verticals, n_max,
+        view = _double_complex_view(violations, store, n_max,
                                     n_max if failure is None else 0)
         if violations:
             raise NotADoubleComplex(str(ColumnConditionError(violations)),

@@ -5,7 +5,12 @@ from __future__ import annotations
 import itertools
 
 from moncoh.abelian import AbHom, FgAbGroup, Z, Zmod
-from moncoh.coeff import CoeffSystem, constant_system, group_action_system
+from moncoh.coeff import (
+    CoeffSystem,
+    constant_system,
+    explicit_system,
+    group_action_system,
+)
 from moncoh.monoid import (
     FinMonoid,
     cyclic_group,
@@ -93,6 +98,25 @@ def monoids_up_to_order(n_max: int) -> list[FinMonoid]:
 
         fill(0)
     return found
+
+
+def mixed_two_three_system():
+    """Left zeros x, y with an identity adjoined, A(e) = Z, A(x) = Z/2 and
+    A(y) = Z/3: left translations by x, y are zero, right translations
+    reduce Z modulo 2 or 3 and fix Z/2 and Z/3.  A tuple's group is that of
+    its first entry, so every cochain group of degree >= 1 mixes Z/2 and Z/3
+    and its change of basis comes from the Smith form."""
+    m = left_zero_adjoined()
+    groups = [Z, Zmod(2), Zmod(3)]
+    lstar, rstar = {}, {}
+    for a in range(3):
+        for x in range(3):
+            src, dst = groups[x], groups[m.mul(a, x)]
+            lstar[(a, x)] = (AbHom.identity(src) if a == 0
+                             else AbHom.zero(src, dst))
+            rstar[(a, x)] = (AbHom.identity(src) if x != 0 or a == 0
+                             else AbHom(Z, dst, ((1,),)))
+    return explicit_system(m, groups, lstar, rstar)
 
 
 def small_groups() -> list[FgAbGroup]:

@@ -9,7 +9,9 @@ translation-relation check with one composition per relation instance,
 universal coefficients read off integral Smith diagonals, and a Bareiss
 determinant.  None of it shares code with the
 package's cochain construction or its sparse elimination, so agreement is
-meaningful.
+meaningful.  The one exception is ``eager_double_complex_view``, the route
+``is_double_complex`` replaced, kept as the reference for which floor
+coboundaries and squares the lazy route skips.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from moncoh.abelian import (
     smith_normal_form,
 )
 from moncoh.coeff import CoeffSystem, RelationViolation, constant_system
+from moncoh.leech import floor_cochains
+from moncoh.totalcx import DoubleComplexView
 
 
 def elements(orders: Sequence[int]) -> list[tuple[int, ...]]:
@@ -123,6 +127,22 @@ def dense_equals(a: AbHom, b: AbHom) -> bool:
         return False
     diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.matrix, b.matrix)]
     return dense_is_zero(AbHom(a.domain, a.codomain, diff))
+
+
+def eager_double_complex_view(grid, family, p_max: int) -> DoubleComplexView:
+    """Every floor built to degree p_max + 1 by ``floor_cochains`` and every
+    square (f, d) composed both ways, densely."""
+    floors = [floor_cochains(m, c, p_max + 1) for m, c in grid.floors]
+    rows = []
+    for f, ((source, lower), (target, upper)) in enumerate(
+            zip(floors, floors[1:])):
+        vert = [family.hom(f, s, t) for s, t in zip(source, target)]
+        rows.append(tuple(
+            dense_equals(dense_compose(upper[d], vert[d]),
+                         dense_compose(vert[d + 1], lower[d]))
+            for d in range(p_max + 1)))
+    return DoubleComplexView(len(floors), p_max, tuple(rows),
+                             not family.column_violations())
 
 
 def random_hom(rng, dom: FgAbGroup, cod: FgAbGroup, span: int = 3) -> AbHom:

@@ -11,9 +11,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moncoh import abelian, leech
-from moncoh.abelian import AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod, cohomology_at
+from moncoh.abelian import (
+    AbHom, FgAbGroup, ShapeMismatch, TRIVIAL_GROUP, Z, Zmod, cohomology_at)
 from moncoh.coeff import (
     constant_system,
     explicit_system,
@@ -26,6 +28,7 @@ from moncoh.leech import (
     cochain_group,
     cochain_ngens,
     coboundary,
+    coboundary_after,
     leech_cohomology_table,
     one_level_matching,
 )
@@ -34,6 +37,7 @@ from moncoh.monoid import cyclic_group, power_set_monoid, trivial_monoid, union_
 from catalog import (
     chain_semilattice,
     left_zero_adjoined,
+    mixed_two_three_system,
     monogenic_three,
     monoids_up_to_order,
     negation_on_integers,
@@ -387,25 +391,6 @@ class TestElementaryRoute:
         assert not any(cx._quotients)  # no -Y kept
 
 
-def mixed_two_three_system():
-    """Left zeros x, y with an identity adjoined, A(e) = Z, A(x) = Z/2 and
-    A(y) = Z/3: left translations by x, y are zero, right translations
-    reduce Z modulo 2 or 3 and fix Z/2 and Z/3.  A tuple's group is that of
-    its first entry, so every cochain group of degree >= 1 mixes Z/2 and Z/3
-    and its change of basis comes from the Smith form."""
-    m = left_zero_adjoined()
-    groups = [Z, Zmod(2), Zmod(3)]
-    lstar, rstar = {}, {}
-    for a in range(3):
-        for x in range(3):
-            src, dst = groups[x], groups[m.mul(a, x)]
-            lstar[(a, x)] = (AbHom.identity(src) if a == 0
-                             else AbHom.zero(src, dst))
-            rstar[(a, x)] = (AbHom.identity(src) if x != 0 or a == 0
-                             else AbHom(Z, dst, ((1,),)))
-    return explicit_system(m, groups, lstar, rstar)
-
-
 class TestSparseConstruction:
     @staticmethod
     def assert_matches_reference(m, c, n):
@@ -506,6 +491,96 @@ class TestSparseConstruction:
         assert not any("matrix" in vars(d) for d in built)
         assert len(built[-1].matrix) == 833
         assert "matrix" in vars(built[-1])
+
+
+AFTER_COEFFS = [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))]
+
+
+@st.composite
+def inner_maps(draw, m, c, n):
+    """A hom from a free group into C^n whose columns each reach a few
+    generators with small coefficients."""
+    total = cochain_group(m, c, n).total
+    columns = draw(st.lists(st.dictionaries(
+        st.integers(0, max(total.ngens - 1, 0)),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        max_size=3 if total.ngens else 0), max_size=4))
+    return AbHom.from_columns(FgAbGroup(len(columns)), total, columns)
+
+
+class TestNegativeBounds:
+    @pytest.mark.parametrize("bound", [-1, -2, -10])
+    def test_every_negative_bound_gives_the_empty_table(self, bound):
+        for m in (cyclic_group(3), power_set_monoid(2)):
+            assert leech_cohomology_table(m, constant_system(m, Z), bound) == []
+
+    def test_a_mismatched_monoid_still_raises(self):
+        c = constant_system(cyclic_group(3), Z)
+        with pytest.raises(ValueError, match="different monoid"):
+            leech_cohomology_table(cyclic_group(4), c, -2)
+
+
+class TestCoboundaryAfter:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(m, c) for m in small_monoids()
+                            for c in systems_for(m, AFTER_COEFFS)]),
+           st.integers(0, 3), st.data())
+    def test_same_columns_as_the_full_coboundary_composed(self, floor, n,
+                                                           data):
+        m, c = floor
+        inner = data.draw(inner_maps(m, c, n))
+        src, tgt = cochain_group(m, c, n), cochain_group(m, c, n + 1)
+        assert src.dsum.permutation is not None
+        got = coboundary_after(m, c, n, inner, src, tgt)
+        want = coboundary(m, c, n, src, tgt).compose(inner)
+        assert (got.domain, got.codomain, got.columns) == (
+            want.domain, want.codomain, want.columns)
+
+    def test_fills_only_the_tuples_inner_reaches(self, monkeypatch):
+        m = cyclic_group(4)
+        c = constant_system(m, FgAbGroup(1, (2,)))
+        filled = []
+        real = leech._tuple_columns
+
+        def counted(faces, tgt_off, rows, i, p, ngens):
+            filled.append(i)
+            return real(faces, tgt_off, rows, i, p, ngens)
+
+        monkeypatch.setattr(leech, "_tuple_columns", counted)
+        total = cochain_group(m, c, 3).total
+        inner = AbHom.from_columns(FgAbGroup(2), total, [{5: 1}, {40: 2}])
+        got = coboundary_after(m, c, 3, inner)
+        # each of the 27 tuples carries Z x Z/2, and the canonical basis
+        # lists the 27 copies of Z first: 5 is tuple 5's Z, 40 tuple 13's Z/2
+        assert sorted(filled) == [5, 13]
+        filled.clear()
+        assert got == coboundary(m, c, 3).compose(inner)
+        assert len(filled) == 27
+
+    def test_merging_orders_take_the_full_coboundary(self, monkeypatch):
+        c = mixed_two_three_system()
+        m = c.monoid
+        src = cochain_group(m, c, 2)
+        assert src.dsum.permutation is None
+        inner = AbHom.from_columns(FgAbGroup(1), src.total, [{0: 1, 1: -1}])
+        full = []
+        real = leech.coboundary
+
+        def counted(*args):
+            full.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(leech, "coboundary", counted)
+        got = coboundary_after(m, c, 2, inner, src)
+        assert full == [2]
+        assert got == real(m, c, 2).compose(inner)
+
+    def test_rejects_an_inner_map_into_another_group(self):
+        m = cyclic_group(3)
+        c = constant_system(m, Z)
+        inner = AbHom.identity(cochain_group(m, c, 1).total)
+        with pytest.raises(ShapeMismatch, match="cannot compose"):
+            coboundary_after(m, c, 2, inner)
 
 
 class TestComplexApi:

@@ -8,13 +8,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moncoh import abelian
+from moncoh import abelian, totalcx
 from moncoh.abelian import (
     AbHom, CochainComplex, DirectSum, FgAbGroup, Z, Zmod, cohomology_at)
 from moncoh.coeff import constant_system, explicit_system
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
-from moncoh.leech import LeechComplex, leech_cohomology_table
-from moncoh.monoid import cyclic_group, trivial_monoid, union_monoid
+from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
+from moncoh.monoid import FinMonoid, cyclic_group, trivial_monoid, union_monoid
 from moncoh.totalcx import (
     NotADoubleComplex,
     TotalComplex,
@@ -22,8 +22,8 @@ from moncoh.totalcx import (
     total_cohomology,
 )
 
-from catalog import small_monoids
-from oracles import lattice_cohomology_at
+from catalog import mixed_two_three_system, small_monoids
+from oracles import eager_double_complex_view, lattice_cohomology_at
 
 
 def const_grid(*pairs, finite=True):
@@ -179,6 +179,15 @@ class TestTotalCohomology:
         with pytest.raises(ValueError, match="must be nonnegative"):
             TotalComplex(grid, VerticalFamily.zero(), -1)
 
+    @pytest.mark.parametrize("bound", [-1, -2, -10])
+    def test_negative_bounds(self, bound):
+        grid = const_grid((cyclic_group(2), Z), (cyclic_group(3), Z))
+        assert total_cohomology(grid, VerticalFamily.zero(), bound) == []
+        for check in (TotalComplex, is_double_complex):
+            with pytest.raises(ValueError,
+                               match="^degree bound must be nonnegative$"):
+                check(grid, VerticalFamily.zero(), bound)
+
     def test_summand_layout(self):
         grid = const_grid((cyclic_group(2), Z), (cyclic_group(3), Z))
         cx = TotalComplex(grid, VerticalFamily.zero(), 2)
@@ -205,6 +214,48 @@ def late_square_grid():
     return grid, VerticalFamily.explicit({(0, 1): AbHom(Z, Z, ((1,),))})
 
 
+def perturbed_top_stack(n_max):
+    """The pullback stack over Z/3 and Z/6 with the degree n_max + 1
+    pullback perturbed on a generator that d^n_max of floor 0 hits: D never
+    reads that map, and only the square (0, n_max) does."""
+    grid, family = pullback_stack(3, 6, coeff_order=0, n_max=n_max)
+    d_top = LeechComplex(*grid.floors[0], n_max + 1).differential(n_max)
+    hit = min(i for col in d_top.columns for i in col)
+    maps = dict(family.maps)
+    top = maps[0, n_max + 1]
+    columns = [dict(col) for col in top.columns]
+    columns[hit][0] = columns[hit].get(0, 0) + 1
+    maps[0, n_max + 1] = AbHom.from_columns(top.domain, top.codomain, columns)
+    return grid, VerticalFamily.explicit(maps)
+
+
+def merging_pair(scale, n_max):
+    """The Z/2 + Z/3 system, whose cochain groups of degree >= 1 merge
+    orders, over its monoid and over a relabelled copy with the identity
+    listed last, which keeps the coordinates of every cochain group; the
+    vertical map is the identity in every degree but degree 1, where it
+    is scale times the identity."""
+    lower = mixed_two_three_system()
+    relabel = (2, 0, 1)  # element i of lower is element relabel[i] above
+    m = FinMonoid("lzero, identity last", ("x", "y", "e"), 2,
+                  ((0, 0, 0), (1, 1, 1), (0, 1, 2)))
+    groups = [None] * 3
+    for i, g in enumerate(lower.groups):
+        groups[relabel[i]] = g
+
+    def moved(stars):
+        return {(relabel[a], relabel[x]): h for (a, x), h in stars.items()}
+
+    upper = explicit_system(m, groups, moved(lower.lstar), moved(lower.rstar))
+    maps = {}
+    for d in range(n_max + 2):
+        g = cochain_group(m, upper, d).total
+        maps[0, d] = AbHom.from_columns(g, g, [
+            {j: scale if d == 1 else 1} for j in range(g.ngens)])
+    return (GridSpec(((lower.monoid, lower), (m, upper))),
+            VerticalFamily.explicit(maps))
+
+
 TRANSLATION_FAILURE = (
     "coboundary squared is nonzero between degrees 0 and 2; the "
     "coefficient system does not satisfy the translation relations")
@@ -212,18 +263,27 @@ TRANSLATION_FAILURE = (
 
 class TestWorkDoneOnce:
     @staticmethod
-    def count_work(monkeypatch):
-        """Count proofs, engines, floor complexes, composes and vertical
-        fetches; fetched maps are kept by (floor, degree)."""
+    def count_work(monkeypatch, grid):
+        """Count proofs, engines, floor complexes and vertical fetches, and
+        record the floor coboundaries built and read, and the composes.
+        Built and fetched maps are kept by (floor, degree); the floors'
+        monoids must be distinct."""
         calls: Counter[str] = Counter()
         composed: list[tuple[AbHom, AbHom]] = []
+        built: dict[tuple[int, int], AbHom] = {}
+        builds: Counter[tuple[int, int]] = Counter()
+        afters: Counter[tuple[int, int, int]] = Counter()
         fetched: dict[tuple[int, int], AbHom] = {}
         fetches: Counter[tuple[int, int]] = Counter()
+        floor_of = {m: f for f, (m, _) in enumerate(grid.floors)}
+        assert len(floor_of) == len(grid.floors)
         real_quotient = abelian._composite_quotient
         real_engine = CochainComplex.__init__
         real_leech = LeechComplex.__init__
         real_compose = AbHom.compose
         real_hom = VerticalFamily.hom
+        real_coboundary = totalcx.coboundary
+        real_after = totalcx.coboundary_after
 
         def counted_quotient(outer, inner):
             calls["proof"] += 1
@@ -247,27 +307,50 @@ class TestWorkDoneOnce:
             fetched[floor, source.degree] = hom
             return hom
 
+        def counted_coboundary(m, c, d, *groups):
+            builds[floor_of[m], d] += 1
+            hom = built[floor_of[m], d] = real_coboundary(m, c, d, *groups)
+            return hom
+
+        def counted_after(m, c, d, inner, *groups):
+            afters[floor_of[m], d, id(inner)] += 1
+            return real_after(m, c, d, inner, *groups)
+
         monkeypatch.setattr(abelian, "_composite_quotient", counted_quotient)
         monkeypatch.setattr(CochainComplex, "__init__", counted_engine)
         monkeypatch.setattr(LeechComplex, "__init__", counted_leech)
         monkeypatch.setattr(AbHom, "compose", counted_compose)
         monkeypatch.setattr(VerticalFamily, "hom", counted_hom)
-        return calls, composed, fetched, fetches
+        monkeypatch.setattr(totalcx, "coboundary", counted_coboundary)
+        monkeypatch.setattr(totalcx, "coboundary_after", counted_after)
+        return calls, composed, built, builds, afters, fetched, fetches
 
     @staticmethod
-    def square_composes(floors, fetched, squares):
-        """The two compositions of each square (f, d), by identity."""
-        return Counter(
-            pair for f, d in squares for pair in (
-                (id(floors[f + 1][1][d]), id(fetched[f, d])),
-                (id(fetched[f, d + 1]), id(floors[f][1][d]))))
+    def square_reads(built, fetched, squares):
+        """The composes and coboundary_after reads of each square (f, d):
+        none when both vertical maps are zero, the lower route v o d^d
+        when the upper vertical map is nonzero, and the upper route d^d o v
+        when the lower one is, through coboundary_after unless floor
+        f + 1's d^d is built."""
+        composes, afters = Counter(), Counter()
+        for f, d in squares:
+            below, above = fetched[f, d], fetched[f, d + 1]
+            if not above.is_zero():
+                composes[id(above), id(built[f, d])] += 1
+            if not below.is_zero():
+                if (f + 1, d) in built:
+                    composes[id(built[f + 1, d]), id(below)] += 1
+                else:
+                    afters[f + 1, d, id(below)] += 1
+        return composes, afters
 
     @pytest.mark.parametrize("orders", [(2, 4), (3, 6), (2, 4, 3)])
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_passing_total_proves_once_and_composes_beyond_reach(
             self, monkeypatch, orders, n_max):
         grid, family = pullback_stack(*orders, coeff_order=0, n_max=n_max)
-        calls, composed, fetched, fetches = self.count_work(monkeypatch)
+        calls, composed, built, builds, afters, fetched, fetches = \
+            self.count_work(monkeypatch, grid)
         cx = TotalComplex(grid, family, n_max)
         # one engine, n_max proofs (D^0..D^n_max), no floor complex
         assert calls == Counter({"engine": 1, "proof": n_max})
@@ -275,12 +358,20 @@ class TestWorkDoneOnce:
         pairs = len(orders) - 1
         assert fetches == Counter({(f, d): 1 for f in range(pairs)
                                    for d in range(n_max + 2)})
-        # only the squares beyond the proof's reach are composed; no
-        # stacked stored maps, so the column check composes nothing
+        # each coboundary is built once: floor p's d^q for the blocks of D,
+        # q <= n_max - p, and beyond that only where a nonzero vertical map
+        # reads it; pullback_stack's only nonzero maps leave floor 0, whose
+        # d^0..d^n_max are all blocks
+        assert builds == Counter({(p, q): 1 for p in range(len(orders))
+                                  for q in range(n_max - p + 1)})
+        # only the squares beyond the proof's reach are composed, and of
+        # those only the ones with a nonzero vertical map; no stacked stored
+        # maps, so the column check composes nothing
         beyond = [(f, d) for f in range(pairs) for d in range(n_max + 1)
                   if f + d >= n_max]
-        assert Counter((id(a), id(b)) for a, b in composed) == \
-            self.square_composes(cx.complexes, fetched, beyond)
+        composes, reads = self.square_reads(built, fetched, beyond)
+        assert Counter((id(a), id(b)) for a, b in composed) == composes
+        assert afters == reads == Counter({(1, n_max, id(fetched[0, n_max])): 1})
         assert [cx.cohomology(n) for n in range(n_max + 1)] == [
             cohomology_at(cx.differential(n - 1), cx.differential(n))
             for n in range(n_max + 1)]
@@ -288,18 +379,40 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("orders", [(2, 4), (2, 4, 3)])
     def test_is_double_complex_proves_nothing(self, monkeypatch, orders):
         grid, family = pullback_stack(*orders, coeff_order=2, n_max=2)
-        floors = tuple(LeechComplex(m, c, 3) for m, c in grid.floors)
-        calls, composed, fetched, fetches = self.count_work(monkeypatch)
-        assert is_double_complex(grid, family, 2).ok
+        calls, composed, built, builds, afters, fetched, fetches = \
+            self.count_work(monkeypatch, grid)
+        view = is_double_complex(grid, family, 2)
+        assert view.ok
         assert calls == Counter()
         pairs = len(orders) - 1
         assert set(fetches.values()) == {1} and len(fetches) == pairs * 4
+        # floor 0's coboundaries are read by the nonzero maps above them;
+        # floor 1's only after a vertical map, and floor 2's not at all,
+        # since both vertical maps of its squares are zero
+        assert builds == Counter({(0, d): 1 for d in range(3)})
         every = [(f, d) for f in range(pairs) for d in range(3)]
-        assert len(composed) == 2 * len(every)
-        assert [(a.domain, a.codomain, b.domain) for a, b in composed] == [
-            (x.domain, x.codomain, y.domain) for f, d in every for x, y in (
-                (floors[f + 1].differential(d), fetched[f, d]),
-                (fetched[f, d + 1], floors[f].differential(d)))]
+        composes, reads = self.square_reads(built, fetched, every)
+        assert Counter((id(a), id(b)) for a, b in composed) == composes
+        assert afters == reads
+        assert sum(composes.values()) == sum(reads.values()) == 3
+        monkeypatch.undo()
+        assert view == eager_double_complex_view(grid, family, 2)
+
+    def test_failing_proof_builds_and_proves_every_floor(self, monkeypatch):
+        # floor 1's d^1 o d^0 is a block of D^2 o D^1: every floor's
+        # d^0..d^2 is then built and proven before the floor failure
+        grid = GridSpec(((cyclic_group(3), constant_system(cyclic_group(3), Z)),
+                         broken_floor()))
+        calls, composed, built, builds, afters, fetched, fetches = \
+            self.count_work(monkeypatch, grid)
+        with pytest.raises(AssertionError) as caught:
+            TotalComplex(grid, VerticalFamily.zero(), 2)
+        assert str(caught.value) == TRANSLATION_FAILURE
+        assert builds == Counter({(f, d): 1 for f in range(2)
+                                  for d in range(3)})
+        # the total's engine, then one per floor
+        assert calls["engine"] == 3 and calls["floor complex"] == 0
+        assert composed == [] and afters == Counter()
 
 
 class TestFailingInputs:
@@ -314,19 +427,7 @@ class TestFailingInputs:
 
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_square_at_the_top_of_a_pullback_stack(self, n_max):
-        # perturb the degree n_max + 1 pullback on a generator that d^n_max
-        # of floor 0 hits: D never reads that map, and only the square
-        # (0, n_max) does
-        grid, family = pullback_stack(3, 6, coeff_order=0, n_max=n_max)
-        d_top = LeechComplex(*grid.floors[0], n_max + 1).differential(n_max)
-        hit = min(i for col in d_top.columns for i in col)
-        maps = dict(family.maps)
-        top = maps[0, n_max + 1]
-        columns = [dict(col) for col in top.columns]
-        columns[hit][0] = columns[hit].get(0, 0) + 1
-        maps[0, n_max + 1] = AbHom.from_columns(top.domain, top.codomain,
-                                                columns)
-        family = VerticalFamily.explicit(maps)
+        grid, family = perturbed_top_stack(n_max)
         with pytest.raises(NotADoubleComplex,
                            match=f"floor 0, degree {n_max}") as caught:
             TotalComplex(grid, family, n_max)
@@ -369,6 +470,54 @@ class TestFailingInputs:
                            match=r"zero at \(floor 0, degree 0\)") as caught:
             TotalComplex(grid, family, n_max)
         assert caught.value.view == view
+
+
+class TestEagerReference:
+    """The view from floors built on demand against the eager route, which
+    builds every floor in full and composes every square both ways."""
+
+    @staticmethod
+    def check(grid, family, n_max):
+        view = is_double_complex(grid, family, n_max)
+        assert view == eager_double_complex_view(grid, family, n_max)
+        try:
+            TotalComplex(grid, family, n_max)
+        except NotADoubleComplex as exc:
+            assert exc.view == view and not view.ok
+        else:
+            assert view.ok
+        return view
+
+    @pytest.mark.parametrize("orders", [(2, 4), (2, 4, 3)])
+    @pytest.mark.parametrize("coeff_order", [0, 2, 6])
+    @pytest.mark.parametrize("n_max", [0, 1, 3])
+    def test_pullback_stacks(self, orders, coeff_order, n_max):
+        grid, family = pullback_stack(*orders, coeff_order=coeff_order,
+                                      n_max=n_max)
+        assert self.check(grid, family, n_max).ok
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_late_square(self, n_max):
+        view = self.check(*late_square_grid(), n_max)
+        assert view.first_failure == ((0, 1) if n_max >= 1 else None)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_perturbed_top_pullbacks(self, n_max):
+        view = self.check(*perturbed_top_stack(n_max), n_max)
+        assert view.first_failure == (0, n_max)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_merging_orders_take_the_full_coboundary(self, scale, n_max):
+        grid, family = merging_pair(scale, n_max)
+        for m, c in grid.floors:
+            assert cochain_group(m, c, 1).dsum.permutation is None
+        view = self.check(grid, family, n_max)
+        assert view.ok == (scale == 1)
+        if scale == 1:
+            # the cone of the identity is acyclic
+            assert all(g.render() == "0"
+                       for g in total_cohomology(grid, family, n_max))
 
 
 PULLBACK_SHAPES = [((2, 4), 0), ((2, 4), 2), ((3, 6), 2), ((2, 4, 3), 0),
