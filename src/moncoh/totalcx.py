@@ -12,20 +12,28 @@ summand.  The sign rides the vertical map and depends on the summand's
 internal degree, which is what makes the two routes around each
 commuting square cancel.  So the one proof of D o D = 0 proves its blocks
 too: each floor's d o d, the column condition and every square (f, d)
-with f + d below the top degree; only squares beyond that are composed.
+with f + d below the top degree; only squares beyond that are checked.
+
+A square past the proof's reach whose vertical maps are both pulled back
+along one monoid homomorphism phi, between floors with the same constant
+coefficients A, commutes by naturality of the normalized bar
+construction: phi^* (x) 1_A commutes with the coboundary.  Such a square
+is certified from the entries of its two vertical maps, compared exactly
+with phi^* (x) 1_A, and is not composed.
 
 Each call keeps its own floor store: every floor's cochain groups, built
 up front because each vertical map is checked against them, and each
 floor coboundary, built on first read.  D reads floor p's d^q for
-q <= n_max - p.  A square past the proof's reach reads d^d of its lower
-floor only through a nonzero vertical map, and d^d of its upper floor
-only after one, through ``leech.coboundary_after``; a square with two
-zero vertical maps reads nothing.
+q <= n_max - p.  A square past the proof's reach that is not certified
+reads d^d of its lower floor only through a nonzero vertical map, and
+d^d of its upper floor only after one, through ``leech.coboundary_after``;
+a square with two zero vertical maps reads nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .abelian import (
@@ -38,6 +46,7 @@ from .abelian import (
     add_block,
     assemble_hom,
 )
+from .coeff import CoeffSystem
 from .grid import ColumnConditionError, GridSpec, VerticalFamily
 from .leech import (
     coboundary,
@@ -105,6 +114,71 @@ class _FloorStore:
                           for f, (source, target) in enumerate(
                               zip(self.groups, self.groups[1:]))]
         self._maps: list[dict[int, AbHom]] = [{} for _ in grid.floors]
+        self._pullbacks: dict[tuple[int, int], tuple[int, ...] | None] = {}
+        self._constant: dict[int, bool] = {}
+
+    def natural(self, f: int, d: int) -> bool:
+        """Square (f, d) commutes by naturality of the bar construction:
+        v_d and v_(d+1) are both phi^* (x) 1_A for one monoid homomorphism
+        phi from floor f + 1 to floor f, both floors constant over A."""
+        phi = self.pullback(f, d + 1)
+        return phi is not None and self.pullback(f, d) == phi
+
+    def pullback(self, f: int, d: int) -> tuple[int, ...] | None:
+        """The element map phi with v_d = phi^* (x) 1_A exactly, in
+        canonical coordinates, when phi is a monoid homomorphism and both
+        floors are constant over A; else None.  phi is read off the
+        diagonal tuples (a, ..., a) of v_max(d, 1): row (a, ..., a) of the
+        first generator holds a 1 in column (phi(a), ..., phi(a)), or
+        nothing when phi(a) is the identity."""
+        if (f, d) in self._pullbacks:
+            return self._pullbacks[f, d]
+        self._pullbacks[f, d] = None
+        (low, lc), (up, uc) = self.floors[f], self.floors[f + 1]
+        a = lc.groups[0]
+        if f not in self._constant:
+            self._constant[f] = _constant_over(lc, a) and _constant_over(uc, a)
+        if not self._constant[f]:
+            return None
+        lower, upper = low.non_identity(), up.non_identity()
+        k, r, read = len(lower), a.ngens, max(d, 1)
+        # copies of one group chain, so each change of basis here is a
+        # permutation; the tuple (i, ..., i) over n elements is number
+        # i * (1 + n + ... + n^(read - 1))
+        cols = self.groups[f][read].dsum.permutation
+        rows = self.groups[f + 1][read].dsum.permutation
+        v = self.verticals[f][read].columns
+        heads = [v[cols[b * r * sum(k ** q for q in range(read))]]
+                 for b in range(k)]
+        unit = r * sum(len(upper) ** q for q in range(read))
+        # step[i] is the position of phi(upper[i]) in lower, None for e
+        step = [next((b for b, col in enumerate(heads)
+                      if rows[i * unit] in col), None)
+                for i in range(len(upper))]
+        phi = [low.identity_index] * up.size
+        for x, b in zip(upper, step):
+            if b is not None:
+                phi[x] = lower[b]
+        if any(phi[up.table[x][y]] != low.table[phi[x]][phi[y]]
+               for x in range(up.size) for y in range(up.size)):
+            return None
+        # generator g of upper tuple j reads generator g of lower tuple
+        # images[j], or nothing when phi sends an entry of j to e
+        images: list[int | None] = [0]
+        for _ in range(d):
+            images = [None if i is None or b is None else i * k + b
+                      for i in images for b in step]
+        cols = self.groups[f][d].dsum.permutation
+        rows = self.groups[f + 1][d].dsum.permutation
+        want: list[SparseColumn] = [{} for _ in range(k ** d * r)]
+        for j, i in enumerate(images):
+            if i is not None:
+                for g in range(r):
+                    want[cols[i * r + g]][rows[j * r + g]] = 1
+        if self.verticals[f][d].columns != tuple(want):
+            return None
+        self._pullbacks[f, d] = tuple(phi)
+        return self._pullbacks[f, d]
 
     def coboundary(self, f: int, d: int) -> AbHom:
         maps = self._maps[f]
@@ -124,20 +198,29 @@ class _FloorStore:
                                 groups[d + 1])
 
 
+def _constant_over(c: CoeffSystem, group: FgAbGroup) -> bool:
+    """Every group of c is group and every translation the identity."""
+    one = tuple({j: 1} for j in range(group.ngens))
+    return (all(g == group for g in c.groups)
+            and all(h.columns == one for h in chain(c.lstar.values(),
+                                                    c.rstar.values())))
+
+
 def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
                          store: _FloorStore, p_max: int,
                          proven: int) -> DoubleComplexView:
     """``is_double_complex`` on the store's floors; squares with
     f + d < proven are blocks of a proven D o D = 0 and are not composed.
-    A route through a zero vertical map is zero, so a square with two zero
-    vertical maps commutes, and one with one zero map commutes when the
-    other route is zero."""
+    A square with two zero vertical maps commutes, and so does one that
+    ``natural`` certifies; any other is composed.  A route through a zero
+    vertical map is zero, so one with one zero map commutes when the other
+    route is zero."""
     rows = []
     for f, vert in enumerate(store.verticals):
         row = []
         for d in range(p_max + 1):
             below, above = vert[d].is_zero(), vert[d + 1].is_zero()
-            if f + d < proven or below and above:
+            if f + d < proven or below and above or store.natural(f, d):
                 row.append(True)
             elif below:
                 row.append(vert[d + 1].compose(store.coboundary(f, d)).is_zero())

@@ -14,7 +14,8 @@ from moncoh.abelian import (
 from moncoh.coeff import constant_system, explicit_system
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
 from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
-from moncoh.monoid import FinMonoid, cyclic_group, trivial_monoid, union_monoid
+from moncoh.monoid import (
+    FinMonoid, cyclic_group, power_set_monoid, trivial_monoid, union_monoid)
 from moncoh.totalcx import (
     NotADoubleComplex,
     TotalComplex,
@@ -22,7 +23,7 @@ from moncoh.totalcx import (
     total_cohomology,
 )
 
-from catalog import mixed_two_three_system, small_monoids
+from catalog import mixed_two_three_system, negation_on_integers, small_monoids
 from oracles import eager_double_complex_view, lattice_cohomology_at
 
 
@@ -31,23 +32,24 @@ def const_grid(*pairs, finite=True):
                     finite=finite)
 
 
-def pullback(upper, lower, phi, order, n):
-    """Degree n pullback C^n(lower) -> C^n(upper) along the element map
-    phi from upper to lower, for constant Z (order 0) or Z/order
-    coefficients, whose generators are the identity-free tuples in
-    lexicographic order."""
-    src = list(itertools.product(lower.non_identity(), repeat=n))
-    dst = list(itertools.product(upper.non_identity(), repeat=n))
-    index = {t: i for i, t in enumerate(src)}
-    cols = [{} for _ in src]
-    for i, t in enumerate(dst):
+def induced(lower, upper, phi, n):
+    """Degree n map C^n(lower) -> C^n(upper) between (monoid, system)
+    floors whose groups all have r generators: upper tuple t reads lower
+    tuple phi(t), generator by generator, and nothing when phi sends an
+    entry of t to the identity; built on presentation generators and
+    converted by assemble_hom."""
+    (lm, lc), (um, uc) = lower, upper
+    src, tgt = cochain_group(lm, lc, n), cochain_group(um, uc, n)
+    index = {t: i for i, t in enumerate(
+        itertools.product(lm.non_identity(), repeat=n))}
+    r = lc.groups[0].ngens
+    columns = [{} for _ in range(src.dsum.presentation_size)]
+    for j, t in enumerate(itertools.product(um.non_identity(), repeat=n)):
         image = tuple(phi[a] for a in t)
-        if lower.identity_index not in image:
-            cols[index[image]][i] = 1
-
-    def group(k):
-        return FgAbGroup(k) if order == 0 else FgAbGroup(0, (order,) * k)
-    return AbHom.from_columns(group(len(src)), group(len(dst)), cols)
+        if lm.identity_index not in image:
+            for g in range(r):
+                columns[index[image] * r + g][j * r + g] = 1
+    return abelian.assemble_hom(src.dsum, tgt.dsum, columns)
 
 
 def pullback_stack(*orders, coeff_order, n_max):
@@ -58,7 +60,7 @@ def pullback_stack(*orders, coeff_order, n_max):
                         for m in floors))
     phi = [g % orders[0] for g in range(orders[1])]
     family = VerticalFamily.explicit({
-        (0, n): pullback(floors[1], floors[0], phi, coeff_order, n)
+        (0, n): induced(grid.floors[0], grid.floors[1], phi, n)
         for n in range(n_max + 2)})
     return grid, family
 
@@ -229,6 +231,17 @@ def perturbed_top_stack(n_max):
     return grid, VerticalFamily.explicit(maps)
 
 
+def bumped(family, f, d):
+    """family with 1 added to the entry in row 0 of column 0 of its map at
+    (floor f, degree d)."""
+    maps = dict(family.maps)
+    v = maps[f, d]
+    columns = [dict(col) for col in v.columns]
+    columns[0][0] = columns[0].get(0, 0) + 1
+    maps[f, d] = AbHom.from_columns(v.domain, v.codomain, columns)
+    return VerticalFamily.explicit(maps)
+
+
 def merging_pair(scale, n_max):
     """The Z/2 + Z/3 system, whose cochain groups of degree >= 1 merge
     orders, over its monoid and over a relabelled copy with the identity
@@ -265,9 +278,10 @@ class TestWorkDoneOnce:
     @staticmethod
     def count_work(monkeypatch, grid):
         """Count proofs, engines, floor complexes and vertical fetches, and
-        record the floor coboundaries built and read, and the composes.
-        Built and fetched maps are kept by (floor, degree); the floors'
-        monoids must be distinct."""
+        record the floor coboundaries built and read, the composes and the
+        naturality certificates read off each (floor pair, degree).  Built
+        and fetched maps are kept by (floor, degree); the floors' monoids
+        must be distinct."""
         calls: Counter[str] = Counter()
         composed: list[tuple[AbHom, AbHom]] = []
         built: dict[tuple[int, int], AbHom] = {}
@@ -275,6 +289,7 @@ class TestWorkDoneOnce:
         afters: Counter[tuple[int, int, int]] = Counter()
         fetched: dict[tuple[int, int], AbHom] = {}
         fetches: Counter[tuple[int, int]] = Counter()
+        certificates: Counter[tuple[int, int]] = Counter()
         floor_of = {m: f for f, (m, _) in enumerate(grid.floors)}
         assert len(floor_of) == len(grid.floors)
         real_quotient = abelian._composite_quotient
@@ -284,6 +299,7 @@ class TestWorkDoneOnce:
         real_hom = VerticalFamily.hom
         real_coboundary = totalcx.coboundary
         real_after = totalcx.coboundary_after
+        real_pullback = totalcx._FloorStore.pullback
 
         def counted_quotient(outer, inner):
             calls["proof"] += 1
@@ -316,6 +332,11 @@ class TestWorkDoneOnce:
             afters[floor_of[m], d, id(inner)] += 1
             return real_after(m, c, d, inner, *groups)
 
+        def counted_pullback(store, f, d):
+            if (f, d) not in store._pullbacks:
+                certificates[f, d] += 1
+            return real_pullback(store, f, d)
+
         monkeypatch.setattr(abelian, "_composite_quotient", counted_quotient)
         monkeypatch.setattr(CochainComplex, "__init__", counted_engine)
         monkeypatch.setattr(LeechComplex, "__init__", counted_leech)
@@ -323,15 +344,16 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(VerticalFamily, "hom", counted_hom)
         monkeypatch.setattr(totalcx, "coboundary", counted_coboundary)
         monkeypatch.setattr(totalcx, "coboundary_after", counted_after)
-        return calls, composed, built, builds, afters, fetched, fetches
+        monkeypatch.setattr(totalcx._FloorStore, "pullback", counted_pullback)
+        return (calls, composed, built, builds, afters, fetched, fetches,
+                certificates)
 
     @staticmethod
     def square_reads(built, fetched, squares):
-        """The composes and coboundary_after reads of each square (f, d):
-        none when both vertical maps are zero, the lower route v o d^d
-        when the upper vertical map is nonzero, and the upper route d^d o v
-        when the lower one is, through coboundary_after unless floor
-        f + 1's d^d is built."""
+        """The composes and coboundary_after reads of each square (f, d)
+        that is composed: the lower route v o d^d when the upper vertical
+        map is nonzero, and the upper route d^d o v when the lower one is,
+        through coboundary_after unless floor f + 1's d^d is built."""
         composes, afters = Counter(), Counter()
         for f, d in squares:
             below, above = fetched[f, d], fetched[f, d + 1]
@@ -349,8 +371,8 @@ class TestWorkDoneOnce:
     def test_passing_total_proves_once_and_composes_beyond_reach(
             self, monkeypatch, orders, n_max):
         grid, family = pullback_stack(*orders, coeff_order=0, n_max=n_max)
-        calls, composed, built, builds, afters, fetched, fetches = \
-            self.count_work(monkeypatch, grid)
+        calls, composed, built, builds, afters, fetched, fetches, \
+            certificates = self.count_work(monkeypatch, grid)
         cx = TotalComplex(grid, family, n_max)
         # one engine, n_max proofs (D^0..D^n_max), no floor complex
         assert calls == Counter({"engine": 1, "proof": n_max})
@@ -358,53 +380,72 @@ class TestWorkDoneOnce:
         pairs = len(orders) - 1
         assert fetches == Counter({(f, d): 1 for f in range(pairs)
                                    for d in range(n_max + 2)})
-        # each coboundary is built once: floor p's d^q for the blocks of D,
-        # q <= n_max - p, and beyond that only where a nonzero vertical map
-        # reads it; pullback_stack's only nonzero maps leave floor 0, whose
-        # d^0..d^n_max are all blocks
+        # each coboundary is built once, floor p's d^q for the blocks of D,
+        # q <= n_max - p, and no other: every square beyond the proof's
+        # reach with a nonzero vertical map is certified by naturality, so
+        # nothing is composed and coboundary_after never runs
         assert builds == Counter({(p, q): 1 for p in range(len(orders))
                                   for q in range(n_max - p + 1)})
-        # only the squares beyond the proof's reach are composed, and of
-        # those only the ones with a nonzero vertical map; no stacked stored
-        # maps, so the column check composes nothing
-        beyond = [(f, d) for f in range(pairs) for d in range(n_max + 1)
-                  if f + d >= n_max]
-        composes, reads = self.square_reads(built, fetched, beyond)
-        assert Counter((id(a), id(b)) for a, b in composed) == composes
-        assert afters == reads == Counter({(1, n_max, id(fetched[0, n_max])): 1})
+        assert composed == [] and afters == Counter()
+        # square (0, n_max) reads the certificates of degrees n_max and
+        # n_max + 1, each built once; the zero pair above reads none
+        assert certificates == Counter({(0, n_max): 1, (0, n_max + 1): 1})
         assert [cx.cohomology(n) for n in range(n_max + 1)] == [
             cohomology_at(cx.differential(n - 1), cx.differential(n))
             for n in range(n_max + 1)]
+        # with the top pullback perturbed, that square alone is composed
+        built.clear()
+        fetched.clear()
+        try:
+            TotalComplex(grid, bumped(family, 0, n_max + 1), n_max)
+        except NotADoubleComplex as exc:
+            assert exc.view.first_failure == (0, n_max)
+        composes, reads = self.square_reads(built, fetched, [(0, n_max)])
+        assert Counter((id(a), id(b)) for a, b in composed) == composes
+        assert afters == reads == Counter({(1, n_max, id(fetched[0, n_max])): 1})
 
     @pytest.mark.parametrize("orders", [(2, 4), (2, 4, 3)])
     def test_is_double_complex_proves_nothing(self, monkeypatch, orders):
         grid, family = pullback_stack(*orders, coeff_order=2, n_max=2)
-        calls, composed, built, builds, afters, fetched, fetches = \
-            self.count_work(monkeypatch, grid)
+        calls, composed, built, builds, afters, fetched, fetches, \
+            certificates = self.count_work(monkeypatch, grid)
         view = is_double_complex(grid, family, 2)
         assert view.ok
         assert calls == Counter()
         pairs = len(orders) - 1
         assert set(fetches.values()) == {1} and len(fetches) == pairs * 4
-        # floor 0's coboundaries are read by the nonzero maps above them;
-        # floor 1's only after a vertical map, and floor 2's not at all,
-        # since both vertical maps of its squares are zero
-        assert builds == Counter({(0, d): 1 for d in range(3)})
-        every = [(f, d) for f in range(pairs) for d in range(3)]
-        composes, reads = self.square_reads(built, fetched, every)
+        # every square of floor pair 0 is certified from the maps' entries,
+        # each degree's certificate built once, so no floor coboundary is
+        # built or read; the squares of the zero pair above read nothing
+        assert builds == Counter() and afters == Counter() and composed == []
+        assert certificates == Counter({(0, d): 1 for d in range(4)})
+        # perturbing the degree 1 pullback composes exactly the squares
+        # (0, 0) and (0, 1), the two that read it
+        perturbed = bumped(family, 0, 1)
+        built.clear()
+        fetched.clear()
+        perturbed_view = is_double_complex(grid, perturbed, 2)
+        composes, reads = self.square_reads(built, fetched, [(0, 0), (0, 1)])
         assert Counter((id(a), id(b)) for a, b in composed) == composes
-        assert afters == reads
-        assert sum(composes.values()) == sum(reads.values()) == 3
+        assert afters == reads and sum(composes.values()) == 2
+        # a zero family builds no certificate
+        certificates.clear()
+        zero_view = is_double_complex(grid, VerticalFamily.zero(), 2)
+        TotalComplex(grid, VerticalFamily.zero(), 2)
+        assert certificates == Counter()
         monkeypatch.undo()
         assert view == eager_double_complex_view(grid, family, 2)
+        assert perturbed_view == eager_double_complex_view(grid, perturbed, 2)
+        assert zero_view == eager_double_complex_view(
+            grid, VerticalFamily.zero(), 2)
 
     def test_failing_proof_builds_and_proves_every_floor(self, monkeypatch):
         # floor 1's d^1 o d^0 is a block of D^2 o D^1: every floor's
         # d^0..d^2 is then built and proven before the floor failure
         grid = GridSpec(((cyclic_group(3), constant_system(cyclic_group(3), Z)),
                          broken_floor()))
-        calls, composed, built, builds, afters, fetched, fetches = \
-            self.count_work(monkeypatch, grid)
+        calls, composed, built, builds, afters, fetched, fetches, \
+            certificates = self.count_work(monkeypatch, grid)
         with pytest.raises(AssertionError) as caught:
             TotalComplex(grid, VerticalFamily.zero(), 2)
         assert str(caught.value) == TRANSLATION_FAILURE
@@ -518,6 +559,157 @@ class TestEagerReference:
             # the cone of the identity is acyclic
             assert all(g.render() == "0"
                        for g in total_cohomology(grid, family, n_max))
+
+
+def induced_stack(floors, pair, phi, n_max):
+    """The grid on (monoid, system) floors with the maps induced by phi
+    from floor pair + 1 to floor pair in degrees 0..n_max + 1, and no
+    others."""
+    return GridSpec(tuple(floors)), VerticalFamily.explicit({
+        (pair, n): induced(floors[pair], floors[pair + 1], phi, n)
+        for n in range(n_max + 2)})
+
+
+def by_name(upper, lower, rule):
+    """The element map upper -> lower sending the element named x to the
+    one named rule(x)."""
+    index = {x: i for i, x in enumerate(lower.element_names)}
+    return [index[rule(x)] for x in upper.element_names]
+
+
+def reduction(upper_order, lower_order):
+    """Z/upper_order -> Z/lower_order, reduction of representatives."""
+    upper, lower = cyclic_group(upper_order), cyclic_group(lower_order)
+    return lower, upper, by_name(upper, lower,
+                                 lambda x: str(int(x) % lower_order))
+
+
+def meet_zero():
+    """P(2) -> P(1), X -> X meet {0}."""
+    upper, lower = power_set_monoid(2), power_set_monoid(1)
+    return lower, upper, by_name(upper, lower,
+                                 lambda x: "{0}" if "0" in x else "{}")
+
+
+def relabelled_identity():
+    """Z/4 and a copy that lists its identity last: the identity of Z/4
+    read between two tables, since the floors of a grid are distinct."""
+    lower = cyclic_group(4)
+    place = (3, 0, 1, 2)  # element g of lower is element place[g] above
+    table = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            table[place[a]][place[b]] = place[(a + b) % 4]
+    upper = FinMonoid("Z/4, identity last", ("1", "2", "3", "0"), 3, table)
+    return lower, upper, by_name(upper, lower, str)
+
+
+HOMOMORPHISMS = {
+    "Z/6->Z/3": lambda: reduction(6, 3),
+    "Z/6->Z/2": lambda: reduction(6, 2),
+    "Z/4->Z/2": lambda: reduction(4, 2),
+    "P(2)->P(1)": meet_zero,
+    "trivial": lambda: (cyclic_group(3), power_set_monoid(2), [0] * 4),
+    "identity": relabelled_identity,
+}
+COEFFICIENTS = [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))]
+
+
+class TestNaturalSquares:
+    """Squares certified by naturality against the eager route, which
+    composes every square both ways; ``natural`` is asked directly of a
+    floor store for which squares it certifies."""
+
+    @staticmethod
+    def check(grid, family, n_max):
+        view = is_double_complex(grid, family, n_max)
+        assert view == eager_double_complex_view(grid, family, n_max)
+        store = totalcx._FloorStore(grid, family, n_max)
+        return view, [[store.natural(f, d) for d in range(n_max + 1)]
+                      for f in range(len(grid.floors) - 1)]
+
+    @pytest.mark.parametrize("name", HOMOMORPHISMS)
+    @pytest.mark.parametrize("group", COEFFICIENTS, ids=str)
+    @pytest.mark.parametrize("floor_count", [2, 3])
+    def test_induced_families_are_certified(self, name, group, floor_count):
+        lower, upper, phi = HOMOMORPHISMS[name]()
+        floors = [(m, constant_system(m, group)) for m in (lower, upper)]
+        if floor_count == 3:
+            # a floor with zero maps below the pair
+            floors.insert(0, (trivial_monoid(),
+                              constant_system(trivial_monoid(), group)))
+        pair = floor_count - 2
+        view, natural = self.check(*induced_stack(floors, pair, phi, 2), 2)
+        assert view.ok
+        assert natural[pair] == [True] * 3
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_perturbed_top_pullbacks_fall_back(self, n_max):
+        view, natural = self.check(*perturbed_top_stack(n_max), n_max)
+        assert view.first_failure == (0, n_max)
+        assert natural == [[d < n_max for d in range(n_max + 1)]]
+
+    @pytest.mark.parametrize("group", COEFFICIENTS, ids=str)
+    def test_element_map_that_is_not_a_homomorphism(self, group):
+        # 2 = 1 + 1 goes to 1, but 1 + 1 = 0 in Z/2
+        lower, upper = cyclic_group(2), cyclic_group(4)
+        floors = [(m, constant_system(m, group)) for m in (lower, upper)]
+        view, natural = self.check(*induced_stack(floors, 0, [0, 1, 1, 0], 2),
+                                   2)
+        assert natural == [[False] * 3]
+
+    @pytest.mark.parametrize("group", COEFFICIENTS, ids=str)
+    def test_two_homomorphisms_at_consecutive_degrees(self, group):
+        # reduction and its negative, both Z/6 -> Z/3, meet at degree 2
+        lower, upper, phi = reduction(6, 3)
+        negated = by_name(upper, lower, lambda x: str(-int(x) % 3))
+        floors = [(m, constant_system(m, group)) for m in (lower, upper)]
+        grid, family = induced_stack(floors, 0, phi, 2)
+        maps = dict(family.maps)
+        maps[0, 2] = induced(*floors, negated, 2)
+        view, natural = self.check(grid, VerticalFamily.explicit(maps), 2)
+        assert natural == [[True, False, False]]
+        assert not view.ok
+
+    @pytest.mark.parametrize("systems", [
+        (lambda: constant_system(cyclic_group(2), Z),
+         lambda: negation_on_integers(4)),
+        (lambda: negation_on_integers(2), lambda: negation_on_integers(4))],
+        ids=["upper", "both"])
+    def test_non_constant_system(self, systems):
+        floors = [(c.monoid, c) for c in (make() for make in systems)]
+        view, natural = self.check(*induced_stack(floors, 0, [0, 1, 0, 1], 2),
+                                   2)
+        assert natural == [[False] * 3]
+
+    def test_floors_over_different_groups(self):
+        lower, upper, phi = reduction(6, 3)
+        floors = [(lower, constant_system(lower, Z)),
+                  (upper, constant_system(upper, Zmod(2)))]
+        view, natural = self.check(*induced_stack(floors, 0, phi, 2), 2)
+        assert natural == [[False] * 3]
+
+    @pytest.mark.parametrize("name", ["Z/6->Z/3", "Z/4->Z/2"])
+    @pytest.mark.parametrize("group", [Z, Zmod(2)], ids=str)
+    @pytest.mark.parametrize("flip", ["drop", "bump"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_one_flipped_entry(self, name, group, flip, degree):
+        # the squares (0, degree - 1) and (0, degree) read the flipped map
+        lower, upper, phi = HOMOMORPHISMS[name]()
+        floors = [(m, constant_system(m, group)) for m in (lower, upper)]
+        grid, family = induced_stack(floors, 0, phi, 2)
+        maps = dict(family.maps)
+        v = maps[0, degree]
+        columns = [dict(col) for col in v.columns]
+        col = next(c for c in columns if c)
+        row = min(col)
+        if flip == "drop":
+            del col[row]
+        else:
+            col[row] += 1
+        maps[0, degree] = AbHom.from_columns(v.domain, v.codomain, columns)
+        view, natural = self.check(grid, VerticalFamily.explicit(maps), 2)
+        assert natural == [[d not in (degree - 1, degree) for d in range(3)]]
 
 
 PULLBACK_SHAPES = [((2, 4), 0), ((2, 4), 2), ((3, 6), 2), ((2, 4, 3), 0),
