@@ -472,6 +472,7 @@ class AbHom:
     @classmethod
     def from_rows(cls, domain: FgAbGroup, codomain: FgAbGroup,
                   rows: Sequence[Sequence[int]]) -> "AbHom":
+        """``AbHom(domain, codomain, rows)`` under a second name."""
         return cls(domain, codomain, rows)
 
     @classmethod

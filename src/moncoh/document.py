@@ -276,7 +276,7 @@ def _parse_hom_table(raw: Any, path: str, m: FinMonoid,
         a, x = _pair_key(key, names, key_path)
         rows = _matrix(raw[key], key_path)
         with _at(key_path):
-            out[a, x] = AbHom.from_rows(groups[x], groups[combine(a, x)], rows)
+            out[a, x] = AbHom(groups[x], groups[combine(a, x)], rows)
     return out
 
 
@@ -317,7 +317,7 @@ def _parse_coefficient(obj: dict, path: str,
         for key in sorted(raw):
             rows = _matrix(raw[key], f"{path}.action.{key}")
             with _at(f"{path}.action.{key}"):
-                action[index[key]] = AbHom.from_rows(g, g, rows)
+                action[index[key]] = AbHom(g, g, rows)
         try:
             return group_action_system(m, g, action)
         except (KeyError, ValueError) as exc:
@@ -430,7 +430,7 @@ def _parse_grid(obj: dict, path: str,
                             cochain_ngens(*source, degree))
                 dom = cochain_group(*source, degree).total
                 cod = cochain_group(*target, degree).total
-                maps[(floor, degree)] = AbHom.from_rows(dom, cod, rows)
+                maps[(floor, degree)] = AbHom(dom, cod, rows)
         family = VerticalFamily.explicit(maps)
     elif raw != "zero":
         raise _error(f"{path}.vertical",

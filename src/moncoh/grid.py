@@ -412,7 +412,7 @@ class LocalExactnessReport:
 
 def local_exactness_report(grid: GridSpec, family: VerticalFamily,
                            path: PathSpec, p_max: int,
-                           square_report: SquareReport | None = None,
+                           square_report: SquareReport,
                            ) -> LocalExactnessReport:
     """Maximal horizontal runs plus the floor identifications.
 
@@ -425,23 +425,18 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
     since short runs are the ones whose boundary effects dominate; the
     final run is the truncated all-right tail and is never flagged short.
 
-    A square_report passed in must have been computed for the same grid,
-    family, path and p_max; otherwise ValueError is raised.
+    square_report is ``square_cohomology`` of the same grid, family, path
+    and p_max; a report computed for other arguments raises ValueError.
     """
-    if square_report is None:
-        report = square_cohomology(grid, family, path, p_max)
-    else:
-        report = square_report
-        given = report.cochain
-        differing = [name for name, ours, theirs in (
-            ("grid", grid, given.grid), ("family", family, given.family),
-            ("path", path, given.path), ("p_max", p_max, given.p_max))
-            if ours != theirs]
-        if differing:
-            raise ValueError(
-                "square_report was computed for a different "
-                + ", ".join(differing))
-    pc = report.cochain
+    pc = square_report.cochain
+    differing = [name for name, ours, theirs in (
+        ("grid", grid, pc.grid), ("family", family, pc.family),
+        ("path", path, pc.path), ("p_max", p_max, pc.p_max))
+        if ours != theirs]
+    if differing:
+        raise ValueError(
+            "square_report was computed for a different "
+            + ", ".join(differing))
     runs: list[HorizontalRun] = []
     n_moves = len(pc.differentials)
     for tag, group in itertools.groupby(range(n_moves),
@@ -466,8 +461,9 @@ def local_exactness_report(grid: GridSpec, family: VerticalFamily,
         runs=tuple(runs),
         identifications=tuple(
             FloorIdentification(e.floor, e.degree, e.group, e.group, True)
-            for e in report.entries if e.tag == "floor_leech"),
-        extremal_positions=tuple((e.floor, e.degree) for e in report.entries
+            for e in square_report.entries if e.tag == "floor_leech"),
+        extremal_positions=tuple((e.floor, e.degree)
+                                 for e in square_report.entries
                                  if e.tag == "extremal"),
         all_identified=True,
     )

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable
 
 from .abelian import (
     AbHom,
     CochainComplex,
     DirectSum,
     FgAbGroup,
-    ShapeMismatch,
     SparseColumn,
     _apply_sparse,
     _integers_only,
@@ -166,52 +165,17 @@ def _face_rule(m: FinMonoid, c: CoeffSystem, n: int,
     return faces
 
 
-def _tuple_columns(faces: Callable[[int, int], list[tuple]],
-                   tgt_off: tuple[int, ...], rows: Sequence[int], i: int,
-                   p: int, ngens: int) -> list[SparseColumn]:
-    """The columns of d^n at the ngens generators of source tuple i, of
-    product p; ``rows[r]`` names the target's presentation row r."""
-    terms = faces(i, p)
-    # rows in ascending target order, the order a row-by-row build
-    # inserts them: elimination breaks ties between pivots by the order
-    # of a column's entries, so this keeps its pivots and fill-in
-    terms.sort(key=itemgetter(0))
-    columns = []
-    for g in range(ngens):
-        col: SparseColumn = {}
-        for t, block, sign in terms:
-            row0 = tgt_off[t]
-            if block is None:
-                row = rows[row0 + g]
-                col[row] = col.get(row, 0) + sign
-            else:
-                for r, x in block[g].items():
-                    row = rows[row0 + r]
-                    col[row] = col.get(row, 0) + sign * x
-        columns.append(col)
-    return columns
-
-
-def _coboundary_groups(m: FinMonoid, c: CoeffSystem, n: int,
-                       source: CochainGroup | None,
-                       target: CochainGroup | None
-                       ) -> tuple[CochainGroup, CochainGroup]:
-    """The groups C^n and C^(n+1) of d^n, built when not given."""
-    _check(m, c, n)
-    src = source if source is not None else cochain_group(m, c, n)
-    tgt = target if target is not None else cochain_group(m, c, n + 1)
-    if (src.degree, tgt.degree) != (n, n + 1):
-        raise ValueError(f"d^{n} needs groups of degrees {n} and {n + 1}")
-    return src, tgt
-
-
 def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
                source: CochainGroup | None = None,
                target: CochainGroup | None = None) -> AbHom:
     """The degree n coboundary d^n : C^n -> C^(n+1), its sparse columns
     filled one source tuple at a time from ``_face_rule`` with every
     element as a head, then converted by ``assemble_hom``."""
-    src, tgt = _coboundary_groups(m, c, n, source, target)
+    _check(m, c, n)
+    src = source if source is not None else cochain_group(m, c, n)
+    tgt = target if target is not None else cochain_group(m, c, n + 1)
+    if (src.degree, tgt.degree) != (n, n + 1):
+        raise ValueError(f"d^{n} needs groups of degrees {n} and {n + 1}")
     faces = _face_rule(m, c, n, None, set(src.products))
     src_off, tgt_off = src.dsum.offsets, tgt.dsum.offsets
     # one int per target row, shared as a key by every column that has the
@@ -220,41 +184,26 @@ def coboundary(m: FinMonoid, c: CoeffSystem, n: int,
     columns: list[SparseColumn] = [{}] * src_off[-1]
     for i, p in enumerate(src.products):
         lo, hi = src_off[i], src_off[i + 1]
-        if lo != hi:
-            columns[lo:hi] = _tuple_columns(faces, tgt_off, rows, i, p, hi - lo)
+        if lo == hi:
+            continue
+        terms = faces(i, p)
+        # rows in ascending target order, the order a row-by-row build
+        # inserts them: elimination breaks ties between pivots by the order
+        # of a column's entries, so this keeps its pivots and fill-in
+        terms.sort(key=itemgetter(0))
+        for g in range(hi - lo):
+            col: SparseColumn = {}
+            for t, block, sign in terms:
+                row0 = tgt_off[t]
+                if block is None:
+                    row = rows[row0 + g]
+                    col[row] = col.get(row, 0) + sign
+                else:
+                    for r, x in block[g].items():
+                        row = rows[row0 + r]
+                        col[row] = col.get(row, 0) + sign * x
+            columns[lo + g] = col
     return assemble_hom(src.dsum, tgt.dsum, columns)
-
-
-def coboundary_after(m: FinMonoid, c: CoeffSystem, n: int, inner: AbHom,
-                     source: CochainGroup | None = None,
-                     target: CochainGroup | None = None) -> AbHom:
-    """``coboundary(m, c, n, source, target).compose(inner)``, the same
-    columns, with only the columns of d^n that inner reaches filled.
-
-    When both direct sums change basis by a permutation, canonical column
-    ``permutation[j]`` of d^n is presentation column j with its rows
-    renumbered, so each reached column is filled alone; otherwise d^n is
-    built in full."""
-    src, tgt = _coboundary_groups(m, c, n, source, target)
-    dom_perm, cod_perm = src.dsum.permutation, tgt.dsum.permutation
-    if dom_perm is None or cod_perm is None:
-        return coboundary(m, c, n, src, tgt).compose(inner)
-    if inner.codomain != src.total:
-        raise ShapeMismatch(f"cannot compose: inner codomain {inner.codomain} "
-                            f"!= domain {src.total}")
-    reached = set().union(*inner.columns)
-    faces = _face_rule(m, c, n, None, set(src.products))
-    src_off, tgt_off = src.dsum.offsets, tgt.dsum.offsets
-    # filled on the canonical rows, by canonical index; a zero left where
-    # terms cancel is dropped from the composite by ``_adopt``
-    columns: dict[int, SparseColumn] = {}
-    for i, p in enumerate(src.products):
-        lo, hi = src_off[i], src_off[i + 1]
-        if not reached.isdisjoint(dom_perm[lo:hi]):
-            columns.update(zip(dom_perm[lo:hi], _tuple_columns(
-                faces, tgt_off, cod_perm, i, p, hi - lo)))
-    return AbHom._adopt(inner.domain, tgt.total,
-                        [_apply_sparse(columns, col) for col in inner.columns])
 
 
 def translation_failure(n: int) -> AssertionError:

@@ -21,13 +21,14 @@ construction: phi^* (x) 1_A commutes with the coboundary.  Such a square
 is certified from the entries of its two vertical maps, compared exactly
 with phi^* (x) 1_A, and is not composed.
 
-Each call keeps its own floor store: every floor's cochain groups, built
-up front because each vertical map is checked against them, and each
-floor coboundary, built on first read.  D reads floor p's d^q for
-q <= n_max - p.  A square past the proof's reach that is not certified
-reads d^d of its lower floor only through a nonzero vertical map, and
-d^d of its upper floor only after one, through ``leech.coboundary_after``;
-a square with two zero vertical maps reads nothing.
+Each call keeps its own floor store: every floor's cochain groups and
+every vertical map with whether it is zero, built up front because each
+vertical map is checked against the groups, and each floor coboundary,
+built on first read.  D reads floor p's d^q for q <= n_max - p.  A
+square past the proof's reach that is not certified is composed from
+the store's coboundaries, but a route through a zero vertical map is
+zero and reads none: d^d of the lower floor is read only under a nonzero
+upper map, and d^d of the upper floor only over a nonzero lower one.
 """
 
 from __future__ import annotations
@@ -48,12 +49,7 @@ from .abelian import (
 )
 from .coeff import CoeffSystem
 from .grid import ColumnConditionError, GridSpec, VerticalFamily
-from .leech import (
-    coboundary,
-    coboundary_after,
-    cochain_group,
-    translation_failure,
-)
+from .leech import coboundary, cochain_group, translation_failure
 
 SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
                    "vertical per summand")
@@ -102,9 +98,10 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
 
 class _FloorStore:
     """The floors of one call to degree bound n: each floor's cochain
-    groups C^0..C^(n+1) and ``family.hom`` once per floor pair and degree,
-    built up front, and its coboundaries, each built on first read and
-    kept for that call, never proven."""
+    groups C^0..C^(n+1), and ``family.hom`` and whether it is zero once
+    per floor pair and degree, built up front; and each floor's
+    coboundaries, each built on first read and kept for that call, never
+    proven."""
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n: int):
         self.floors = grid.floors
@@ -113,6 +110,7 @@ class _FloorStore:
         self.verticals = [[family.hom(f, s, t) for s, t in zip(source, target)]
                           for f, (source, target) in enumerate(
                               zip(self.groups, self.groups[1:]))]
+        self.zero = [[v.is_zero() for v in row] for row in self.verticals]
         self._maps: list[dict[int, AbHom]] = [{} for _ in grid.floors]
         self._pullbacks: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self._constant: dict[int, bool] = {}
@@ -187,16 +185,6 @@ class _FloorStore:
             maps[d] = coboundary(*self.floors[f], d, groups[d], groups[d + 1])
         return maps[d]
 
-    def coboundary_after(self, f: int, d: int, inner: AbHom) -> AbHom:
-        """d^d of floor f after inner, filling only what inner reaches
-        unless d^d is already built."""
-        built = self._maps[f].get(d)
-        if built is not None:
-            return built.compose(inner)
-        groups = self.groups[f]
-        return coboundary_after(*self.floors[f], d, inner, groups[d],
-                                groups[d + 1])
-
 
 def _constant_over(c: CoeffSystem, group: FgAbGroup) -> bool:
     """Every group of c is group and every translation the identity."""
@@ -216,16 +204,16 @@ def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
     vertical map is zero, so one with one zero map commutes when the other
     route is zero."""
     rows = []
-    for f, vert in enumerate(store.verticals):
+    for f, (vert, zero) in enumerate(zip(store.verticals, store.zero)):
         row = []
         for d in range(p_max + 1):
-            below, above = vert[d].is_zero(), vert[d + 1].is_zero()
+            below, above = zero[d], zero[d + 1]
             if f + d < proven or below and above or store.natural(f, d):
                 row.append(True)
             elif below:
                 row.append(vert[d + 1].compose(store.coboundary(f, d)).is_zero())
             else:
-                up = store.coboundary_after(f + 1, d, vert[d])
+                up = store.coboundary(f + 1, d).compose(vert[d])
                 row.append(up.is_zero() if above else up.equals(
                     vert[d + 1].compose(store.coboundary(f, d))))
         rows.append(tuple(row))
@@ -258,7 +246,7 @@ class TotalComplex(CochainComplex):
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
         store = _FloorStore(grid, family, n_max)
-        groups, verticals = store.groups, store.verticals
+        groups, verticals, zero = store.groups, store.verticals, store.zero
         # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
         for n in range(n_max + 2):
@@ -273,7 +261,7 @@ class TotalComplex(CochainComplex):
             for p, q in self.levels[n].summands:
                 add_block(columns, tgt.offsets[p], src.offsets[p],
                           store.coboundary(p, q).columns)
-                if p < len(verticals) and not verticals[p][q].is_zero():
+                if p < len(verticals) and not zero[p][q]:
                     add_block(columns, tgt.offsets[p + 1], src.offsets[p],
                               verticals[p][q].columns, -1 if q % 2 else 1)
             differentials.append(assemble_hom(src, tgt, columns))

@@ -188,8 +188,8 @@ def test_criterion_02_group_cohomology_oracle():
                 for g in leech_cohomology_table(m, constant_system(m, Z), 4)]
         trivial = [[[1]] for _ in range(m.size)]
         free = [FgAbGroup(m.size ** n) for n in range(6)]
-        homs = [AbHom.from_rows(free[n], free[n + 1],
-                                bar_differential(m.table, n, trivial, 1))
+        homs = [AbHom(free[n], free[n + 1],
+                      bar_differential(m.table, n, trivial, 1))
                 for n in range(5)]
         bar = []
         for n in range(5):

@@ -378,8 +378,8 @@ class TestParse:
         doc = parse_document(json.dumps(root))
         (source, target) = doc.grid("pair").grid.floors
         degree = int(key[3:-1])
-        want = AbHom.from_rows(cochain_group(*source, degree).total,
-                               cochain_group(*target, degree).total, rows)
+        want = AbHom(cochain_group(*source, degree).total,
+                     cochain_group(*target, degree).total, rows)
         assert doc.grid("pair").family.maps == {(0, degree): want}
 
     def test_aliased_vertical_map_keys_rejected(self):

@@ -332,12 +332,18 @@ class TestClassification:
         assert classify_trivial(pc)[:2] == ["full_cochain_group", "kernel_group"]
 
 
+def exactness(grid, family, path, p_max):
+    """local_exactness_report on a square report computed for it."""
+    return local_exactness_report(
+        grid, family, path, p_max,
+        square_report=square_cohomology(grid, family, path, p_max))
+
+
 class TestLocalExactness:
     def test_single_floor_single_tail_run(self):
         m = cyclic_group(2)
         grid = grid_of(const_floor(m, Z))
-        report = local_exactness_report(grid, VerticalFamily.zero(),
-                                        PathSpec(""), 4)
+        report = exactness(grid, VerticalFamily.zero(), PathSpec(""), 4)
         assert len(report.runs) == 1
         run = report.runs[0]
         assert (run.floor, run.start_degree, run.end_degree) == (0, 0, 4)
@@ -349,8 +355,7 @@ class TestLocalExactness:
         grid = grid_of(const_floor(cyclic_group(2), Z),
                        const_floor(cyclic_group(3), Z),
                        const_floor(cyclic_group(4), Z))
-        report = local_exactness_report(grid, VerticalFamily.zero(),
-                                        PathSpec("DRDR"), 4)
+        report = exactness(grid, VerticalFamily.zero(), PathSpec("DRDR"), 4)
         assert len(report.runs) == 2
         first, last = report.runs
         assert (first.floor, first.start_degree, first.end_degree) == (1, 0, 1)
@@ -365,8 +370,7 @@ class TestLocalExactness:
 
     def test_identification_values(self):
         grid = grid_of(const_floor(cyclic_group(4), Z))
-        report = local_exactness_report(grid, VerticalFamily.zero(),
-                                        PathSpec(""), 4)
+        report = exactness(grid, VerticalFamily.zero(), PathSpec(""), 4)
         assert renders([i.floor_group for i in report.identifications]) == \
             ["Z", "0", "Z/4", "0", "Z/4"]
         assert all(i.matches for i in report.identifications)
@@ -391,8 +395,7 @@ class TestLocalExactness:
         # equal arguments in fresh objects are the same request
         same = local_exactness_report(grid, VerticalFamily.zero(),
                                       PathSpec("D"), 3, square_report=square)
-        assert same.runs == local_exactness_report(
-            grid, zero, PathSpec("D"), 3).runs
+        assert same.runs == exactness(grid, zero, PathSpec("D"), 3).runs
 
 
 def random_family(rng, grid, moves, span=3):

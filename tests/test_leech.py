@@ -11,11 +11,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from moncoh import abelian, leech
 from moncoh.abelian import (
-    AbHom, FgAbGroup, ShapeMismatch, TRIVIAL_GROUP, Z, Zmod, cohomology_at)
+    AbHom, FgAbGroup, TRIVIAL_GROUP, Z, Zmod, cohomology_at)
 from moncoh.coeff import (
     constant_system,
     explicit_system,
@@ -28,7 +27,6 @@ from moncoh.leech import (
     cochain_group,
     cochain_ngens,
     coboundary,
-    coboundary_after,
     leech_cohomology_table,
     one_level_matching,
 )
@@ -493,21 +491,6 @@ class TestSparseConstruction:
         assert "matrix" in vars(built[-1])
 
 
-AFTER_COEFFS = [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))]
-
-
-@st.composite
-def inner_maps(draw, m, c, n):
-    """A hom from a free group into C^n whose columns each reach a few
-    generators with small coefficients."""
-    total = cochain_group(m, c, n).total
-    columns = draw(st.lists(st.dictionaries(
-        st.integers(0, max(total.ngens - 1, 0)),
-        st.sampled_from([-3, -2, -1, 1, 2, 3]),
-        max_size=3 if total.ngens else 0), max_size=4))
-    return AbHom.from_columns(FgAbGroup(len(columns)), total, columns)
-
-
 class TestNegativeBounds:
     @pytest.mark.parametrize("bound", [-1, -2, -10])
     def test_every_negative_bound_gives_the_empty_table(self, bound):
@@ -518,69 +501,6 @@ class TestNegativeBounds:
         c = constant_system(cyclic_group(3), Z)
         with pytest.raises(ValueError, match="different monoid"):
             leech_cohomology_table(cyclic_group(4), c, -2)
-
-
-class TestCoboundaryAfter:
-    @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([(m, c) for m in small_monoids()
-                            for c in systems_for(m, AFTER_COEFFS)]),
-           st.integers(0, 3), st.data())
-    def test_same_columns_as_the_full_coboundary_composed(self, floor, n,
-                                                           data):
-        m, c = floor
-        inner = data.draw(inner_maps(m, c, n))
-        src, tgt = cochain_group(m, c, n), cochain_group(m, c, n + 1)
-        assert src.dsum.permutation is not None
-        got = coboundary_after(m, c, n, inner, src, tgt)
-        want = coboundary(m, c, n, src, tgt).compose(inner)
-        assert (got.domain, got.codomain, got.columns) == (
-            want.domain, want.codomain, want.columns)
-
-    def test_fills_only_the_tuples_inner_reaches(self, monkeypatch):
-        m = cyclic_group(4)
-        c = constant_system(m, FgAbGroup(1, (2,)))
-        filled = []
-        real = leech._tuple_columns
-
-        def counted(faces, tgt_off, rows, i, p, ngens):
-            filled.append(i)
-            return real(faces, tgt_off, rows, i, p, ngens)
-
-        monkeypatch.setattr(leech, "_tuple_columns", counted)
-        total = cochain_group(m, c, 3).total
-        inner = AbHom.from_columns(FgAbGroup(2), total, [{5: 1}, {40: 2}])
-        got = coboundary_after(m, c, 3, inner)
-        # each of the 27 tuples carries Z x Z/2, and the canonical basis
-        # lists the 27 copies of Z first: 5 is tuple 5's Z, 40 tuple 13's Z/2
-        assert sorted(filled) == [5, 13]
-        filled.clear()
-        assert got == coboundary(m, c, 3).compose(inner)
-        assert len(filled) == 27
-
-    def test_merging_orders_take_the_full_coboundary(self, monkeypatch):
-        c = mixed_two_three_system()
-        m = c.monoid
-        src = cochain_group(m, c, 2)
-        assert src.dsum.permutation is None
-        inner = AbHom.from_columns(FgAbGroup(1), src.total, [{0: 1, 1: -1}])
-        full = []
-        real = leech.coboundary
-
-        def counted(*args):
-            full.append(args[2])
-            return real(*args)
-
-        monkeypatch.setattr(leech, "coboundary", counted)
-        got = coboundary_after(m, c, 2, inner, src)
-        assert full == [2]
-        assert got == real(m, c, 2).compose(inner)
-
-    def test_rejects_an_inner_map_into_another_group(self):
-        m = cyclic_group(3)
-        c = constant_system(m, Z)
-        inner = AbHom.identity(cochain_group(m, c, 1).total)
-        with pytest.raises(ShapeMismatch, match="cannot compose"):
-            coboundary_after(m, c, 2, inner)
 
 
 class TestComplexApi:

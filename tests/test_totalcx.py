@@ -278,15 +278,17 @@ class TestWorkDoneOnce:
     @staticmethod
     def count_work(monkeypatch, grid):
         """Count proofs, engines, floor complexes and vertical fetches, and
-        record the floor coboundaries built and read, the composes and the
-        naturality certificates read off each (floor pair, degree).  Built
-        and fetched maps are kept by (floor, degree); the floors' monoids
-        must be distinct."""
+        record the floor coboundaries built and read, the composes, the
+        naturality certificates read off each (floor pair, degree) and the
+        zero tests of each map.  Built and fetched maps are kept by (floor,
+        degree); the floors' monoids must be distinct.  A fetch restarts
+        its map's count of zero tests, so ``zero_tested_once`` reads the
+        last call."""
         calls: Counter[str] = Counter()
         composed: list[tuple[AbHom, AbHom]] = []
         built: dict[tuple[int, int], AbHom] = {}
         builds: Counter[tuple[int, int]] = Counter()
-        afters: Counter[tuple[int, int, int]] = Counter()
+        zero_tests: Counter[int] = Counter()  # by id of the map
         fetched: dict[tuple[int, int], AbHom] = {}
         fetches: Counter[tuple[int, int]] = Counter()
         certificates: Counter[tuple[int, int]] = Counter()
@@ -298,7 +300,7 @@ class TestWorkDoneOnce:
         real_compose = AbHom.compose
         real_hom = VerticalFamily.hom
         real_coboundary = totalcx.coboundary
-        real_after = totalcx.coboundary_after
+        real_is_zero = AbHom.is_zero
         real_pullback = totalcx._FloorStore.pullback
 
         def counted_quotient(outer, inner):
@@ -321,6 +323,7 @@ class TestWorkDoneOnce:
             fetches[floor, source.degree] += 1
             hom = real_hom(family, floor, source, target)
             fetched[floor, source.degree] = hom
+            zero_tests[id(hom)] = 0
             return hom
 
         def counted_coboundary(m, c, d, *groups):
@@ -328,9 +331,9 @@ class TestWorkDoneOnce:
             hom = built[floor_of[m], d] = real_coboundary(m, c, d, *groups)
             return hom
 
-        def counted_after(m, c, d, inner, *groups):
-            afters[floor_of[m], d, id(inner)] += 1
-            return real_after(m, c, d, inner, *groups)
+        def counted_is_zero(hom):
+            zero_tests[id(hom)] += 1
+            return real_is_zero(hom)
 
         def counted_pullback(store, f, d):
             if (f, d) not in store._pullbacks:
@@ -343,35 +346,37 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(AbHom, "compose", counted_compose)
         monkeypatch.setattr(VerticalFamily, "hom", counted_hom)
         monkeypatch.setattr(totalcx, "coboundary", counted_coboundary)
-        monkeypatch.setattr(totalcx, "coboundary_after", counted_after)
+        monkeypatch.setattr(AbHom, "is_zero", counted_is_zero)
         monkeypatch.setattr(totalcx._FloorStore, "pullback", counted_pullback)
-        return (calls, composed, built, builds, afters, fetched, fetches,
+        return (calls, composed, built, builds, zero_tests, fetched, fetches,
                 certificates)
 
     @staticmethod
+    def zero_tested_once(fetched, zero_tests):
+        """is_zero ran at most once on each vertical map of the last call."""
+        return all(zero_tests[id(v)] <= 1 for v in fetched.values())
+
+    @staticmethod
     def square_reads(built, fetched, squares):
-        """The composes and coboundary_after reads of each square (f, d)
-        that is composed: the lower route v o d^d when the upper vertical
-        map is nonzero, and the upper route d^d o v when the lower one is,
-        through coboundary_after unless floor f + 1's d^d is built."""
-        composes, afters = Counter(), Counter()
+        """The composes of each square (f, d) that is composed: the lower
+        route v o d^d when the upper vertical map is nonzero, and the upper
+        route d^d o v when the lower one is, each from the built floor
+        coboundary."""
+        composes = Counter()
         for f, d in squares:
             below, above = fetched[f, d], fetched[f, d + 1]
             if not above.is_zero():
                 composes[id(above), id(built[f, d])] += 1
             if not below.is_zero():
-                if (f + 1, d) in built:
-                    composes[id(built[f + 1, d]), id(below)] += 1
-                else:
-                    afters[f + 1, d, id(below)] += 1
-        return composes, afters
+                composes[id(built[f + 1, d]), id(below)] += 1
+        return composes
 
     @pytest.mark.parametrize("orders", [(2, 4), (3, 6), (2, 4, 3)])
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_passing_total_proves_once_and_composes_beyond_reach(
             self, monkeypatch, orders, n_max):
         grid, family = pullback_stack(*orders, coeff_order=0, n_max=n_max)
-        calls, composed, built, builds, afters, fetched, fetches, \
+        calls, composed, built, builds, zero_tests, fetched, fetches, \
             certificates = self.count_work(monkeypatch, grid)
         cx = TotalComplex(grid, family, n_max)
         # one engine, n_max proofs (D^0..D^n_max), no floor complex
@@ -380,54 +385,65 @@ class TestWorkDoneOnce:
         pairs = len(orders) - 1
         assert fetches == Counter({(f, d): 1 for f in range(pairs)
                                    for d in range(n_max + 2)})
+        # and tested for zero at most once, by the view and D together
+        assert self.zero_tested_once(fetched, zero_tests)
         # each coboundary is built once, floor p's d^q for the blocks of D,
         # q <= n_max - p, and no other: every square beyond the proof's
         # reach with a nonzero vertical map is certified by naturality, so
-        # nothing is composed and coboundary_after never runs
-        assert builds == Counter({(p, q): 1 for p in range(len(orders))
-                                  for q in range(n_max - p + 1)})
-        assert composed == [] and afters == Counter()
+        # nothing is composed
+        blocks = Counter({(p, q): 1 for p in range(len(orders))
+                          for q in range(n_max - p + 1)})
+        assert builds == blocks and composed == []
         # square (0, n_max) reads the certificates of degrees n_max and
         # n_max + 1, each built once; the zero pair above reads none
         assert certificates == Counter({(0, n_max): 1, (0, n_max + 1): 1})
         assert [cx.cohomology(n) for n in range(n_max + 1)] == [
             cohomology_at(cx.differential(n - 1), cx.differential(n))
             for n in range(n_max + 1)]
-        # with the top pullback perturbed, that square alone is composed
+        # with the top pullback perturbed, that square alone is composed:
+        # it builds floor 1's d^n_max, beyond the blocks of D, once
         built.clear()
+        builds.clear()
         fetched.clear()
         try:
             TotalComplex(grid, bumped(family, 0, n_max + 1), n_max)
         except NotADoubleComplex as exc:
             assert exc.view.first_failure == (0, n_max)
-        composes, reads = self.square_reads(built, fetched, [(0, n_max)])
+        assert self.zero_tested_once(fetched, zero_tests)
+        assert builds == blocks + Counter({(1, n_max): 1})
+        composes = self.square_reads(built, fetched, [(0, n_max)])
         assert Counter((id(a), id(b)) for a, b in composed) == composes
-        assert afters == reads == Counter({(1, n_max, id(fetched[0, n_max])): 1})
+        assert composes[id(built[1, n_max]), id(fetched[0, n_max])] == 1
 
     @pytest.mark.parametrize("orders", [(2, 4), (2, 4, 3)])
     def test_is_double_complex_proves_nothing(self, monkeypatch, orders):
         grid, family = pullback_stack(*orders, coeff_order=2, n_max=2)
-        calls, composed, built, builds, afters, fetched, fetches, \
+        calls, composed, built, builds, zero_tests, fetched, fetches, \
             certificates = self.count_work(monkeypatch, grid)
         view = is_double_complex(grid, family, 2)
         assert view.ok
         assert calls == Counter()
         pairs = len(orders) - 1
         assert set(fetches.values()) == {1} and len(fetches) == pairs * 4
+        assert self.zero_tested_once(fetched, zero_tests)
         # every square of floor pair 0 is certified from the maps' entries,
         # each degree's certificate built once, so no floor coboundary is
         # built or read; the squares of the zero pair above read nothing
-        assert builds == Counter() and afters == Counter() and composed == []
+        assert builds == Counter() and composed == []
         assert certificates == Counter({(0, d): 1 for d in range(4)})
         # perturbing the degree 1 pullback composes exactly the squares
-        # (0, 0) and (0, 1), the two that read it
+        # (0, 0) and (0, 1), the two that read it, both routes of each
+        # from d^0 and d^1 of floors 0 and 1, each built once
         perturbed = bumped(family, 0, 1)
         built.clear()
         fetched.clear()
         perturbed_view = is_double_complex(grid, perturbed, 2)
-        composes, reads = self.square_reads(built, fetched, [(0, 0), (0, 1)])
+        assert self.zero_tested_once(fetched, zero_tests)
+        assert builds == Counter({(f, d): 1 for f in range(2)
+                                  for d in range(2)})
+        composes = self.square_reads(built, fetched, [(0, 0), (0, 1)])
         assert Counter((id(a), id(b)) for a, b in composed) == composes
-        assert afters == reads and sum(composes.values()) == 2
+        assert sum(composes.values()) == 4
         # a zero family builds no certificate
         certificates.clear()
         zero_view = is_double_complex(grid, VerticalFamily.zero(), 2)
@@ -444,7 +460,7 @@ class TestWorkDoneOnce:
         # d^0..d^2 is then built and proven before the floor failure
         grid = GridSpec(((cyclic_group(3), constant_system(cyclic_group(3), Z)),
                          broken_floor()))
-        calls, composed, built, builds, afters, fetched, fetches, \
+        calls, composed, built, builds, zero_tests, fetched, fetches, \
             certificates = self.count_work(monkeypatch, grid)
         with pytest.raises(AssertionError) as caught:
             TotalComplex(grid, VerticalFamily.zero(), 2)
@@ -453,7 +469,7 @@ class TestWorkDoneOnce:
                                   for d in range(3)})
         # the total's engine, then one per floor
         assert calls["engine"] == 3 and calls["floor complex"] == 0
-        assert composed == [] and afters == Counter()
+        assert composed == [] and self.zero_tested_once(fetched, zero_tests)
 
 
 class TestFailingInputs:
@@ -720,9 +736,10 @@ PULLBACK_SHAPES = [((2, 4), 0), ((2, 4), 2), ((3, 6), 2), ((2, 4, 3), 0),
 @given(st.sampled_from(PULLBACK_SHAPES), st.integers(0, 2), st.data())
 def test_perturbed_families_match_the_view_or_the_reference(shape, n_max, data):
     """Pullbacks plus small integer perturbations, and on three floors
-    random maps from floor 1 to floor 2: either TotalComplex refuses with
-    the view is_double_complex gives, or that view is ok and each H^n is
-    the lattice reference on the two total differentials around it."""
+    random maps from floor 1 to floor 2: is_double_complex gives the eager
+    reference view, and either TotalComplex refuses with that view, or it
+    is ok and each H^n is the lattice reference on the two total
+    differentials around it."""
     orders, coeff_order = shape
     grid, family = pullback_stack(*orders, coeff_order=coeff_order,
                                   n_max=n_max)
@@ -744,6 +761,7 @@ def test_perturbed_families_match_the_view_or_the_reference(shape, n_max, data):
         maps[f, d] = AbHom.from_columns(dom, cod, columns)
     family = VerticalFamily.explicit(maps)
     view = is_double_complex(grid, family, n_max)
+    assert view == eager_double_complex_view(grid, family, n_max)
     try:
         cx = TotalComplex(grid, family, n_max)
     except NotADoubleComplex as exc:
