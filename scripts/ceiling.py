@@ -52,7 +52,8 @@ ROWS = [("P(3)", "Z", 4, "full"), ("Z/8", "Z", 4, "full"),
         ("Z/8", "Z/2", 5, "full"), ("Z/8", "Z/4", 4, "full"),
         ("Z/8", "Z/6", 4, "full"), ("Z/8", "Z/6", 5, "table"),
         ("Z/8", "Z x Z/2", 5, "table"), ("Z/8", "Z", 6, "table"),
-        ("P(4)", "Z", 4, "table"), ("P(3)..P(1)", "Z", 4, "total")]
+        ("P(4)", "Z", 4, "table"), ("P(3)..P(1)", "Z", 4, "total"),
+        ("P(4)..P(1)", "Z", 4, "total")]
 
 
 def monoids(label: str) -> list:

@@ -42,7 +42,7 @@ from .structured import (
     fs_pipeline,
     h_pipeline,
 )
-from .totalcx import SIGN_CONVENTION, NotADoubleComplex, TotalComplex
+from .totalcx import SIGN_CONVENTION, NotADoubleComplex, total_cohomology
 
 CONVENTION = {
     "indexing": INDEXING_CONVENTION,
@@ -275,8 +275,8 @@ def _cmd_square(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
 def _cmd_total(doc: Document, flags: RunFlags) -> tuple[int, dict, list[str]]:
     """double-complex check and total cohomology per grid"""
     def run(bundle, p_max):
-        cx = TotalComplex(bundle.grid, bundle.family, p_max)
-        groups = [cx.cohomology(n).render() for n in range(p_max + 1)]
+        groups = [g.render() for g in total_cohomology(
+            bundle.grid, bundle.family, p_max)]
         return 0, {"commutes": True, "total": groups}, [
             f"double complex ok, degrees 0..{p_max}",
             *(f"  Tot^{n} = {g}" for n, g in enumerate(groups))]

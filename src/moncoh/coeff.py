@@ -17,6 +17,7 @@ system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .abelian import AbHom, FgAbGroup
@@ -142,6 +143,14 @@ def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
                 out.append(RelationViolation(
                     relation, (names[a], names[b], names[x]), detail))
     return out
+
+
+def _constant_over(c: CoeffSystem, group: FgAbGroup) -> bool:
+    """Every group of c is group and every translation the identity."""
+    one = tuple({j: 1} for j in range(group.ngens))
+    return (all(g == group for g in c.groups)
+            and all(h.columns == one for h in chain(c.lstar.values(),
+                                                    c.rstar.values())))
 
 
 def constant_system(m: FinMonoid, group: FgAbGroup) -> CoeffSystem:

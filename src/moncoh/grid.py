@@ -226,11 +226,17 @@ class VerticalFamily:
             target: CochainGroup) -> AbHom:
         """The map from source on floor to target on floor + 1, both of
         one degree."""
-        degree, dom, cod = source.degree, source.total, target.total
+        dom, cod = source.total, target.total
+        stored = self.stored(floor, source.degree, dom, cod)
+        return AbHom.zero(dom, cod) if stored is None else stored
+
+    def stored(self, floor: int, degree: int, dom: FgAbGroup,
+               cod: FgAbGroup) -> AbHom | None:
+        """The map stored at (floor, degree), checked to connect the
+        canonical totals dom -> cod; None when none is stored."""
         stored = self.maps.get((floor, degree))
-        if stored is None:
-            return AbHom.zero(dom, cod)
-        if stored.domain != dom or stored.codomain != cod:
+        if stored is not None and (stored.domain != dom
+                                   or stored.codomain != cod):
             raise ValueError(
                 f"vertical map at (floor {floor}, degree {degree}) connects "
                 f"{stored.domain} -> {stored.codomain} but the cochain groups "

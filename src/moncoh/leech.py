@@ -19,7 +19,9 @@ Merged tuples multiply to the same element as the output tuple, so the
 middle blocks are plain signed identity matrices.
 
 Leech tables are read off a smaller complex with the same cohomology,
-reduced along a one-level algebraic Morse matching (``MorseLeechComplex``).
+reduced along a one-level algebraic Morse matching (``MorseLeechComplex``),
+the one-floor case of ``morse_reduction``, which reduces a stack of
+floors joined by vertical maps the same way for total complexes.
 
 Cohomology indexing: H^n = ker(d^n) / im(d^(n-1)) with d^(-1) = 0, so H^0
 is the kernel of the degree 0 coboundary.  Reports carry this convention
@@ -31,8 +33,9 @@ shifts down by one degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Container, Iterable
+from typing import Callable, Container, Iterable, Sequence
 
 from .abelian import (
     AbHom,
@@ -45,7 +48,7 @@ from .abelian import (
     assemble_hom,
     direct_sum_ngens,
 )
-from .coeff import CoeffSystem, validate_relations
+from .coeff import CoeffSystem, _constant_over, validate_relations
 from .monoid import FinMonoid
 
 INDEXING_CONVENTION = "H^n = ker(d^n) / im(d^(n-1)) with d^(-1) = 0"
@@ -98,28 +101,57 @@ def cochain_group(m: FinMonoid, c: CoeffSystem, n: int) -> CochainGroup:
                         DirectSum.of([c.groups[p] for p in products]))
 
 
-def cochain_ngens(m: FinMonoid, c: CoeffSystem, n: int) -> int:
-    """Canonical generators of the degree n cochain group, counted without
-    building it: how many tuples have each product, then
-    ``direct_sum_ngens``."""
+def _multiplicities(m: FinMonoid, c: CoeffSystem,
+                    n: int) -> list[dict[FgAbGroup, int]]:
+    """For each degree 0..n, how many tuples carry each coefficient group:
+    how many tuples have each product, counted degree by degree without
+    listing them."""
     _check(m, c, n)
     non_id = m.non_identity()
     counts = [0] * m.size
     counts[m.identity_index] = 1
-    for _ in range(n):
-        step = [0] * m.size
+    out = []
+    for degree in range(n + 1):
+        if degree:
+            step = [0] * m.size
+            for p, k in enumerate(counts):
+                if k:
+                    row = m.table[p]
+                    for a in non_id:
+                        step[row[a]] += k
+            counts = step
+        multiplicity: dict[FgAbGroup, int] = {}
         for p, k in enumerate(counts):
             if k:
-                row = m.table[p]
-                for a in non_id:
-                    step[row[a]] += k
-        counts = step
-    multiplicity: dict[FgAbGroup, int] = {}
-    for p, k in enumerate(counts):
-        if k:
-            g = c.groups[p]
-            multiplicity[g] = multiplicity.get(g, 0) + k
-    return direct_sum_ngens(multiplicity)
+                g = c.groups[p]
+                multiplicity[g] = multiplicity.get(g, 0) + k
+        out.append(multiplicity)
+    return out
+
+
+def cochain_ngens(m: FinMonoid, c: CoeffSystem, n: int) -> int:
+    """Canonical generators of the degree n cochain group, counted without
+    building it: ``direct_sum_ngens`` of ``_multiplicities``."""
+    return direct_sum_ngens(_multiplicities(m, c, n)[n])
+
+
+def cochain_totals(m: FinMonoid, c: CoeffSystem,
+                   n: int) -> list[FgAbGroup]:
+    """``cochain_group(m, c, k).total`` for k = 0..n, counted as
+    ``cochain_ngens`` counts: no summand list and no change of basis."""
+    out = []
+    for multiplicity in _multiplicities(m, c, n):
+        free, torsion = 0, {}
+        for g, k in multiplicity.items():
+            free += k * g.free_rank
+            for d in g.torsion:
+                torsion[d] = torsion.get(d, 0) + k
+        orders = sorted(torsion)
+        chained = list(chain.from_iterable([d] * torsion[d] for d in orders))
+        out.append(FgAbGroup.from_invariants([0] * free + chained)
+                   if any(b % a for a, b in zip(orders, orders[1:]))
+                   else FgAbGroup(free, tuple(chained)))
+    return out
 
 
 def _face_rule(m: FinMonoid, c: CoeffSystem, n: int,
@@ -141,10 +173,13 @@ def _face_rule(m: FinMonoid, c: CoeffSystem, n: int,
     # x * y = s_0 with x a head
     first = splits if heads is None else [
         tuple(xy for xy in fs if head[xy // k]) for fs in splits]
-    left = {p: [(pa * width, c.lstar[a, p].columns)
+    # the translations of a constant system are read as signed identities
+    constant = _constant_over(c, c.groups[0])
+    left = {p: [(pa * width, None if constant else c.lstar[a, p].columns)
                 for pa, a in enumerate(non_id) if head[pa]] for p in present}
-    right = {p: [(pa, c.rstar[a, p].columns) for pa, a in enumerate(non_id)
-                 if n or head[pa]] for p in present}
+    right = {p: [(pa, None if constant else c.rstar[a, p].columns)
+                 for pa, a in enumerate(non_id) if n or head[pa]]
+             for p in present}
     right_sign = -1 if (n + 1) % 2 else 1
 
     def faces(i: int, p: int) -> list[tuple]:
@@ -274,68 +309,120 @@ def one_level_matching(m: FinMonoid) -> Matching:
     return gens, pairs, length
 
 
-class MorseLeechComplex(CochainComplex):
-    """The Leech complex reduced along ``matching``, the one-level Morse
-    matching ``one_level_matching(monoid)`` (Skoeldberg, Trans. AMS 2006;
-    Brown 1992).
+# the terms of a map read at one cell, in the layout of ``_face_rule``:
+# (target index, block or None for a signed identity, sign)
+Terms = list[tuple[int, list[SparseColumn] | None, int]]
+# a stack floor: the monoid, its coefficients and its matching
+MorseFloor = tuple[FinMonoid, CoeffSystem, Matching]
 
-    The cell x = (a, t_2, ...), a outside S and the identity, is matched
-    with y = (s(a), r(a), t_2, ...).  Only the first middle face of y
-    reaches x, so their block is minus the identity, invertible with any
-    coefficients; besides y, the column of x meets only matched cells
-    (s', a, ...) one letter longer, so the matching is acyclic.  The
-    critical cells are (), each (s) and each (s, t_2, ...) whose first two
-    entries are not a chosen pair.  ``cells[n]`` lists their indices in
-    ``cochain_group(monoid, coeffs, n)``; ``groups[n]`` is their sum.
 
-    Column c of the reduced d^n is d(c) with its matched cells cleared
-    level by level, each by adding its value times its partner's column,
-    then projected onto the critical cells: Gaussian elimination along
-    the matched blocks, reading d from ``_face_rule`` with the heads S:
-    only cells whose first entry lies in S survive the projection.  It
-    keeps cohomology when the full complex squares to zero, which
-    ``leech_cohomology_table`` first certifies by ``validate_relations``;
-    the engine proves each reduced pair.
+def morse_reduction(
+        floors: Sequence[MorseFloor], max_degree: int,
+        vertical: Callable[[int, int], Callable[[int], Terms] | None] | None
+        = None) -> tuple[list[list[list[int]]], list[DirectSum], list[AbHom]]:
+    """A stack of floors reduced along the union of their matchings, each
+    one ``one_level_matching`` of its floor's monoid (Skoeldberg, Trans.
+    AMS 2006; Brown 1992).
+
+    Floor p's degree q cochains sit in total degree p + q, and D is each
+    floor's d plus the map from floor p to floor p + 1 that ``vertical(p,
+    q)`` reads, in degree q: None when it is zero, else a function giving
+    its terms at a cell index of floor p.  One floor with no ``vertical``
+    is the floor's own Leech complex.
+
+    The cell x = (a, t_2, ...) of a floor, a outside S and the identity,
+    is matched with y = (s(a), r(a), t_2, ...) of the same floor.  Only
+    the first middle face of y reaches x, so their block is minus the
+    identity, invertible with any coefficients; besides y, the column of
+    x meets only matched cells (s', a, ...) one letter longer and cells
+    of the floor above, so the matching is acyclic.  The critical cells
+    of a floor are (), each (s) and each (s, t_2, ...) whose first two
+    entries are not a chosen pair.  ``cells[p][q]`` lists those of floor
+    p in degree q as indices into ``cochain_group`` of the floor, and the
+    reduced total degree n group, returned as ``groups[n]``, is their sum
+    over floors p <= n in degree n - p, floors ascending.
+
+    Column c of the reduced D^n is D(c) with its matched cells cleared
+    floor by floor and, within a floor, level by level, each by adding
+    its value times its partner's column, then projected onto the
+    critical cells: Gaussian elimination along the matched blocks,
+    reading d from ``_face_rule`` with the heads S, so that within a
+    floor only cells whose first entry lies in S survive, and dropping
+    the other cells a vertical map reaches.  Returns the cells, the
+    groups and D^0..D^(max_degree - 1).  The result keeps cohomology when
+    the full total complex squares to zero; callers certify that first,
+    and the engine proves each reduced pair.
     """
-
-    def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int,
-                 matching: Matching):
-        _check(monoid, coeffs, max_degree, "max degree")
-        gens, pairs, length = matching
+    height = min(len(floors), max_degree + 1)
+    cells: list[list[list[int]]] = []
+    products: list[list[list[int]]] = []
+    chosen: list[dict[int, int]] = []
+    non_ids: list[list[int]] = []
+    positions: list[dict[int, int]] = []
+    for p, (monoid, coeffs, (gens, pairs, _)) in enumerate(floors[:height]):
         table, non_id = monoid.table, monoid.non_identity()
         k = len(non_id)
         pos = {a: pa for pa, a in enumerate(non_id)}
+        non_ids.append(non_id)
+        positions.append(pos)
         # a by the two-digit code pos(s(a)) * k + pos(r(a)) of its split
-        chosen = {pos[s] * k + pos[r]: a for (s, r), a in pairs.items()}
+        chosen.append({pos[s] * k + pos[r]: a for (s, r), a in pairs.items()})
+        here, prods = [[0]], [[monoid.identity_index]]
+        for q in range(1, max_degree - p + 1):
+            step = [(i * k + pos[t], table[x][t])
+                    for i, x in zip(here[-1], prods[-1])
+                    for t in (gens if q == 1 else non_id)
+                    if q != 2 or i * k + pos[t] not in chosen[p]]
+            here.append([i for i, _ in step])
+            prods.append([x for _, x in step])
+        cells.append(here)
+        products.append(prods)
+    groups = [DirectSum.of([floors[p][1].groups[x]
+                            for p in range(min(height, n + 1))
+                            for x in products[p][n - p]])
+              for n in range(max_degree + 1)]
 
-        cells, products = [[0]], [[monoid.identity_index]]
-        for n in range(1, max_degree + 1):
-            step = [(i * k + pos[t], table[p][t])
-                    for i, p in zip(cells[-1], products[-1])
-                    for t in (gens if n == 1 else non_id)
-                    if n != 2 or i * k + pos[t] not in chosen]
-            cells.append([i for i, _ in step])
-            products.append([p for _, p in step])
-        self.cells = cells
-        self.groups = [DirectSum.of([coeffs.groups[p] for p in prods])
-                       for prods in products]
+    lengths = [matching[2] for _, _, matching in floors[:height]]
+    # tails[p] holds the products of floor p's full C^(q-1), q = n - p
+    tails = [[m.identity_index] for m, _, _ in floors[:height]]
+    differentials = []
+    for n in range(max_degree):
+        low, high = min(height, n + 1), min(height, n + 2)
+        # per floor: the values of one column and its queues of levels,
+        # both emptied as the column is finished, and the codes of its
+        # matched cells, as a target t of floor p of degree n + 1 - p >= 2
+        # starts with the code t // w
+        sinks = []
+        for p in range(high):
+            codes, w = ((chosen[p], len(non_ids[p]) ** (n - p - 1)) if n > p
+                        else ({}, 1))
+            sinks.append(({}, [[] for _ in range(max(lengths[p]) + 1)],
+                          codes, w, lengths[p]))
+        reads = []
+        for p in range(low):
+            monoid, coeffs, (gens, _, _) = floors[p]
+            if n - p > 1:
+                tails[p] = [row[t] for row in map(monoid.table.__getitem__,
+                                                  tails[p])
+                            for t in non_ids[p]]
+            image = (vertical(p, n - p) if vertical and p + 1 < len(floors)
+                     else None)
+            reads.append((_face_rule(monoid, coeffs, n - p, gens,
+                                     range(monoid.size)),
+                          image, sinks[p], sinks[p + 1] if image else None))
 
-        top = max(length)
-        differentials = []
-        tails = [monoid.identity_index]  # the products of C^(n-1), by index
-        for n in range(max_degree):
-            if n > 1:
-                tails = [table[p][t] for p in tails for t in non_id]
-            faces = _face_rule(monoid, coeffs, n, gens, range(monoid.size))
-            # a degree n + 1 target t, n > 0, starts with the code t // w
-            w, codes = k ** max(n - 1, 0), chosen if n else {}
-
-            def add(v: dict, queue: list, i: int, p: int,
-                    vec: SparseColumn) -> None:
-                """v += d(vec at cell i of product p); a matched cell met
-                for the first time joins the queue of its level."""
-                negated = {j: -x for j, x in vec.items()}
-                for t, block, sign in faces(i, p):
+        def add(p: int, i: int, x: int, vec: SparseColumn) -> None:
+            """d(vec at cell i of product x of floor p) into floor p's
+            values and its vertical terms into floor p + 1's; a matched
+            cell met for the first time joins the queue of its level in
+            its floor."""
+            faces, image, here, above = reads[p]
+            negated = {j: -e for j, e in vec.items()}
+            outlets = [(here, faces(i, x))]
+            if image is not None:
+                outlets.append((above, image(i)))
+            for (v, queue, codes, w, length), terms in outlets:
+                for t, block, sign in terms:
                     vt = vec if sign > 0 else negated
                     vt = vt if block is None else _apply_sparse(block, vt)
                     cur = v.get(t)
@@ -345,39 +432,80 @@ class MorseLeechComplex(CochainComplex):
                         if a is not None:
                             queue[length[a]].append(t)
                     else:
-                        for j, x in vt.items():
-                            cur[j] = cur.get(j, 0) + x
+                        for j, e in vt.items():
+                            cur[j] = cur.get(j, 0) + e
 
-            src, tgt = self.groups[n], self.groups[n + 1]
-            where = dict(zip(cells[n + 1], tgt.offsets))
-            columns: list[SparseColumn] = []
-            for i, p in zip(cells[n], products[n]):
-                for g in range(coeffs.groups[p].ngens):
-                    v: dict[int, SparseColumn] = {}
-                    queue: list[list[int]] = [[] for _ in range(top + 1)]
-                    add(v, queue, i, p, {g: 1})
-                    for level in queue:
-                        for y in level:
-                            vy = v[y]
-                            if any(vy.values()):
-                                a, rest = codes[y // w], y % w
-                                add(v, queue, pos[a] * w + rest,
-                                    table[a][tails[rest]], dict(vy))
-                                if any(v[y].values()):
-                                    raise AssertionError(
-                                        f"matched cell {y} was not cleared")
-                            del v[y]
+        src, tgt = groups[n], groups[n + 1]
+        clearing = [(*sinks[f][:4], positions[f], floors[f][0].table,
+                     tails[f], f) for f in range(low)]
+        projecting = []
+        first = 0  # the component of the first cell of floor p in tgt
+        for p in range(high):
+            here = cells[p][n + 1 - p]
+            projecting.append((sinks[p][0], dict(zip(
+                here, tgt.offsets[first:first + len(here)]))))
+            first += len(here)
+        columns: list[SparseColumn] = []
+        for p0 in range(low):
+            coeffs = floors[p0][1]
+            for i, x in zip(cells[p0][n - p0], products[p0][n - p0]):
+                for g in range(coeffs.groups[x].ngens):
+                    add(p0, i, x, {g: 1})
+                    for v, queue, codes, w, pos, table, tail, f in \
+                            clearing[p0:]:
+                        if not v:
+                            continue
+                        for level in queue:
+                            for y in level:
+                                vy = v[y]
+                                if any(vy.values()):
+                                    a, rest = codes[y // w], y % w
+                                    add(f, pos[a] * w + rest,
+                                        table[a][tail[rest]], dict(vy))
+                                    if any(v[y].values()):
+                                        raise AssertionError(
+                                            f"matched cell {y} was not "
+                                            f"cleared")
+                                del v[y]
+                            level.clear()
                     col: SparseColumn = {}
-                    for z, vz in v.items():
-                        off = where.get(z)
-                        if off is not None:
-                            for j, x in vz.items():
-                                if x:
-                                    col[off + j] = x
+                    for v, offsets in projecting[p0:]:
+                        for z, vz in v.items():
+                            off = offsets.get(z)
+                            if off is not None:
+                                for j, e in vz.items():
+                                    if e:
+                                        col[off + j] = e
+                        v.clear()
                     columns.append(col)
-            differentials.append(assemble_hom(src, tgt, columns))
+        differentials.append(assemble_hom(src, tgt, columns))
+    return cells, groups, differentials
+
+
+class MorseLeechComplex(CochainComplex):
+    """The Leech complex reduced along ``matching``, the one-level Morse
+    matching ``one_level_matching(monoid)``: ``morse_reduction`` of the
+    one floor.  ``cells[n]`` lists the critical cells of degree n as
+    indices in ``cochain_group(monoid, coeffs, n)``; ``groups[n]`` is
+    their sum.  It keeps cohomology when the full complex squares to
+    zero, which ``leech_cohomology_table`` first certifies by
+    ``relations_hold``."""
+
+    def __init__(self, monoid: FinMonoid, coeffs: CoeffSystem, max_degree: int,
+                 matching: Matching):
+        _check(monoid, coeffs, max_degree, "max degree")
+        cells, self.groups, differentials = morse_reduction(
+            [(monoid, coeffs, matching)], max_degree)
+        self.cells = cells[0]
         super().__init__(self.groups[0].total, differentials,
                          translation_failure)
+
+
+def relations_hold(c: CoeffSystem) -> bool:
+    """The translation relations hold: at once for a system constant over
+    one group, whose translations are all the identity, and otherwise by
+    ``validate_relations``, which walks every element triple."""
+    return _constant_over(c, c.groups[0]) or not validate_relations(c)
 
 
 def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,
@@ -385,7 +513,7 @@ def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,
     """H^0 .. H^p_max computed from a single complex.
 
     The complex is the ``MorseLeechComplex`` when the one-level matching
-    pairs some cells and ``validate_relations`` certifies that the full
+    pairs some cells and ``relations_hold`` certifies that the full
     complex squares to zero, and otherwise the ``LeechComplex``; a
     mismatched monoid raises the same error either way.  A negative bound
     gives the empty table, as in ``total_cohomology``."""
@@ -394,7 +522,7 @@ def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,
         _check(m, c, 0)
         return []
     matching = one_level_matching(m)
-    if matching[1] and not validate_relations(c):
+    if matching[1] and relations_hold(c):
         cx: CochainComplex = MorseLeechComplex(m, c, p_max + 1, matching)
     else:
         cx = LeechComplex(m, c, p_max + 1)

@@ -10,32 +10,44 @@ holds, folds the stack into a single complex
 with differential D = horizontal + (-1)^degree * vertical on each
 summand.  The sign rides the vertical map and depends on the summand's
 internal degree, which is what makes the two routes around each
-commuting square cancel.  So the one proof of D o D = 0 proves its blocks
-too: each floor's d o d, the column condition and every square (f, d)
-with f + d below the top degree; only squares beyond that are checked.
+commuting square cancel.
 
-A square past the proof's reach whose vertical maps are both pulled back
-along one monoid homomorphism phi, between floors with the same constant
-coefficients A, commutes by naturality of the normalized bar
-construction: phi^* (x) 1_A commutes with the coboundary.  Such a square
-is certified from the entries of its two vertical maps, compared exactly
-with phi^* (x) 1_A, and is not composed.
+A square whose vertical maps are both pulled back along one monoid
+homomorphism phi, between floors with the same constant coefficients A,
+commutes by naturality of the normalized bar construction: phi^* (x) 1_A
+commutes with the coboundary.  Such a square is certified from the
+entries of its two vertical maps, compared exactly with phi^* (x) 1_A,
+and is not composed.
 
-Each call keeps its own floor store: every floor's cochain groups and
-every vertical map with whether it is zero, built up front because each
-vertical map is checked against the groups, and each floor coboundary,
-built on first read.  D reads floor p's d^q for q <= n_max - p.  A
-square past the proof's reach that is not certified is composed from
-the store's coboundaries, but a route through a zero vertical map is
-zero and reads none: d^d of the lower floor is read only under a nonzero
-upper map, and d^d of the upper floor only over a nonzero lower one.
+``total_cohomology`` reads Tot reduced along the union of its floors'
+one-level Morse matchings (``leech.morse_reduction``) when Tot is
+certified to square to zero without composing anything: some floor's
+matching pairs cells, every floor satisfies the translation relations,
+no stacked vertical maps compose to a nonzero map, and every square has
+two zero vertical maps or is certified by naturality.  The walk reads
+each nonzero vertical map as phi^* (x) 1_A through the phi that
+certified it, so it builds no floor coboundary and no cochain group.
+
+Any other stack is a ``TotalComplex``, which is also the reference in
+tests.  Its one proof of D o D = 0 proves its blocks too: each floor's
+d o d, the column condition and every square (f, d) with f + d below the
+top degree; only squares beyond that are checked, each certified by
+naturality or else composed.  D reads floor p's d^q for q <= n_max - p.
+
+Each call keeps its own floor store: every stored vertical map, its
+shape checked against the canonical totals counted without building
+the groups, with whether it is zero, a missing map being zero; and each
+floor's cochain groups and coboundaries, built on first read.  A square
+that is composed reads the store's coboundaries, but a route through a
+zero vertical map is zero and reads none: d^d of the lower floor is read
+only under a nonzero upper map, and d^d of the upper floor only over a
+nonzero lower one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .abelian import (
     AbHom,
@@ -47,9 +59,19 @@ from .abelian import (
     add_block,
     assemble_hom,
 )
-from .coeff import CoeffSystem
+from .coeff import _constant_over
 from .grid import ColumnConditionError, GridSpec, VerticalFamily
-from .leech import coboundary, cochain_group, translation_failure
+from .leech import (
+    CochainGroup,
+    Terms,
+    coboundary,
+    cochain_group,
+    cochain_totals,
+    morse_reduction,
+    one_level_matching,
+    relations_hold,
+    translation_failure,
+)
 
 SIGN_CONVENTION = ("total differential D = horizontal + (-1)^degree * "
                    "vertical per summand")
@@ -97,23 +119,43 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
 
 
 class _FloorStore:
-    """The floors of one call to degree bound n: each floor's cochain
-    groups C^0..C^(n+1), and ``family.hom`` and whether it is zero once
-    per floor pair and degree, built up front; and each floor's
+    """The floors of one call to degree bound n: ``family``'s stored map
+    once per floor pair and degree 0..n+1, its shape checked against the
+    canonical totals ``cochain_totals`` counts, and whether it is zero, a
+    missing map being None and zero; and each floor's cochain groups and
     coboundaries, each built on first read and kept for that call, never
     proven."""
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n: int):
         self.floors = grid.floors
-        self.groups = [[cochain_group(m, c, k) for k in range(n + 2)]
-                       for m, c in grid.floors]
-        self.verticals = [[family.hom(f, s, t) for s, t in zip(source, target)]
-                          for f, (source, target) in enumerate(
-                              zip(self.groups, self.groups[1:]))]
-        self.zero = [[v.is_zero() for v in row] for row in self.verticals]
-        self._maps: list[dict[int, AbHom]] = [{} for _ in grid.floors]
+        totals: dict[int, list[FgAbGroup]] = {}
+
+        def total(f: int, d: int) -> FgAbGroup:
+            if f not in totals:
+                totals[f] = cochain_totals(*self.floors[f], n + 1)
+            return totals[f][d]
+
+        self.verticals = [
+            [family.stored(f, d, total(f, d), total(f + 1, d))
+             if (f, d) in family.maps else None for d in range(n + 2)]
+            for f in range(len(self.floors) - 1)]
+        self.zero = [[v is None or v.is_zero() for v in row]
+                     for row in self.verticals]
+        self._groups: dict[tuple[int, int], CochainGroup] = {}
+        self._maps: dict[tuple[int, int], AbHom] = {}
         self._pullbacks: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self._constant: dict[int, bool] = {}
+        self._homomorphisms: dict[tuple[int, tuple[int, ...]], bool] = {}
+
+    def group(self, f: int, k: int) -> CochainGroup:
+        if (f, k) not in self._groups:
+            self._groups[f, k] = cochain_group(*self.floors[f], k)
+        return self._groups[f, k]
+
+    def certified(self, f: int, d: int) -> bool:
+        """Square (f, d) commutes without composing: both its vertical
+        maps are zero, or ``natural`` certifies it."""
+        return self.zero[f][d] and self.zero[f][d + 1] or self.natural(f, d)
 
     def natural(self, f: int, d: int) -> bool:
         """Square (f, d) commutes by naturality of the bar construction:
@@ -128,7 +170,8 @@ class _FloorStore:
         floors are constant over A; else None.  phi is read off the
         diagonal tuples (a, ..., a) of v_max(d, 1): row (a, ..., a) of the
         first generator holds a 1 in column (phi(a), ..., phi(a)), or
-        nothing when phi(a) is the identity."""
+        nothing when phi(a) is the identity, as everywhere in a missing
+        map."""
         if (f, d) in self._pullbacks:
             return self._pullbacks[f, d]
         self._pullbacks[f, d] = None
@@ -140,25 +183,30 @@ class _FloorStore:
             return None
         lower, upper = low.non_identity(), up.non_identity()
         k, r, read = len(lower), a.ngens, max(d, 1)
-        # copies of one group chain, so each change of basis here is a
-        # permutation; the tuple (i, ..., i) over n elements is number
-        # i * (1 + n + ... + n^(read - 1))
-        cols = self.groups[f][read].dsum.permutation
-        rows = self.groups[f + 1][read].dsum.permutation
-        v = self.verticals[f][read].columns
-        heads = [v[cols[b * r * sum(k ** q for q in range(read))]]
-                 for b in range(k)]
-        unit = r * sum(len(upper) ** q for q in range(read))
         # step[i] is the position of phi(upper[i]) in lower, None for e
-        step = [next((b for b, col in enumerate(heads)
-                      if rows[i * unit] in col), None)
-                for i in range(len(upper))]
+        step: list[int | None] = [None] * len(upper)
+        v = self.verticals[f][read]
+        if v is not None:
+            # the tuple (i, ..., i) over n elements is number
+            # i * (1 + n + ... + n^(read - 1))
+            cols = _copies_permutation(a, k ** read)
+            rows = _copies_permutation(a, len(upper) ** read)
+            heads = [v.columns[cols[b * r * sum(k ** q for q in range(read))]]
+                     for b in range(k)]
+            unit = r * sum(len(upper) ** q for q in range(read))
+            step = [next((b for b, col in enumerate(heads)
+                          if rows[i * unit] in col), None)
+                    for i in range(len(upper))]
         phi = [low.identity_index] * up.size
         for x, b in zip(upper, step):
             if b is not None:
                 phi[x] = lower[b]
-        if any(phi[up.table[x][y]] != low.table[phi[x]][phi[y]]
-               for x in range(up.size) for y in range(up.size)):
+        key = f, tuple(phi)
+        if key not in self._homomorphisms:
+            self._homomorphisms[key] = all(
+                phi[z] == low.table[phi[x]][phi[y]]
+                for x, row in enumerate(up.table) for y, z in enumerate(row))
+        if not self._homomorphisms[key]:
             return None
         # generator g of upper tuple j reads generator g of lower tuple
         # images[j], or nothing when phi sends an entry of j to e
@@ -166,32 +214,73 @@ class _FloorStore:
         for _ in range(d):
             images = [None if i is None or b is None else i * k + b
                       for i in images for b in step]
-        cols = self.groups[f][d].dsum.permutation
-        rows = self.groups[f + 1][d].dsum.permutation
-        want: list[SparseColumn] = [{} for _ in range(k ** d * r)]
-        for j, i in enumerate(images):
-            if i is not None:
-                for g in range(r):
-                    want[cols[i * r + g]][rows[j * r + g]] = 1
-        if self.verticals[f][d].columns != tuple(want):
-            return None
+        v = self.verticals[f][d]
+        if v is None:
+            if r and any(i is not None for i in images):
+                return None
+        else:
+            cols = _copies_permutation(a, k ** d)
+            rows = _copies_permutation(a, len(upper) ** d)
+            want: list[SparseColumn] = [{} for _ in range(k ** d * r)]
+            for j, i in enumerate(images):
+                if i is not None:
+                    for g in range(r):
+                        want[cols[i * r + g]][rows[j * r + g]] = 1
+            if v.columns != tuple(want):
+                return None
         self._pullbacks[f, d] = tuple(phi)
         return self._pullbacks[f, d]
 
     def coboundary(self, f: int, d: int) -> AbHom:
-        maps = self._maps[f]
-        if d not in maps:
-            groups = self.groups[f]
-            maps[d] = coboundary(*self.floors[f], d, groups[d], groups[d + 1])
-        return maps[d]
+        if (f, d) not in self._maps:
+            self._maps[f, d] = coboundary(*self.floors[f], d, self.group(f, d),
+                                          self.group(f, d + 1))
+        return self._maps[f, d]
+
+    def vertical_terms(self, p: int, q: int) -> Callable[[int], Terms] | None:
+        """The block (-1)^q v_q of D from floor p to floor p + 1, read at
+        a cell of floor p in the layout of ``leech._face_rule``; None when
+        v_q is zero.  A nonzero map that certified squares read is
+        phi^* (x) 1_A for the phi that ``pullback`` certified against its
+        entries, so cell x of floor p reaches each tuple of floor p + 1
+        that phi sends to x, by the identity of A."""
+        if self.zero[p][q]:
+            return None
+        phi = self.pullback(p, q)
+        (low, _), (up, _) = self.floors[p], self.floors[p + 1]
+        lower, upper = low.non_identity(), up.non_identity()
+        k, width, sign = len(lower), len(upper), -1 if q % 2 else 1
+        place = {b: i for i, b in enumerate(lower)}
+        # fibers[i]: the positions in upper of the elements phi sends to
+        # lower[i]
+        fibers: list[list[int]] = [[] for _ in lower]
+        for u, a in enumerate(upper):
+            if phi[a] in place:
+                fibers[place[phi[a]]].append(u)
+
+        def terms(x: int) -> Terms:
+            targets, w = [0], k ** q
+            for _ in range(q):
+                w //= k
+                targets = [t * width + u for t in targets
+                           for u in fibers[x // w % k]]
+            return [(t, None, sign) for t in targets]
+
+        return terms
 
 
-def _constant_over(c: CoeffSystem, group: FgAbGroup) -> bool:
-    """Every group of c is group and every translation the identity."""
-    one = tuple({j: 1} for j in range(group.ngens))
-    return (all(g == group for g in c.groups)
-            and all(h.columns == one for h in chain(c.lstar.values(),
-                                                    c.rstar.values())))
+def _copies_permutation(group: FgAbGroup, copies: int) -> Sequence[int]:
+    """``DirectSum.of([group] * copies).permutation`` without building
+    the sum: the canonical generators are the presentation generators
+    stably sorted by order, so generator g of copy i, among the
+    generators start .. start + size - 1 of group of its order, is
+    canonical generator copies * start + i * size + g - start."""
+    orders = group.orders
+    if len(set(orders)) < 2:
+        return range(copies * len(orders))
+    spots = [(orders.index(o), orders.count(o)) for o in orders]
+    return [copies * start + i * size + g - start for i in range(copies)
+            for g, (start, size) in enumerate(spots)]
 
 
 def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
@@ -208,7 +297,7 @@ def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
         row = []
         for d in range(p_max + 1):
             below, above = zero[d], zero[d + 1]
-            if f + d < proven or below and above or store.natural(f, d):
+            if f + d < proven or store.certified(f, d):
                 row.append(True)
             elif below:
                 row.append(vert[d + 1].compose(store.coboundary(f, d)).is_zero())
@@ -217,7 +306,7 @@ def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
                 row.append(up.is_zero() if above else up.equals(
                     vert[d + 1].compose(store.coboundary(f, d))))
         rows.append(tuple(row))
-    return DoubleComplexView(len(store.groups), p_max, tuple(rows),
+    return DoubleComplexView(len(store.floors), p_max, tuple(rows),
                              not violations)
 
 
@@ -246,13 +335,14 @@ class TotalComplex(CochainComplex):
         if n_max < 0:
             raise ValueError("degree bound must be nonnegative")
         store = _FloorStore(grid, family, n_max)
-        groups, verticals, zero = store.groups, store.verticals, store.zero
+        verticals, zero = store.verticals, store.zero
         # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
         for n in range(n_max + 2):
-            summands = tuple((p, n - p) for p in range(min(len(groups), n + 1)))
+            summands = tuple((p, n - p)
+                             for p in range(min(len(store.floors), n + 1)))
             self.levels.append(TotalGroup(n, summands, DirectSum.of(
-                [groups[p][q].total for p, q in summands])))
+                [store.group(p, q).total for p, q in summands])))
         differentials: list[AbHom] = []
         for n in range(n_max + 1):
             src, tgt = self.levels[n].dsum, self.levels[n + 1].dsum
@@ -267,13 +357,12 @@ class TotalComplex(CochainComplex):
             differentials.append(assemble_hom(src, tgt, columns))
         failure = None
         try:
-            super().__init__(self.levels[0].total, differentials, lambda n: (
-                AssertionError(f"total differential fails to square to zero "
-                               f"between degrees {n} and {n + 2}")))
+            super().__init__(self.levels[0].total, differentials,
+                             _total_failure)
         except AssertionError as exc:
             failure = exc
-            for f, floor in enumerate(groups):
-                CochainComplex(floor[0].total, [
+            for f in range(len(store.floors)):
+                CochainComplex(store.group(f, 0).total, [
                     store.coboundary(f, d) for d in range(n_max + 1)],
                     translation_failure)
         violations = family.column_violations()
@@ -290,11 +379,34 @@ class TotalComplex(CochainComplex):
             raise failure
 
 
+def _total_failure(n: int) -> AssertionError:
+    return AssertionError(f"total differential fails to square to zero "
+                          f"between degrees {n} and {n + 2}")
+
+
 def total_cohomology(grid: GridSpec, family: VerticalFamily,
                      n_max: int) -> list[FgAbGroup]:
-    """H^0..H^n_max of the total complex; empty when the range is empty."""
+    """H^0..H^n_max of the total complex; empty when the range is empty.
+
+    Read off Tot reduced along its floors' matchings when D is certified
+    to square to zero through Tot^(n_max + 1) without composing anything
+    (see the module docstring), and otherwise off a ``TotalComplex``,
+    which raises its own errors and views."""
     _integers_only([[n_max]], "degree bound")
     if n_max < 0:
         return []
-    cx = TotalComplex(grid, family, n_max)
+    store = _FloorStore(grid, family, n_max)
+    matchings = [one_level_matching(m) for m, _ in grid.floors]
+    if (any(pairs for _, pairs, _ in matchings)
+            and all(relations_hold(c) for _, c in grid.floors)
+            and not family.column_violations()
+            and all(store.certified(f, d) for f in range(len(store.zero))
+                    for d in range(n_max + 1))):
+        _, groups, differentials = morse_reduction(
+            [(m, c, matching) for (m, c), matching
+             in zip(grid.floors, matchings)],
+            n_max + 1, store.vertical_terms)
+        cx = CochainComplex(groups[0].total, differentials, _total_failure)
+    else:
+        cx = TotalComplex(grid, family, n_max)
     return [cx.cohomology(n) for n in range(n_max + 1)]

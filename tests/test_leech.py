@@ -26,9 +26,11 @@ from moncoh.leech import (
     MorseLeechComplex,
     cochain_group,
     cochain_ngens,
+    cochain_totals,
     coboundary,
     leech_cohomology_table,
     one_level_matching,
+    relations_hold,
 )
 from moncoh.monoid import cyclic_group, power_set_monoid, trivial_monoid, union_monoid
 
@@ -111,6 +113,15 @@ class TestCochainGroups:
         # degree 40 of Z/3 has 2^40 summands; counting them allocates none
         m = cyclic_group(3)
         assert cochain_ngens(m, constant_system(m, Zmod(2)), 40) == 2 ** 40
+
+    def test_canonical_total_without_building(self):
+        systems = [c for m in small_monoids() for c in systems_for(
+            m, [Z, Zmod(2), Zmod(6), FgAbGroup(1, (2,))])]
+        systems += [swap_action_system(), mixed_two_three_system()]
+        for c in systems:
+            assert cochain_totals(c.monoid, c, 4) == [
+                cochain_group(c.monoid, c, n).total for n in range(5)], \
+                c.monoid.name
 
     def test_negative_degree_rejected(self):
         m = cyclic_group(2)
@@ -646,6 +657,28 @@ class TestMorseReduction:
         m = cyclic_group(8)
         assert table_renders(leech_cohomology_table(
             m, constant_system(m, Zmod(6)), 5)) == ["Z/6"] + ["Z/2"] * 5
+
+    def test_one_relations_certificate(self, monkeypatch):
+        # a constant system is certified without walking the triples; any
+        # other system is validated
+        walked = []
+        monkeypatch.setattr(
+            leech, "validate_relations",
+            lambda c: walked.append(c) or validate_relations(c))
+        m, broken = z4_sign_on_one_generator()
+        for c in [c for m in small_monoids() for c in systems_for(m)] + [
+                swap_action_system(), mixed_two_three_system(), broken]:
+            walked.clear()
+            assert relations_hold(c) == (not validate_relations(c))
+            constant = all(h.columns == tuple(
+                {j: 1} for j in range(c.groups[0].ngens))
+                for h in (*c.lstar.values(), *c.rstar.values())) and len(
+                set(c.groups)) == 1
+            assert walked == ([] if constant else [c]), c.monoid.name
+        walked.clear()
+        m = power_set_monoid(3)
+        leech_cohomology_table(m, constant_system(m, Z), 2)
+        assert walked == []
 
     def test_broken_relations_raise_as_the_full_complex_does(self):
         m, c = z4_sign_on_one_generator()

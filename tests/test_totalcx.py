@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +15,10 @@ from moncoh import abelian, totalcx
 from moncoh.abelian import (
     AbHom, CochainComplex, DirectSum, FgAbGroup, Z, Zmod, cohomology_at)
 from moncoh.coeff import constant_system, explicit_system
+from moncoh.document import parse_document
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
-from moncoh.leech import LeechComplex, cochain_group, leech_cohomology_table
+from moncoh.leech import (
+    LeechComplex, cochain_group, leech_cohomology_table, one_level_matching)
 from moncoh.monoid import (
     FinMonoid, cyclic_group, power_set_monoid, trivial_monoid, union_monoid)
 from moncoh.totalcx import (
@@ -23,8 +28,20 @@ from moncoh.totalcx import (
     total_cohomology,
 )
 
-from catalog import mixed_two_three_system, negation_on_integers, small_monoids
+from catalog import (
+    mixed_two_three_system, negation_on_integers, small_monoids,
+    swap_action_system)
 from oracles import eager_double_complex_view, lattice_cohomology_at
+
+DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
+    "make_demo_document.py"
+
+
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def const_grid(*pairs, finite=True):
@@ -277,13 +294,13 @@ TRANSLATION_FAILURE = (
 class TestWorkDoneOnce:
     @staticmethod
     def count_work(monkeypatch, grid):
-        """Count proofs, engines, floor complexes and vertical fetches, and
-        record the floor coboundaries built and read, the composes, the
-        naturality certificates read off each (floor pair, degree) and the
-        zero tests of each map.  Built and fetched maps are kept by (floor,
-        degree); the floors' monoids must be distinct.  A fetch restarts
-        its map's count of zero tests, so ``zero_tested_once`` reads the
-        last call."""
+        """Count proofs, engines, floor complexes and fetches of stored
+        vertical maps, and record the floor coboundaries built and read,
+        the composes, the naturality certificates read off each (floor
+        pair, degree) and the zero tests of each map.  Built and fetched
+        maps are kept by (floor, degree); the floors' monoids must be
+        distinct.  A fetch restarts its map's count of zero tests, so
+        ``zero_tested_once`` reads the last call."""
         calls: Counter[str] = Counter()
         composed: list[tuple[AbHom, AbHom]] = []
         built: dict[tuple[int, int], AbHom] = {}
@@ -298,7 +315,7 @@ class TestWorkDoneOnce:
         real_engine = CochainComplex.__init__
         real_leech = LeechComplex.__init__
         real_compose = AbHom.compose
-        real_hom = VerticalFamily.hom
+        real_stored = VerticalFamily.stored
         real_coboundary = totalcx.coboundary
         real_is_zero = AbHom.is_zero
         real_pullback = totalcx._FloorStore.pullback
@@ -319,10 +336,10 @@ class TestWorkDoneOnce:
             composed.append((outer, inner))
             return real_compose(outer, inner)
 
-        def counted_hom(family, floor, source, target):
-            fetches[floor, source.degree] += 1
-            hom = real_hom(family, floor, source, target)
-            fetched[floor, source.degree] = hom
+        def counted_stored(family, floor, degree, dom, cod):
+            fetches[floor, degree] += 1
+            hom = real_stored(family, floor, degree, dom, cod)
+            fetched[floor, degree] = hom
             zero_tests[id(hom)] = 0
             return hom
 
@@ -344,7 +361,7 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(CochainComplex, "__init__", counted_engine)
         monkeypatch.setattr(LeechComplex, "__init__", counted_leech)
         monkeypatch.setattr(AbHom, "compose", counted_compose)
-        monkeypatch.setattr(VerticalFamily, "hom", counted_hom)
+        monkeypatch.setattr(VerticalFamily, "stored", counted_stored)
         monkeypatch.setattr(totalcx, "coboundary", counted_coboundary)
         monkeypatch.setattr(AbHom, "is_zero", counted_is_zero)
         monkeypatch.setattr(totalcx._FloorStore, "pullback", counted_pullback)
@@ -381,10 +398,9 @@ class TestWorkDoneOnce:
         cx = TotalComplex(grid, family, n_max)
         # one engine, n_max proofs (D^0..D^n_max), no floor complex
         assert calls == Counter({"engine": 1, "proof": n_max})
-        # family.hom once per floor pair and degree 0..n_max + 1
-        pairs = len(orders) - 1
-        assert fetches == Counter({(f, d): 1 for f in range(pairs)
-                                   for d in range(n_max + 2)})
+        # each stored map fetched once, degrees 0..n_max + 1 of floor pair
+        # 0; the zero pair above stores none and fetches nothing
+        assert fetches == Counter({(0, d): 1 for d in range(n_max + 2)})
         # and tested for zero at most once, by the view and D together
         assert self.zero_tested_once(fetched, zero_tests)
         # each coboundary is built once, floor p's d^q for the blocks of D,
@@ -423,8 +439,7 @@ class TestWorkDoneOnce:
         view = is_double_complex(grid, family, 2)
         assert view.ok
         assert calls == Counter()
-        pairs = len(orders) - 1
-        assert set(fetches.values()) == {1} and len(fetches) == pairs * 4
+        assert fetches == Counter({(0, d): 1 for d in range(4)})
         assert self.zero_tested_once(fetched, zero_tests)
         # every square of floor pair 0 is certified from the maps' entries,
         # each degree's certificate built once, so no floor coboundary is
@@ -739,7 +754,8 @@ def test_perturbed_families_match_the_view_or_the_reference(shape, n_max, data):
     random maps from floor 1 to floor 2: is_double_complex gives the eager
     reference view, and either TotalComplex refuses with that view, or it
     is ok and each H^n is the lattice reference on the two total
-    differentials around it."""
+    differentials around it; total_cohomology, on whichever route it
+    takes, refuses or answers alike."""
     orders, coeff_order = shape
     grid, family = pullback_stack(*orders, coeff_order=coeff_order,
                                   n_max=n_max)
@@ -766,8 +782,223 @@ def test_perturbed_families_match_the_view_or_the_reference(shape, n_max, data):
         cx = TotalComplex(grid, family, n_max)
     except NotADoubleComplex as exc:
         assert exc.view == view and not view.ok
+        with pytest.raises(NotADoubleComplex) as routed:
+            total_cohomology(grid, family, n_max)
+        assert routed.value.view == view and str(routed.value) == str(exc)
         return
     assert view.ok
     assert [cx.cohomology(n) for n in range(n_max + 1)] == [
         lattice_cohomology_at(cx.differential(n - 1), cx.differential(n))
-        for n in range(n_max + 1)]
+        for n in range(n_max + 1)] == total_cohomology(grid, family, n_max)
+
+
+def homomorphisms(upper, lower):
+    """Every monoid homomorphism upper -> lower, as an element map."""
+    return [list(phi) for phi in itertools.product(range(lower.size),
+                                                   repeat=upper.size)
+            if phi[upper.identity_index] == lower.identity_index
+            and all(phi[upper.mul(x, y)] == lower.mul(phi[x], phi[y])
+                    for x in range(upper.size) for y in range(upper.size))]
+
+
+class RecordingTotal:
+    """Stands in for ``totalcx.TotalComplex`` and records each stack it is
+    built on."""
+
+    def __init__(self):
+        self.built = []
+
+    def __call__(self, grid, family, n_max):
+        self.built.append((grid, family, n_max))
+        return TotalComplex(grid, family, n_max)
+
+
+def matched(grid):
+    """Some floor's one-level matching pairs cells."""
+    return any(one_level_matching(m)[1] for m, _ in grid.floors)
+
+
+STACK_MONOIDS = small_monoids()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduced_total_matches_the_full_total(data):
+    """Two- and three-floor stacks of catalog monoids over constant
+    coefficients, with the zero family, the maps induced by a monoid
+    homomorphism between two adjacent floors, or a cyclic pullback
+    stack: ``total_cohomology`` gives ``TotalComplex``'s groups, and
+    reduces Tot exactly when some floor's matching pairs cells."""
+    n_max = data.draw(st.integers(0, 4), label="n_max")
+    kind = data.draw(st.sampled_from(["zero", "induced", "pullback"]))
+    if kind == "pullback":
+        orders = data.draw(st.sampled_from([(2, 4), (3, 6), (2, 6),
+                                            (2, 4, 3), (3, 6, 2)]))
+        grid, family = pullback_stack(
+            *orders, coeff_order=data.draw(st.sampled_from([0, 2, 6])),
+            n_max=n_max)
+    else:
+        count = data.draw(st.sampled_from([2, 3]), label="floors")
+        monoids = data.draw(st.lists(st.sampled_from(STACK_MONOIDS),
+                                     min_size=count, max_size=count,
+                                     unique_by=lambda m: m.table))
+        group = data.draw(st.sampled_from(COEFFICIENTS), label="group")
+        floors = [(m, constant_system(m, group)) for m in monoids]
+        if kind == "zero":
+            grid, family = GridSpec(tuple(floors)), VerticalFamily.zero()
+        else:
+            pair = data.draw(st.integers(0, count - 2), label="pair")
+            phi = data.draw(st.sampled_from(homomorphisms(
+                monoids[pair + 1], monoids[pair])), label="phi")
+            grid, family = induced_stack(floors, pair, phi, n_max)
+    reference = TotalComplex(grid, family, n_max)
+    recording = RecordingTotal()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(totalcx, "TotalComplex", recording)
+        got = total_cohomology(grid, family, n_max)
+    assert got == [reference.cohomology(n) for n in range(n_max + 1)]
+    assert (recording.built == []) == matched(grid)
+
+
+class TestReducedRoute:
+    """``total_cohomology`` reduces Tot only when it is certified to
+    square to zero without composing anything; any other stack takes
+    ``TotalComplex``, and raises what it raises."""
+
+    @staticmethod
+    def refused(monkeypatch, grid, family, n_max):
+        """total_cohomology builds one TotalComplex on the stack and
+        raises what TotalComplex raises: the same type and text, and for
+        NotADoubleComplex an equal view."""
+        recording = RecordingTotal()
+        monkeypatch.setattr(totalcx, "TotalComplex", recording)
+        with pytest.raises((AssertionError, ValueError)) as routed:
+            total_cohomology(grid, family, n_max)
+        monkeypatch.undo()
+        with pytest.raises((AssertionError, ValueError)) as direct:
+            TotalComplex(grid, family, n_max)
+        assert recording.built == [(grid, family, n_max)]
+        assert type(routed.value) is type(direct.value)
+        assert str(routed.value) == str(direct.value)
+        if isinstance(direct.value, NotADoubleComplex):
+            assert routed.value.view == direct.value.view
+        return routed.value
+
+    @pytest.mark.parametrize("broken_at", [0, 1])
+    def test_a_floor_that_breaks_a_relation(self, monkeypatch, broken_at):
+        good = (cyclic_group(3), constant_system(cyclic_group(3), Z))
+        floors = [good, good]
+        floors[broken_at] = broken_floor()
+        grid = GridSpec(tuple(floors))
+        assert matched(grid)
+        error = self.refused(monkeypatch, grid, VerticalFamily.zero(), 2)
+        assert str(error) == TRANSLATION_FAILURE
+
+    @pytest.mark.parametrize("n_max", [0, 2])
+    def test_a_column_violation(self, monkeypatch, n_max):
+        # every square is certified: v_0 is the pullback along the trivial
+        # homomorphism, and the maps above degree 0 are missing
+        grid = const_grid(*((cyclic_group(k), Z) for k in (3, 4, 5)))
+        one = AbHom(Z, Z, ((1,),))
+        family = VerticalFamily.explicit({(0, 0): one, (1, 0): one})
+        store = totalcx._FloorStore(grid, family, n_max)
+        assert all(store.certified(f, d) for f in range(2)
+                   for d in range(n_max + 1))
+        error = self.refused(monkeypatch, grid, family, n_max)
+        assert isinstance(error, NotADoubleComplex)
+        assert "zero at (floor 0, degree 0)" in str(error)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_a_square_that_must_be_composed(self, monkeypatch, n_max):
+        grid, family = perturbed_top_stack(n_max)
+        assert matched(grid)
+        error = self.refused(monkeypatch, grid, family, n_max)
+        assert error.view.first_failure == (0, n_max)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_merging_orders(self, monkeypatch, scale, n_max):
+        grid, family = merging_pair(scale, n_max)
+        if scale == 2:
+            self.refused(monkeypatch, grid, family, n_max)
+            return
+        recording = RecordingTotal()
+        monkeypatch.setattr(totalcx, "TotalComplex", recording)
+        got = total_cohomology(grid, family, n_max)
+        assert recording.built == [(grid, family, n_max)]
+        monkeypatch.undo()
+        cx = TotalComplex(grid, family, n_max)
+        assert got == [cx.cohomology(n) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("name", ["late-square", "column"])
+    def test_the_failing_demo_grids(self, monkeypatch, name):
+        bundle = parse_document(json.dumps(
+            load_script(DEMO_SCRIPT).FAILING_DOCUMENT)).grid(name)
+        error = self.refused(monkeypatch, bundle.grid, bundle.family,
+                             bundle.p_max)
+        assert isinstance(error, NotADoubleComplex)
+
+    @pytest.mark.parametrize("orders", [(2, 4), (3, 6), (2, 4, 3)])
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_a_certified_stack_builds_no_floor_coboundary(
+            self, monkeypatch, orders, n_max):
+        grid, family = pullback_stack(*orders, coeff_order=0, n_max=n_max)
+        want = [TotalComplex(grid, family, n_max).cohomology(n)
+                for n in range(n_max + 1)]
+        calls, composed, built, builds, zero_tests, fetched, fetches, \
+            certificates = TestWorkDoneOnce.count_work(monkeypatch, grid)
+        groups = []
+        monkeypatch.setattr(totalcx, "cochain_group",
+                            lambda *args: groups.append(args[2]))
+        assert total_cohomology(grid, family, n_max) == want
+        # no floor coboundary, cochain group or floor complex; one engine
+        # on the reduced Tot, proving its n_max pairs
+        assert builds == Counter() and groups == [] and composed == []
+        assert calls == Counter({"engine": 1, "proof": n_max})
+        # each stored map fetched and tested for zero once, and each
+        # degree's naturality certificate built once
+        assert fetches == Counter({(0, d): 1 for d in range(n_max + 2)})
+        assert TestWorkDoneOnce.zero_tested_once(fetched, zero_tests)
+        assert certificates == Counter({(0, d): 1 for d in range(n_max + 2)})
+
+    @pytest.mark.parametrize("system", [
+        lambda: negation_on_integers(4), swap_action_system,
+        mixed_two_three_system,
+        lambda: constant_system(power_set_monoid(2), Zmod(6))],
+        ids=["sign on Z/4", "swap", "merging", "P(2) over Z/6"])
+    def test_zero_family_over_systems_that_are_not_constant(self, system):
+        # translations other than the identity, read by the Morse walk
+        c = system()
+        below = (cyclic_group(3), constant_system(cyclic_group(3), Zmod(2)))
+        for floors in ([below, (c.monoid, c)], [(c.monoid, c), below]):
+            grid = GridSpec(tuple(floors))
+            cx = TotalComplex(grid, VerticalFamily.zero(), 3)
+            assert total_cohomology(grid, VerticalFamily.zero(), 3) == [
+                cx.cohomology(n) for n in range(4)]
+
+    def test_zero_family_builds_no_cochain_group(self, monkeypatch):
+        # P(3)..P(1): what the floor store used to build up front
+        grid = const_grid(*((power_set_monoid(k), Z) for k in (3, 2, 1)))
+        monkeypatch.setattr(totalcx, "cochain_group", None)
+        monkeypatch.setattr(totalcx, "coboundary", None)
+        assert [g.render() for g in total_cohomology(
+            grid, VerticalFamily.zero(), 4)] == ["Z", "Z", "Z", "0", "0"]
+
+    def test_a_wrong_shape_is_refused_before_any_group_is_built(
+            self, monkeypatch):
+        grid = const_grid((cyclic_group(3), Z), (cyclic_group(6), Z))
+        family = VerticalFamily.explicit({(0, 2): AbHom.zero(Z, Z)})
+        monkeypatch.setattr(totalcx, "cochain_group", None)
+        for run in (total_cohomology, is_double_complex, TotalComplex):
+            with pytest.raises(ValueError, match=(
+                    r"^vertical map at \(floor 0, degree 2\) connects Z -> Z "
+                    r"but the cochain groups there are Z\^4 -> Z\^25$")):
+                run(grid, family, 2)
+
+
+def test_copies_permutation_is_the_direct_sum_permutation():
+    for group in [*COEFFICIENTS, FgAbGroup(2, (2, 2, 4)),
+                  FgAbGroup(0, (3, 6, 6)), FgAbGroup()]:
+        for copies in range(5):
+            assert tuple(totalcx._copies_permutation(group, copies)) == \
+                DirectSum.of([group] * copies).permutation
