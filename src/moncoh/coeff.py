@@ -17,6 +17,7 @@ system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -77,6 +78,15 @@ class CoeffSystem:
         return (self.monoid == other.monoid and self.groups == other.groups
                 and dict(self.lstar) == dict(other.lstar)
                 and dict(self.rstar) == dict(other.rstar))
+
+    @cached_property
+    def constant(self) -> bool:
+        """Every group is groups[0] and every translation the identity;
+        decided on first read and kept."""
+        one = tuple({j: 1} for j in range(self.groups[0].ngens))
+        return (all(g == self.groups[0] for g in self.groups)
+                and all(h.columns == one for h in chain(self.lstar.values(),
+                                                        self.rstar.values())))
 
 
 _FAMILIES = (
@@ -143,14 +153,6 @@ def validate_relations(c: CoeffSystem) -> list[RelationViolation]:
                 out.append(RelationViolation(
                     relation, (names[a], names[b], names[x]), detail))
     return out
-
-
-def _constant_over(c: CoeffSystem, group: FgAbGroup) -> bool:
-    """Every group of c is group and every translation the identity."""
-    one = tuple({j: 1} for j in range(group.ngens))
-    return (all(g == group for g in c.groups)
-            and all(h.columns == one for h in chain(c.lstar.values(),
-                                                    c.rstar.values())))
 
 
 def constant_system(m: FinMonoid, group: FgAbGroup) -> CoeffSystem:

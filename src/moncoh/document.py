@@ -27,7 +27,7 @@ from typing import Any, Mapping, Sequence
 from .abelian import AbHom, FgAbGroup, Z, check_shape, parse_group
 from .coeff import CoeffSystem, constant_system, explicit_system, group_action_system
 from .grid import GridSpec, PathSpec, VerticalFamily
-from .leech import cochain_group, cochain_ngens
+from .leech import cochain_ngens, cochain_totals
 from .monoid import FinMonoid
 from .structured import SetSystem, StructureDescriptor
 
@@ -424,12 +424,12 @@ def _parse_grid(obj: dict, path: str,
             source, target = grid.floors[floor], grid.floors[floor + 1]
             with _at(key_path):
                 # the groups have (|M| - 1)^degree summands, so the rows
-                # are checked against their counted generators before
-                # either is built
+                # are checked against their counted generators, and the
+                # map reads their counted totals: neither group is built
                 check_shape(rows, cochain_ngens(*target, degree),
                             cochain_ngens(*source, degree))
-                dom = cochain_group(*source, degree).total
-                cod = cochain_group(*target, degree).total
+                dom = cochain_totals(*source, degree)[degree]
+                cod = cochain_totals(*target, degree)[degree]
                 maps[(floor, degree)] = AbHom(dom, cod, rows)
         family = VerticalFamily.explicit(maps)
     elif raw != "zero":

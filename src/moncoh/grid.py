@@ -26,19 +26,30 @@ value by the shape of its flanking maps:
         vertical-out -> extremal: a truncation artifact of the path, not
         one of the named forms.
 
-No floor complex is built: a coboundary no path position reads is
-neither built nor proven.
+No floor complex is built: paths and totals (``totalcx``) read each
+floor's groups, coboundaries and vertical maps from one floor store per
+call, which reads each on first request, keeps it for the call and
+proves none.  It checks a stored map against a built group's total, or
+else the one ``cochain_totals`` counts, so a path counts no totals.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .abelian import AbHom, CochainComplex, FgAbGroup, _integers_only
+from .abelian import AbHom, CochainComplex, FgAbGroup, SparseColumn, _integers_only
 from .coeff import CoeffSystem
-from .leech import CochainGroup, coboundary, cochain_group, translation_failure
+from .leech import (
+    CochainGroup,
+    Terms,
+    coboundary,
+    cochain_group,
+    cochain_totals,
+    translation_failure,
+)
 from .monoid import FinMonoid
 
 Position = tuple[int, int]  # (floor, degree)
@@ -124,6 +135,13 @@ def _floor_count(n: object) -> int:
     return n
 
 
+def _degree_bound(n: object) -> None:
+    """Refuse a degree bound that is not a nonnegative int."""
+    _integers_only([[n]], "degree bound")
+    if n < 0:
+        raise ValueError("degree bound must be nonnegative")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """Explicit move prefix over {R, D}; continued rightward forever."""
@@ -160,9 +178,7 @@ class PathSpec:
     def walk(self, p_max: int) -> list[Position]:
         """Positions from (0,0) through degree p_max, plus the single next
         position at degree p_max + 1 so the last one has an outgoing map."""
-        _integers_only([[p_max]], "degree bound")
-        if p_max < 0:
-            raise ValueError("degree bound must be nonnegative")
+        _degree_bound(p_max)
         pos = (0, 0)
         out = [pos]
         for move in itertools.chain(self.prefix_moves, itertools.repeat("R")):
@@ -222,26 +238,179 @@ class VerticalFamily:
                 out.append((floor, degree, product))
         return out
 
-    def hom(self, floor: int, source: CochainGroup,
-            target: CochainGroup) -> AbHom:
-        """The map from source on floor to target on floor + 1, both of
-        one degree."""
-        dom, cod = source.total, target.total
-        stored = self.stored(floor, source.degree, dom, cod)
-        return AbHom.zero(dom, cod) if stored is None else stored
 
-    def stored(self, floor: int, degree: int, dom: FgAbGroup,
-               cod: FgAbGroup) -> AbHom | None:
-        """The map stored at (floor, degree), checked to connect the
-        canonical totals dom -> cod; None when none is stored."""
-        stored = self.maps.get((floor, degree))
-        if stored is not None and (stored.domain != dom
-                                   or stored.codomain != cod):
-            raise ValueError(
-                f"vertical map at (floor {floor}, degree {degree}) connects "
-                f"{stored.domain} -> {stored.codomain} but the cochain groups "
-                f"there are {dom} -> {cod}")
-        return stored
+class _FloorStore:
+    """The floors of one call to degree bound n (see the module docstring)."""
+
+    def __init__(self, grid: GridSpec, family: VerticalFamily, n: int):
+        self.floors = grid.floors
+        self.family = family
+        self.n = n
+        self._groups: dict[tuple[int, int], CochainGroup] = {}
+        self._maps: dict[tuple[int, int], AbHom] = {}
+        self._verticals: dict[tuple[int, int], AbHom | None] = {}
+        self._totals: dict[int, list[FgAbGroup]] = {}
+        self._pullbacks: dict[tuple[int, int], tuple[int, ...] | None] = {}
+
+    def group(self, f: int, k: int) -> CochainGroup:
+        if (f, k) not in self._groups:
+            self._groups[f, k] = cochain_group(*self.floors[f], k)
+        return self._groups[f, k]
+
+    def coboundary(self, f: int, d: int) -> AbHom:
+        if (f, d) not in self._maps:
+            self._maps[f, d] = coboundary(*self.floors[f], d, self.group(f, d),
+                                          self.group(f, d + 1))
+        return self._maps[f, d]
+
+    def vertical(self, f: int, d: int) -> AbHom | None:
+        """The family's map from floor f to floor f + 1 in degree d, or
+        None; read once, and checked to connect the groups' totals."""
+        if (f, d) not in self._verticals:
+            v = self.family.maps.get((f, d))
+            if v is not None:
+                dom, cod = self._total(f, d), self._total(f + 1, d)
+                if v.domain != dom or v.codomain != cod:
+                    raise ValueError(
+                        f"vertical map at (floor {f}, degree {d}) connects "
+                        f"{v.domain} -> {v.codomain} but the cochain groups "
+                        f"there are {dom} -> {cod}")
+            self._verticals[f, d] = v
+        return self._verticals[f, d]
+
+    def _total(self, f: int, d: int) -> FgAbGroup:
+        if (f, d) in self._groups:
+            return self._groups[f, d].total
+        if f not in self._totals:
+            self._totals[f] = cochain_totals(*self.floors[f], self.n + 1)
+        return self._totals[f][d]
+
+    @cached_property
+    def zero(self) -> list[list[bool]]:
+        """zero[f][d]: the map at (f, d) is zero, for degrees 0..n+1; the
+        first read reads and checks the whole family."""
+        return [[v is None or v.is_zero()
+                 for v in map(self.vertical, [f] * (self.n + 2),
+                              range(self.n + 2))]
+                for f in range(len(self.floors) - 1)]
+
+    def certified(self, f: int, d: int) -> bool:
+        """Square (f, d) commutes without composing: both its vertical
+        maps are zero, or ``natural`` certifies it."""
+        return self.zero[f][d] and self.zero[f][d + 1] or self.natural(f, d)
+
+    def natural(self, f: int, d: int) -> bool:
+        """Square (f, d) commutes by naturality of the bar construction:
+        v_d and v_(d+1) are both phi^* (x) 1_A for one monoid homomorphism
+        phi from floor f + 1 to floor f, both floors constant over A."""
+        phi = self.pullback(f, d + 1)
+        return phi is not None and self.pullback(f, d) == phi
+
+    def pullback(self, f: int, d: int) -> tuple[int, ...] | None:
+        """The element map phi with v_d = phi^* (x) 1_A exactly, in
+        canonical coordinates, when phi is a monoid homomorphism and both
+        floors are constant over A; else None.  phi is read off the
+        diagonal tuples (a, ..., a) of v_max(d, 1): row (a, ..., a) of the
+        first generator holds a 1 in column (phi(a), ..., phi(a)), or
+        nothing when phi(a) is the identity, as everywhere in a missing
+        map."""
+        if (f, d) in self._pullbacks:
+            return self._pullbacks[f, d]
+        self._pullbacks[f, d] = None
+        (low, lc), (up, uc) = self.floors[f], self.floors[f + 1]
+        a = lc.groups[0]
+        if not (lc.constant and uc.constant and uc.groups[0] == a):
+            return None
+        lower, upper = low.non_identity(), up.non_identity()
+        k, r, read = len(lower), a.ngens, max(d, 1)
+        # step[i] is the position of phi(upper[i]) in lower, None for e
+        step: list[int | None] = [None] * len(upper)
+        v = self.vertical(f, read)
+        if v is not None:
+            # the tuple (i, ..., i) over n elements is number
+            # i * (1 + n + ... + n^(read - 1))
+            cols = _copies_permutation(a, k ** read)
+            rows = _copies_permutation(a, len(upper) ** read)
+            heads = [v.columns[cols[b * r * sum(k ** q for q in range(read))]]
+                     for b in range(k)]
+            unit = r * sum(len(upper) ** q for q in range(read))
+            step = [next((b for b, col in enumerate(heads)
+                          if rows[i * unit] in col), None)
+                    for i in range(len(upper))]
+        phi = [low.identity_index] * up.size
+        for x, b in zip(upper, step):
+            if b is not None:
+                phi[x] = lower[b]
+        if not all(phi[z] == low.table[phi[x]][phi[y]]
+                   for x, row in enumerate(up.table) for y, z in enumerate(row)):
+            return None
+        # generator g of upper tuple j reads generator g of lower tuple
+        # images[j], or nothing when phi sends an entry of j to e
+        images: list[int | None] = [0]
+        for _ in range(d):
+            images = [None if i is None or b is None else i * k + b
+                      for i in images for b in step]
+        v = self.vertical(f, d)
+        if v is None:
+            if r and any(i is not None for i in images):
+                return None
+        else:
+            cols = _copies_permutation(a, k ** d)
+            rows = _copies_permutation(a, len(upper) ** d)
+            want: list[SparseColumn] = [{} for _ in range(k ** d * r)]
+            for j, i in enumerate(images):
+                if i is not None:
+                    for g in range(r):
+                        want[cols[i * r + g]][rows[j * r + g]] = 1
+            if v.columns != tuple(want):
+                return None
+        self._pullbacks[f, d] = tuple(phi)
+        return self._pullbacks[f, d]
+
+    def vertical_terms(self, p: int, q: int) -> Callable[[int], Terms] | None:
+        """The block (-1)^q v_q of D from floor p to floor p + 1, read at
+        a cell of floor p in the layout of ``leech._face_rule``; None when
+        v_q is zero.  A nonzero map that certified squares read is
+        phi^* (x) 1_A for the phi that ``pullback`` certified against its
+        entries, so cell x of floor p reaches each tuple of floor p + 1
+        that phi sends to x, by the identity of A."""
+        if self.zero[p][q]:
+            return None
+        phi = self.pullback(p, q)
+        (low, _), (up, _) = self.floors[p], self.floors[p + 1]
+        lower, upper = low.non_identity(), up.non_identity()
+        k, width, sign = len(lower), len(upper), -1 if q % 2 else 1
+        place = {b: i for i, b in enumerate(lower)}
+        # fibers[i]: the positions in upper of the elements phi sends to
+        # lower[i]
+        fibers: list[list[int]] = [[] for _ in lower]
+        for u, a in enumerate(upper):
+            if phi[a] in place:
+                fibers[place[phi[a]]].append(u)
+
+        def terms(x: int) -> Terms:
+            targets, w = [0], k ** q
+            for _ in range(q):
+                w //= k
+                targets = [t * width + u for t in targets
+                           for u in fibers[x // w % k]]
+            return [(t, None, sign) for t in targets]
+
+        return terms
+
+
+def _copies_permutation(group: FgAbGroup, copies: int) -> Sequence[int]:
+    """``DirectSum.of([group] * copies).permutation`` without building
+    the sum: the canonical generators are the presentation generators
+    stably sorted by order, so generator g of copy i, among the
+    generators start .. start + size - 1 of group of its order, is
+    canonical generator copies * start + i * size + g - start."""
+    orders = group.orders
+    if len(set(orders)) < 2:
+        return range(copies * len(orders))
+    spots = [(orders.index(o), orders.count(o)) for o in orders]
+    return [copies * start + i * size + g - start for i in range(copies)
+            for g, (start, size) in enumerate(spots)]
 
 
 class PathCochain(CochainComplex):
@@ -268,16 +437,18 @@ class PathCochain(CochainComplex):
         self.p_max = p_max
         walked = path.walk(p_max)
         self.positions: tuple[Position, ...] = tuple(walked[:-1])
-        groups = [cochain_group(*grid.floors[f], d) for f, d in walked]
+        store = _FloorStore(grid, family, p_max)
+        groups = [store.group(f, d) for f, d in walked]
         maps: list[AbHom] = []
         tags: list[str] = []
         for k, ((f0, d0), (f1, _)) in enumerate(zip(walked, walked[1:])):
             if f1 == f0:
-                maps.append(coboundary(*grid.floors[f0], d0, groups[k],
-                                       groups[k + 1]))
+                maps.append(store.coboundary(f0, d0))
                 tags.append("horizontal")
             else:
-                maps.append(family.hom(f0, groups[k], groups[k + 1]))
+                v = store.vertical(f0, d0)
+                maps.append(AbHom.zero(groups[k].total, groups[k + 1].total)
+                            if v is None else v)
                 tags.append("vertical")
         self.move_tags: tuple[str, ...] = tuple(tags)
         self.groups: tuple[CochainGroup, ...] = tuple(groups[:-1])

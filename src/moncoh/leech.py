@@ -48,7 +48,7 @@ from .abelian import (
     assemble_hom,
     direct_sum_ngens,
 )
-from .coeff import CoeffSystem, _constant_over, validate_relations
+from .coeff import CoeffSystem, validate_relations
 from .monoid import FinMonoid
 
 INDEXING_CONVENTION = "H^n = ker(d^n) / im(d^(n-1)) with d^(-1) = 0"
@@ -174,7 +174,7 @@ def _face_rule(m: FinMonoid, c: CoeffSystem, n: int,
     first = splits if heads is None else [
         tuple(xy for xy in fs if head[xy // k]) for fs in splits]
     # the translations of a constant system are read as signed identities
-    constant = _constant_over(c, c.groups[0])
+    constant = c.constant
     left = {p: [(pa * width, None if constant else c.lstar[a, p].columns)
                 for pa, a in enumerate(non_id) if head[pa]] for p in present}
     right = {p: [(pa, None if constant else c.rstar[a, p].columns)
@@ -505,7 +505,7 @@ def relations_hold(c: CoeffSystem) -> bool:
     """The translation relations hold: at once for a system constant over
     one group, whose translations are all the identity, and otherwise by
     ``validate_relations``, which walks every element triple."""
-    return _constant_over(c, c.groups[0]) or not validate_relations(c)
+    return c.constant or not validate_relations(c)
 
 
 def leech_cohomology_table(m: FinMonoid, c: CoeffSystem,

@@ -34,20 +34,15 @@ d o d, the column condition and every square (f, d) with f + d below the
 top degree; only squares beyond that are checked, each certified by
 naturality or else composed.  D reads floor p's d^q for q <= n_max - p.
 
-Each call keeps its own floor store: every stored vertical map, its
-shape checked against the canonical totals counted without building
-the groups, with whether it is zero, a missing map being zero; and each
-floor's cochain groups and coboundaries, built on first read.  A square
-that is composed reads the store's coboundaries, but a route through a
-zero vertical map is zero and reads none: d^d of the lower floor is read
-only under a nonzero upper map, and d^d of the upper floor only over a
-nonzero lower one.
+A square that is composed reads the floor store's coboundaries (see
+``grid``), but a route through a zero vertical map is zero and reads
+none: d^d of the lower floor is read only under a nonzero upper map, and
+d^d of the upper floor only over a nonzero lower one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .abelian import (
     AbHom,
@@ -59,14 +54,14 @@ from .abelian import (
     add_block,
     assemble_hom,
 )
-from .coeff import _constant_over
-from .grid import ColumnConditionError, GridSpec, VerticalFamily
+from .grid import (
+    ColumnConditionError,
+    GridSpec,
+    VerticalFamily,
+    _degree_bound,
+    _FloorStore,
+)
 from .leech import (
-    CochainGroup,
-    Terms,
-    coboundary,
-    cochain_group,
-    cochain_totals,
     morse_reduction,
     one_level_matching,
     relations_hold,
@@ -110,181 +105,13 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
                       p_max: int) -> DoubleComplexView:
     """Exact commutation test for every square up to the degree bound on
     unproven floors; one floor passes vacuously."""
-    _integers_only([[p_max]], "degree bound")
-    if p_max < 0:
-        raise ValueError("degree bound must be nonnegative")
-    violations = family.column_violations()
-    return _double_complex_view(violations, _FloorStore(grid, family, p_max),
+    _degree_bound(p_max)
+    column_ok = not family.column_violations()
+    return _double_complex_view(column_ok, _FloorStore(grid, family, p_max),
                                 p_max, 0)
 
 
-class _FloorStore:
-    """The floors of one call to degree bound n: ``family``'s stored map
-    once per floor pair and degree 0..n+1, its shape checked against the
-    canonical totals ``cochain_totals`` counts, and whether it is zero, a
-    missing map being None and zero; and each floor's cochain groups and
-    coboundaries, each built on first read and kept for that call, never
-    proven."""
-
-    def __init__(self, grid: GridSpec, family: VerticalFamily, n: int):
-        self.floors = grid.floors
-        totals: dict[int, list[FgAbGroup]] = {}
-
-        def total(f: int, d: int) -> FgAbGroup:
-            if f not in totals:
-                totals[f] = cochain_totals(*self.floors[f], n + 1)
-            return totals[f][d]
-
-        self.verticals = [
-            [family.stored(f, d, total(f, d), total(f + 1, d))
-             if (f, d) in family.maps else None for d in range(n + 2)]
-            for f in range(len(self.floors) - 1)]
-        self.zero = [[v is None or v.is_zero() for v in row]
-                     for row in self.verticals]
-        self._groups: dict[tuple[int, int], CochainGroup] = {}
-        self._maps: dict[tuple[int, int], AbHom] = {}
-        self._pullbacks: dict[tuple[int, int], tuple[int, ...] | None] = {}
-        self._constant: dict[int, bool] = {}
-        self._homomorphisms: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def group(self, f: int, k: int) -> CochainGroup:
-        if (f, k) not in self._groups:
-            self._groups[f, k] = cochain_group(*self.floors[f], k)
-        return self._groups[f, k]
-
-    def certified(self, f: int, d: int) -> bool:
-        """Square (f, d) commutes without composing: both its vertical
-        maps are zero, or ``natural`` certifies it."""
-        return self.zero[f][d] and self.zero[f][d + 1] or self.natural(f, d)
-
-    def natural(self, f: int, d: int) -> bool:
-        """Square (f, d) commutes by naturality of the bar construction:
-        v_d and v_(d+1) are both phi^* (x) 1_A for one monoid homomorphism
-        phi from floor f + 1 to floor f, both floors constant over A."""
-        phi = self.pullback(f, d + 1)
-        return phi is not None and self.pullback(f, d) == phi
-
-    def pullback(self, f: int, d: int) -> tuple[int, ...] | None:
-        """The element map phi with v_d = phi^* (x) 1_A exactly, in
-        canonical coordinates, when phi is a monoid homomorphism and both
-        floors are constant over A; else None.  phi is read off the
-        diagonal tuples (a, ..., a) of v_max(d, 1): row (a, ..., a) of the
-        first generator holds a 1 in column (phi(a), ..., phi(a)), or
-        nothing when phi(a) is the identity, as everywhere in a missing
-        map."""
-        if (f, d) in self._pullbacks:
-            return self._pullbacks[f, d]
-        self._pullbacks[f, d] = None
-        (low, lc), (up, uc) = self.floors[f], self.floors[f + 1]
-        a = lc.groups[0]
-        if f not in self._constant:
-            self._constant[f] = _constant_over(lc, a) and _constant_over(uc, a)
-        if not self._constant[f]:
-            return None
-        lower, upper = low.non_identity(), up.non_identity()
-        k, r, read = len(lower), a.ngens, max(d, 1)
-        # step[i] is the position of phi(upper[i]) in lower, None for e
-        step: list[int | None] = [None] * len(upper)
-        v = self.verticals[f][read]
-        if v is not None:
-            # the tuple (i, ..., i) over n elements is number
-            # i * (1 + n + ... + n^(read - 1))
-            cols = _copies_permutation(a, k ** read)
-            rows = _copies_permutation(a, len(upper) ** read)
-            heads = [v.columns[cols[b * r * sum(k ** q for q in range(read))]]
-                     for b in range(k)]
-            unit = r * sum(len(upper) ** q for q in range(read))
-            step = [next((b for b, col in enumerate(heads)
-                          if rows[i * unit] in col), None)
-                    for i in range(len(upper))]
-        phi = [low.identity_index] * up.size
-        for x, b in zip(upper, step):
-            if b is not None:
-                phi[x] = lower[b]
-        key = f, tuple(phi)
-        if key not in self._homomorphisms:
-            self._homomorphisms[key] = all(
-                phi[z] == low.table[phi[x]][phi[y]]
-                for x, row in enumerate(up.table) for y, z in enumerate(row))
-        if not self._homomorphisms[key]:
-            return None
-        # generator g of upper tuple j reads generator g of lower tuple
-        # images[j], or nothing when phi sends an entry of j to e
-        images: list[int | None] = [0]
-        for _ in range(d):
-            images = [None if i is None or b is None else i * k + b
-                      for i in images for b in step]
-        v = self.verticals[f][d]
-        if v is None:
-            if r and any(i is not None for i in images):
-                return None
-        else:
-            cols = _copies_permutation(a, k ** d)
-            rows = _copies_permutation(a, len(upper) ** d)
-            want: list[SparseColumn] = [{} for _ in range(k ** d * r)]
-            for j, i in enumerate(images):
-                if i is not None:
-                    for g in range(r):
-                        want[cols[i * r + g]][rows[j * r + g]] = 1
-            if v.columns != tuple(want):
-                return None
-        self._pullbacks[f, d] = tuple(phi)
-        return self._pullbacks[f, d]
-
-    def coboundary(self, f: int, d: int) -> AbHom:
-        if (f, d) not in self._maps:
-            self._maps[f, d] = coboundary(*self.floors[f], d, self.group(f, d),
-                                          self.group(f, d + 1))
-        return self._maps[f, d]
-
-    def vertical_terms(self, p: int, q: int) -> Callable[[int], Terms] | None:
-        """The block (-1)^q v_q of D from floor p to floor p + 1, read at
-        a cell of floor p in the layout of ``leech._face_rule``; None when
-        v_q is zero.  A nonzero map that certified squares read is
-        phi^* (x) 1_A for the phi that ``pullback`` certified against its
-        entries, so cell x of floor p reaches each tuple of floor p + 1
-        that phi sends to x, by the identity of A."""
-        if self.zero[p][q]:
-            return None
-        phi = self.pullback(p, q)
-        (low, _), (up, _) = self.floors[p], self.floors[p + 1]
-        lower, upper = low.non_identity(), up.non_identity()
-        k, width, sign = len(lower), len(upper), -1 if q % 2 else 1
-        place = {b: i for i, b in enumerate(lower)}
-        # fibers[i]: the positions in upper of the elements phi sends to
-        # lower[i]
-        fibers: list[list[int]] = [[] for _ in lower]
-        for u, a in enumerate(upper):
-            if phi[a] in place:
-                fibers[place[phi[a]]].append(u)
-
-        def terms(x: int) -> Terms:
-            targets, w = [0], k ** q
-            for _ in range(q):
-                w //= k
-                targets = [t * width + u for t in targets
-                           for u in fibers[x // w % k]]
-            return [(t, None, sign) for t in targets]
-
-        return terms
-
-
-def _copies_permutation(group: FgAbGroup, copies: int) -> Sequence[int]:
-    """``DirectSum.of([group] * copies).permutation`` without building
-    the sum: the canonical generators are the presentation generators
-    stably sorted by order, so generator g of copy i, among the
-    generators start .. start + size - 1 of group of its order, is
-    canonical generator copies * start + i * size + g - start."""
-    orders = group.orders
-    if len(set(orders)) < 2:
-        return range(copies * len(orders))
-    spots = [(orders.index(o), orders.count(o)) for o in orders]
-    return [copies * start + i * size + g - start for i in range(copies)
-            for g, (start, size) in enumerate(spots)]
-
-
-def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
-                         store: _FloorStore, p_max: int,
+def _double_complex_view(column_ok: bool, store: _FloorStore, p_max: int,
                          proven: int) -> DoubleComplexView:
     """``is_double_complex`` on the store's floors; squares with
     f + d < proven are blocks of a proven D o D = 0 and are not composed.
@@ -292,22 +119,19 @@ def _double_complex_view(violations: Sequence[tuple[int, int, AbHom]],
     ``natural`` certifies; any other is composed.  A route through a zero
     vertical map is zero, so one with one zero map commutes when the other
     route is zero."""
-    rows = []
-    for f, (vert, zero) in enumerate(zip(store.verticals, store.zero)):
-        row = []
-        for d in range(p_max + 1):
-            below, above = zero[d], zero[d + 1]
-            if f + d < proven or store.certified(f, d):
-                row.append(True)
-            elif below:
-                row.append(vert[d + 1].compose(store.coboundary(f, d)).is_zero())
-            else:
-                up = store.coboundary(f + 1, d).compose(vert[d])
-                row.append(up.is_zero() if above else up.equals(
-                    vert[d + 1].compose(store.coboundary(f, d))))
-        rows.append(tuple(row))
-    return DoubleComplexView(len(store.floors), p_max, tuple(rows),
-                             not violations)
+    def commutes(f: int, d: int) -> bool:
+        if f + d < proven or store.certified(f, d):
+            return True
+        zero, above = store.zero[f], store.vertical(f, d + 1)
+        if zero[d]:
+            return above.compose(store.coboundary(f, d)).is_zero()
+        up = store.coboundary(f + 1, d).compose(store.vertical(f, d))
+        return up.is_zero() if zero[d + 1] else up.equals(
+            above.compose(store.coboundary(f, d)))
+
+    return DoubleComplexView(len(store.floors), p_max, tuple(
+        tuple(commutes(f, d) for d in range(p_max + 1))
+        for f in range(len(store.zero))), column_ok)
 
 
 @dataclass(frozen=True)
@@ -331,11 +155,9 @@ class TotalComplex(CochainComplex):
     NotADoubleComplex, then as its own."""
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
-        _integers_only([[n_max]], "degree bound")
-        if n_max < 0:
-            raise ValueError("degree bound must be nonnegative")
+        _degree_bound(n_max)
         store = _FloorStore(grid, family, n_max)
-        verticals, zero = store.verticals, store.zero
+        zero = store.zero
         # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
         for n in range(n_max + 2):
@@ -351,9 +173,9 @@ class TotalComplex(CochainComplex):
             for p, q in self.levels[n].summands:
                 add_block(columns, tgt.offsets[p], src.offsets[p],
                           store.coboundary(p, q).columns)
-                if p < len(verticals) and not zero[p][q]:
+                if p < len(zero) and not zero[p][q]:
                     add_block(columns, tgt.offsets[p + 1], src.offsets[p],
-                              verticals[p][q].columns, -1 if q % 2 else 1)
+                              store.vertical(p, q).columns, -1 if q % 2 else 1)
             differentials.append(assemble_hom(src, tgt, columns))
         failure = None
         try:
@@ -366,7 +188,7 @@ class TotalComplex(CochainComplex):
                     store.coboundary(f, d) for d in range(n_max + 1)],
                     translation_failure)
         violations = family.column_violations()
-        view = _double_complex_view(violations, store, n_max,
+        view = _double_complex_view(not violations, store, n_max,
                                     n_max if failure is None else 0)
         if violations:
             raise NotADoubleComplex(str(ColumnConditionError(violations)),
@@ -396,11 +218,12 @@ def total_cohomology(grid: GridSpec, family: VerticalFamily,
     if n_max < 0:
         return []
     store = _FloorStore(grid, family, n_max)
+    zero = store.zero  # every stored map is checked first
     matchings = [one_level_matching(m) for m, _ in grid.floors]
     if (any(pairs for _, pairs, _ in matchings)
             and all(relations_hold(c) for _, c in grid.floors)
             and not family.column_violations()
-            and all(store.certified(f, d) for f in range(len(store.zero))
+            and all(store.certified(f, d) for f in range(len(zero))
                     for d in range(n_max + 1))):
         _, groups, differentials = morse_reduction(
             [(m, c, matching) for (m, c), matching

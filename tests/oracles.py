@@ -136,7 +136,8 @@ def eager_double_complex_view(grid, family, p_max: int) -> DoubleComplexView:
     rows = []
     for f, ((source, lower), (target, upper)) in enumerate(
             zip(floors, floors[1:])):
-        vert = [family.hom(f, s, t) for s, t in zip(source, target)]
+        vert = [family.maps.get((f, d), AbHom.zero(s.total, t.total))
+                for d, (s, t) in enumerate(zip(source, target))]
         rows.append(tuple(
             dense_equals(dense_compose(upper[d], vert[d]),
                          dense_compose(vert[d + 1], lower[d]))

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import moncoh.document
+import moncoh.leech
 from moncoh.abelian import AbHom, Z, Zmod
 from moncoh.cli import run_command
 from moncoh.document import (
@@ -343,13 +344,20 @@ class TestParse:
         assert any("$.grids[0].vertical.maps.[0,0]" in d
                    for d in diags_of(json.dumps(root)))
 
-    def test_vertical_map_shape_checked_before_groups_are_built(self, monkeypatch):
-        # C3 has 2^40 tuples in degree 40; a wrong shape must be reported
-        # from counted generators, without building a cochain group
+    @staticmethod
+    def refuse_cochain_groups(monkeypatch):
+        """Fail on any cochain group built, from document or leech."""
         def refuse(*args):
             pytest.fail(f"cochain_group{args[2:]} built during the parse")
 
-        monkeypatch.setattr(moncoh.document, "cochain_group", refuse)
+        monkeypatch.setattr(moncoh.document, "cochain_group", refuse,
+                            raising=False)
+        monkeypatch.setattr(moncoh.leech, "cochain_group", refuse)
+
+    def test_vertical_map_shape_checked_before_groups_are_built(self, monkeypatch):
+        # C3 has 2^40 tuples in degree 40; a wrong shape must be reported
+        # from counted generators, without building a cochain group
+        self.refuse_cochain_groups(monkeypatch)
         root = sample_root()
         root["grids"][0]["pmax"] = 40
         root["grids"][0]["vertical"] = {"maps": {"[0,40]": [[1]]}}
@@ -368,14 +376,18 @@ class TestParse:
         ([("C2", "c2M"), ("C3", "c3M")], "[0,2]", [[3], [0], [9], [-3]]),
         ([("C3", "c3M"), ("C2", "c2M")], "[0,1]", [[3, 1]]),
     ])
-    def test_vertical_map_parses_to_hom_on_cochain_groups(self, floors, key, rows):
+    def test_vertical_map_parses_to_hom_on_cochain_groups(self, monkeypatch,
+                                                          floors, key, rows):
         root = sample_root()
         root["coefficients"] += [
             {"name": "c2M", "monoid": "C2", "kind": "constant", "group": "Z/2"},
             {"name": "c3M", "monoid": "C3", "kind": "constant", "group": "Z/6"}]
         root["grids"][0]["floors"] = [{"monoid": m, "coeff": c} for m, c in floors]
         root["grids"][0]["vertical"] = {"maps": {key: rows}}
+        # the map reads the counted totals of the two groups, not the groups
+        self.refuse_cochain_groups(monkeypatch)
         doc = parse_document(json.dumps(root))
+        monkeypatch.undo()
         (source, target) = doc.grid("pair").grid.floors
         degree = int(key[3:-1])
         want = AbHom(cochain_group(*source, degree).total,

@@ -421,7 +421,8 @@ def reference_maps(grid, family, moves, p_max):
     walked = PathSpec(moves).walk(p_max)
     steps = list(zip(walked, walked[1:]))
     maps = [full[f0].differential(d0) if f1 == f0
-            else family.hom(f0, full[f0].groups[d0], full[f1].groups[d0])
+            else family.maps.get((f0, d0), AbHom.zero(
+                full[f0].groups[d0].total, full[f1].groups[d0].total))
             for (f0, d0), (f1, _) in steps]
     tags = ["horizontal" if f1 == f0 else "vertical"
             for (f0, _), (f1, _) in steps]
@@ -598,15 +599,21 @@ class TestFloorDepth:
         grid = grid_of(const_floor(trivial_monoid(), Z),
                        const_floor(cyclic_group(2), Z),
                        const_floor(cyclic_group(3), Z))
-        return grid, VerticalFamily.explicit({(0, 0): AbHom(Z, Z, ((1,),))})
+        # no path below descends from floor 1 in degree 2
+        top = FgAbGroup(4)
+        return grid, VerticalFamily.explicit({
+            (0, 0): AbHom(Z, Z, ((1,),)),
+            (1, 2): AbHom(Z, top, ((1,), (2,), (0,), (-1,)))})
 
     @pytest.mark.parametrize("moves", ["", "D", "DR", "RD", "DRDR"])
     def test_floors_built_to_the_walk(self, monkeypatch, moves):
         # one cochain group per walked position, one coboundary per
-        # horizontal move and no floor complex
+        # horizontal move and no floor complex; a path counts no totals,
+        # and the map it does not descend through is not read
         grid, family = self.grid_and_family()
         p_max = 3
         walked = PathSpec(moves).walk(p_max)
+        want = square_cohomology(grid, family, PathSpec(moves), p_max)
         built: Counter[str] = Counter()
 
         def counting(name, real):
@@ -620,8 +627,10 @@ class TestFloorDepth:
                                 counting(name, getattr(grid_module, name)))
         monkeypatch.setattr(LeechComplex, "__init__", counting(
             "LeechComplex", LeechComplex.__init__))
+        monkeypatch.setattr(grid_module, "cochain_totals", None)
         report = square_cohomology(grid, family, PathSpec(moves), p_max)
         monkeypatch.undo()
+        assert report.entries == want.entries
         maps, tags = reference_maps(grid, family, moves, p_max)
         assert built == Counter({"cochain_group": len(walked),
                                  "coboundary": tags.count("horizontal")})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moncoh import abelian, totalcx
+from moncoh import abelian, grid as grid_module, totalcx
 from moncoh.abelian import (
     AbHom, CochainComplex, DirectSum, FgAbGroup, Z, Zmod, cohomology_at)
-from moncoh.coeff import constant_system, explicit_system
+from moncoh.coeff import CoeffSystem, constant_system, explicit_system
 from moncoh.document import parse_document
 from moncoh.grid import GridSpec, PathSpec, VerticalFamily, square_cohomology
 from moncoh.leech import (
@@ -315,10 +316,10 @@ class TestWorkDoneOnce:
         real_engine = CochainComplex.__init__
         real_leech = LeechComplex.__init__
         real_compose = AbHom.compose
-        real_stored = VerticalFamily.stored
-        real_coboundary = totalcx.coboundary
+        real_vertical = grid_module._FloorStore.vertical
+        real_coboundary = grid_module.coboundary
         real_is_zero = AbHom.is_zero
-        real_pullback = totalcx._FloorStore.pullback
+        real_pullback = grid_module._FloorStore.pullback
 
         def counted_quotient(outer, inner):
             calls["proof"] += 1
@@ -336,11 +337,13 @@ class TestWorkDoneOnce:
             composed.append((outer, inner))
             return real_compose(outer, inner)
 
-        def counted_stored(family, floor, degree, dom, cod):
-            fetches[floor, degree] += 1
-            hom = real_stored(family, floor, degree, dom, cod)
-            fetched[floor, degree] = hom
-            zero_tests[id(hom)] = 0
+        def counted_vertical(store, floor, degree):
+            first = (floor, degree) not in store._verticals
+            hom = real_vertical(store, floor, degree)
+            if first and hom is not None:
+                fetches[floor, degree] += 1
+                fetched[floor, degree] = hom
+                zero_tests[id(hom)] = 0
             return hom
 
         def counted_coboundary(m, c, d, *groups):
@@ -361,10 +364,12 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(CochainComplex, "__init__", counted_engine)
         monkeypatch.setattr(LeechComplex, "__init__", counted_leech)
         monkeypatch.setattr(AbHom, "compose", counted_compose)
-        monkeypatch.setattr(VerticalFamily, "stored", counted_stored)
-        monkeypatch.setattr(totalcx, "coboundary", counted_coboundary)
+        monkeypatch.setattr(grid_module._FloorStore, "vertical",
+                            counted_vertical)
+        monkeypatch.setattr(grid_module, "coboundary", counted_coboundary)
         monkeypatch.setattr(AbHom, "is_zero", counted_is_zero)
-        monkeypatch.setattr(totalcx._FloorStore, "pullback", counted_pullback)
+        monkeypatch.setattr(grid_module._FloorStore, "pullback",
+                            counted_pullback)
         return (calls, composed, built, builds, zero_tests, fetched, fetches,
                 certificates)
 
@@ -485,6 +490,33 @@ class TestWorkDoneOnce:
         # the total's engine, then one per floor
         assert calls["engine"] == 3 and calls["floor complex"] == 0
         assert composed == [] and self.zero_tested_once(fetched, zero_tests)
+
+
+    @pytest.mark.parametrize("coeff_order", [0, 2])
+    def test_constancy_is_decided_once_per_system(self, monkeypatch,
+                                                  coeff_order):
+        # the Morse walk's face rules, relations_hold and the naturality
+        # certificates of a total, then a table over one of its floors,
+        # all read each system's constancy
+        decided: Counter[int] = Counter()
+        real = CoeffSystem.constant.func
+
+        def counted(c):
+            decided[id(c)] += 1
+            return real(c)
+
+        constant = functools.cached_property(counted)
+        constant.__set_name__(CoeffSystem, "constant")
+        monkeypatch.setattr(CoeffSystem, "constant", constant)
+        grid, family = pullback_stack(2, 4, 3, coeff_order=coeff_order,
+                                      n_max=2)
+        recording = RecordingTotal()
+        monkeypatch.setattr(totalcx, "TotalComplex", recording)
+        total_cohomology(grid, family, 2)
+        assert recording.built == []
+        m, c = grid.floors[1]
+        leech_cohomology_table(m, c, 3)
+        assert decided == Counter({id(c): 1 for _, c in grid.floors})
 
 
 class TestFailingInputs:
@@ -655,7 +687,7 @@ class TestNaturalSquares:
     def check(grid, family, n_max):
         view = is_double_complex(grid, family, n_max)
         assert view == eager_double_complex_view(grid, family, n_max)
-        store = totalcx._FloorStore(grid, family, n_max)
+        store = grid_module._FloorStore(grid, family, n_max)
         return view, [[store.natural(f, d) for d in range(n_max + 1)]
                       for f in range(len(grid.floors) - 1)]
 
@@ -901,7 +933,7 @@ class TestReducedRoute:
         grid = const_grid(*((cyclic_group(k), Z) for k in (3, 4, 5)))
         one = AbHom(Z, Z, ((1,),))
         family = VerticalFamily.explicit({(0, 0): one, (1, 0): one})
-        store = totalcx._FloorStore(grid, family, n_max)
+        store = grid_module._FloorStore(grid, family, n_max)
         assert all(store.certified(f, d) for f in range(2)
                    for d in range(n_max + 1))
         error = self.refused(monkeypatch, grid, family, n_max)
@@ -948,7 +980,7 @@ class TestReducedRoute:
         calls, composed, built, builds, zero_tests, fetched, fetches, \
             certificates = TestWorkDoneOnce.count_work(monkeypatch, grid)
         groups = []
-        monkeypatch.setattr(totalcx, "cochain_group",
+        monkeypatch.setattr(grid_module, "cochain_group",
                             lambda *args: groups.append(args[2]))
         assert total_cohomology(grid, family, n_max) == want
         # no floor coboundary, cochain group or floor complex; one engine
@@ -979,8 +1011,8 @@ class TestReducedRoute:
     def test_zero_family_builds_no_cochain_group(self, monkeypatch):
         # P(3)..P(1): what the floor store used to build up front
         grid = const_grid(*((power_set_monoid(k), Z) for k in (3, 2, 1)))
-        monkeypatch.setattr(totalcx, "cochain_group", None)
-        monkeypatch.setattr(totalcx, "coboundary", None)
+        monkeypatch.setattr(grid_module, "cochain_group", None)
+        monkeypatch.setattr(grid_module, "coboundary", None)
         assert [g.render() for g in total_cohomology(
             grid, VerticalFamily.zero(), 4)] == ["Z", "Z", "Z", "0", "0"]
 
@@ -988,7 +1020,7 @@ class TestReducedRoute:
             self, monkeypatch):
         grid = const_grid((cyclic_group(3), Z), (cyclic_group(6), Z))
         family = VerticalFamily.explicit({(0, 2): AbHom.zero(Z, Z)})
-        monkeypatch.setattr(totalcx, "cochain_group", None)
+        monkeypatch.setattr(grid_module, "cochain_group", None)
         for run in (total_cohomology, is_double_complex, TotalComplex):
             with pytest.raises(ValueError, match=(
                     r"^vertical map at \(floor 0, degree 2\) connects Z -> Z "
@@ -1000,5 +1032,5 @@ def test_copies_permutation_is_the_direct_sum_permutation():
     for group in [*COEFFICIENTS, FgAbGroup(2, (2, 2, 4)),
                   FgAbGroup(0, (3, 6, 6)), FgAbGroup()]:
         for copies in range(5):
-            assert tuple(totalcx._copies_permutation(group, copies)) == \
+            assert tuple(grid_module._copies_permutation(group, copies)) == \
                 DirectSum.of([group] * copies).permutation
