@@ -294,6 +294,11 @@ class _FloorStore:
                               range(self.n + 2))]
                 for f in range(len(self.floors) - 1)]
 
+    @cached_property
+    def violations(self) -> list[tuple[int, int, AbHom]]:
+        """The family's ``column_violations``, composed once per call."""
+        return self.family.column_violations()
+
     def certified(self, f: int, d: int) -> bool:
         """Square (f, d) commutes without composing: both its vertical
         maps are zero, or ``natural`` certifies it."""

@@ -43,7 +43,6 @@ from .abelian import (
     DirectSum,
     FgAbGroup,
     SparseColumn,
-    _apply_sparse,
     _integers_only,
     assemble_hom,
     direct_sum_ngens,
@@ -348,7 +347,12 @@ def morse_reduction(
     critical cells: Gaussian elimination along the matched blocks,
     reading d from ``_face_rule`` with the heads S, so that within a
     floor only cells whose first entry lies in S survive, and dropping
-    the other cells a vertical map reaches.  Returns the cells, the
+    the other cells a vertical map reaches.  A column is walked once per
+    generator of c's group.  Its values on a floor are plain ints in one
+    dict under flat keys cell * r + generator, r the most generators of
+    any group of the floor, so a face through an identity block adds one
+    int, and a translation block adds its column for the key's generator;
+    a matched cell is cleared one key at a time.  Returns the cells, the
     groups and D^0..D^(max_degree - 1).  The result keeps cohomology when
     the full total complex squares to zero; callers certify that first,
     and the engine proves each reduced pair.
@@ -383,21 +387,24 @@ def morse_reduction(
               for n in range(max_degree + 1)]
 
     lengths = [matching[2] for _, _, matching in floors[:height]]
+    # a value of floor p sits under the flat key cell * r + generator
+    widths = [max(g.ngens for g in c.groups) or 1
+              for _, c, _ in floors[:height]]
     # tails[p] holds the products of floor p's full C^(q-1), q = n - p
     tails = [[m.identity_index] for m, _, _ in floors[:height]]
     differentials = []
     for n in range(max_degree):
         low, high = min(height, n + 1), min(height, n + 2)
         # per floor: the values of one column and its queues of levels,
-        # both emptied as the column is finished, and the codes of its
+        # both emptied as the column is finished, the codes of its
         # matched cells, as a target t of floor p of degree n + 1 - p >= 2
-        # starts with the code t // w
+        # starts with the code t // w, and the width r of its flat keys
         sinks = []
         for p in range(high):
             codes, w = ((chosen[p], len(non_ids[p]) ** (n - p - 1)) if n > p
                         else ({}, 1))
             sinks.append(({}, [[] for _ in range(max(lengths[p]) + 1)],
-                          codes, w, lengths[p]))
+                          codes, w, widths[p], lengths[p]))
         reads = []
         for p in range(low):
             monoid, coeffs, (gens, _, _) = floors[p]
@@ -411,71 +418,86 @@ def morse_reduction(
                                      range(monoid.size)),
                           image, sinks[p], sinks[p + 1] if image else None))
 
-        def add(p: int, i: int, x: int, vec: SparseColumn) -> None:
-            """d(vec at cell i of product x of floor p) into floor p's
-            values and its vertical terms into floor p + 1's; a matched
-            cell met for the first time joins the queue of its level in
-            its floor."""
+        def add(p: int, i: int, x: int, g: int, e: int) -> None:
+            """d(e times generator g at cell i of product x of floor p)
+            into floor p's values and its vertical terms into floor p + 1's;
+            a matched key met for the first time joins the queue of its
+            cell's level in its floor."""
             faces, image, here, above = reads[p]
-            negated = {j: -e for j, e in vec.items()}
             outlets = [(here, faces(i, x))]
             if image is not None:
                 outlets.append((above, image(i)))
-            for (v, queue, codes, w, length), terms in outlets:
+            for (v, queue, codes, w, r, length), terms in outlets:
+                get, code = v.get, codes.get
                 for t, block, sign in terms:
-                    vt = vec if sign > 0 else negated
-                    vt = vt if block is None else _apply_sparse(block, vt)
-                    cur = v.get(t)
-                    if cur is None:
-                        v[t] = dict(vt)
-                        a = codes.get(t // w)
-                        if a is not None:
-                            queue[length[a]].append(t)
+                    if block is None:
+                        key = t * r + g
+                        z = e if sign > 0 else -e
+                        cur = get(key)
+                        if cur is None:
+                            v[key] = z
+                            a = code(t // w)
+                            if a is not None:
+                                queue[length[a]].append(key)
+                        else:
+                            v[key] = cur + z
                     else:
-                        for j, e in vt.items():
-                            cur[j] = cur.get(j, 0) + e
+                        for j, y in block[g].items():
+                            key = t * r + j
+                            cur = get(key)
+                            if cur is None:
+                                v[key] = sign * e * y
+                                a = code(t // w)
+                                if a is not None:
+                                    queue[length[a]].append(key)
+                            else:
+                                v[key] = cur + sign * e * y
 
         src, tgt = groups[n], groups[n + 1]
-        clearing = [(*sinks[f][:4], positions[f], floors[f][0].table,
+        clearing = [(*sinks[f][:5], positions[f], floors[f][0].table,
                      tails[f], f) for f in range(low)]
         projecting = []
         first = 0  # the component of the first cell of floor p in tgt
         for p in range(high):
-            here = cells[p][n + 1 - p]
-            projecting.append((sinks[p][0], dict(zip(
-                here, tgt.offsets[first:first + len(here)]))))
+            here, r = cells[p][n + 1 - p], widths[p]
+            # the flat key of generator j of a critical cell, to its row of
+            # tgt; a key past the cell's generators is never filled
+            rows = dict(zip(here, tgt.offsets[first:first + len(here)]))
+            if r > 1:
+                rows = {z * r + j: row + j for z, row in rows.items()
+                        for j in range(r)}
+            projecting.append((sinks[p][0], rows))
             first += len(here)
         columns: list[SparseColumn] = []
         for p0 in range(low):
             coeffs = floors[p0][1]
             for i, x in zip(cells[p0][n - p0], products[p0][n - p0]):
                 for g in range(coeffs.groups[x].ngens):
-                    add(p0, i, x, {g: 1})
-                    for v, queue, codes, w, pos, table, tail, f in \
+                    add(p0, i, x, g, 1)
+                    for v, queue, codes, w, r, pos, table, tail, f in \
                             clearing[p0:]:
                         if not v:
                             continue
                         for level in queue:
-                            for y in level:
-                                vy = v[y]
-                                if any(vy.values()):
+                            for key in level:
+                                e = v[key]
+                                if e:
+                                    y, j = divmod(key, r)
                                     a, rest = codes[y // w], y % w
                                     add(f, pos[a] * w + rest,
-                                        table[a][tail[rest]], dict(vy))
-                                    if any(v[y].values()):
+                                        table[a][tail[rest]], j, e)
+                                    if v[key]:
                                         raise AssertionError(
                                             f"matched cell {y} was not "
                                             f"cleared")
-                                del v[y]
+                                del v[key]
                             level.clear()
                     col: SparseColumn = {}
-                    for v, offsets in projecting[p0:]:
-                        for z, vz in v.items():
-                            off = offsets.get(z)
-                            if off is not None:
-                                for j, e in vz.items():
-                                    if e:
-                                        col[off + j] = e
+                    for v, rows in projecting[p0:]:
+                        for key, e in v.items():
+                            row = rows.get(key)
+                            if row is not None and e:
+                                col[row] = e
                         v.clear()
                     columns.append(col)
         differentials.append(assemble_hom(src, tgt, columns))

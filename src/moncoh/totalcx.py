@@ -106,9 +106,8 @@ def is_double_complex(grid: GridSpec, family: VerticalFamily,
     """Exact commutation test for every square up to the degree bound on
     unproven floors; one floor passes vacuously."""
     _degree_bound(p_max)
-    column_ok = not family.column_violations()
-    return _double_complex_view(column_ok, _FloorStore(grid, family, p_max),
-                                p_max, 0)
+    store = _FloorStore(grid, family, p_max)
+    return _double_complex_view(not store.violations, store, p_max, 0)
 
 
 def _double_complex_view(column_ok: bool, store: _FloorStore, p_max: int,
@@ -156,8 +155,18 @@ class TotalComplex(CochainComplex):
 
     def __init__(self, grid: GridSpec, family: VerticalFamily, n_max: int):
         _degree_bound(n_max)
-        store = _FloorStore(grid, family, n_max)
-        zero = store.zero
+        self._build(_FloorStore(grid, family, n_max))
+
+    @classmethod
+    def _from_store(cls, store: _FloorStore) -> TotalComplex:
+        """The total complex of a store's floors to its degree bound,
+        reading the maps and totals the store already holds."""
+        cx = cls.__new__(cls)
+        cx._build(store)
+        return cx
+
+    def _build(self, store: _FloorStore) -> None:
+        n_max, zero = store.n, store.zero
         # the summand (p, n - p) of Tot^n is its p-th
         self.levels: list[TotalGroup] = []
         for n in range(n_max + 2):
@@ -187,7 +196,7 @@ class TotalComplex(CochainComplex):
                 CochainComplex(store.group(f, 0).total, [
                     store.coboundary(f, d) for d in range(n_max + 1)],
                     translation_failure)
-        violations = family.column_violations()
+        violations = store.violations
         view = _double_complex_view(not violations, store, n_max,
                                     n_max if failure is None else 0)
         if violations:
@@ -212,8 +221,9 @@ def total_cohomology(grid: GridSpec, family: VerticalFamily,
 
     Read off Tot reduced along its floors' matchings when D is certified
     to square to zero through Tot^(n_max + 1) without composing anything
-    (see the module docstring), and otherwise off a ``TotalComplex``,
-    which raises its own errors and views."""
+    (see the module docstring), and otherwise off a ``TotalComplex``
+    built on the same floor store, which raises its own errors and
+    views."""
     _integers_only([[n_max]], "degree bound")
     if n_max < 0:
         return []
@@ -222,7 +232,7 @@ def total_cohomology(grid: GridSpec, family: VerticalFamily,
     matchings = [one_level_matching(m) for m, _ in grid.floors]
     if (any(pairs for _, pairs, _ in matchings)
             and all(relations_hold(c) for _, c in grid.floors)
-            and not family.column_violations()
+            and not store.violations
             and all(store.certified(f, d) for f in range(len(zero))
                     for d in range(n_max + 1))):
         _, groups, differentials = morse_reduction(
@@ -231,5 +241,5 @@ def total_cohomology(grid: GridSpec, family: VerticalFamily,
             n_max + 1, store.vertical_terms)
         cx = CochainComplex(groups[0].total, differentials, _total_failure)
     else:
-        cx = TotalComplex(grid, family, n_max)
+        cx = TotalComplex._from_store(store)
     return [cx.cohomology(n) for n in range(n_max + 1)]

@@ -140,6 +140,37 @@ def swap_action_system() -> CoeffSystem:
     return group_action_system(m, g, [AbHom.identity(g), swap])
 
 
+def rotation_system() -> CoeffSystem:
+    """Z/4 acting on Z^2 by the quarter turn (0 -1; 1 0), which mixes the
+    two generators, on a monoid whose one-level matching pairs cells."""
+    m = cyclic_group(4)
+    g = FgAbGroup(2)
+    turns = [AbHom.identity(g)]
+    for _ in range(3):
+        turns.append(AbHom(g, g, ((0, -1), (1, 0))).compose(turns[-1]))
+    return group_action_system(m, g, turns)
+
+
+def widened_top_system() -> CoeffSystem:
+    """P(2) with Z at every element but the top {0,1}, which carries
+    Z x Z/2: a translation into the top from below is the inclusion of Z,
+    every other the identity, so groups of one and two generators meet."""
+    m = power_set_monoid(2)
+    top = FgAbGroup(1, (2,))
+    groups = [Z, Z, Z, top]
+    inclusion = AbHom(Z, top, ((1,), (0,)))
+
+    def translation(x: int, y: int) -> AbHom:
+        return (AbHom.identity(groups[x]) if groups[x] == groups[y]
+                else inclusion)
+
+    lstar = {(a, x): translation(x, m.mul(a, x))
+             for a in range(4) for x in range(4)}
+    rstar = {(a, x): translation(x, m.mul(x, a))
+             for a in range(4) for x in range(4)}
+    return explicit_system(m, groups, lstar, rstar)
+
+
 def systems_for(m: FinMonoid, groups: list[FgAbGroup] | None = None) -> list[CoeffSystem]:
     """Constant systems on every monoid, plus sign actions on even cyclic
     groups."""

@@ -708,15 +708,51 @@ def sparse_columns_of(matrix):
             for j in range(cols)]
 
 
+def far_below(cols):
+    """The map with a row of 6s added far below it: a zero row over F_2 and
+    F_3, so every field rank stays, but past the size up to which
+    ``_field_rank`` packs columns, so that it packs rows."""
+    far = abelian._PACKED_COLUMN_BITS
+    assert cols
+    return [{**col, far: 6} for col in cols]
+
+
+@st.composite
+def tall_or_wide_matrices(draw):
+    """At most 4 rows and 5 to 12 columns, or the other way round."""
+    short, long = draw(st.integers(1, 4)), draw(st.integers(5, 12))
+    rows, cols = (long, short) if draw(st.booleans()) else (short, long)
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
 class TestFieldRank:
     def test_bit_sliced_sum_and_difference_on_all_nine_pairs(self):
-        # rows (a, 1) and (b, +-1) share their leading column, so the second
-        # is reduced to (b - a, 0) or (b + a, 0) by the bit-sliced F_3 sum
+        # vectors (a, 1) and (b, +-1) share their leading entry, so the
+        # second is reduced to (b - a, 0) or (b + a, 0) by the bit-sliced F_3
+        # sum: as the columns of a small map, and as the rows of a map past
+        # the size up to which columns are packed
         for a, b in itertools.product(range(3), repeat=2):
             for sign, reduced in ((1, b - a), (-1, b + a)):
-                cols = [{0: a, 1: b}, {0: 1, 1: sign}]
-                assert abelian._field_rank(cols, (3,), 2) == (
-                    2 if reduced % 3 else 1), (a, b, sign)
+                want = 2 if reduced % 3 else 1
+                as_columns = [{0: a, 1: 1}, {0: b, 1: sign}]
+                as_rows = far_below([{0: a, 1: b}, {0: 1, 1: sign}])
+                assert abelian._field_rank(as_columns, (3,), 2) == want, (
+                    a, b, sign)
+                assert abelian._field_rank(as_rows, (3,), 2) == want, (
+                    a, b, sign)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tall_or_wide_matrices(), st.booleans(), st.integers(1, 13))
+    def test_both_packings_match_the_oracle_up_to_the_bound(
+            self, matrix, by_rows, bound):
+        cols = sparse_columns_of(matrix)
+        if by_rows:
+            cols = far_below(cols)
+        two, three = oracles.fp_rank(matrix, 2), oracles.fp_rank(matrix, 3)
+        assert abelian._field_rank(cols, (2,), bound) == min(two, bound)
+        assert abelian._field_rank(cols, (3,), bound) == min(three, bound)
+        assert abelian._field_rank(cols, (2, 3), bound) == min(
+            max(two, three), bound)
 
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())

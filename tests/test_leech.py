@@ -41,9 +41,11 @@ from catalog import (
     monogenic_three,
     monoids_up_to_order,
     negation_on_integers,
+    rotation_system,
     small_monoids,
     swap_action_system,
     systems_for,
+    widened_top_system,
 )
 from oracles import (
     bar_cohomology_dims_mod_p,
@@ -589,6 +591,20 @@ class TestMorseReduction:
                 full.cohomology(n) for n in range(p + 1)], (m.name, c.groups)
             reduced += bool(one_level_matching(m)[1])
         assert reduced >= 20
+
+    @pytest.mark.parametrize("system", [rotation_system,
+                                        widened_top_system])
+    def test_flat_keys_on_blocks_that_mix_or_widen(self, system):
+        # the walk keys a value by cell * r + generator, r the most
+        # generators of a group of the floor: here a translation mixes two
+        # generators, or groups of one and two generators meet
+        c = system()
+        m = c.monoid
+        assert one_level_matching(m)[1] and relations_hold(c)
+        assert not c.constant
+        full = LeechComplex(m, c, 5)
+        assert leech_cohomology_table(m, c, 4) == [
+            full.cohomology(n) for n in range(5)]
 
     def test_every_element_a_generator_gives_the_full_complex(self):
         # the reduced and the full complex read d from one face rule: with

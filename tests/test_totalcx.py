@@ -30,8 +30,8 @@ from moncoh.totalcx import (
 )
 
 from catalog import (
-    mixed_two_three_system, negation_on_integers, small_monoids,
-    swap_action_system)
+    mixed_two_three_system, negation_on_integers, rotation_system,
+    small_monoids, swap_action_system, widened_top_system)
 from oracles import eager_double_complex_view, lattice_cohomology_at
 
 DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
@@ -475,6 +475,42 @@ class TestWorkDoneOnce:
         assert zero_view == eager_double_complex_view(
             grid, VerticalFamily.zero(), 2)
 
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_uncertified_total_reads_one_store(self, monkeypatch, n_max):
+        # the merging pair squares to zero, but its system is not constant,
+        # so no square is certified and total_cohomology builds a
+        # TotalComplex: on the floor store it has already read
+        grid, family = merging_pair(1, n_max)
+        want = [TotalComplex(grid, family, n_max).cohomology(n)
+                for n in range(n_max + 1)]
+        calls, composed, built, builds, zero_tests, fetched, fetches, \
+            certificates = self.count_work(monkeypatch, grid)
+        floor_of = {m: f for f, (m, _) in enumerate(grid.floors)}
+        counted: Counter[int] = Counter()
+        real_totals = grid_module.cochain_totals
+
+        def counted_totals(m, c, n):
+            counted[floor_of[m]] += 1
+            return real_totals(m, c, n)
+
+        monkeypatch.setattr(grid_module, "cochain_totals", counted_totals)
+        real_violations = VerticalFamily.column_violations
+
+        def counted_violations(family):
+            calls["column condition"] += 1
+            return real_violations(family)
+
+        monkeypatch.setattr(VerticalFamily, "column_violations",
+                            counted_violations)
+        assert total_cohomology(grid, family, n_max) == want
+        # each stored map fetched, shape-checked and tested for zero once,
+        # each floor's totals counted once, the column condition checked
+        # once, and one engine
+        assert fetches == Counter({(0, d): 1 for d in range(n_max + 2)})
+        assert self.zero_tested_once(fetched, zero_tests)
+        assert counted == Counter({0: 1, 1: 1})
+        assert calls["engine"] == 1 and calls["column condition"] == 1
+
     def test_failing_proof_builds_and_proves_every_floor(self, monkeypatch):
         # floor 1's d^1 o d^0 is a block of D^2 o D^1: every floor's
         # d^0..d^2 is then built and proven before the floor failure
@@ -834,15 +870,15 @@ def homomorphisms(upper, lower):
 
 
 class RecordingTotal:
-    """Stands in for ``totalcx.TotalComplex`` and records each stack it is
-    built on."""
+    """Stands in for ``totalcx.TotalComplex`` and records the floors,
+    family and degree bound of each floor store it is built on."""
 
     def __init__(self):
         self.built = []
 
-    def __call__(self, grid, family, n_max):
-        self.built.append((grid, family, n_max))
-        return TotalComplex(grid, family, n_max)
+    def _from_store(self, store):
+        self.built.append((store.floors, store.family, store.n))
+        return TotalComplex._from_store(store)
 
 
 def matched(grid):
@@ -909,7 +945,7 @@ class TestReducedRoute:
         monkeypatch.undo()
         with pytest.raises((AssertionError, ValueError)) as direct:
             TotalComplex(grid, family, n_max)
-        assert recording.built == [(grid, family, n_max)]
+        assert recording.built == [(grid.floors, family, n_max)]
         assert type(routed.value) is type(direct.value)
         assert str(routed.value) == str(direct.value)
         if isinstance(direct.value, NotADoubleComplex):
@@ -957,7 +993,7 @@ class TestReducedRoute:
         recording = RecordingTotal()
         monkeypatch.setattr(totalcx, "TotalComplex", recording)
         got = total_cohomology(grid, family, n_max)
-        assert recording.built == [(grid, family, n_max)]
+        assert recording.built == [(grid.floors, family, n_max)]
         monkeypatch.undo()
         cx = TotalComplex(grid, family, n_max)
         assert got == [cx.cohomology(n) for n in range(n_max + 1)]
@@ -1007,6 +1043,20 @@ class TestReducedRoute:
             cx = TotalComplex(grid, VerticalFamily.zero(), 3)
             assert total_cohomology(grid, VerticalFamily.zero(), 3) == [
                 cx.cohomology(n) for n in range(4)]
+
+    def test_zero_family_over_mixing_and_widening_floors(self, monkeypatch):
+        # the walk's flat keys on two floors: Z/4 turning Z^2, whose blocks
+        # mix generators, and P(2) with one- and two-generator groups
+        systems = [rotation_system(), widened_top_system()]
+        for floors in (systems, systems[::-1]):
+            grid = GridSpec(tuple((c.monoid, c) for c in floors))
+            cx = TotalComplex(grid, VerticalFamily.zero(), 4)
+            recording = RecordingTotal()
+            monkeypatch.setattr(totalcx, "TotalComplex", recording)
+            assert total_cohomology(grid, VerticalFamily.zero(), 4) == [
+                cx.cohomology(n) for n in range(5)]
+            assert recording.built == []
+            monkeypatch.undo()
 
     def test_zero_family_builds_no_cochain_group(self, monkeypatch):
         # P(3)..P(1): what the floor store used to build up front
